@@ -135,8 +135,8 @@ def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
     """Background-only and full-dictionary codes for test instances.
 
     The full coding warm-starts from the background solution (target block
-    zero), so its lasso objective can only improve on it; that is asserted
-    per instance."""
+    zero), so its lasso objective can only improve on it; that is checked
+    per instance and a violation raises RuntimeError."""
     T = D.n_target
     Dbg = D.background_atoms
     G_bg = Dbg.T @ Dbg
@@ -159,9 +159,8 @@ def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
 
     obj_full = lasso_obj(A_full)
     obj_warm = lasso_obj(A0)
-    assert np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))), (
-        "full-dictionary coding worsened its warm start"
-    )
+    if not np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))):
+        raise RuntimeError("full-dictionary coding worsened its warm start")
     return A_bg, A_full
 
 
@@ -236,43 +235,75 @@ def confidence_series(
     )
 
 
+def _sorted_events(series: ConfidenceSeries):
+    """All candidates as (index, channel, confidence) arrays, sorted by
+    index, then channel, then confidence."""
+    idx = np.concatenate([np.empty(0, dtype=int), *series.peak_indices])
+    ch = np.repeat(np.arange(series.n_channels), [p.size for p in series.peak_indices])
+    conf = np.concatenate([np.empty(0), *series.confidences])
+    order = np.lexsort((conf, ch, idx))
+    return idx[order], ch[order], conf[order]
+
+
+def _vote(idx, ch, conf, neighborhood: int, min_votes: int, refractory: int):
+    """vote_beats on supra-threshold events already in _sorted_events order
+    (any subset of a sorted event list is still sorted)."""
+    n = idx.size
+    if n == 0:
+        return []
+    # Clusters tile the events: each runs from its anchor to the first event
+    # more than `neighborhood` samples later, which anchors the next one.
+    # A cluster always holds its anchor, even for a negative neighborhood.
+    nxt = np.searchsorted(idx, idx + neighborhood, side="right")
+    nxt = np.maximum(nxt, np.arange(1, n + 1)).tolist()
+    anchors = []
+    i = 0
+    while i < n:
+        anchors.append(i)
+        i = nxt[i]
+    starts = np.asarray(anchors)
+    sizes = np.diff(starts, append=n)
+    votes = np.zeros(starts.size, dtype=int)
+    for c in np.unique(ch):
+        votes += np.logical_or.reduceat(ch == c, starts)
+    keep = votes >= min_votes
+    starts, sizes = starts[keep], sizes[keep]
+    if starts.size == 0:
+        return []
+    # int(np.median(...)) of the cluster's (sorted) indices
+    med = ((idx[starts + (sizes - 1) // 2] + idx[starts + sizes // 2]) / 2).astype(int)
+    # Confidence sums added left to right, as sum() over the cluster does;
+    # a pairwise reduction would round differently on long clusters.
+    sums = np.zeros(starts.size)
+    for k in range(int(sizes.max())):
+        live = sizes > k
+        sums[live] += conf[starts[live] + k]
+    beats: list[tuple[int, float]] = []
+    for b, s in zip(med.tolist(), sums.tolist()):
+        if beats and b - beats[-1][0] < refractory:
+            if s > beats[-1][1]:
+                beats[-1] = (b, s)
+        else:
+            beats.append((b, s))
+    return beats
+
+
 def vote_beats(
     series: ConfidenceSeries, params: DetectionParams
 ) -> list[tuple[int, float]]:
     """Cross-channel voting: supra-threshold candidates from at least
     min_votes distinct channels, all within `neighborhood` samples of each
-    other, confirm one beat at their median peak index.  Confirmed beats
-    must stay at least the refractory apart; on a conflict the cluster
-    with the higher summed confidence wins (earlier beat on an exact tie).
+    other, confirm one beat at their median peak index.  Clusters are
+    formed greedily in time order: each one holds every event within
+    `neighborhood` samples of its first event.  Confirmed beats must stay
+    at least the refractory apart; on a conflict the cluster with the
+    higher summed confidence wins (earlier beat on an exact tie).
     Returns (beat_index, confidence_sum) pairs in time order.
     """
-    events: list[tuple[int, int, float]] = []
-    for ch, (idx, conf) in enumerate(zip(series.peak_indices, series.confidences)):
-        for i, c in zip(idx, conf):
-            if c > params.threshold:
-                events.append((int(i), ch, float(c)))
-    events.sort()
-    candidates: list[tuple[int, float]] = []
-    i = 0
-    while i < len(events):
-        j = i
-        while j + 1 < len(events) and events[j + 1][0] - events[i][0] <= params.neighborhood:
-            j += 1
-        cluster = events[i : j + 1]
-        channels = {e[1] for e in cluster}
-        if len(channels) >= params.min_votes:
-            med = int(np.median([e[0] for e in cluster]))
-            candidates.append((med, sum(e[2] for e in cluster)))
-        i = j + 1
+    idx, ch, conf = _sorted_events(series)
+    keep = conf > params.threshold
     refractory = int(round(params.refractory_s * series.fs))
-    beats: list[tuple[int, float]] = []
-    for idx, s in candidates:
-        if beats and idx - beats[-1][0] < refractory:
-            if s > beats[-1][1]:
-                beats[-1] = (idx, s)
-        else:
-            beats.append((idx, s))
-    return beats
+    return _vote(idx[keep], ch[keep], conf[keep], params.neighborhood, params.min_votes, refractory)
 
 
 def learn_detection_params_pooled(
@@ -292,21 +323,28 @@ def learn_detection_params_pooled(
     gt_list = [np.asarray(g) for g in gt_list]
     if not series_list or any(g.size == 0 for g in gt_list):
         raise ValueError("groundtruth beats required to learn detection parameters")
+    # Events are sorted once per recording; each threshold is a mask on them.
+    recordings = [
+        (
+            _sorted_events(series),
+            np.asarray(gt, dtype=float) / series.fs,
+            series.fs,
+            int(round(refractory_s * series.fs)),
+        )
+        for series, gt in zip(series_list, gt_list)
+    ]
     best = None
     best_f1 = -1.0
     for thr in thresholds:
+        masked = []
+        for (idx, ch, conf), gt_s, fs, refractory in recordings:
+            keep = conf > float(thr)
+            masked.append(((idx[keep], ch[keep], conf[keep]), gt_s, fs, refractory))
         for nb in neighborhoods:
-            params = DetectionParams(
-                threshold=float(thr),
-                neighborhood=int(nb),
-                min_votes=min_votes,
-                refractory_s=refractory_s,
-            )
             tp = fp = fn = 0
-            for series, gt_beat_times in zip(series_list, gt_list):
-                gt_s = np.asarray(gt_beat_times, dtype=float) / series.fs
-                beats = vote_beats(series, params)
-                est_s = np.asarray([b[0] for b in beats], dtype=float) / series.fs
+            for events, gt_s, fs, refractory in masked:
+                beats = _vote(*events, int(nb), min_votes, refractory)
+                est_s = np.asarray([b[0] for b in beats], dtype=float) / fs
                 m = len(greedy_match(est_s, gt_s, match_tol_s))
                 tp += m
                 fp += est_s.size - m
@@ -314,7 +352,12 @@ def learn_detection_params_pooled(
             f1 = 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
             if f1 > best_f1:
                 best_f1 = f1
-                best = params
+                best = DetectionParams(
+                    threshold=float(thr),
+                    neighborhood=int(nb),
+                    min_votes=min_votes,
+                    refractory_s=refractory_s,
+                )
     return best
 
 

@@ -186,52 +186,22 @@ def soft_threshold(v, thr):
 
 
 def step_length(D) -> float:
-    """1 / lambda_max(D^T D) via power iteration.
+    """1 / lambda_max(D^T D), from the exact symmetric eigensolver.
 
-    Accepts a Dictionary or a (d, K) array.  Rayleigh quotient convergence
-    at relative tolerance 1e-10, at most 1000 iterations; raises
-    RuntimeError if that budget is exhausted and ValueError on an
+    Accepts a Dictionary or a (d, K) array.  The gram is at most
+    (T+M) x (T+M), so the dense solve is cheap; raises ValueError on an
     all-zero dictionary.
     """
     A = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=float)
     G = A.T @ A
-    k = G.shape[0]
     if not np.any(G):
         raise ValueError("dictionary gram matrix is zero")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    for _ in range(1000):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v landed in the null space; reseed deterministically
-            v = rng.standard_normal(k)
-            v /= np.linalg.norm(v)
-            continue
-        lam = float(v @ w)
-        v = w / nw
-        if abs(lam - lam_prev) <= 1e-10 * abs(lam):
-            return 1.0 / lam
-        lam_prev = lam
-    raise RuntimeError("power iteration did not converge in 1000 iterations")
+    return 1.0 / float(np.linalg.eigvalsh(G)[-1])
 
 
 def safe_step_length(D) -> float:
-    """step_length with a smaller guaranteed-valid fallback.
-
-    When the power iteration stalls (near-degenerate top eigenvalues of
-    the gram, e.g. two atoms drifting together), fall back to
-    1/||G||_F >= 1/lambda_max, which keeps every ISTA step monotone at
-    the cost of smaller steps.
-    """
-    try:
-        return step_length(D)
-    except RuntimeError:
-        A = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=float)
-        G = A.T @ A
-        return 1.0 / float(np.linalg.norm(G, "fro"))
+    """The ISTA step length that fit() and detection use: step_length(D)."""
+    return step_length(D)
 
 
 def e_step(x: np.ndarray, D: Dictionary, code: SparseCode, beta: float) -> float:
@@ -323,36 +293,32 @@ def _column_sq_norms(R: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", R, R)
 
 
-def _objective_matrices(
-    X: np.ndarray,
-    is_pos: np.ndarray,
-    D: Dictionary,
-    codes: np.ndarray,
-    posteriors: np.ndarray,
-    params: FumiParams,
+def _objective_from_residuals(
+    R_full_pos: np.ndarray,
+    R_bg_pos: np.ndarray,
+    R_bg_neg: np.ndarray,
+    A_pos: np.ndarray,
+    A_neg: np.ndarray,
+    p_pos: np.ndarray,
     psi: float,
-    gamma: np.ndarray | None,
-    target_atoms_old: np.ndarray | None,
+    lam: float,
+    background_atoms: np.ndarray,
+    gamma: np.ndarray,
+    target_atoms_old: np.ndarray,
 ) -> float:
-    T = D.n_target
-    p = np.where(is_pos, posteriors, 0.0)
-    w = np.where(is_pos, psi, 1.0)
-    R_full = X - D.atoms @ codes
-    R_bg = X - D.background_atoms @ codes[T:]
-    recon = 0.5 * np.sum(
-        w * (p * _column_sq_norms(R_full) + (1.0 - p) * _column_sq_norms(R_bg))
-    )
-    l1 = params.lam * np.sum(
-        w
-        * (
-            p * np.sum(np.abs(codes[:T]), axis=0)
-            + np.sum(np.abs(codes[T:]), axis=0)
-        )
-    )
-    tgt_old = D.target_atoms if target_atoms_old is None else target_atoms_old
-    if gamma is None:
-        gamma = gamma_matrix(D, params.gamma, tgt_old)
-    disc = float(np.sum(gamma * (D.background_atoms.T @ tgt_old)))
+    """objective() over fit()'s positive / negative instance blocks.
+
+    The residual blocks must be current for the atoms and codes given
+    (R_full_pos = Xp - D A_pos, R_bg_pos = Xp - D_bg A_pos_bg,
+    R_bg_neg = Xn - D_bg A_neg); negative-bag instances have weight 1 and
+    P(z=1) = 0, so only their background terms appear.
+    """
+    T = A_pos.shape[0] - A_neg.shape[0]
+    recon_pos = p_pos * _column_sq_norms(R_full_pos) + (1.0 - p_pos) * _column_sq_norms(R_bg_pos)
+    recon = 0.5 * (psi * np.sum(recon_pos) + np.sum(_column_sq_norms(R_bg_neg)))
+    l1_pos = p_pos * np.sum(np.abs(A_pos[:T]), axis=0) + np.sum(np.abs(A_pos[T:]), axis=0)
+    l1 = lam * (psi * np.sum(l1_pos) + np.sum(np.abs(A_neg)))
+    disc = float(np.sum(gamma * (background_atoms.T @ target_atoms_old)))
     return float(recon + l1 + disc)
 
 
@@ -384,9 +350,26 @@ def objective(
     if codes.shape != (D.n_target + D.n_background, X.shape[1]):
         raise ValueError("codes matrix shape does not match bags and dictionary")
     psi = resolve_psi(is_pos, params)
-    return _objective_matrices(
-        X, is_pos, D, codes, posteriors, params, psi, gamma, target_atoms_old
+    T = D.n_target
+    p = np.where(is_pos, posteriors, 0.0)
+    w = np.where(is_pos, psi, 1.0)
+    R_full = X - D.atoms @ codes
+    R_bg = X - D.background_atoms @ codes[T:]
+    recon = 0.5 * np.sum(
+        w * (p * _column_sq_norms(R_full) + (1.0 - p) * _column_sq_norms(R_bg))
     )
+    l1 = params.lam * np.sum(
+        w
+        * (
+            p * np.sum(np.abs(codes[:T]), axis=0)
+            + np.sum(np.abs(codes[T:]), axis=0)
+        )
+    )
+    tgt_old = D.target_atoms if target_atoms_old is None else target_atoms_old
+    if gamma is None:
+        gamma = gamma_matrix(D, params.gamma, tgt_old)
+    disc = float(np.sum(gamma * (D.background_atoms.T @ tgt_old)))
+    return float(recon + l1 + disc)
 
 
 def _clamp_posteriors(p: np.ndarray) -> np.ndarray:
@@ -578,11 +561,20 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         T,
     )
 
-    # residual caches over positive / negative instance blocks
-    R_full_pos = Xp - D.atoms @ A_pos
-    R_bg_pos = Xp - D.background_atoms @ A_pos[T:]
-    R_bg_neg = Xn - D.background_atoms @ A_neg
+    def residuals():
+        """(R_full_pos, R_bg_pos, R_bg_neg) for the current atoms and codes."""
+        return (
+            Xp - D.atoms @ A_pos,
+            Xp - D.background_atoms @ A_pos[T:],
+            Xn - D.background_atoms @ A_neg,
+        )
 
+    def objective_now(blocks, gamma, tgt_old):
+        return _objective_from_residuals(
+            *blocks, A_pos, A_neg, p_pos, psi, params.lam, D.background_atoms, gamma, tgt_old
+        )
+
+    blocks = residuals()
     stale_tgt = np.zeros(T, dtype=int)
     stale_bg = np.zeros(M, dtype=int)
     trace: list[float] = []
@@ -590,19 +582,10 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     p_pos = np.zeros(n_pos)
     n_iterations = 0
 
-    def _objective_now(gamma, tgt_old):
-        codes = np.zeros((T + M, n))
-        codes[:, is_pos] = A_pos
-        codes[T:, ~is_pos] = A_neg
-        post = np.zeros(n)
-        post[is_pos] = p_pos
-        return _objective_matrices(
-            X, is_pos, D, codes, post, params, psi, gamma, tgt_old
-        )
-
     for em in range(params.max_em_iters):
         n_iterations = em + 1
         # --- E-step: posterior from current background reconstruction ----
+        _, R_bg_pos, _ = blocks
         p_pos = -np.expm1(-params.beta * _column_sq_norms(R_bg_pos))
         np.clip(p_pos, 0.0, 1.0, out=p_pos)
         pc = _clamp_posteriors(p_pos)
@@ -612,18 +595,21 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         gamma = gamma_matrix(D, params.gamma, tgt_old)
 
         # --- M-step: sequential closed-form atom updates ------------------
+        # Each update needs R @ w for residuals against the atoms as updated
+        # so far; X @ w - D @ (A @ w) gives it without forming R.
         for t in range(T):
             a_t = A_pos[t, :]
             den_exact = float(np.sum(p_pos * a_t * a_t))
             new_atom = None
             if den_exact != 0.0:
-                den = float(np.sum(pc * a_t * a_t))
-                raw = R_full_pos @ (pc * a_t) + den * D.target_atoms[:, t]
+                w = pc * a_t
+                den = float(np.sum(w * a_t))
+                raw = Xp @ w - D.atoms @ (A_pos @ w) + den * D.target_atoms[:, t]
                 new_atom = _normalize_or_none(raw / den)
             if new_atom is None:
                 stale_tgt[t] += 1
                 if stale_tgt[t] >= _STALE_LIMIT:
-                    j = int(np.argmax(_column_sq_norms(R_full_pos)))
+                    j = int(np.argmax(_column_sq_norms(Xp - D.atoms @ A_pos)))
                     seed_atom = _normalize_or_none(Xp[:, j])
                     new_atom = seed_atom if seed_atom is not None else _random_unit(d, rng)
                     stale_tgt[t] = 0
@@ -631,9 +617,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
                     continue
             else:
                 stale_tgt[t] = 0
-            delta = new_atom - D.target_atoms[:, t]
             D.target_atoms[:, t] = new_atom
-            R_full_pos -= np.outer(delta, a_t)
 
         for k in range(M):
             a_kp = A_pos[T + k, :]
@@ -641,17 +625,23 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             den = float(psi * (a_kp @ a_kp) + a_kn @ a_kn)
             new_atom = None
             if den != 0.0:
+                # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a), with the two
+                # Xp products folded into Xp @ a
+                w_full = pc * a_kp
+                w_bg = (1.0 - pc) * a_kp
+                bg = D.background_atoms
                 raw = (
-                    psi * (R_full_pos @ (pc * a_kp) + R_bg_pos @ ((1.0 - pc) * a_kp))
-                    + R_bg_neg @ a_kn
-                    + den * D.background_atoms[:, k]
+                    psi * (Xp @ a_kp - D.atoms @ (A_pos @ w_full) - bg @ (A_pos[T:] @ w_bg))
+                    + Xn @ a_kn
+                    - bg @ (A_neg @ a_kn)
+                    + den * bg[:, k]
                     - tgt_old @ gamma[k]
                 )
                 new_atom = _normalize_or_none(raw / den)
             if new_atom is None:
                 stale_bg[k] += 1
                 if stale_bg[k] >= _STALE_LIMIT:
-                    j = int(np.argmax(_column_sq_norms(R_bg_neg)))
+                    j = int(np.argmax(_column_sq_norms(Xn - D.background_atoms @ A_neg)))
                     seed_atom = _normalize_or_none(Xn[:, j])
                     new_atom = seed_atom if seed_atom is not None else _random_unit(d, rng)
                     stale_bg[k] = 0
@@ -659,11 +649,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
                     continue
             else:
                 stale_bg[k] = 0
-            delta = new_atom - D.background_atoms[:, k]
             D.background_atoms[:, k] = new_atom
-            R_full_pos -= np.outer(delta, a_kp)
-            R_bg_pos -= np.outer(delta, a_kp)
-            R_bg_neg -= np.outer(delta, a_kn)
 
         # --- code updates --------------------------------------------------
         eta = safe_step_length(D)
@@ -675,7 +661,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         )
         corr_neg = D.background_atoms.T @ Xn
         if inner_objective_trace:
-            vals = [_objective_now(gamma, tgt_old)]
+            vals = [objective_now(residuals(), gamma, tgt_old)]
             for _ in range(params.inner_iters):
                 A_pos = kernels.ista_positive(
                     G, G_bg, corr_pos, p_pos, A_pos, params.lam, eta, 1, T
@@ -683,10 +669,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
                 A_neg = kernels.ista_negative(
                     G_bg, corr_neg, A_neg, params.lam, eta_bg, 1
                 )
-                R_full_pos = Xp - D.atoms @ A_pos
-                R_bg_pos = Xp - D.background_atoms @ A_pos[T:]
-                R_bg_neg = Xn - D.background_atoms @ A_neg
-                vals.append(_objective_now(gamma, tgt_old))
+                blocks = residuals()
+                vals.append(objective_now(blocks, gamma, tgt_old))
             inner_trace.append(np.asarray(vals))
         else:
             A_pos = kernels.ista_positive(
@@ -695,11 +679,9 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             A_neg = kernels.ista_negative(
                 G_bg, corr_neg, A_neg, params.lam, eta_bg, params.inner_iters
             )
-            R_full_pos = Xp - D.atoms @ A_pos
-            R_bg_pos = Xp - D.background_atoms @ A_pos[T:]
-            R_bg_neg = Xn - D.background_atoms @ A_neg
+            blocks = residuals()
 
-        trace.append(_objective_now(gamma, tgt_old))
+        trace.append(objective_now(blocks, gamma, tgt_old))
 
         atom_change = np.linalg.norm(D.atoms - atoms_before, axis=0).max()
         if atom_change < params.tol:

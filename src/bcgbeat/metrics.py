@@ -63,20 +63,21 @@ def greedy_match(
     """
     est = np.asarray(est_times, dtype=float)
     gt = np.asarray(gt_times, dtype=float)
-    cand: list[tuple[float, int, int]] = []
     lo = np.searchsorted(gt, est - tol_s, side="left")
     hi = np.searchsorted(gt, est + tol_s, side="right")
-    for i in range(est.size):
-        for j in range(int(lo[i]), int(hi[i])):
-            cand.append((abs(est[i] - gt[j]), i, j))
-    cand.sort()
-    used_e = np.zeros(est.size, dtype=bool)
-    used_g = np.zeros(gt.size, dtype=bool)
+    counts = np.maximum(hi - lo, 0)
+    # every (i, j) with lo[i] <= j < hi[i], ordered by (distance, i, j)
+    i = np.repeat(np.arange(est.size), counts)
+    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    dist = np.abs(est[i] - gt[j])
+    order = np.lexsort((j, i, dist))
+    used_e = [False] * est.size
+    used_g = [False] * gt.size
     pairs: list[tuple[int, int]] = []
-    for _, i, j in cand:
-        if not used_e[i] and not used_g[j]:
-            used_e[i] = used_g[j] = True
-            pairs.append((i, j))
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if not used_e[a] and not used_g[b]:
+            used_e[a] = used_g[b] = True
+            pairs.append((a, b))
     pairs.sort()
     return pairs
 

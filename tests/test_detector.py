@@ -5,6 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
+from bcgbeat import kernels
 from bcgbeat.detector import (
     BackgroundModel,
     ConfidenceSeries,
@@ -148,6 +149,18 @@ class TestConfidenceSeries:
                 dist = int(np.min(np.abs(gt - i)))
                 (beat_conf if dist <= 15 else bg_conf).append(float(c))
         assert statistics.median(beat_conf) >= 2.0 * statistics.median(bg_conf)
+
+    def test_full_coding_worse_than_its_warm_start_is_an_error(self, trained_small, monkeypatch):
+        _, _, result, model = trained_small
+        real = kernels.ista_positive
+
+        def worse(*args, **kwargs):
+            return real(*args, **kwargs) + 1.0
+
+        monkeypatch.setattr(kernels, "ista_positive", worse)
+        x = result.dictionary.target_atoms[:, 0]
+        with pytest.raises(RuntimeError, match="worsened its warm start"):
+            hsd_confidence(x, result.dictionary, model, lam=5e-3)
 
     def test_all_confidences_are_positive(self, trained_small):
         _, res, result, model = trained_small

@@ -1,9 +1,10 @@
 """Learner tests: prox, step size, E-step, atom and code updates, fit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-import bcgbeat.dlfumi as dlfumi
 from bcgbeat.dlfumi import (
     Dictionary,
     FumiParams,
@@ -95,18 +96,12 @@ class TestStepLength:
         with pytest.raises(ValueError):
             step_length(np.zeros((5, 3)))
 
-    def test_safe_fallback_is_a_valid_smaller_step(self, monkeypatch):
+    def test_safe_step_length_is_the_exact_step(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((20, 4))
-        exact = step_length(A)
-        assert safe_step_length(A) == exact
-
-        def always_stall(D):
-            raise RuntimeError("power iteration did not converge")
-
-        monkeypatch.setattr(dlfumi, "step_length", always_stall)
-        fallback = safe_step_length(A)
-        assert 0.0 < fallback <= exact + 1e-15
+        assert safe_step_length(A) == step_length(A)
+        D = random_dictionary(rng, 20, 2, 3)
+        assert safe_step_length(D) == step_length(D)
 
 
 class TestEStep:
@@ -433,3 +428,24 @@ class TestFit:
         _, _, result = planted_fit
         assert len(result.objective_trace) == result.n_iterations
         assert all(np.isfinite(v) for v in result.objective_trace)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_objective_trace_matches_the_public_objective(self, planted_fit, k):
+        # Iteration k+1 freezes gamma and the old targets at the dictionary
+        # the k-iteration run returns; its trace entry, computed from fit's
+        # residual blocks, must equal objective() over the flattened bags.
+        _, bags, _ = planted_fit
+        params = FumiParams(T=2, M=3, max_em_iters=k, tol=1e-300)
+        D_k = fit(bags, params, seed=0).dictionary
+        nxt = fit(bags, dataclasses.replace(params, max_em_iters=k + 1), seed=0)
+        assert nxt.n_iterations == k + 1
+        oracle = objective(
+            bags,
+            nxt.dictionary,
+            nxt.codes,
+            nxt.posteriors,
+            params,
+            gamma=gamma_matrix(D_k, params.gamma),
+            target_atoms_old=D_k.target_atoms,
+        )
+        assert nxt.objective_trace[k] == pytest.approx(oracle, rel=1e-9)
