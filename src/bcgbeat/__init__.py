@@ -16,7 +16,6 @@ from .detector import (
     hr_from_beats,
     hr_from_confidence_dft,
     hsd_confidence,
-    learn_detection_params,
     learn_detection_params_pooled,
     vote_beats,
 )
@@ -24,21 +23,13 @@ from .dlfumi import (
     Dictionary,
     FitResult,
     FumiParams,
-    adaptive_gamma,
     gamma_matrix,
-    alpha_gradient,
-    code_step_negative,
-    code_step_positive,
     e_step,
     fit,
     flatten_bags,
     objective,
     resolve_psi,
     safe_step_length,
-    soft_threshold,
-    step_length,
-    update_background_atom,
-    update_target_atom,
 )
 from .metrics import (
     AgreementStats,
@@ -80,16 +71,12 @@ __all__ = [
     "Recording",
     "SynthConfig",
     "SynthResult",
-    "adaptive_gamma",
     "gamma_matrix",
-    "alpha_gradient",
     "background_covariance",
     "bandpass_filter",
     "bbi_relative_error",
     "bland_altman",
     "build_bags",
-    "code_step_negative",
-    "code_step_positive",
     "confidence_series",
     "e_step",
     "en_hr",
@@ -102,7 +89,6 @@ __all__ = [
     "hr_from_beats",
     "hr_from_confidence_dft",
     "hsd_confidence",
-    "learn_detection_params",
     "learn_detection_params_pooled",
     "mae",
     "make_template",
@@ -115,10 +101,6 @@ __all__ = [
     "preprocess_recording",
     "resolve_psi",
     "safe_step_length",
-    "soft_threshold",
-    "step_length",
-    "update_background_atom",
-    "update_target_atom",
     "vote_beats",
     "wppd_hr",
 ]

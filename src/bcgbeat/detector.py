@@ -361,27 +361,6 @@ def learn_detection_params_pooled(
     return best
 
 
-def learn_detection_params(
-    series: ConfidenceSeries,
-    gt_beat_times: np.ndarray,
-    thresholds=DEFAULT_THRESHOLD_GRID,
-    neighborhoods=DEFAULT_NEIGHBORHOOD_GRID,
-    min_votes: int = 2,
-    refractory_s: float = 0.3,
-    match_tol_s: float = 0.3,
-) -> DetectionParams:
-    """Single-recording form of learn_detection_params_pooled."""
-    return learn_detection_params_pooled(
-        [series],
-        [gt_beat_times],
-        thresholds=thresholds,
-        neighborhoods=neighborhoods,
-        min_votes=min_votes,
-        refractory_s=refractory_s,
-        match_tol_s=match_tol_s,
-    )
-
-
 def hr_from_beats(
     beat_indices: np.ndarray,
     fs: float,

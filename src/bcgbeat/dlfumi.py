@@ -4,14 +4,15 @@ Learns a concept dictionary D = [D_tgt | D_bg] from labeled bags of
 instances: positive bags are only guaranteed to contain at least one true
 target instance, negative bags contain none.  An EM loop alternates
 
-  E-step   per-instance probability that a positive-bag instance is a
-           true target, driven by how badly the background dictionary
-           alone reconstructs it,
-  M-step   closed-form per-atom updates of the expected objective with
-           immediate renormalization to unit norm, followed by ISTA
-           updates of the sparse codes.
+  E-step   (e_step) per-instance probability that a positive-bag
+           instance is a true target, driven by how badly the background
+           dictionary alone reconstructs it,
+  M-step   closed-form per-atom updates of the expected objective
+           (target_atom_update, background_atom_update) with immediate
+           renormalization to unit norm, followed by the batched ISTA
+           code steps of the kernels module.
 
-A cross-coherence penalty (adaptive_gamma) pushes background atoms away
+A cross-coherence penalty (gamma_matrix) pushes background atoms away
 from the previous iteration's target atoms so the target structure is not
 absorbed into the background model.
 """
@@ -108,24 +109,6 @@ class Dictionary:
 
 
 @dataclass
-class SparseCode:
-    """Per-instance code over the dictionary blocks."""
-
-    target_weights: np.ndarray
-    background_weights: np.ndarray
-
-    def __post_init__(self):
-        self.target_weights = np.asarray(self.target_weights, dtype=float).ravel()
-        self.background_weights = np.asarray(
-            self.background_weights, dtype=float
-        ).ravel()
-
-    @property
-    def full(self) -> np.ndarray:
-        return np.concatenate([self.target_weights, self.background_weights])
-
-
-@dataclass
 class FitResult:
     """Everything fit() produces.
 
@@ -178,15 +161,9 @@ def resolve_psi(is_positive: np.ndarray, params: FumiParams) -> float:
     return n_neg / n_pos
 
 
-def soft_threshold(v, thr):
-    """sign(v) * max(|v| - thr, 0), elementwise; thr broadcasts."""
-    v = np.asarray(v, dtype=float)
-    out = np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def step_length(D) -> float:
-    """1 / lambda_max(D^T D), from the exact symmetric eigensolver.
+def safe_step_length(D) -> float:
+    """The ISTA step length fit() and detection use: 1 / lambda_max(D^T D),
+    from the exact symmetric eigensolver.
 
     Accepts a Dictionary or a (d, K) array.  The gram is at most
     (T+M) x (T+M), so the dense solve is cheap; raises ValueError on an
@@ -199,94 +176,29 @@ def step_length(D) -> float:
     return 1.0 / float(np.linalg.eigvalsh(G)[-1])
 
 
-def safe_step_length(D) -> float:
-    """The ISTA step length that fit() and detection use: step_length(D)."""
-    return step_length(D)
-
-
-def e_step(x: np.ndarray, D: Dictionary, code: SparseCode, beta: float) -> float:
-    """P(z=1 | x) = 1 - exp(-beta * ||x - D_bg a_bg||^2) for a positive-bag
-    instance.  Negative-bag instances carry P(z=1) = 0 by definition; that
-    forcing happens in fit(), not here."""
-    x = np.asarray(x, dtype=float)
-    r = x - D.background_atoms @ code.background_weights
-    return float(-np.expm1(-beta * float(r @ r)))
-
-
-def adaptive_gamma(d_bg: np.ndarray, d_tgt_old: np.ndarray, scale: float) -> float:
-    """Cross-coherence penalty coefficient: scale * cos(angle between the
-    background atom and a previous-iteration target atom).  The resulting
-    penalty term gamma * <d_bg, d_tgt_old> is therefore never negative."""
-    d_bg = np.asarray(d_bg, dtype=float)
-    d_tgt_old = np.asarray(d_tgt_old, dtype=float)
-    nb = float(np.linalg.norm(d_bg))
-    nt = float(np.linalg.norm(d_tgt_old))
-    if nb == 0.0 or nt == 0.0:
-        raise ValueError("adaptive_gamma needs nonzero atoms")
-    return scale * float(d_bg @ d_tgt_old) / (nb * nt)
+def e_step(R_bg_pos: np.ndarray, beta: float) -> np.ndarray:
+    """P(z=1 | x) = 1 - exp(-beta * ||x - D_bg a_bg||^2) per positive-bag
+    instance, from the (d, N_pos) background residual block
+    R_bg_pos = Xp - D_bg A_pos_bg.  Negative-bag instances carry P(z=1) = 0
+    by definition; that forcing happens in fit(), not here."""
+    p = -np.expm1(-beta * _column_sq_norms(R_bg_pos))
+    np.clip(p, 0.0, 1.0, out=p)
+    return p
 
 
 def gamma_matrix(D: Dictionary, scale: float, target_atoms_old: np.ndarray | None = None) -> np.ndarray:
-    """adaptive_gamma over all (background, target) pairs, shape (M, T);
-    targets default to the dictionary's own (i.e., treat the current
-    iteration's atoms as the previous ones)."""
+    """Cross-coherence penalty coefficients, shape (M, T): scale * cos(angle
+    between background atom k and previous-iteration target atom t), so
+    each penalty term gamma[k, t] * <d_bg_k, d_tgt_t_old> is never
+    negative.  Targets default to the dictionary's own (i.e., treat the
+    current iteration's atoms as the previous ones)."""
     tgt = D.target_atoms if target_atoms_old is None else np.asarray(target_atoms_old, dtype=float)
     bg = D.background_atoms
     bn = np.linalg.norm(bg, axis=0)
     tn = np.linalg.norm(tgt, axis=0)
     if np.any(bn == 0.0) or np.any(tn == 0.0):
-        raise ValueError("adaptive_gamma needs nonzero atoms")
+        raise ValueError("gamma_matrix needs nonzero atoms")
     return scale * (bg.T @ tgt) / np.outer(bn, tn)
-
-
-def alpha_gradient(x: np.ndarray, D: Dictionary, code: SparseCode, p_target: float) -> np.ndarray:
-    """Gradient of the smooth (expected reconstruction) part of the
-    objective with respect to the full code of one positive-bag instance:
-
-        -[p*D_tgt, D_bg]^T x + (p*D^T D + (1-p)*[0, D_bg]^T [0, D_bg]) a
-    """
-    x = np.asarray(x, dtype=float)
-    T = D.n_target
-    a = code.full
-    full = D.atoms
-    ga = full.T @ (full @ a)
-    gb = D.background_atoms.T @ (D.background_atoms @ code.background_weights)
-    g = np.empty_like(a)
-    g[:T] = p_target * (ga[:T] - D.target_atoms.T @ x)
-    g[T:] = p_target * ga[T:] + (1.0 - p_target) * gb - D.background_atoms.T @ x
-    return g
-
-
-def code_step_positive(
-    x: np.ndarray,
-    D: Dictionary,
-    code: SparseCode,
-    p_target: float,
-    lam: float,
-    eta: float,
-) -> SparseCode:
-    """One ISTA step on a positive-bag instance: gradient step of length
-    eta on the smooth part, then the exact weighted-L1 prox, i.e.
-    soft-thresholding at eta*lam*p_target (target block) and eta*lam
-    (background block)."""
-    g = alpha_gradient(x, D, code, p_target)
-    a = code.full - eta * g
-    T = D.n_target
-    new_t = soft_threshold(a[:T], eta * lam * p_target)
-    new_b = soft_threshold(a[T:], eta * lam)
-    return SparseCode(new_t, new_b)
-
-
-def code_step_negative(
-    x: np.ndarray, D: Dictionary, code: SparseCode, lam: float, eta: float
-) -> SparseCode:
-    """One ISTA step for a negative-bag instance.  Only the background
-    block is active; target weights stay pinned at zero."""
-    x = np.asarray(x, dtype=float)
-    b = code.background_weights
-    grad = D.background_atoms.T @ (D.background_atoms @ b - x)
-    new_b = soft_threshold(b - eta * grad, eta * lam)
-    return SparseCode(np.zeros(D.n_target), new_b)
 
 
 def _column_sq_norms(R: np.ndarray) -> np.ndarray:
@@ -376,72 +288,65 @@ def _clamp_posteriors(p: np.ndarray) -> np.ndarray:
     return np.clip(p, _POSTERIOR_CLAMP, 1.0 - _POSTERIOR_CLAMP)
 
 
-def update_target_atom(
-    bags: list[Bag],
-    codes: np.ndarray,
-    posteriors: np.ndarray,
-    D: Dictionary,
-    t: int,
+def target_atom_update(
+    Xp: np.ndarray, A_pos: np.ndarray, p_pos: np.ndarray, D: Dictionary, t: int
 ):
     """Closed-form minimizer of the expected objective over target atom t,
-    everything else held fixed.  Returns (new_atom, stale): the atom is
-    pre-normalization, and stale=True (atom returned unchanged) when the
-    update is undefined because sum_i P_i * a_it^2 is exactly zero.
-    The positive-bag weight psi cancels and does not appear."""
-    X, is_pos, _ = flatten_bags(bags)
-    codes = np.asarray(codes, dtype=float)
-    p = np.where(is_pos, np.asarray(posteriors, dtype=float), 0.0)
-    Xp, cp, pp = X[:, is_pos], codes[:, is_pos], p[is_pos]
-    a_t = cp[t, :]
-    den_exact = float(np.sum(pp * a_t * a_t))
-    if den_exact == 0.0:
-        return D.target_atoms[:, t].copy(), True
-    pc = _clamp_posteriors(pp)
-    den = float(np.sum(pc * a_t * a_t))
-    R_full = Xp - D.atoms @ cp
-    num = R_full @ (pc * a_t) + den * D.target_atoms[:, t]
-    return num / den, False
+    everything else held fixed, before renormalization.
+
+    Xp, A_pos and p_pos are the positive-bag instances (d, N_pos), their
+    codes (T+M, N_pos) and posteriors.  Returns None (stale) when the update
+    is undefined because sum_i P_i * a_it^2 is exactly zero.  The
+    positive-bag weight psi cancels and does not appear.
+    """
+    a_t = A_pos[t, :]
+    if float(np.sum(p_pos * a_t * a_t)) == 0.0:
+        return None
+    w = _clamp_posteriors(p_pos) * a_t
+    den = float(np.sum(w * a_t))
+    # R_full_pos @ w, with R_full_pos = Xp - D A_pos never formed
+    return (Xp @ w - D.atoms @ (A_pos @ w) + den * D.target_atoms[:, t]) / den
 
 
-def update_background_atom(
-    bags: list[Bag],
-    codes: np.ndarray,
-    posteriors: np.ndarray,
+def background_atom_update(
+    Xp: np.ndarray,
+    Xn: np.ndarray,
+    A_pos: np.ndarray,
+    A_neg: np.ndarray,
+    p_pos: np.ndarray,
+    psi: float,
     D: Dictionary,
     k: int,
-    params: FumiParams,
-    target_atoms_old: np.ndarray | None = None,
+    gamma: np.ndarray,
+    target_atoms_old: np.ndarray,
 ):
     """Closed-form minimizer of the expected objective over background
     atom k, everything else held fixed, including the cross-coherence pull
-    away from the previous target atoms.  Returns (new_atom, stale) like
-    update_target_atom; stale when psi*sum_pos a_ik^2 + sum_neg a_ik^2 is
-    exactly zero."""
-    X, is_pos, _ = flatten_bags(bags)
-    codes = np.asarray(codes, dtype=float)
-    T = D.n_target
-    psi = resolve_psi(is_pos, params)
-    p = np.where(is_pos, np.asarray(posteriors, dtype=float), 0.0)
-    a_k = codes[T + k, :]
-    den = float(psi * np.sum(a_k[is_pos] ** 2) + np.sum(a_k[~is_pos] ** 2))
-    if den == 0.0:
-        return D.background_atoms[:, k].copy(), True
-    tgt_old = D.target_atoms if target_atoms_old is None else np.asarray(target_atoms_old, dtype=float)
-    gamma_row = gamma_matrix(D, params.gamma, tgt_old)[k]
+    gamma[k] (a gamma_matrix row) away from the previous target atoms.
 
-    pc = _clamp_posteriors(p[is_pos])
-    Xp, cp = X[:, is_pos], codes[:, is_pos]
-    Xn, cn = X[:, ~is_pos], codes[:, ~is_pos]
-    R_full_pos = Xp - D.atoms @ cp
-    R_bg_pos = Xp - D.background_atoms @ cp[T:]
-    R_bg_neg = Xn - D.background_atoms @ cn[T:]
-    num = (
-        psi * (R_full_pos @ (pc * a_k[is_pos]) + R_bg_pos @ ((1.0 - pc) * a_k[is_pos]))
-        + R_bg_neg @ a_k[~is_pos]
-        + den * D.background_atoms[:, k]
-        - tgt_old @ gamma_row
+    Blocks as in target_atom_update, plus the negative-bag instances Xn
+    (d, N_neg) and their background codes A_neg (M, N_neg).  Returns the
+    atom before renormalization, or None (stale) when
+    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.
+    """
+    T = D.n_target
+    a_kp = A_pos[T + k, :]
+    a_kn = A_neg[k, :]
+    den = float(psi * (a_kp @ a_kp) + a_kn @ a_kn)
+    if den == 0.0:
+        return None
+    pc = _clamp_posteriors(p_pos)
+    bg = D.background_atoms
+    # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a), with the two Xp products
+    # folded into Xp @ a and the residuals never formed
+    raw = (
+        psi * (Xp @ a_kp - D.atoms @ (A_pos @ (pc * a_kp)) - bg @ (A_pos[T:] @ ((1.0 - pc) * a_kp)))
+        + Xn @ a_kn
+        - bg @ (A_neg @ a_kn)
+        + den * bg[:, k]
+        - target_atoms_old @ gamma[k]
     )
-    return num / den, False
+    return raw / den
 
 
 def _normalize_or_none(v: np.ndarray):
@@ -569,6 +474,11 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             Xn - D.background_atoms @ A_neg,
         )
 
+    def reseed(Xc, R):
+        """The instance of Xc with the largest residual in R, as a unit atom."""
+        atom = _normalize_or_none(Xc[:, int(np.argmax(_column_sq_norms(R)))])
+        return atom if atom is not None else _random_unit(d, rng)
+
     def objective_now(blocks, gamma, tgt_old):
         return _objective_from_residuals(
             *blocks, A_pos, A_neg, p_pos, psi, params.lam, D.background_atoms, gamma, tgt_old
@@ -585,69 +495,40 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     for em in range(params.max_em_iters):
         n_iterations = em + 1
         # --- E-step: posterior from current background reconstruction ----
-        _, R_bg_pos, _ = blocks
-        p_pos = -np.expm1(-params.beta * _column_sq_norms(R_bg_pos))
-        np.clip(p_pos, 0.0, 1.0, out=p_pos)
-        pc = _clamp_posteriors(p_pos)
+        p_pos = e_step(blocks[1], params.beta)
 
         tgt_old = D.target_atoms.copy()
         atoms_before = D.atoms.copy()
         gamma = gamma_matrix(D, params.gamma, tgt_old)
 
         # --- M-step: sequential closed-form atom updates ------------------
-        # Each update needs R @ w for residuals against the atoms as updated
-        # so far; X @ w - D @ (A @ w) gives it without forming R.
+        # Each update sees the atoms as updated so far; a stale atom is
+        # kept, and re-seeded after _STALE_LIMIT stale iterations in a row.
         for t in range(T):
-            a_t = A_pos[t, :]
-            den_exact = float(np.sum(p_pos * a_t * a_t))
-            new_atom = None
-            if den_exact != 0.0:
-                w = pc * a_t
-                den = float(np.sum(w * a_t))
-                raw = Xp @ w - D.atoms @ (A_pos @ w) + den * D.target_atoms[:, t]
-                new_atom = _normalize_or_none(raw / den)
-            if new_atom is None:
-                stale_tgt[t] += 1
-                if stale_tgt[t] >= _STALE_LIMIT:
-                    j = int(np.argmax(_column_sq_norms(Xp - D.atoms @ A_pos)))
-                    seed_atom = _normalize_or_none(Xp[:, j])
-                    new_atom = seed_atom if seed_atom is not None else _random_unit(d, rng)
-                    stale_tgt[t] = 0
-                else:
-                    continue
+            raw = target_atom_update(Xp, A_pos, p_pos, D, t)
+            new_atom = raw if raw is None else _normalize_or_none(raw)
+            if new_atom is not None:
+                stale_tgt[t] = 0
             else:
+                stale_tgt[t] += 1
+                if stale_tgt[t] < _STALE_LIMIT:
+                    continue
+                new_atom = reseed(Xp, Xp - D.atoms @ A_pos)
                 stale_tgt[t] = 0
             D.target_atoms[:, t] = new_atom
 
         for k in range(M):
-            a_kp = A_pos[T + k, :]
-            a_kn = A_neg[k, :]
-            den = float(psi * (a_kp @ a_kp) + a_kn @ a_kn)
-            new_atom = None
-            if den != 0.0:
-                # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a), with the two
-                # Xp products folded into Xp @ a
-                w_full = pc * a_kp
-                w_bg = (1.0 - pc) * a_kp
-                bg = D.background_atoms
-                raw = (
-                    psi * (Xp @ a_kp - D.atoms @ (A_pos @ w_full) - bg @ (A_pos[T:] @ w_bg))
-                    + Xn @ a_kn
-                    - bg @ (A_neg @ a_kn)
-                    + den * bg[:, k]
-                    - tgt_old @ gamma[k]
-                )
-                new_atom = _normalize_or_none(raw / den)
-            if new_atom is None:
-                stale_bg[k] += 1
-                if stale_bg[k] >= _STALE_LIMIT:
-                    j = int(np.argmax(_column_sq_norms(Xn - D.background_atoms @ A_neg)))
-                    seed_atom = _normalize_or_none(Xn[:, j])
-                    new_atom = seed_atom if seed_atom is not None else _random_unit(d, rng)
-                    stale_bg[k] = 0
-                else:
-                    continue
+            raw = background_atom_update(
+                Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, tgt_old
+            )
+            new_atom = raw if raw is None else _normalize_or_none(raw)
+            if new_atom is not None:
+                stale_bg[k] = 0
             else:
+                stale_bg[k] += 1
+                if stale_bg[k] < _STALE_LIMIT:
+                    continue
+                new_atom = reseed(Xn, Xn - D.background_atoms @ A_neg)
                 stale_bg[k] = 0
             D.background_atoms[:, k] = new_atom
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detector import BackgroundModel, DetectionParams
+from .detector import BackgroundModel
 from .dlfumi import Dictionary
 from .metrics import HrSeries
 from .signals import Recording
@@ -209,31 +209,6 @@ def read_keyvalue(path) -> dict:
             k, v = line.split("=", 1)
             out[k.strip()] = v.strip()
     return out
-
-
-def write_detection_params(path, params: DetectionParams) -> None:
-    write_keyvalue(
-        path,
-        {
-            "threshold": _f(params.threshold),
-            "neighborhood": int(params.neighborhood),
-            "min_votes": int(params.min_votes),
-            "refractory_s": _f(params.refractory_s),
-        },
-    )
-
-
-def read_detection_params(path) -> DetectionParams:
-    kv = read_keyvalue(path)
-    try:
-        return DetectionParams(
-            threshold=float(kv["threshold"]),
-            neighborhood=int(kv["neighborhood"]),
-            min_votes=int(kv["min_votes"]),
-            refractory_s=float(kv["refractory_s"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing detection parameter {exc}") from exc
 
 
 def write_synth_sidecar(path, result: SynthResult) -> None:

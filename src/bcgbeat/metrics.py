@@ -82,34 +82,9 @@ def greedy_match(
     return pairs
 
 
-def _align(est: HrSeries, gt: HrSeries):
-    """Pair up windows whose centers coincide; keep pairs with no gap."""
-    j = np.searchsorted(gt.times, est.times)
-    j = np.clip(j, 0, max(gt.times.size - 1, 0))
-    pairs_e, pairs_g = [], []
-    for i in range(est.times.size):
-        for jj in (j[i] - 1, j[i], j[i] + 1):
-            if 0 <= jj < gt.times.size and abs(gt.times[jj] - est.times[i]) < 1e-6:
-                pairs_e.append(i)
-                pairs_g.append(jj)
-                break
-    e = est.bpm[pairs_e]
-    g = gt.bpm[pairs_g]
-    ok = ~np.isnan(e) & ~np.isnan(g)
-    return e[ok], g[ok]
-
-
-def mae(est: HrSeries, gt: HrSeries) -> float:
-    """Mean absolute error over shared non-gap windows (bpm)."""
-    e, g = _align(est, gt)
-    if e.size == 0:
-        raise ValueError("no overlapping non-gap windows to compare")
-    return float(np.mean(np.abs(e - g)))
-
-
 def per_window_errors(est: HrSeries, gt: HrSeries):
-    """(times, est, gt,
-    abs err) rows over shared non-gap windows, for reporting."""
+    """(time, est, gt, abs err) rows over the windows whose centers
+    coincide in both series, gaps in either dropped."""
     j = np.searchsorted(gt.times, est.times)
     j = np.clip(j, 0, max(gt.times.size - 1, 0))
     rows = []
@@ -121,6 +96,14 @@ def per_window_errors(est: HrSeries, gt: HrSeries):
                     rows.append((float(est.times[i]), float(e), float(g), abs(float(e - g))))
                 break
     return rows
+
+
+def mae(est: HrSeries, gt: HrSeries) -> float:
+    """Mean absolute error over shared non-gap windows (bpm)."""
+    rows = per_window_errors(est, gt)
+    if not rows:
+        raise ValueError("no overlapping non-gap windows to compare")
+    return float(np.mean([r[3] for r in rows]))
 
 
 def matched_interval_pairs(

@@ -23,7 +23,7 @@ DEFAULT_PER_POSITIVE = 3
 class Recording:
     """A multi-channel recording sampled on a common uniform time grid.
 
-    channels       : list of equal-length 1-D float arrays
+    channels       : list of equal-length 1-D arrays of finite floats
     sample_rate_hz : sampling rate shared by all channels
     gt_beat_times  : optional strictly increasing int sample indices of
                      groundtruth beats (reference-sensor role)
@@ -38,9 +38,11 @@ class Recording:
             raise ValueError("recording needs at least one channel")
         self.channels = [np.asarray(c, dtype=float) for c in self.channels]
         n = self.channels[0].size
-        for c in self.channels:
+        for i, c in enumerate(self.channels):
             if c.ndim != 1 or c.size != n:
                 raise ValueError("all channels must be 1-D and equal length")
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"channel ch{i} has non-finite samples")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         if self.gt_beat_times is not None:

@@ -26,15 +26,15 @@ from bcgbeat.detector import (
 from bcgbeat.dlfumi import (
     Dictionary,
     FumiParams,
-    SparseCode,
-    alpha_gradient,
+    background_atom_update,
     fit,
+    flatten_bags,
     gamma_matrix,
     objective,
-    soft_threshold,
-    update_background_atom,
-    update_target_atom,
+    resolve_psi,
+    target_atom_update,
 )
+from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
 from bcgbeat.signals import Bag, Instance, bandpass_filter, build_bags, preprocess_recording
 from bcgbeat.synth import SynthConfig, generate
@@ -143,7 +143,11 @@ class TestCriteria:
             x = rng.standard_normal(d)
             a = rng.standard_normal(T + M)
             p = float(rng.uniform(0.0, 1.0))
-            g = alpha_gradient(x, D, SparseCode(a[:T], a[T:]), p)
+            B = D.background_atoms
+            grad_t, grad_b = positive_gradient(
+                D.atoms.T @ D.atoms, B.T @ B, (D.atoms.T @ x)[:, None], np.array([p]), a[:, None], T
+            )
+            g = np.concatenate([grad_t[:, 0], grad_b[:, 0]])
             g_fd = np.empty(T + M)
             for j in range(T + M):
                 ap, am = a.copy(), a.copy()
@@ -230,20 +234,25 @@ class TestCriteria:
                         break
                 return atom
 
-            updates = [("target", 0, update_target_atom(bags, codes, posteriors, D, 0))]
+            # the positive / negative instance blocks fit() updates atoms from
+            X_all, is_pos, _ = flatten_bags(bags)
+            Xp, Xn = X_all[:, is_pos], X_all[:, ~is_pos]
+            A_pos, A_neg = codes[:, is_pos], codes[T:, ~is_pos]
+            p_pos = posteriors[is_pos]
+            psi = resolve_psi(is_pos, params)
+            updates = [("target", 0, target_atom_update(Xp, A_pos, p_pos, D, 0))]
             for k in range(M):
                 updates.append(
                     (
                         "background",
                         k,
-                        update_background_atom(
-                            bags, codes, posteriors, D, k, params,
-                            target_atoms_old=old_targets,
+                        background_atom_update(
+                            Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, old_targets
                         ),
                     )
                 )
-            for which, k, (closed, stale) in updates:
-                assert not stale
+            for which, k, closed in updates:
+                assert closed is not None
                 start = (D.target_atoms if which == "target" else D.background_atoms)[:, k]
                 numeric = coord_descent(start.copy(), which, k)
                 gap = abs(obj_with(closed, which, k) - obj_with(numeric, which, k))

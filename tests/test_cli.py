@@ -218,6 +218,39 @@ class TestDetect:
         )
         assert code == 0
 
+    def test_non_finite_sample_exits_2(self, workdir, tmp_path, capsys):
+        lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
+        row = lines[500].split(",")
+        row[2] = "nan"
+        lines[500] = ",".join(row)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("".join(lines))
+        code = main(
+            ["detect", str(bad), "--dict", str(workdir / "model.csv"), "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        assert "channel ch1 has non-finite samples" in capsys.readouterr().err
+        assert not (tmp_path / "d.hr.csv").exists()
+
+    def test_params_missing_a_field_exits_2(self, workdir, tmp_path, capsys):
+        params = tmp_path / "partial.params"
+        params.write_text("threshold=1.32\nneighborhood=25\nrefractory_s=0.3\n")
+        code = main(
+            [
+                "detect",
+                str(workdir / "rec.csv"),
+                "--dict",
+                str(workdir / "model.csv"),
+                "--params",
+                str(params),
+                "--out",
+                str(tmp_path / "d"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed detection params" in err and "min_votes" in err
+
     def test_missing_dictionary_exits_2(self, workdir, tmp_path):
         code = main(
             [

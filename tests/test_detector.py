@@ -15,7 +15,6 @@ from bcgbeat.detector import (
     hr_from_beats,
     hr_from_confidence_dft,
     hsd_confidence,
-    learn_detection_params,
     learn_detection_params_pooled,
     vote_beats,
 )
@@ -240,7 +239,7 @@ class TestLearnDetectionParams:
 
     def test_grid_picks_smallest_threshold_above_the_noise(self):
         series, gt = self.make_separable()
-        params = learn_detection_params(series, gt)
+        params = learn_detection_params_pooled([series], [gt])
         assert params.threshold == 1.15
         assert params.neighborhood == 15
         beats = vote_beats(series, params)
@@ -248,22 +247,23 @@ class TestLearnDetectionParams:
 
     def test_single_beat_is_found_at_default_grid(self):
         series = two_channel_series([([1000], [2.0]), ([1010], [2.0])])
-        params = learn_detection_params(series, np.array([1005]))
+        params = learn_detection_params_pooled([series], [np.array([1005])])
         beats = vote_beats(series, params)
         assert len(beats) == 1
 
     def test_result_is_reproducible(self):
         series, gt = self.make_separable()
-        assert learn_detection_params(series, gt) == learn_detection_params(series, gt)
+        first = learn_detection_params_pooled([series], [gt])
+        assert learn_detection_params_pooled([series], [gt]) == first
 
     def test_empty_groundtruth_is_rejected(self):
         series, _ = self.make_separable()
         with pytest.raises(ValueError):
-            learn_detection_params(series, np.array([], dtype=int))
+            learn_detection_params_pooled([series], [np.array([], dtype=int)])
 
     def test_pooled_with_one_recording_matches_single(self):
         series, gt = self.make_separable()
-        single = learn_detection_params(series, gt)
+        single = learn_detection_params_pooled([series], [gt])
         pooled = learn_detection_params_pooled([series, series], [gt, gt])
         assert single == pooled
 

@@ -1,29 +1,26 @@
-"""Learner tests: prox, step size, E-step, atom and code updates, fit."""
+"""Learner tests: prox, step size, E-step, coherence penalty, code
+gradient and steps, atom updates, fit."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from bcgbeat import kernels
 from bcgbeat.dlfumi import (
     Dictionary,
     FumiParams,
-    SparseCode,
-    adaptive_gamma,
-    alpha_gradient,
-    code_step_negative,
-    code_step_positive,
+    background_atom_update,
     e_step,
     fit,
     flatten_bags,
     gamma_matrix,
     objective,
+    resolve_psi,
     safe_step_length,
-    soft_threshold,
-    step_length,
-    update_background_atom,
-    update_target_atom,
+    target_atom_update,
 )
+from bcgbeat.kernels import soft_threshold
 from bcgbeat.signals import Bag, Instance
 from bcgbeat.synth import SynthConfig, generate
 from bcgbeat.signals import build_bags, preprocess_recording
@@ -81,36 +78,29 @@ class TestSoftThreshold:
 class TestStepLength:
     def test_orthonormal_atoms_give_unit_step(self):
         D = orthonormal_dictionary(np.random.default_rng(1), 10, 2, 2)
-        assert abs(step_length(D) - 1.0) <= 1e-9
+        assert abs(safe_step_length(D) - 1.0) <= 1e-9
 
     def test_scaled_identity(self):
-        assert abs(step_length(2.0 * np.eye(2)) - 0.25) <= 1e-12
+        assert abs(safe_step_length(2.0 * np.eye(2)) - 0.25) <= 1e-12
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((91, 6))
         lam_max = float(np.linalg.eigvalsh(A.T @ A)[-1])
-        assert abs(step_length(A) - 1.0 / lam_max) <= 1e-8 / lam_max
+        assert abs(safe_step_length(A) - 1.0 / lam_max) <= 1e-8 / lam_max
 
     def test_zero_dictionary_is_rejected(self):
         with pytest.raises(ValueError):
-            step_length(np.zeros((5, 3)))
-
-    def test_safe_step_length_is_the_exact_step(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((20, 4))
-        assert safe_step_length(A) == step_length(A)
-        D = random_dictionary(rng, 20, 2, 3)
-        assert safe_step_length(D) == step_length(D)
+            safe_step_length(np.zeros((5, 3)))
 
 
 class TestEStep:
     def test_perfect_background_reconstruction_scores_zero(self):
         rng = np.random.default_rng(4)
         D = random_dictionary(rng, 8, 1, 3)
-        b = rng.standard_normal(3)
+        b = rng.standard_normal((3, 1))
         x = D.background_atoms @ b
-        assert e_step(x, D, SparseCode(np.zeros(1), b), beta=90.0) == 0.0
+        assert e_step(x - D.background_atoms @ b, beta=90.0)[0] == 0.0
 
     def test_half_probability_at_log2_residual(self):
         rng = np.random.default_rng(5)
@@ -123,38 +113,40 @@ class TestEStep:
         r -= D.background_atoms @ (D.background_atoms.T @ r)
         r /= np.linalg.norm(r)
         x = base + np.sqrt(np.log(2.0) / 90.0) * r
-        p = e_step(x, D, SparseCode(np.zeros(1), b), beta=90.0)
-        assert abs(p - 0.5) <= 1e-12
+        p = e_step((x - D.background_atoms @ b)[:, None], beta=90.0)
+        assert abs(p[0] - 0.5) <= 1e-12
 
     def test_probability_stays_in_unit_interval(self):
         rng = np.random.default_rng(6)
         D = random_dictionary(rng, 8, 2, 3)
         for _ in range(50):
-            x = rng.standard_normal(8) * rng.uniform(0, 10)
-            code = SparseCode(rng.standard_normal(2), rng.standard_normal(3))
-            p = e_step(x, D, code, beta=rng.uniform(1, 200))
-            assert 0.0 <= p <= 1.0
+            X = rng.standard_normal((8, 20)) * rng.uniform(0, 10)
+            R = X - D.background_atoms @ rng.standard_normal((3, 20))
+            p = e_step(R, beta=rng.uniform(1, 200))
+            assert p.shape == (20,)
+            assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 class TestAdaptiveGamma:
     def test_orthogonal_atoms_feel_no_penalty(self):
-        assert adaptive_gamma(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 5e-3) == 0.0
+        D = Dictionary(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]))
+        assert gamma_matrix(D, 5e-3)[0, 0] == 0.0
 
     def test_identical_unit_atoms_get_full_scale(self):
-        d = np.array([0.6, 0.8])
-        assert abs(adaptive_gamma(d, d, 5e-3) - 5e-3) <= 1e-15
+        d = np.array([[0.6], [0.8]])
+        assert abs(gamma_matrix(Dictionary(d, d), 5e-3)[0, 0] - 5e-3) <= 1e-15
 
     def test_45_degree_pair(self):
-        got = adaptive_gamma(
-            np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0), 1.0
-        )
-        assert abs(got - 0.7071067811865476) <= 1e-12
+        D = Dictionary(np.array([[1.0], [1.0]]) / np.sqrt(2.0), np.array([[1.0], [0.0]]))
+        assert abs(gamma_matrix(D, 1.0)[0, 0] - 0.7071067811865476) <= 1e-12
 
     def test_zero_norm_atom_is_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_gamma(np.zeros(3), np.ones(3), 1.0)
+            gamma_matrix(Dictionary(np.ones((3, 1)), np.zeros((3, 1))), 1.0)
         with pytest.raises(ValueError):
             gamma_matrix(Dictionary(np.zeros((3, 1)), np.ones((3, 1))), 1.0)
+        with pytest.raises(ValueError):
+            gamma_matrix(Dictionary(np.ones((3, 1)), np.ones((3, 1))), 1.0, np.zeros((3, 1)))
 
     def test_matrix_matches_pairwise_entries(self):
         rng = np.random.default_rng(7)
@@ -164,8 +156,9 @@ class TestAdaptiveGamma:
         assert G.shape == (4, 3)
         for k in range(4):
             for t in range(3):
-                want = adaptive_gamma(D.background_atoms[:, k], old[:, t], 5e-3)
-                assert abs(G[k, t] - want) <= 1e-14
+                bk, ot = D.background_atoms[:, k], old[:, t]
+                cos = float(bk @ ot) / (np.linalg.norm(bk) * np.linalg.norm(ot))
+                assert abs(G[k, t] - 5e-3 * cos) <= 1e-14
 
 
 def smooth_part(x, D, a, p):
@@ -176,21 +169,46 @@ def smooth_part(x, D, a, p):
     return 0.5 * (p * float(r_full @ r_full) + (1.0 - p) * float(r_bg @ r_bg))
 
 
+def grams(D):
+    """(DᵀD, BᵀB) as the kernels take them."""
+    return D.atoms.T @ D.atoms, D.background_atoms.T @ D.background_atoms
+
+
 class TestAlphaGradient:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(8)
         D = random_dictionary(rng, 12, 2, 3)
+        G, G_bg = grams(D)
+        X = rng.standard_normal((12, 20))
+        A = rng.standard_normal((5, 20))
+        post = rng.uniform(0, 1, 20)
+        grad_t, grad_b = kernels.positive_gradient(G, G_bg, D.atoms.T @ X, post, A, 2)
+        g = np.vstack([grad_t, grad_b])
         h = 1e-6
-        for _ in range(20):
-            x = rng.standard_normal(12)
-            a = rng.standard_normal(5)
-            p = float(rng.uniform(0, 1))
-            g = alpha_gradient(x, D, SparseCode(a[:2], a[2:]), p)
+        for j in range(20):
+            x, a, p = X[:, j], A[:, j], post[j]
             for i in range(5):
                 e = np.zeros(5)
                 e[i] = h
                 fd = (smooth_part(x, D, a + e, p) - smooth_part(x, D, a - e, p)) / (2 * h)
-                assert abs(g[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+                assert abs(g[i, j] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def positive_step(D, x, p, lam, eta):
+    """One kernels.ista_positive iteration on one instance from zero codes."""
+    G, G_bg = grams(D)
+    return kernels.ista_positive(
+        G, G_bg, D.atoms.T @ x[:, None], np.array([p]),
+        np.zeros((D.n_target + D.n_background, 1)), lam, eta, 1, D.n_target,
+    )[:, 0]
+
+
+def negative_step(D, x, lam, eta):
+    """One kernels.ista_negative iteration on one instance from zero codes."""
+    _, G_bg = grams(D)
+    return kernels.ista_negative(
+        G_bg, D.background_atoms.T @ x[:, None], np.zeros((D.n_background, 1)), lam, eta, 1
+    )[:, 0]
 
 
 class TestCodeSteps:
@@ -198,47 +216,32 @@ class TestCodeSteps:
         rng = np.random.default_rng(9)
         D = orthonormal_dictionary(rng, 10, 2, 3)
         x = D.target_atoms[:, 0].copy()
-        eta = step_length(D)
-        new = code_step_positive(x, D, SparseCode(np.zeros(2), np.zeros(3)), 1.0, 0.0, eta)
-        np.testing.assert_allclose(new.target_weights, [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(new.background_weights, 0.0, atol=1e-12)
+        new = positive_step(D, x, 1.0, 0.0, safe_step_length(D))
+        np.testing.assert_allclose(new[:2], [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(new[2:], 0.0, atol=1e-12)
 
     def test_positive_step_kills_code_under_large_penalty(self):
         rng = np.random.default_rng(10)
         D = random_dictionary(rng, 10, 2, 3)
         x = rng.standard_normal(10)
         lam = float(np.max(np.abs(D.atoms.T @ x))) + 0.1
-        new = code_step_positive(
-            x, D, SparseCode(np.zeros(2), np.zeros(3)), 1.0, lam, step_length(D)
-        )
-        assert np.all(new.full == 0.0)
+        new = positive_step(D, x, 1.0, lam, safe_step_length(D))
+        assert np.all(new == 0.0)
 
     def test_negative_step_recovers_background_atom(self):
         rng = np.random.default_rng(11)
         D = orthonormal_dictionary(rng, 10, 2, 3)
         x = D.background_atoms[:, 0].copy()
-        eta = step_length(D.background_atoms)
-        new = code_step_negative(x, D, SparseCode(np.zeros(2), np.zeros(3)), 0.0, eta)
-        np.testing.assert_allclose(new.background_weights, [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_negative_step_never_touches_target_block(self):
-        rng = np.random.default_rng(12)
-        D = random_dictionary(rng, 10, 2, 3)
-        for _ in range(10):
-            x = rng.standard_normal(10)
-            code = SparseCode(np.zeros(2), rng.standard_normal(3))
-            new = code_step_negative(x, D, code, 0.01, step_length(D.background_atoms))
-            assert np.all(new.target_weights == 0.0)
+        new = negative_step(D, x, 0.0, safe_step_length(D.background_atoms))
+        np.testing.assert_allclose(new, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_negative_step_kills_code_under_large_penalty(self):
         rng = np.random.default_rng(13)
         D = random_dictionary(rng, 10, 2, 3)
         x = rng.standard_normal(10)
         lam = float(np.max(np.abs(D.background_atoms.T @ x))) + 0.1
-        new = code_step_negative(
-            x, D, SparseCode(np.zeros(2), np.zeros(3)), lam, step_length(D.background_atoms)
-        )
-        assert np.all(new.background_weights == 0.0)
+        new = negative_step(D, x, lam, safe_step_length(D.background_atoms))
+        assert np.all(new == 0.0)
 
 
 class TestObjective:
@@ -306,6 +309,28 @@ class TestObjective:
         assert abs(got - total) <= 1e-10 * max(1.0, abs(total))
 
 
+def update_blocks(bags, codes, posteriors, params):
+    """fit()'s (Xp, Xn, A_pos, A_neg, p_pos, psi) for the given codes."""
+    X, is_pos, _ = flatten_bags(bags)
+    p = np.asarray(posteriors, dtype=float)
+    return (
+        X[:, is_pos],
+        X[:, ~is_pos],
+        codes[:, is_pos],
+        codes[params.T:, ~is_pos],
+        p[is_pos],
+        resolve_psi(is_pos, params),
+    )
+
+
+def bg_update(bags, codes, posteriors, D, k, params, target_atoms_old):
+    Xp, Xn, A_pos, A_neg, p_pos, psi = update_blocks(bags, codes, posteriors, params)
+    gamma = gamma_matrix(D, params.gamma, target_atoms_old)
+    return background_atom_update(
+        Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, target_atoms_old
+    )
+
+
 class TestAtomUpdates:
     def test_target_update_snaps_to_single_instance(self):
         rng = np.random.default_rng(17)
@@ -314,8 +339,8 @@ class TestAtomUpdates:
         bags = [make_bag([x], 1), make_bag([rng.standard_normal(6)], 0)]
         codes = np.zeros((3, 2))
         codes[0, 0] = 1.0
-        atom, stale = update_target_atom(bags, codes, np.array([1.0, 0.0]), D, 0)
-        assert not stale
+        Xp, _, A_pos, _, p_pos, _ = update_blocks(bags, codes, [1.0, 0.0], FumiParams(T=1, M=2))
+        atom = target_atom_update(Xp, A_pos, p_pos, D, 0)
         np.testing.assert_allclose(atom, x, atol=1e-9)
 
     def test_target_update_is_stale_when_no_instance_is_believed(self):
@@ -323,10 +348,8 @@ class TestAtomUpdates:
         D = random_dictionary(rng, 6, 1, 2)
         bags = [make_bag([rng.standard_normal(6)], 1), make_bag([rng.standard_normal(6)], 0)]
         codes = rng.standard_normal((3, 2))
-        before = D.target_atoms[:, 0].copy()
-        atom, stale = update_target_atom(bags, codes, np.zeros(2), D, 0)
-        assert stale
-        np.testing.assert_array_equal(atom, before)
+        Xp, _, A_pos, _, p_pos, _ = update_blocks(bags, codes, np.zeros(2), FumiParams(T=1, M=2))
+        assert target_atom_update(Xp, A_pos, p_pos, D, 0) is None
 
     def test_background_update_recovers_scaled_instance_direction(self):
         rng = np.random.default_rng(19)
@@ -336,8 +359,7 @@ class TestAtomUpdates:
         codes = np.zeros((3, 2))
         codes[1, 1] = 2.0  # background atom 0 coded with weight 2
         params = FumiParams(T=1, M=2, gamma=0.0, psi=1.0)
-        atom, stale = update_background_atom(bags, codes, np.zeros(2), D, 0, params)
-        assert not stale
+        atom = bg_update(bags, codes, np.zeros(2), D, 0, params, D.target_atoms)
         np.testing.assert_allclose(atom / np.linalg.norm(atom), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_coherence_penalty_pulls_background_away_from_target(self):
@@ -352,8 +374,8 @@ class TestAtomUpdates:
         codes[1, 1] = 3.0
         free = FumiParams(T=1, M=2, gamma=0.0, psi=1.0)
         pulled = FumiParams(T=1, M=2, gamma=0.5, psi=1.0)
-        atom_free, _ = update_background_atom(bags, codes, np.zeros(2), D, 0, free, tgt_old)
-        atom_pulled, _ = update_background_atom(bags, codes, np.zeros(2), D, 0, pulled, tgt_old)
+        atom_free = bg_update(bags, codes, np.zeros(2), D, 0, free, tgt_old)
+        atom_pulled = bg_update(bags, codes, np.zeros(2), D, 0, pulled, tgt_old)
         n_free = atom_free / np.linalg.norm(atom_free)
         n_pulled = atom_pulled / np.linalg.norm(atom_pulled)
         assert abs(n_pulled[0]) < abs(n_free[0])
@@ -364,10 +386,7 @@ class TestAtomUpdates:
         bags = [make_bag([rng.standard_normal(4)], 1), make_bag([rng.standard_normal(4)], 0)]
         codes = np.zeros((3, 2))
         params = FumiParams(T=1, M=2)
-        before = D.background_atoms[:, 1].copy()
-        atom, stale = update_background_atom(bags, codes, np.zeros(2), D, 1, params)
-        assert stale
-        np.testing.assert_array_equal(atom, before)
+        assert bg_update(bags, codes, np.zeros(2), D, 1, params, D.target_atoms) is None
 
 
 @pytest.fixture(scope="module")

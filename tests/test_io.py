@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bcgbeat import io as bio
-from bcgbeat.detector import BackgroundModel, DetectionParams
+from bcgbeat.detector import BackgroundModel
 from bcgbeat.dlfumi import Dictionary
 from bcgbeat.metrics import HrSeries
 from bcgbeat.signals import Recording
@@ -179,23 +179,6 @@ class TestKeyValue:
         p.write_text("alpha=1\njust words\n")
         with pytest.raises(ValueError, match="expected key=value"):
             bio.read_keyvalue(p)
-
-
-class TestDetectionParamsRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        params = DetectionParams(
-            threshold=1.45, neighborhood=20, min_votes=3, refractory_s=0.3
-        )
-        p = tmp_path / "params"
-        bio.write_detection_params(p, params)
-        back = bio.read_detection_params(p)
-        assert back == params
-
-    def test_rejects_missing_field(self, tmp_path):
-        p = tmp_path / "params"
-        p.write_text("threshold=1.32\nneighborhood=25\n")
-        with pytest.raises(ValueError, match="missing detection parameter"):
-            bio.read_detection_params(p)
 
 
 class TestSynthSidecar:

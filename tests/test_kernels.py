@@ -1,10 +1,9 @@
-"""Coding-kernel tests: backend agreement and iteration semantics."""
+"""Coding-kernel tests: iteration semantics."""
 
 import numpy as np
-import pytest
 
 from bcgbeat import kernels
-from bcgbeat.dlfumi import soft_threshold
+from bcgbeat.kernels import soft_threshold
 
 
 def make_problem(rng, d=30, T=3, M=4, n=25):
@@ -18,40 +17,6 @@ def make_problem(rng, d=30, T=3, M=4, n=25):
     eta = 1.0 / float(np.linalg.eigvalsh(G)[-1])
     eta_bg = 1.0 / float(np.linalg.eigvalsh(G_bg)[-1])
     return D, X, G, G_bg, corr, corr_bg, eta, eta_bg, T, M, n
-
-
-def test_backend_is_reported():
-    assert kernels.BACKEND in ("cython", "numpy")
-
-
-@pytest.mark.skipif(
-    kernels.BACKEND != "cython", reason="compiled extension not active"
-)
-class TestBackendAgreement:
-    def test_negative_kernel_matches_reference(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            _, _, _, G_bg, _, corr_bg, _, eta_bg, _, M, n = make_problem(rng)
-            codes0 = rng.standard_normal((M, n)) * 0.3
-            fast = kernels.ista_negative(G_bg, corr_bg, codes0.copy(), 5e-3, eta_bg, 30)
-            ref = kernels.reference.ista_negative(
-                G_bg, corr_bg, codes0.copy(), 5e-3, eta_bg, 30
-            )
-            np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-12)
-
-    def test_positive_kernel_matches_reference(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            _, _, G, G_bg, corr, _, eta, _, T, M, n = make_problem(rng)
-            post = rng.uniform(0.0, 1.0, n)
-            codes0 = rng.standard_normal((T + M, n)) * 0.3
-            fast = kernels.ista_positive(
-                G, G_bg, corr, post, codes0.copy(), 5e-3, eta, 30, T
-            )
-            ref = kernels.reference.ista_positive(
-                G, G_bg, corr, post, codes0.copy(), 5e-3, eta, 30, T
-            )
-            np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-12)
 
 
 class TestIterationSemantics:

@@ -243,6 +243,13 @@ class TestRecording:
                 gt_beat_times=np.array([5, 5]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples_and_names_the_channel(self, bad):
+        ch1 = np.zeros(10)
+        ch1[4] = bad
+        with pytest.raises(ValueError, match="channel ch1 has non-finite samples"):
+            Recording(channels=[np.zeros(10), ch1], sample_rate_hz=FS)
+
 
 class TestBagValidation:
     def test_rejects_empty_bag_and_bad_label(self):
