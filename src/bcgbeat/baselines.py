@@ -4,13 +4,14 @@ Two simple estimators to compare the dictionary pipeline against: a
 windowed-peak picker (sliding local maxima smoothed by a low-pass) and a
 short-term-energy peak picker.  Both are amplitude-scale invariant and
 emit HrSeries on the same sliding-window grid as the main pipeline.
+
+scipy is imported inside the functions that use it, so importing the
+package (and running `eval`) does not pay for scipy.signal/ndimage.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage as spnd
-from scipy import signal as sps
 
 from .detector import hr_from_beats
 from .metrics import HrSeries, mae
@@ -21,6 +22,8 @@ _HEIGHT_RATIO_FLOOR = 0.25
 
 
 def _smooth_lowpass(x: np.ndarray, fs: float, cutoff_hz: float, order: int = 2) -> np.ndarray:
+    from scipy import signal as sps
+
     sos = sps.butter(order, cutoff_hz, btype="lowpass", fs=fs, output="sos")
     return sps.sosfiltfilt(sos, x)
 
@@ -36,6 +39,8 @@ def wppd_hr(
     Sliding 0.25 s local maxima -> zero-phase 2nd-order Butterworth
     low-pass at 4 Hz -> peaks at least 0.3 s apart -> windowed HR.
     """
+    from scipy import ndimage as spnd
+
     x = np.asarray(x, dtype=float)
     if fs <= 8.0:
         raise ValueError("sampling rate too low for the 4 Hz smoothing filter")
@@ -62,6 +67,9 @@ def en_hr(
     above their surroundings (median prominence below half the median
     peak height), which is what pure noise produces.
     """
+    from scipy import ndimage as spnd
+    from scipy import signal as sps
+
     x = np.asarray(x, dtype=float)
     if fs <= 20.0:
         raise ValueError("sampling rate too low for the 10 Hz band edge")

@@ -54,10 +54,10 @@ EXIT_EVAL_IMPOSSIBLE = 5
 MODE_PRESETS = {
     "individual": dict(T=3, M=3, lam=5e-3, gamma=5e-3, beta=90.0),
     "batch": dict(T=9, M=9, lam=1e-3, gamma=5e-3, beta=120.0),
-    # exercise reuses a dictionary trained elsewhere; learner defaults match
-    # the individual preset if training is invoked in this mode anyway.
-    "exercise": dict(T=3, M=3, lam=5e-3, gamma=5e-3, beta=90.0),
 }
+# exercise reuses a dictionary trained elsewhere; training in this mode
+# anyway gets the individual preset.
+MODE_PRESETS["exercise"] = MODE_PRESETS["individual"]
 
 
 class CliError(Exception):
@@ -325,6 +325,14 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     cfg = load_run_config(args.config, args.mode, args.seed)
     rec = _read_recording(args.recording)
+    window_s = cfg.get("window_s", 60.0)
+    step_s = cfg.get("step_s", 15.0)
+    if rec.duration_s < window_s:
+        raise CliError(
+            EXIT_EVAL_IMPOSSIBLE,
+            f"{args.recording} lasts {rec.duration_s:g} s, "
+            f"shorter than one {window_s:g}-s HR window",
+        )
     try:
         D = bio.read_dictionary(args.dict)
     except (OSError, ValueError) as exc:
@@ -376,8 +384,6 @@ def cmd_detect(args) -> int:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
     beats = vote_beats(series, dparams)
-    window_s = cfg.get("window_s", 60.0)
-    step_s = cfg.get("step_s", 15.0)
     if args.dft:
         hr = hr_from_confidence_dft(
             series,

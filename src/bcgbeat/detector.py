@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as spl
 
 from . import kernels
 from .dlfumi import Dictionary, safe_step_length
@@ -50,7 +49,10 @@ class BackgroundModel:
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.ndim != 2 or self.covariance.shape[0] != self.covariance.shape[1]:
             raise ValueError("covariance must be square")
-        self._cho = spl.cho_factor(self.covariance)
+        # scipy.linalg is imported here so `import bcgbeat` stays numpy-only
+        from scipy.linalg import cho_factor
+
+        self._cho = cho_factor(self.covariance)
 
     @property
     def d(self) -> int:
@@ -61,7 +63,9 @@ class BackgroundModel:
         R = np.atleast_2d(np.asarray(residuals, dtype=float))
         if R.shape[0] != self.d:
             R = R.T
-        sol = spl.cho_solve(self._cho, R)
+        from scipy.linalg import cho_solve  # see __post_init__
+
+        sol = cho_solve(self._cho, R)
         return np.einsum("ij,ij->j", R, sol)
 
 
@@ -120,8 +124,6 @@ def background_covariance(instances, ridge: float = 0.0) -> BackgroundModel:
         try:
             return BackgroundModel(covariance=S + eff * np.eye(d), ridge=eff)
         except np.linalg.LinAlgError:
-            pass
-        except spl.LinAlgError:
             pass
         floor = 1e-6 * np.trace(S) / d
         if floor <= 0:

@@ -16,6 +16,11 @@ from .signals import Recording
 from .synth import SynthResult
 
 
+# Largest relative deviation of a time step from 1/fs that read_recording
+# accepts: room for rounded timestamps, far below any shifted or swapped row.
+_T_STEP_RTOL = 1e-3
+
+
 def _f(x) -> str:
     return repr(float(x))
 
@@ -61,7 +66,18 @@ def read_recording(path) -> Recording:
     t = data[:, 0]
     if t.size < 2:
         raise ValueError(f"{path}: need at least two samples")
+    dt = np.diff(t)  # dt[k] is the step into sample k + 1
+    if np.any(dt <= 0):
+        k = int(np.argmax(dt <= 0))
+        raise ValueError(f"{path}: time column does not increase at sample {k + 1}")
     fs = round((t.size - 1) / (t[-1] - t[0]), 9)
+    off_grid = np.abs(dt * fs - 1.0) > _T_STEP_RTOL
+    if np.any(off_grid):
+        k = int(np.argmax(off_grid))
+        raise ValueError(
+            f"{path}: time column is not a uniform grid at sample {k + 1} "
+            f"(step {float(dt[k])!r} s, expected {1.0 / fs!r} s)"
+        )
     channels = [data[:, 1 + c] for c in range(len(ch_names))]
     gt = None
     if has_gt:

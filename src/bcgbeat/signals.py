@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 
 DEFAULT_BAND_HZ = (0.4, 10.0)
 DEFAULT_FILTER_ORDER = 6
@@ -129,10 +128,13 @@ def bandpass_filter(
     lo, hi = _compensated_band_edges(low, high, half_order)
     if hi >= fs / 2.0:
         raise ValueError("compensated upper edge reaches Nyquist; raise fs")
-    sos = sps.butter(half_order, [lo, hi], btype="bandpass", fs=fs, output="sos")
+    # scipy.signal costs about a second to import; only filtering pays it
+    from scipy.signal import butter, sosfiltfilt
+
+    sos = butter(half_order, [lo, hi], btype="bandpass", fs=fs, output="sos")
     if x.size <= 3 * (2 * half_order + 1):
         raise ValueError("signal too short for zero-phase filtering")
-    return sps.sosfiltfilt(sos, x)
+    return sosfiltfilt(sos, x)
 
 
 def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> np.ndarray:

@@ -4,6 +4,9 @@ Plants a fixed heartbeat template along a configurable heart-rate profile,
 with per-channel gain and delay (the cross-channel misalignment the
 multiple-instance formulation exists for), per-beat timing jitter,
 respiration drift, and white noise at a requested SNR.
+
+scipy is imported inside the functions that use it, so importing the
+package does not pay for scipy.optimize/integrate.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.optimize import brentq
 
 from .signals import Recording
 
@@ -77,6 +78,8 @@ class SynthResult:
 
     def windowed_mean_hr(self, start_s: float, window_s: float, n_grid: int = 2001) -> float:
         """Mean of the analytic profile over a window (trapezoid rule)."""
+        from scipy.integrate import trapezoid
+
         t = np.linspace(start_s, start_s + window_s, n_grid)
         return float(trapezoid(self.hr_at(t), t) / window_s)
 
@@ -96,6 +99,8 @@ def make_template(
 
 def _beat_phase_times(cfg: SynthConfig) -> np.ndarray:
     """Beat instants where the integrated rate crosses whole beats."""
+    from scipy.optimize import brentq
+
     mean_bps = cfg.hr_bpm / 60.0
     amp_bps = cfg.hrv_amp_bpm / 60.0
 

@@ -142,6 +142,16 @@ class TestTrain:
         assert D.n_target == 9
         assert D.n_background == 9
 
+    def test_exercise_mode_trains_like_individual(self, workdir, tmp_path):
+        modes = ("individual", "exercise")
+        for mode in modes:
+            argv = ["train", str(workdir / "rec.csv"), "--mode", mode, "--max_em_iters", "2",
+                    "--out", str(tmp_path / f"{mode}.csv")]
+            assert main(argv) == 0
+        for name in ("{}.csv", "{}.cov.csv", "{}.params"):
+            a, b = (tmp_path / name.format(m) for m in modes)
+            assert a.read_bytes() == b.read_bytes()
+
     def test_recording_without_groundtruth_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)
         rec = Recording(channels=[rng.standard_normal(9000)], sample_rate_hz=100.0)
@@ -231,6 +241,52 @@ class TestDetect:
         assert code == 2
         assert "channel ch1 has non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "d.hr.csv").exists()
+
+    @pytest.mark.parametrize("probe", ["shifted", "swapped"])
+    def test_non_uniform_time_axis_exits_2(self, workdir, tmp_path, capsys, probe):
+        lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
+        if probe == "shifted":
+            row = lines[500].split(",")
+            row[0] = repr(float(row[0]) + 0.5)
+            lines[500] = ",".join(row)
+        else:
+            lines[500], lines[501] = lines[501], lines[500]
+        bad = tmp_path / f"{probe}.csv"
+        bad.write_text("".join(lines))
+        code = main(
+            ["detect", str(bad), "--dict", str(workdir / "model.csv"), "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        assert f"{bad}: time column does not increase" in capsys.readouterr().err
+        assert not (tmp_path / "d.hr.csv").exists()
+
+    @pytest.mark.parametrize("seconds", [2, 30])
+    def test_recording_shorter_than_one_hr_window_exits_5(
+        self, workdir, tmp_path, capsys, seconds
+    ):
+        lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines[: 1 + seconds * 100]))
+        code = main(
+            ["detect", str(short), "--dict", str(workdir / "model.csv"), "--out", str(tmp_path / "d")]
+        )
+        assert code == 5
+        assert "shorter than one 60-s HR window" in capsys.readouterr().err
+        assert not (tmp_path / "d.hr.csv").exists()
+
+    def test_configured_window_decides_what_is_too_short(self, workdir, tmp_path):
+        lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines[:3001]))
+        cfg = tmp_path / "w.conf"
+        cfg.write_text("window_s=20\nstep_s=5\n")
+        out = tmp_path / "d"
+        code = main(
+            ["detect", str(short), "--dict", str(workdir / "model.csv"), "--config", str(cfg),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert bio.read_hr(str(out) + ".hr.csv").n_windows > 0
 
     def test_params_missing_a_field_exits_2(self, workdir, tmp_path, capsys):
         params = tmp_path / "partial.params"

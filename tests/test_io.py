@@ -4,6 +4,8 @@ Everything is written via repr(float), so numeric round-trips must be
 bit-exact, and repeated writes of the same object byte-identical.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,49 @@ class TestRecordingRoundtrip:
         p.write_text("t,ch0\n0.0,1.0\n")
         with pytest.raises(ValueError, match="at least two samples"):
             bio.read_recording(p)
+
+    @staticmethod
+    def _rows(tmp_path):
+        p = tmp_path / "rec.csv"
+        bio.write_recording(p, random_recording())
+        return p, p.read_text().splitlines(keepends=True)
+
+    def test_rejects_a_timestamp_shifted_by_half_a_second(self, tmp_path):
+        p, lines = self._rows(tmp_path)
+        row = lines[201].split(",")
+        row[0] = repr(float(row[0]) + 0.5)
+        lines[201] = ",".join(row)
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: time column does not increase")):
+            bio.read_recording(p)
+
+    def test_rejects_two_swapped_rows(self, tmp_path):
+        p, lines = self._rows(tmp_path)
+        lines[101], lines[102] = lines[102], lines[101]
+        p.write_text("".join(lines))
+        msg = f"{p}: time column does not increase at sample 101"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            bio.read_recording(p)
+
+    def test_rejects_an_increasing_but_uneven_time_axis(self, tmp_path):
+        p, lines = self._rows(tmp_path)
+        row = lines[301].split(",")
+        row[0] = repr(float(row[0]) + 0.004)
+        lines[301] = ",".join(row)
+        p.write_text("".join(lines))
+        msg = f"{p}: time column is not a uniform grid at sample 300"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            bio.read_recording(p)
+
+    def test_accepts_timestamps_rounded_to_microseconds(self, tmp_path):
+        fs, n = 300.0, 900
+        p = tmp_path / "rounded.csv"
+        x = np.random.default_rng(1).standard_normal(n)
+        rows = (f"{i / fs:.6f},{v!r}\n" for i, v in enumerate(x.tolist()))
+        p.write_text("t,ch0\n" + "".join(rows))
+        rec = bio.read_recording(p)
+        assert rec.sample_rate_hz == pytest.approx(fs, rel=1e-6)
+        np.testing.assert_array_equal(rec.channels[0], x)
 
 
 class TestDictionaryRoundtrip:
