@@ -15,7 +15,6 @@ from .detector import (
     confidence_series,
     hr_from_beats,
     hr_from_confidence_dft,
-    hsd_confidence,
     learn_detection_params_pooled,
     vote_beats,
 )
@@ -45,6 +44,7 @@ from .metrics import (
 )
 from .signals import (
     Bag,
+    ChannelInstances,
     Instance,
     Recording,
     bandpass_filter,
@@ -61,6 +61,7 @@ __all__ = [
     "AgreementStats",
     "BackgroundModel",
     "Bag",
+    "ChannelInstances",
     "ConfidenceSeries",
     "DetectionParams",
     "Dictionary",
@@ -88,7 +89,6 @@ __all__ = [
     "greedy_match",
     "hr_from_beats",
     "hr_from_confidence_dft",
-    "hsd_confidence",
     "learn_detection_params_pooled",
     "mae",
     "make_template",

@@ -274,8 +274,8 @@ def cmd_train(args) -> int:
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
         recs.append(rec)
-        per_channel = preprocess_recording(rec, **pk)
-        all_bags.extend(build_bags(per_channel, rec.gt_beat_times, per_pos))
+        blocks = preprocess_recording(rec, **pk)
+        all_bags.extend(build_bags(blocks, rec.gt_beat_times, per_pos))
 
     try:
         result = fit(all_bags, params, seed=cfg.seed)

@@ -28,6 +28,7 @@ from .signals import (
     bandpass_filter,
     extract_instances,
     find_peaks,
+    flat_channel,
 )
 
 log = logging.getLogger(__name__)
@@ -166,24 +167,6 @@ def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
     return A_bg, A_full
 
 
-def hsd_confidence(
-    x: np.ndarray,
-    D: Dictionary,
-    model: BackgroundModel,
-    lam: float,
-    n_iter: int = DEFAULT_CODE_ITERS,
-) -> float:
-    """Confidence ratio for one instance.
-
-    Lambda = (x - D_bg a_bg)^T Sigma^-1 (x - D_bg a_bg)
-           / (x - D a)^T Sigma^-1 (x - D a),
-    both residual norms floored at 1e-12, so an instance that the
-    background already reconstructs exactly scores 1, not 0.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    return float(_confidence_batch(x, D, model, lam, n_iter)[0])
-
-
 def _confidence_batch(
     X: np.ndarray,
     D: Dictionary,
@@ -191,6 +174,13 @@ def _confidence_batch(
     lam: float,
     n_iter: int,
 ) -> np.ndarray:
+    """Confidence ratio for each column x of the (d, n) instance matrix X.
+
+    Lambda = (x - D_bg a_bg)^T Sigma^-1 (x - D_bg a_bg)
+           / (x - D a)^T Sigma^-1 (x - D a),
+    both residual norms floored at 1e-12, so an instance that the
+    background already reconstructs exactly scores 1, not 0.
+    """
     if X.shape[0] != D.d:
         raise ValueError("instance dimension does not match dictionary")
     if model.d != D.d:
@@ -214,21 +204,24 @@ def confidence_series(
     half_len: int = DEFAULT_HALF_LEN,
     zscore: bool = False,
 ) -> ConfidenceSeries:
-    """Per-channel candidate peaks with their confidence ratios."""
+    """Per-channel candidate peaks with their confidence ratios
+    (`_confidence_batch`).  A flat channel gets no candidates (see
+    `signals.flat_channel`)."""
     idx_per_ch: list[np.ndarray] = []
     conf_per_ch: list[np.ndarray] = []
     for ch_id, raw in enumerate(rec.channels):
         filt = bandpass_filter(raw, rec.sample_rate_hz, low, high, order)
-        peaks = find_peaks(filt, min_separation)
-        instances = extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore)
-        if not instances:
-            idx_per_ch.append(np.empty(0, dtype=int))
+        if flat_channel(raw, ch_id):
+            peaks = np.empty(0, dtype=int)
+        else:
+            peaks = find_peaks(filt, min_separation)
+        block = extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore)
+        idx_per_ch.append(block.peak_indices)
+        if len(block) == 0:
             conf_per_ch.append(np.empty(0))
             continue
-        X = np.column_stack([inst.features for inst in instances])
-        conf = _confidence_batch(X, D, model, lam, n_iter)
-        idx_per_ch.append(np.asarray([inst.peak_index for inst in instances], dtype=int))
-        conf_per_ch.append(conf)
+        X = np.ascontiguousarray(block.features.T)
+        conf_per_ch.append(_confidence_batch(X, D, model, lam, n_iter))
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,

@@ -7,9 +7,13 @@ peak-centered instances, and labeled bags built around groundtruth beats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+log = logging.getLogger(__name__)
 
 DEFAULT_BAND_HZ = (0.4, 10.0)
 DEFAULT_FILTER_ORDER = 6
@@ -68,6 +72,23 @@ class Instance:
     features: np.ndarray
     channel_id: int
     peak_index: int
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelInstances:
+    """All instances of one channel: row i of `features` is the window
+    centered on sample `peak_indices[i]`.
+
+    features     : (n, d) C-contiguous float array, one window per row
+    peak_indices : (n,) int array
+    """
+
+    features: np.ndarray
+    peak_indices: np.ndarray
+    channel_id: int = 0
+
+    def __len__(self) -> int:
+        return self.peak_indices.size
 
 
 @dataclass(frozen=True)
@@ -155,18 +176,11 @@ def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> n
     if cand.size == 0 or min_separation == 1:
         return cand
     # Greedy by amplitude, earlier index on ties; then enforce spacing.
-    order = sorted(range(cand.size), key=lambda j: (-x[cand[j]], cand[j]))
-    kept_mask = np.zeros(x.size, dtype=bool)
-    kept: list[int] = []
-    for j in order:
-        idx = cand[j]
-        lo = max(0, idx - min_separation + 1)
-        hi = min(x.size, idx + min_separation)
-        if not kept_mask[lo:hi].any():
-            kept_mask[idx] = True
-            kept.append(idx)
-    kept.sort()
-    return np.asarray(kept, dtype=int)
+    kept = bytearray(x.size)
+    for idx in cand[np.lexsort((cand, -x[cand]))].tolist():
+        if kept.find(1, max(0, idx - min_separation + 1), idx + min_separation) < 0:
+            kept[idx] = 1
+    return np.flatnonzero(np.frombuffer(kept, dtype=np.uint8))
 
 
 def extract_instances(
@@ -175,39 +189,43 @@ def extract_instances(
     half_len: int = DEFAULT_HALF_LEN,
     channel_id: int = 0,
     zscore: bool = False,
-) -> list[Instance]:
+) -> ChannelInstances:
     """Cut a (2*half_len + 1)-sample window around each peak.
 
-    Peaks whose window would cross a signal boundary are skipped.  With
-    `zscore` each window is standardized to zero mean, unit variance.
+    Peaks whose window would cross a signal boundary are skipped; the rest
+    keep their order.  With `zscore` each window is standardized to zero
+    mean, unit variance (a constant window is only centered).
     """
     x = np.asarray(x, dtype=float)
-    out: list[Instance] = []
-    for p in np.asarray(peaks, dtype=int):
-        if p - half_len < 0 or p + half_len >= x.size:
-            continue
-        w = x[p - half_len : p + half_len + 1].copy()
-        if zscore:
-            sd = w.std()
-            w = (w - w.mean()) / (sd if sd > 0 else 1.0)
-        out.append(Instance(features=w, channel_id=channel_id, peak_index=int(p)))
-    return out
+    peaks = np.asarray(peaks, dtype=int)
+    width = 2 * half_len + 1
+    peaks = peaks[(peaks >= half_len) & (peaks + half_len < x.size)]
+    if peaks.size:
+        W = sliding_window_view(x, width)[peaks - half_len]
+    else:
+        W = np.empty((0, width))
+    if zscore:
+        # Row-wise reductions sum each window exactly as its own 1-D
+        # std()/mean() would; reducing down columns would round differently.
+        sd = W.std(axis=1, keepdims=True)
+        W -= W.mean(axis=1, keepdims=True)
+        W /= np.where(sd > 0, sd, 1.0)
+    return ChannelInstances(features=W, peak_indices=peaks, channel_id=channel_id)
 
 
-def _nearest_beat(peak: int, beats: np.ndarray) -> int:
-    """Index of the groundtruth beat nearest to `peak` (ties -> earlier)."""
-    j = int(np.searchsorted(beats, peak))
-    if j == 0:
-        return 0
-    if j == beats.size:
-        return beats.size - 1
-    left, right = beats[j - 1], beats[j]
-    # tie (equidistant) goes to the earlier beat
-    return j - 1 if peak - left <= right - peak else j
+def flat_channel(raw: np.ndarray, channel_id: int) -> bool:
+    """True, with a logged warning naming the channel, when every raw
+    sample is the same value.  Band-passing such a channel leaves round-off
+    noise only, so it must give no candidate peaks."""
+    if raw.size == 0 or raw.min() != raw.max():
+        return False
+    log.warning("ch%d is flat (every sample is %r); it gives no candidate peaks",
+                channel_id, float(raw[0]))
+    return True
 
 
 def build_bags(
-    per_channel_instances: list[list[Instance]],
+    blocks: list[ChannelInstances],
     gt_beat_times: np.ndarray,
     per_positive: int = DEFAULT_PER_POSITIVE,
 ) -> list[Bag]:
@@ -219,41 +237,58 @@ def build_bags(
     index).  Instances left over fall into one negative bag per inter-beat
     gap (including the gaps before the first and after the last beat).
     Every instance lands in exactly one bag; empty bags are not emitted.
-    Positive bags come first in beat order, then negative bags in gap order.
+    Positive bags come first in beat order, then negative bags in gap order;
+    a bag lists its instances by channel id, then peak index.  Without
+    groundtruth beats all instances form one negative bag, in block order.
     """
     beats = np.asarray(gt_beat_times, dtype=int)
-    all_instances = [inst for ch in per_channel_instances for inst in ch]
+    instances = [
+        Instance(features=w, channel_id=b.channel_id, peak_index=p)
+        for b in blocks
+        for w, p in zip(b.features, b.peak_indices.tolist())
+    ]
+    if not instances:
+        return []
     if beats.size == 0:
-        if not all_instances:
-            return []
-        return [Bag(instances=tuple(all_instances), label=0)]
+        return [Bag(instances=tuple(instances), label=0)]
 
-    assigned: dict[tuple[int, int], list[Instance]] = {}
-    for ch_id, ch_instances in enumerate(per_channel_instances):
-        for inst in ch_instances:
-            b = _nearest_beat(inst.peak_index, beats)
-            assigned.setdefault((b, ch_id), []).append(inst)
+    # Per-instance arrays, in the order of `instances`.  lexsort is
+    # stable, so instances equal in every key keep this order below.
+    sizes = [len(b) for b in blocks]
+    block = np.repeat(np.arange(len(blocks)), sizes)
+    peak = np.concatenate([b.peak_indices for b in blocks])
+    channel = np.repeat([b.channel_id for b in blocks], sizes)
 
-    leftovers: list[Instance] = []
+    # Nearest beat; an equidistant peak goes to the earlier beat.
+    gap = np.searchsorted(beats, peak)
+    left = beats[np.maximum(gap - 1, 0)]
+    right = beats[np.minimum(gap, beats.size - 1)]
+    earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
+    nearest = np.where(earlier, gap - 1, gap)
+
+    # Within each (beat, block) the instances closest in time, then
+    # earliest, fill the beat's positive bag up to per_positive.
+    order = np.lexsort((peak, np.abs(peak - beats[nearest]), block, nearest))
+    new_group = np.ones(order.size, dtype=bool)
+    new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(block[order]) != 0)
+    starts = np.flatnonzero(new_group)
+    rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+    positive = np.empty(order.size, dtype=bool)
+    positive[order] = rank < per_positive
+
+    # Beat b's positive bag has id b, gap g's negative bag n_beats + g.
+    bag_id = np.where(positive, nearest, beats.size + gap)
+    order = np.lexsort((peak, channel, bag_id))
+    bag_id = bag_id[order]
+    bounds = np.flatnonzero(np.diff(bag_id)) + 1
     bags: list[Bag] = []
-    for b in range(beats.size):
-        chosen: list[Instance] = []
-        for ch_id in range(len(per_channel_instances)):
-            cand = assigned.get((b, ch_id), [])
-            cand.sort(key=lambda i: (abs(i.peak_index - beats[b]), i.peak_index))
-            chosen.extend(cand[:per_positive])
-            leftovers.extend(cand[per_positive:])
-        if chosen:
-            chosen.sort(key=lambda i: (i.channel_id, i.peak_index))
-            bags.append(Bag(instances=tuple(chosen), label=1, anchor_time=int(beats[b])))
-
-    gaps: dict[int, list[Instance]] = {}
-    for inst in leftovers:
-        g = int(np.searchsorted(beats, inst.peak_index))
-        gaps.setdefault(g, []).append(inst)
-    for g in sorted(gaps):
-        members = sorted(gaps[g], key=lambda i: (i.channel_id, i.peak_index))
-        bags.append(Bag(instances=tuple(members), label=0))
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), order.size]):
+        members = tuple(instances[i] for i in order[lo:hi].tolist())
+        b = int(bag_id[lo])
+        if b < beats.size:
+            bags.append(Bag(instances=members, label=1, anchor_time=int(beats[b])))
+        else:
+            bags.append(Bag(instances=members, label=0))
     return bags
 
 
@@ -265,13 +300,16 @@ def preprocess_recording(
     min_separation: int = DEFAULT_MIN_SEPARATION,
     half_len: int = DEFAULT_HALF_LEN,
     zscore: bool = False,
-) -> list[list[Instance]]:
-    """Filter every channel, locate candidate peaks, and cut instances."""
-    per_channel: list[list[Instance]] = []
+) -> list[ChannelInstances]:
+    """Filter every channel, locate candidate peaks, and cut instances.
+
+    A flat channel gets no candidates (see `flat_channel`)."""
+    blocks: list[ChannelInstances] = []
     for ch_id, raw in enumerate(rec.channels):
         filt = bandpass_filter(raw, rec.sample_rate_hz, low, high, order)
-        peaks = find_peaks(filt, min_separation)
-        per_channel.append(
-            extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore)
-        )
-    return per_channel
+        if flat_channel(raw, ch_id):
+            peaks = np.empty(0, dtype=int)
+        else:
+            peaks = find_peaks(filt, min_separation)
+        blocks.append(extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore))
+    return blocks

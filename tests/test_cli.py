@@ -1,5 +1,10 @@
 """End-to-end command-line tests: synth -> train -> detect -> eval."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -241,6 +246,31 @@ class TestDetect:
         assert code == 2
         assert "channel ch1 has non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "d.hr.csv").exists()
+
+    def test_flat_channel_is_reported_on_stderr(self, workdir, tmp_path, capsys):
+        rec = bio.read_recording(workdir / "rec.csv")
+        rec.channels[2] = np.full(rec.n_samples, 0.25)
+        flat = tmp_path / "flat.csv"
+        bio.write_recording(flat, rec)
+        argv = ["detect", str(flat), "--dict", str(workdir / "model.csv"), "--out", str(tmp_path / "d")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        in_process_out = capsys.readouterr().out
+        # a fresh interpreter, so the warning reaches stderr through logging
+        # with no handler set up by the test runner
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcgbeat.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "ch2 is flat" in proc.stderr
+        assert proc.stdout == in_process_out
+        assert "is flat" not in proc.stdout
+        beat_indices, _, _ = bio.read_beats(tmp_path / "d.beats.csv")
+        assert len(beat_indices) > 80
 
     @pytest.mark.parametrize("probe", ["shifted", "swapped"])
     def test_non_uniform_time_axis_exits_2(self, workdir, tmp_path, capsys, probe):

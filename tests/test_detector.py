@@ -7,14 +7,15 @@ import pytest
 
 from bcgbeat import kernels
 from bcgbeat.detector import (
+    DEFAULT_CODE_ITERS,
     BackgroundModel,
     ConfidenceSeries,
     DetectionParams,
     background_covariance,
+    _confidence_batch,
     confidence_series,
     hr_from_beats,
     hr_from_confidence_dft,
-    hsd_confidence,
     learn_detection_params_pooled,
     vote_beats,
 )
@@ -77,7 +78,8 @@ class TestHsdConfidence:
         d1, d2, _ = orthonormal_triplet(np.random.default_rng(2))
         D = Dictionary(d1.reshape(-1, 1), d2.reshape(-1, 1))
         model = BackgroundModel(covariance=np.eye(12), ridge=0.0)
-        assert hsd_confidence(d2.copy(), D, model, lam=0.0) == 1.0
+        conf = _confidence_batch(d2[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
+        assert conf.tolist() == [1.0]
 
     def test_residual_ratio_is_exact_for_orthonormal_atoms(self):
         # x = sqrt(3)*target + 1*off-dictionary direction:
@@ -86,7 +88,8 @@ class TestHsdConfidence:
         D = Dictionary(d1.reshape(-1, 1), d2.reshape(-1, 1))
         model = BackgroundModel(covariance=np.eye(12), ridge=0.0)
         x = np.sqrt(3.0) * d1 + d3
-        assert abs(hsd_confidence(x, D, model, lam=0.0) - 4.0) <= 1e-9
+        conf = _confidence_batch(x[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
+        assert abs(conf[0] - 4.0) <= 1e-9
 
     def test_dimension_mismatch_is_rejected(self):
         rng = np.random.default_rng(4)
@@ -94,10 +97,10 @@ class TestHsdConfidence:
         D = Dictionary(d1.reshape(-1, 1), d2.reshape(-1, 1))
         model = BackgroundModel(covariance=np.eye(12), ridge=0.0)
         with pytest.raises(ValueError, match="does not match"):
-            hsd_confidence(np.zeros(7), D, model, lam=0.0)
+            _confidence_batch(np.zeros(7)[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
         bad_model = BackgroundModel(covariance=np.eye(5), ridge=0.0)
         with pytest.raises(ValueError, match="does not match"):
-            hsd_confidence(np.zeros(12), D, bad_model, lam=0.0)
+            _confidence_batch(np.zeros(12)[:, None], D, bad_model, 0.0, DEFAULT_CODE_ITERS)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,17 @@ class TestConfidenceSeries:
         assert series.n_channels == 2
         for idx, conf in zip(series.peak_indices, series.confidences):
             assert idx.size == 0 and conf.size == 0
+
+    def test_flat_channel_gives_no_candidates_and_is_logged(self, trained_small, caplog):
+        _, res, result, model = trained_small
+        channels = list(res.recording.channels)
+        channels[1] = np.full(res.recording.n_samples, -3.5)
+        rec = Recording(channels=channels, sample_rate_hz=FS)
+        with caplog.at_level("WARNING", logger="bcgbeat.signals"):
+            series = confidence_series(rec, result.dictionary, model, lam=5e-3)
+        assert series.peak_indices[1].size == 0 and series.confidences[1].size == 0
+        assert all(series.peak_indices[ch].size > 0 for ch in (0, 2, 3))
+        assert [r.getMessage().split(" (")[0] for r in caplog.records] == ["ch1 is flat"]
 
     def test_planted_beat_is_the_only_confident_candidate(self, trained_small):
         cfg, res, result, model = trained_small
@@ -159,7 +173,7 @@ class TestConfidenceSeries:
         monkeypatch.setattr(kernels, "ista_positive", worse)
         x = result.dictionary.target_atoms[:, 0]
         with pytest.raises(RuntimeError, match="worsened its warm start"):
-            hsd_confidence(x, result.dictionary, model, lam=5e-3)
+            _confidence_batch(x[:, None], result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
 
     def test_all_confidences_are_positive(self, trained_small):
         _, res, result, model = trained_small

@@ -5,6 +5,7 @@ import pytest
 
 from bcgbeat.signals import (
     Bag,
+    Instance,
     Recording,
     bandpass_filter,
     build_bags,
@@ -120,30 +121,35 @@ class TestExtractInstances:
         x = np.random.default_rng(5).standard_normal(91)
         out = extract_instances(x, np.array([45]), half_len=45)
         assert len(out) == 1
-        np.testing.assert_array_equal(out[0].features, x)
-        assert out[0].peak_index == 45
+        np.testing.assert_array_equal(out.features[0], x)
+        assert out.peak_indices.tolist() == [45]
 
     def test_boundary_peak_is_skipped(self):
         x = np.zeros(91)
-        assert extract_instances(x, np.array([10]), half_len=45) == []
-        assert extract_instances(x, np.array([80]), half_len=45) == []
+        for p in (10, 80):
+            out = extract_instances(x, np.array([p]), half_len=45)
+            assert len(out) == 0
+            assert out.features.shape == (0, 91)
 
     def test_interior_peaks_all_extracted(self):
         x = np.random.default_rng(6).standard_normal(1000)
         peaks = np.array([100, 220, 400, 610, 900])
         out = extract_instances(x, peaks, half_len=45, channel_id=2)
         assert len(out) == 5
-        for inst, p in zip(out, peaks):
-            assert inst.features.size == 91
-            assert inst.channel_id == 2
-            np.testing.assert_array_equal(inst.features, x[p - 45 : p + 46])
+        assert out.features.shape == (5, 91)
+        assert out.features.flags.c_contiguous
+        assert out.channel_id == 2
+        assert out.peak_indices.tolist() == peaks.tolist()
+        for w, p in zip(out.features, peaks):
+            np.testing.assert_array_equal(w, x[p - 45 : p + 46])
 
     def test_zscore_standardizes_each_window(self):
         x = np.random.default_rng(7).standard_normal(500) * 3.0 + 10.0
         out = extract_instances(x, np.array([100, 300]), half_len=45, zscore=True)
-        for inst in out:
-            assert abs(inst.features.mean()) < 1e-12
-            assert abs(inst.features.std() - 1.0) < 1e-12
+        assert len(out) == 2
+        for w in out.features:
+            assert abs(w.mean()) < 1e-12
+            assert abs(w.std() - 1.0) < 1e-12
 
 
 def _synthetic_instances(rng, n_channels, n_samples, n_per_channel):
@@ -253,11 +259,24 @@ class TestRecording:
 
 class TestBagValidation:
     def test_rejects_empty_bag_and_bad_label(self):
-        inst = extract_instances(np.zeros(91), np.array([45]), half_len=45)[0]
+        inst = Instance(features=np.zeros(91), channel_id=0, peak_index=45)
         with pytest.raises(ValueError):
             Bag(instances=(), label=0)
         with pytest.raises(ValueError):
             Bag(instances=(inst,), label=2)
+
+
+def test_flat_channel_gives_no_candidates_and_is_logged(caplog):
+    rng = np.random.default_rng(13)
+    noise = [rng.standard_normal(3000) for _ in range(3)]
+    rec = Recording(channels=[*noise[:2], np.full(3000, 0.25), noise[2]], sample_rate_hz=FS)
+    with caplog.at_level("WARNING", logger="bcgbeat.signals"):
+        blocks = preprocess_recording(rec)
+    assert len(blocks[2]) == 0
+    assert blocks[2].features.shape == (0, 91)
+    assert [len(b) > 0 for b in blocks] == [True, True, False, True]
+    flat = [r.getMessage() for r in caplog.records if "is flat" in r.getMessage()]
+    assert len(flat) == 1 and flat[0].startswith("ch2 is flat")
 
 
 def test_preprocess_recording_shapes():
@@ -265,10 +284,9 @@ def test_preprocess_recording_shapes():
     rec = Recording(
         channels=[rng.standard_normal(3000) for _ in range(4)], sample_rate_hz=FS
     )
-    per_channel = preprocess_recording(rec)
-    assert len(per_channel) == 4
-    for ch_id, instances in enumerate(per_channel):
-        assert instances, "filtered noise should still produce candidate peaks"
-        for inst in instances:
-            assert inst.features.size == 91
-            assert inst.channel_id == ch_id
+    blocks = preprocess_recording(rec)
+    assert len(blocks) == 4
+    for ch_id, block in enumerate(blocks):
+        assert len(block) > 0, "filtered noise should still produce candidate peaks"
+        assert block.features.shape == (len(block), 91)
+        assert block.channel_id == ch_id

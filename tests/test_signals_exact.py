@@ -1,0 +1,166 @@
+"""The array peak picking, window cutting and bag building against their
+loop references (tests/signals_reference.py): identical peaks, byte-identical
+windows and peak indices, identical bags; plus properties of the results."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import signals_reference as ref
+from bcgbeat.signals import (
+    ChannelInstances,
+    Instance,
+    build_bags,
+    extract_instances,
+    find_peaks,
+)
+
+exact = settings(max_examples=300, deadline=None, derandomize=True)
+
+# Few distinct values give plateaus, repeated peak heights and constant
+# windows; arbitrary floats give everything else.
+sample = st.one_of(
+    st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0)),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+signal = st.lists(sample, min_size=0, max_size=80).map(lambda v: np.asarray(v, dtype=float))
+short_signal = st.lists(sample, min_size=0, max_size=5).map(lambda v: np.asarray(v, dtype=float))
+
+
+@st.composite
+def long_signal(draw):
+    """Up to 300 samples, so that windows are long enough for NumPy's
+    pairwise summation to differ from a left-to-right sum; optionally
+    stepped so that some windows are constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(draw(st.integers(0, 300))) * draw(st.sampled_from((1e-3, 1.0, 1e4)))
+    if draw(st.booleans()):
+        x = np.repeat(x[::60], 60)[: x.size]
+    return x
+
+
+@exact
+@given(st.one_of(signal, short_signal), st.integers(1, 40))
+def test_find_peaks_matches_loop(x, min_separation):
+    got = find_peaks(x, min_separation)
+    want = ref.find_peaks(x, min_separation)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@exact
+@given(signal, st.integers(1, 40))
+def test_find_peaks_spacing_and_maximality(x, min_separation):
+    kept = find_peaks(x, min_separation)
+    assert np.all(np.diff(kept) >= min_separation)
+    for k in kept:
+        assert x[k] > x[k - 1] and x[k] > x[k + 1]
+    # A strict local maximum is dropped only for a kept peak closer than
+    # min_separation that is larger, or equal and earlier.
+    kept_set = set(kept.tolist())
+    for c in range(1, x.size - 1):
+        if c in kept_set or not (x[c] > x[c - 1] and x[c] > x[c + 1]):
+            continue
+        assert any(
+            abs(k - c) < min_separation and (x[k] > x[c] or (x[k] == x[c] and k < c))
+            for k in kept_set
+        )
+
+
+@exact
+@given(
+    st.one_of(signal, short_signal, long_signal()),
+    st.one_of(st.integers(0, 6), st.integers(7, 50)),
+    st.lists(st.integers(-60, 360), max_size=20),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_extract_instances_matches_loop(x, half_len, peaks, zscore, channel_id):
+    # peaks unsorted, repeated and at or beyond both edges
+    peaks = np.asarray(peaks, dtype=int)
+    block = extract_instances(x, peaks, half_len, channel_id=channel_id, zscore=zscore)
+    want = ref.extract_instances(x, peaks, half_len, channel_id=channel_id, zscore=zscore)
+    width = 2 * half_len + 1
+    assert len(block) == len(want)
+    assert block.channel_id == channel_id
+    assert block.features.shape == (len(want), width)
+    assert block.features.dtype == np.float64 and block.features.flags.c_contiguous
+    want_rows = np.asarray([i.features for i in want], dtype=float).reshape(-1, width)
+    assert block.features.tobytes() == want_rows.tobytes()
+    assert block.peak_indices.dtype == np.asarray(peaks, dtype=int).dtype
+    assert block.peak_indices.tolist() == [i.peak_index for i in want]
+
+
+@st.composite
+def blocks(draw, unique_peaks=False):
+    """Up to four channels of peaks in [0, 300]; feature rows name their
+    (channel, row) so misplaced instances show.  Without unique_peaks the
+    peaks are unsorted and may repeat."""
+    out = []
+    for ch in range(draw(st.integers(0, 4))):
+        if unique_peaks:
+            peaks = sorted(draw(st.sets(st.integers(0, 300), max_size=25)))
+        else:
+            peaks = draw(st.lists(st.integers(0, 300), max_size=25))
+        n = len(peaks)
+        features = np.column_stack([np.full(n, float(ch)), np.arange(n, dtype=float)])
+        out.append(
+            ChannelInstances(
+                features=features.reshape(n, 2),
+                peak_indices=np.asarray(peaks, dtype=int),
+                channel_id=ch,
+            )
+        )
+    return out
+
+
+beat_times = st.sets(st.integers(0, 300), max_size=8).map(
+    lambda s: np.asarray(sorted(s), dtype=int)
+)
+
+
+def as_instances(block):
+    return [
+        Instance(features=w, channel_id=block.channel_id, peak_index=int(p))
+        for w, p in zip(block.features, block.peak_indices)
+    ]
+
+
+def summary(bags):
+    return [
+        (
+            b.label,
+            b.anchor_time,
+            [(i.channel_id, i.peak_index, i.features.tobytes()) for i in b.instances],
+        )
+        for b in bags
+    ]
+
+
+@exact
+@given(blocks(), beat_times, st.integers(0, 5))
+def test_build_bags_matches_loop(chans, beats, per_positive):
+    got = build_bags(chans, beats, per_positive)
+    want = ref.build_bags([as_instances(b) for b in chans], beats, per_positive)
+    assert summary(got) == summary(want)
+    for b in got:
+        for inst in b.instances:
+            assert type(inst.peak_index) is int
+
+
+@exact
+@given(blocks(unique_peaks=True), beat_times, st.integers(1, 5))
+def test_build_bags_is_a_partition(chans, beats, per_positive):
+    bags = build_bags(chans, beats, per_positive)
+    placed = [(i.channel_id, i.peak_index) for b in bags for i in b.instances]
+    every = [(c.channel_id, p) for c in chans for p in c.peak_indices.tolist()]
+    assert sorted(placed) == sorted(every)
+    assert len(set(placed)) == len(placed)
+    for b in bags:
+        if b.label == 1:
+            per_channel = [i.channel_id for i in b.instances]
+            assert max(per_channel.count(c) for c in set(per_channel)) <= per_positive
+            assert b.anchor_time in beats.tolist()
+        else:
+            gaps = {int(np.searchsorted(beats, i.peak_index)) for i in b.instances}
+            assert len(gaps) == 1
