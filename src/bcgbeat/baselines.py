@@ -5,8 +5,9 @@ windowed-peak picker (sliding local maxima smoothed by a low-pass) and a
 short-term-energy peak picker.  Both are amplitude-scale invariant and
 emit HrSeries on the same sliding-window grid as the main pipeline.
 
-scipy is imported inside the functions that use it, so importing the
-package (and running `eval`) does not pay for scipy.signal/ndimage.
+This is the only module that uses scipy (the `baselines` extra).  It is
+imported inside the functions that call it, so importing the package and
+every CLI command run without scipy.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Command-line pipeline: synth | train | detect | eval.
 
 Exit codes: 0 success, 2 config or IO problem, 3 groundtruth missing where
-required, 4 model/data dimension mismatch, 5 evaluation impossible.
+required, 4 model/data mismatch (dimensions, or codes that fail the
+warm-start check), 5 evaluation impossible.
 Runs are deterministic given the config file and --seed.
 """
 
@@ -18,6 +19,7 @@ from .detector import (
     DEFAULT_CODE_ITERS,
     DetectionParams,
     background_covariance,
+    code_blocks,
     confidence_series,
     hr_from_beats,
     hr_from_confidence_dft,
@@ -273,8 +275,8 @@ def cmd_train(args) -> int:
         rec = _read_recording(path)
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
-        recs.append(rec)
         blocks = preprocess_recording(rec, **pk)
+        recs.append((rec, blocks))
         all_bags.extend(build_bags(blocks, rec.gt_beat_times, per_pos))
 
     try:
@@ -289,15 +291,12 @@ def cmd_train(args) -> int:
     ]
     model = background_covariance(neg_instances)
 
-    series_list, gt_list = [], []
-    for rec in recs:
-        series_list.append(
-            confidence_series(
-                rec, result.dictionary, model, lam=params.lam, n_iter=code_iters, **pk
-            )
-        )
-        gt_list.append(rec.gt_beat_times)
-    dparams = learn_detection_params_pooled(series_list, gt_list)
+    # The voting-parameter grid scores the blocks the bags were built from.
+    series_list = [
+        code_blocks(rec, blocks, result.dictionary, model, lam=params.lam, n_iter=code_iters)
+        for rec, blocks in recs
+    ]
+    dparams = learn_detection_params_pooled(series_list, [rec.gt_beat_times for rec, _ in recs])
 
     bio.write_dictionary(args.out, result.dictionary)
     bio.write_covariance(_sibling(args.out, ".cov.csv"), model)
@@ -382,6 +381,11 @@ def cmd_detect(args) -> int:
         if "does not match" in str(exc):
             raise CliError(EXIT_MODEL_MISMATCH, str(exc)) from exc
         raise CliError(EXIT_CONFIG, str(exc)) from exc
+    except RuntimeError as exc:
+        # the model's codes for this recording fail the warm-start check
+        raise CliError(
+            EXIT_MODEL_MISMATCH, f"{exc}; the model does not fit {args.recording}"
+        ) from exc
 
     beats = vote_beats(series, dparams)
     if args.dft:

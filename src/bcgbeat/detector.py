@@ -24,11 +24,9 @@ from .signals import (
     DEFAULT_FILTER_ORDER,
     DEFAULT_HALF_LEN,
     DEFAULT_MIN_SEPARATION,
+    ChannelInstances,
     Recording,
-    bandpass_filter,
-    extract_instances,
-    find_peaks,
-    flat_channel,
+    preprocess_recording,
 )
 
 log = logging.getLogger(__name__)
@@ -41,7 +39,7 @@ DEFAULT_NEIGHBORHOOD_GRID = (15, 20, 25, 30, 35)
 
 @dataclass
 class BackgroundModel:
-    """Training background covariance with a cached solve handle."""
+    """Training background covariance Sigma = L L^T, with L^-1 kept."""
 
     covariance: np.ndarray
     ridge: float
@@ -50,24 +48,20 @@ class BackgroundModel:
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.ndim != 2 or self.covariance.shape[0] != self.covariance.shape[1]:
             raise ValueError("covariance must be square")
-        # scipy.linalg is imported here so `import bcgbeat` stays numpy-only
-        from scipy.linalg import cho_factor
-
-        self._cho = cho_factor(self.covariance)
+        # cholesky raises LinAlgError unless Sigma is positive definite
+        self._whiten = np.linalg.inv(np.linalg.cholesky(self.covariance))
 
     @property
     def d(self) -> int:
         return self.covariance.shape[0]
 
     def mahalanobis_sq(self, residuals: np.ndarray) -> np.ndarray:
-        """r^T Sigma^-1 r for each column of residuals."""
+        """r^T Sigma^-1 r = ||L^-1 r||^2 for each column of residuals."""
         R = np.atleast_2d(np.asarray(residuals, dtype=float))
         if R.shape[0] != self.d:
             R = R.T
-        from scipy.linalg import cho_solve  # see __post_init__
-
-        sol = cho_solve(self._cho, R)
-        return np.einsum("ij,ij->j", R, sol)
+        W = self._whiten @ R
+        return np.einsum("ij,ij->j", W, W)
 
 
 @dataclass(frozen=True)
@@ -204,29 +198,32 @@ def confidence_series(
     half_len: int = DEFAULT_HALF_LEN,
     zscore: bool = False,
 ) -> ConfidenceSeries:
-    """Per-channel candidate peaks with their confidence ratios
-    (`_confidence_batch`).  A flat channel gets no candidates (see
-    `signals.flat_channel`)."""
-    idx_per_ch: list[np.ndarray] = []
-    conf_per_ch: list[np.ndarray] = []
-    for ch_id, raw in enumerate(rec.channels):
-        filt = bandpass_filter(raw, rec.sample_rate_hz, low, high, order)
-        if flat_channel(raw, ch_id):
-            peaks = np.empty(0, dtype=int)
-        else:
-            peaks = find_peaks(filt, min_separation)
-        block = extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore)
-        idx_per_ch.append(block.peak_indices)
-        if len(block) == 0:
-            conf_per_ch.append(np.empty(0))
-            continue
-        X = np.ascontiguousarray(block.features.T)
-        conf_per_ch.append(_confidence_batch(X, D, model, lam, n_iter))
+    """Per-channel candidate peaks with their confidence ratios: the
+    blocks of `signals.preprocess_recording`, coded by `code_blocks`."""
+    blocks = preprocess_recording(rec, low, high, order, min_separation, half_len, zscore)
+    return code_blocks(rec, blocks, D, model, lam, n_iter)
+
+
+def code_blocks(
+    rec: Recording,
+    blocks: list[ChannelInstances],
+    D: Dictionary,
+    model: BackgroundModel,
+    lam: float,
+    n_iter: int = DEFAULT_CODE_ITERS,
+) -> ConfidenceSeries:
+    """Confidence ratios (`_confidence_batch`) of the candidate blocks
+    that `signals.preprocess_recording` cut from `rec`, one per channel."""
+    confidences = [
+        _confidence_batch(np.ascontiguousarray(b.features.T), D, model, lam, n_iter)
+        if len(b) else np.empty(0)
+        for b in blocks
+    ]
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,
-        peak_indices=idx_per_ch,
-        confidences=conf_per_ch,
+        peak_indices=[b.peak_indices for b in blocks],
+        confidences=confidences,
     )
 
 

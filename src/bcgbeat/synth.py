@@ -4,9 +4,6 @@ Plants a fixed heartbeat template along a configurable heart-rate profile,
 with per-channel gain and delay (the cross-channel misalignment the
 multiple-instance formulation exists for), per-beat timing jitter,
 respiration drift, and white noise at a requested SNR.
-
-scipy is imported inside the functions that use it, so importing the
-package does not pay for scipy.optimize/integrate.
 """
 
 from __future__ import annotations
@@ -78,10 +75,9 @@ class SynthResult:
 
     def windowed_mean_hr(self, start_s: float, window_s: float, n_grid: int = 2001) -> float:
         """Mean of the analytic profile over a window (trapezoid rule)."""
-        from scipy.integrate import trapezoid
-
         t = np.linspace(start_s, start_s + window_s, n_grid)
-        return float(trapezoid(self.hr_at(t), t) / window_s)
+        hr = self.hr_at(t)
+        return float(np.sum(np.diff(t) * (hr[1:] + hr[:-1])) / 2.0 / window_s)
 
 
 def make_template(
@@ -98,29 +94,41 @@ def make_template(
 
 
 def _beat_phase_times(cfg: SynthConfig) -> np.ndarray:
-    """Beat instants where the integrated rate crosses whole beats."""
-    from scipy.optimize import brentq
+    """Beat instants where the integrated rate crosses whole beats.
 
+    The phase is strictly increasing (the rate stays positive), so all
+    crossings are found at once by Newton steps, each kept inside a
+    bracket around its root that shrinks as it goes (a step that would
+    leave the bracket bisects it instead).
+    """
     mean_bps = cfg.hr_bpm / 60.0
     amp_bps = cfg.hrv_amp_bpm / 60.0
-
-    def phase(t):
-        if cfg.hrv_amp_bpm == 0.0:
-            return mean_bps * t
-        return mean_bps * t + amp_bps * cfg.hrv_period_s / (2.0 * np.pi) * (
-            1.0 - np.cos(2.0 * np.pi * t / cfg.hrv_period_s)
-        )
-
-    total = phase(cfg.duration_s)
     # first beat sits at phase zero, so a beat may land exactly on the
     # final sample boundary and be dropped by the index-range filter
-    times = [0.0]
-    lo = 0.0
-    for k in range(1, int(np.floor(total)) + 1):
-        t_k = brentq(lambda t: phase(t) - k, lo, cfg.duration_s, xtol=1e-10)
-        times.append(t_k)
-        lo = t_k
-    return np.asarray(times)
+    if cfg.hrv_amp_bpm == 0.0:
+        return np.arange(int(np.floor(mean_bps * cfg.duration_s)) + 1) / mean_bps
+    half_swing = amp_bps * cfg.hrv_period_s / (2.0 * np.pi)
+
+    def phase(t):
+        return mean_bps * t + half_swing * (1.0 - np.cos(2.0 * np.pi * t / cfg.hrv_period_s))
+
+    k = np.arange(1, int(np.floor(phase(cfg.duration_s))) + 1, dtype=float)
+    # phase(t) - mean_bps * t lies between 0 and 2 * half_swing
+    lo = np.clip((k - max(2.0 * half_swing, 0.0)) / mean_bps, 0.0, cfg.duration_s)
+    hi = np.clip((k - min(2.0 * half_swing, 0.0)) / mean_bps, 0.0, cfg.duration_s)
+    t = (lo + hi) / 2.0
+    for _ in range(100):
+        f = phase(t) - k
+        lo = np.where(f < 0, t, lo)
+        hi = np.where(f > 0, t, hi)
+        rate = mean_bps + amp_bps * np.sin(2.0 * np.pi * t / cfg.hrv_period_s)
+        t_new = t - f / rate
+        t_new = np.where((t_new < lo) | (t_new > hi), (lo + hi) / 2.0, t_new)
+        converged = np.all(np.abs(t_new - t) <= 1e-12 * cfg.duration_s)
+        t = t_new
+        if converged:
+            break
+    return np.concatenate([[0.0], t])
 
 
 def generate(config: SynthConfig) -> SynthResult:

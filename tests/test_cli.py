@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bcgbeat import io as bio
+from bcgbeat import kernels
 from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
 from bcgbeat.metrics import HrSeries
@@ -157,6 +158,19 @@ class TestTrain:
             a, b = (tmp_path / name.format(m) for m in modes)
             assert a.read_bytes() == b.read_bytes()
 
+    def test_flat_channel_is_reported_once(self, workdir, tmp_path, caplog):
+        # train codes the blocks it cut for the bags, so each recording is
+        # filtered and cut once
+        rec = bio.read_recording(workdir / "rec.csv")
+        rec.channels[2] = np.full(rec.n_samples, 0.25)
+        flat = tmp_path / "flat.csv"
+        bio.write_recording(flat, rec)
+        argv = ["train", str(flat), "--max_em_iters", "2", "--out", str(tmp_path / "d.csv")]
+        with caplog.at_level("WARNING", logger="bcgbeat.signals"):
+            assert main(argv) == 0
+        flat_warnings = [r.getMessage() for r in caplog.records if "is flat" in r.getMessage()]
+        assert len(flat_warnings) == 1 and flat_warnings[0].startswith("ch2 is flat")
+
     def test_recording_without_groundtruth_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)
         rec = Recording(channels=[rng.standard_normal(9000)], sample_rate_hz=100.0)
@@ -216,6 +230,19 @@ class TestDetect:
             ]
         )
         assert code == 4
+
+    def test_codes_worse_than_their_warm_start_exit_4(self, workdir, tmp_path, capsys, monkeypatch):
+        real = kernels.ista_positive
+
+        def worse(*args, **kwargs):
+            return real(*args, **kwargs) + 1.0
+
+        monkeypatch.setattr(kernels, "ista_positive", worse)
+        argv = ["detect", str(workdir / "rec.csv"), "--dict", str(workdir / "model.csv"),
+                "--out", str(tmp_path / "d")]
+        assert main(argv) == 4
+        assert "error: full-dictionary coding worsened its warm start" in capsys.readouterr().err
+        assert not (tmp_path / "d.beats.csv").exists()
 
     def test_missing_params_file_falls_back_to_defaults(self, workdir, tmp_path):
         out = tmp_path / "nodefaults"

@@ -68,6 +68,32 @@ class TestBackgroundCovariance:
             BackgroundModel(covariance=np.zeros((3, 3)), ridge=0.0)
 
 
+def solve_oracle(covariance, R):
+    """r^T Sigma^-1 r per column, by a general solve."""
+    return np.einsum("ij,ij->j", R, np.linalg.solve(covariance, R))
+
+
+class TestMahalanobis:
+    def test_matches_a_solve_on_a_well_conditioned_covariance(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((91, 300))
+        model = BackgroundModel(covariance=A @ A.T / 300 + 0.05 * np.eye(91), ridge=0.05)
+        R = rng.standard_normal((91, 500))
+        want = solve_oracle(model.covariance, R)
+        np.testing.assert_allclose(model.mahalanobis_sq(R), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.mahalanobis_sq(R[:, :7].T), want[:7], rtol=1e-12, atol=0)
+
+    def test_matches_a_solve_on_a_trained_covariance(self, trained_small):
+        # The ridge floor leaves this covariance ill-conditioned, so any two
+        # methods (the solve oracle included) agree only to cond * eps.
+        _, _, _, model = trained_small
+        R = np.random.default_rng(7).standard_normal((model.d, 500))
+        rtol = np.linalg.cond(model.covariance) * np.finfo(float).eps
+        np.testing.assert_allclose(
+            model.mahalanobis_sq(R), solve_oracle(model.covariance, R), rtol=rtol, atol=0
+        )
+
+
 def orthonormal_triplet(rng, d=12):
     Q, _ = np.linalg.qr(rng.standard_normal((d, 3)))
     return Q[:, 0], Q[:, 1], Q[:, 2]

@@ -1,7 +1,7 @@
-"""Import footprint: each command loads only the scipy it runs.
+"""Import footprint: no command loads scipy.
 
 Every check runs in a fresh interpreter, since this test process has
-long since imported scipy itself.
+long since imported scipy itself (the oracle tests use it).
 """
 
 import json
@@ -13,10 +13,32 @@ from pathlib import Path
 import pytest
 
 from bcgbeat import io as bio
+from bcgbeat.cli import main
 from bcgbeat.detector import hr_from_beats
 from bcgbeat.synth import SynthConfig, generate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Makes every `import scipy...` in the interpreter it is run in fail.
+BLOCK_SCIPY = """
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter with this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout
 
 
 def scipy_modules_after(code: str) -> set[str]:
@@ -26,20 +48,26 @@ def scipy_modules_after(code: str) -> set[str]:
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m == 'scipy' or m.startswith('scipy.'))))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
-    ).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    return set(json.loads(run_fresh(code).splitlines()[-1]))
+
+
+def cli_code(*argvs) -> str:
+    """Code that runs each argv through bcgbeat.cli.main, requiring exit 0."""
+    lines = ["from bcgbeat.cli import main"]
+    lines += [f"assert main({list(map(str, argv))!r}) == 0, {argv[0]!r}" for argv in argvs]
+    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
-def eval_inputs(tmp_path_factory):
-    """A synthesized recording and an HR/beats estimate to score against it."""
+def inputs(tmp_path_factory):
+    """Two synthesized training recordings, a model, and an HR/beats
+    estimate to score."""
     root = tmp_path_factory.mktemp("imports")
-    res = generate(SynthConfig(duration_s=90.0, seed=3))
-    rec = res.recording
-    bio.write_recording(root / "rec.csv", rec)
+    for name, seed in (("rec", 3), ("rec2", 4)):
+        bio.write_recording(root / f"{name}.csv", generate(SynthConfig(duration_s=90.0, seed=seed)).recording)
+    assert main(["train", str(root / "rec.csv"), "--max_em_iters", "2",
+                 "--out", str(root / "model.csv")]) == 0
+    rec = bio.read_recording(root / "rec.csv")
     gt = rec.gt_beat_times
     hr = hr_from_beats(gt, rec.sample_rate_hz, duration_s=rec.duration_s)
     bio.write_hr(root / "est.hr.csv", hr)
@@ -51,20 +79,54 @@ def test_importing_the_package_loads_no_scipy():
     assert scipy_modules_after("import bcgbeat, bcgbeat.cli") == set()
 
 
-def test_eval_loads_no_scipy(eval_inputs):
-    d = eval_inputs
-    argv = ["eval", str(d / "rec.csv"), "--est-hr", str(d / "est.hr.csv"),
-            "--est-beats", str(d / "est.beats.csv"), "--out", str(d / "report")]
-    code = f"from bcgbeat.cli import main\nassert main({argv!r}) == 0"
-    assert scipy_modules_after(code) == set()
+def test_eval_loads_no_scipy(inputs):
+    d = inputs
+    argv = ["eval", d / "rec.csv", "--est-hr", d / "est.hr.csv",
+            "--est-beats", d / "est.beats.csv", "--out", d / "report"]
+    assert scipy_modules_after(cli_code(argv)) == set()
     assert "mae_bpm" in bio.read_keyvalue(d / "report")
 
 
-def test_synth_loads_no_scipy_signal(tmp_path):
+def test_synth_loads_no_scipy(tmp_path):
     cfg = tmp_path / "synth.conf"
-    cfg.write_text("duration_s=10\n")
-    argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "rec.csv")]
-    code = f"from bcgbeat.cli import main\nassert main({argv!r}) == 0"
-    loaded = scipy_modules_after(code)
-    assert "scipy.signal" not in loaded
-    assert "scipy.optimize" in loaded  # brentq places the beats
+    cfg.write_text("duration_s=10\nhrv_amp_bpm=5\n")
+    argv = ["synth", "--config", cfg, "--out", tmp_path / "rec.csv"]
+    assert scipy_modules_after(cli_code(argv)) == set()
+
+
+@pytest.mark.parametrize("mode", ["individual", "batch"])
+def test_train_loads_no_scipy(inputs, tmp_path, mode):
+    recs = [inputs / "rec.csv"] + ([inputs / "rec2.csv"] if mode == "batch" else [])
+    argv = ["train", *recs, "--mode", mode, "--max_em_iters", "2", "--out", tmp_path / "m.csv"]
+    assert scipy_modules_after(cli_code(argv)) == set()
+    assert (tmp_path / "m.params").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--dft"]], ids=["beats", "dft"])
+def test_detect_loads_no_scipy(inputs, tmp_path, flags):
+    argv = ["detect", inputs / "rec.csv", "--dict", inputs / "model.csv", *flags,
+            "--out", tmp_path / "d"]
+    assert scipy_modules_after(cli_code(argv)) == set()
+    assert (tmp_path / "d.hr.csv").exists()
+
+
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    with pytest.raises(subprocess.CalledProcessError, match="exit status 1"):
+        run_fresh(BLOCK_SCIPY + "import scipy")
+    d = tmp_path
+    cfg = d / "synth.conf"
+    cfg.write_text("duration_s=70\nhr_bpm=70\nhrv_amp_bpm=4\n")
+    chain = cli_code(
+        ["synth", "--config", cfg, "--seed", "1", "--out", d / "a.csv"],
+        ["synth", "--config", cfg, "--seed", "2", "--out", d / "b.csv"],
+        ["train", d / "a.csv", "--max_em_iters", "2", "--out", d / "m.csv"],
+        ["train", d / "a.csv", d / "b.csv", "--mode", "batch", "--max_em_iters", "2",
+         "--out", d / "mb.csv"],
+        ["detect", d / "b.csv", "--dict", d / "m.csv", "--out", d / "det"],
+        ["detect", d / "b.csv", "--dict", d / "m.csv", "--dft", "--out", d / "dft"],
+        ["eval", d / "b.csv", "--est-hr", d / "det.hr.csv", "--est-beats", d / "det.beats.csv",
+         "--out", d / "report"],
+        ["eval", d / "b.csv", "--est-hr", d / "dft.hr.csv", "--out", d / "dft.report"],
+    )
+    run_fresh(BLOCK_SCIPY + chain)
+    assert "mae_bpm" in bio.read_keyvalue(d / "report")

@@ -7,8 +7,10 @@ from bcgbeat.signals import (
     Bag,
     Instance,
     Recording,
+    _compensated_band_edges,
     bandpass_filter,
     build_bags,
+    butter_bandpass_sos,
     extract_instances,
     find_peaks,
     preprocess_recording,
@@ -72,6 +74,98 @@ class TestBandpassFilter:
     def test_rejects_too_short_signal(self):
         with pytest.raises(ValueError):
             bandpass_filter(np.zeros(10), FS)
+
+
+def scipy_bandpass(x, fs, low=0.4, high=10.0, order=6):
+    """The scipy filter bandpass_filter replaces: butter + sosfiltfilt."""
+    signal = pytest.importorskip("scipy.signal")
+    lo, hi = _compensated_band_edges(low, high, order // 2)
+    sos = signal.butter(order // 2, [lo, hi], btype="bandpass", fs=fs, output="sos")
+    return signal.sosfiltfilt(sos, x, axis=-1)
+
+
+def probe_signal(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "noise":
+        return 3.0 + rng.standard_normal(n)
+    if kind == "step":
+        return np.where(np.arange(n) < n // 3, -1.5, 2.0)
+    return np.full(n, 2.5)
+
+
+class TestBandpassMatchesScipy:
+    """scipy.signal as a test-only oracle for the NumPy filter."""
+
+    @pytest.mark.parametrize("kind", ["noise", "step", "constant"])
+    @pytest.mark.parametrize(
+        "n, order, band",
+        [
+            (19, 2, (0.4, 10.0)),
+            (19, 4, (1.0, 5.0)),
+            (22, 6, (0.4, 10.0)),
+            (127, 6, (0.4, 10.0)),
+            (128, 6, (0.4, 10.0)),
+            (129, 8, (2.0, 4.0)),
+            (1000, 6, (0.5, 30.0)),
+            (18_000, 6, (0.4, 10.0)),
+            (100_000, 10, (0.4, 10.0)),
+        ],
+    )
+    def test_matches_sosfiltfilt(self, kind, n, order, band):
+        x = probe_signal(kind, n)
+        got = bandpass_filter(x, FS, *band, order=order)
+        want = scipy_bandpass(x, FS, *band, order=order)
+        # relative to the input's peak: a constant's output is all round-off
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_two_dimensional_input_equals_its_rows(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 5000)) + np.arange(4)[:, None]
+        got = bandpass_filter(x, FS)
+        rows = np.array([bandpass_filter(r, FS) for r in x])
+        assert got.shape == x.shape
+        # equal up to round-off: a row's sums may split differently in one
+        # matmul over four channels than over one
+        assert np.max(np.abs(got - rows)) <= 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(got - scipy_bandpass(x, FS))) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_shortest_signal_is_scipys(self, order):
+        # sosfiltfilt pads 3 (2 sections + 1) samples and needs more
+        pad = 3 * (order + 1)
+        with pytest.raises(ValueError, match="too short"):
+            bandpass_filter(np.ones(pad), FS, order=order)
+        with pytest.raises(ValueError):
+            scipy_bandpass(np.ones(pad), FS, order=order)
+        with pytest.raises(ValueError, match="too short"):
+            bandpass_filter(np.ones((3, pad)), FS, order=order)
+        x = probe_signal("noise", pad + 1)
+        err = bandpass_filter(x, FS, order=order) - scipy_bandpass(x, FS, order=order)
+        assert np.max(np.abs(err)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_rejects_three_dimensional_input(self):
+        with pytest.raises(ValueError):
+            bandpass_filter(np.zeros((2, 2, 100)), FS)
+
+    @pytest.mark.parametrize(
+        "half_order, band, fs",
+        [(1, (1.0, 5.0), 100.0), (2, (0.5, 20.0), 250.0), (3, (0.35, 11.47), 100.0),
+         (3, (2.0, 4.0), 100.0), (4, (3.0, 6.0), 50.0), (5, (0.3, 10.0), 100.0)],
+    )
+    def test_design_has_butters_frequency_response(self, half_order, band, fs):
+        signal = pytest.importorskip("scipy.signal")
+        want = signal.butter(half_order, band, btype="bandpass", fs=fs, output="sos")
+        got = butter_bandpass_sos(half_order, *band, fs)
+        z = np.exp(-1j * np.linspace(0.0, np.pi, 4096))  # z^-1 on the unit circle
+
+        def response(sos):
+            return np.prod(
+                [np.polyval(s[2::-1], z) / np.polyval(s[:2:-1], z) for s in sos], axis=0
+            )
+
+        assert got.shape == want.shape
+        assert np.max(np.abs(response(got) - response(want))) <= 1e-10
 
 
 class TestFindPeaks:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bcgbeat.synth import SynthConfig, generate, make_template
+from bcgbeat.synth import SynthConfig, _beat_phase_times, generate, make_template
 
 FS = 100.0
 
@@ -127,6 +127,46 @@ class TestHrvProfile:
             measured = float(np.mean(60.0 / ivs))
             analytic = res.windowed_mean_hr(start, 60.0)
             assert abs(measured - analytic) <= 0.5
+
+    def test_windowed_mean_is_the_profiles_integral(self):
+        cfg = SynthConfig(duration_s=300.0, hr_bpm=70.0, hrv_amp_bpm=5.0, hrv_period_s=47.0)
+        res = generate(cfg)
+        w = 2.0 * np.pi / cfg.hrv_period_s
+        for start in (0.0, 13.0, 200.0):
+            exact = 70.0 + 5.0 / (w * 60.0) * (np.cos(w * start) - np.cos(w * (start + 60.0)))
+            assert res.windowed_mean_hr(start, 60.0) == pytest.approx(exact, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "duration_s, hr_bpm, hrv_amp_bpm, hrv_period_s",
+        [
+            (300.0, 70.0, 5.0, 47.0),
+            (1200.0, 66.0, 6.0, 47.0),
+            (240.0, 60.0, 0.0, 60.0),
+            (240.0, 70.0, 0.0, 60.0),
+            (3600.0, 40.0, -39.0, 5.0),
+            (100.0, 120.0, 119.9, 1.3),
+            (10.0, 60.0, 30.0, 1000.0),
+            (240.0, 60.0, 30.0, 120.0),
+        ],
+    )
+    def test_beat_phase_roots_match_brentq(self, duration_s, hr_bpm, hrv_amp_bpm, hrv_period_s):
+        optimize = pytest.importorskip("scipy.optimize")
+        cfg = SynthConfig(duration_s=duration_s, hr_bpm=hr_bpm, hrv_amp_bpm=hrv_amp_bpm,
+                          hrv_period_s=hrv_period_s)
+        mean_bps, amp_bps = hr_bpm / 60.0, hrv_amp_bpm / 60.0
+
+        def phase(t):
+            return mean_bps * t + amp_bps * hrv_period_s / (2.0 * np.pi) * (
+                1.0 - np.cos(2.0 * np.pi * t / hrv_period_s)
+            )
+
+        want, lo = [0.0], 0.0
+        for k in range(1, int(np.floor(phase(duration_s))) + 1):
+            lo = optimize.brentq(lambda t: phase(t) - k, lo, duration_s, xtol=1e-10)
+            want.append(lo)
+        got = _beat_phase_times(cfg)
+        assert got.shape == (len(want),)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_hr_at_matches_configured_profile(self):
         cfg = SynthConfig(
