@@ -15,6 +15,12 @@ target instance, negative bags contain none.  An EM loop alternates
 A cross-coherence penalty (gamma_matrix) pushes background atoms away
 from the previous iteration's target atoms so the target structure is not
 absorbed into the background model.
+
+The E-step and the objective need only the squared norms of the
+reconstruction residuals, never the residuals themselves.  fit() reads
+them as ||x||^2 - 2 a^T (D^T x) + a^T (D^T D) a (_residual_sq_norms) from
+the gram and correlations its code step already holds, so no (d, N)
+residual block is formed per iteration.
 """
 
 from __future__ import annotations
@@ -116,6 +122,12 @@ class FitResult:
     bags (bag order, instance order within each bag); target rows are zero
     for negative-bag instances.  posteriors holds P(z=1) per instance and
     is exactly 0 on negative bags.
+
+    stop_reason says why EM stopped: "tol" when no atom moved more than
+    params.tol in the last iteration, "max_iter" when it ran
+    max_em_iters iterations without that.  last_objective_rel_change is
+    (f_n - f_{n-1}) / |f_{n-1}| over the last two objective_trace entries
+    (negative while the objective falls), NaN after a single iteration.
     """
 
     dictionary: Dictionary
@@ -126,6 +138,8 @@ class FitResult:
     bag_index: np.ndarray
     psi: float
     n_iterations: int
+    stop_reason: str
+    last_objective_rel_change: float
     inner_objective_trace: list[np.ndarray] = field(default_factory=list)
 
 
@@ -176,12 +190,12 @@ def safe_step_length(D) -> float:
     return 1.0 / float(np.linalg.eigvalsh(G)[-1])
 
 
-def e_step(R_bg_pos: np.ndarray, beta: float) -> np.ndarray:
+def e_step(sq_norms: np.ndarray, beta: float) -> np.ndarray:
     """P(z=1 | x) = 1 - exp(-beta * ||x - D_bg a_bg||^2) per positive-bag
-    instance, from the (d, N_pos) background residual block
-    R_bg_pos = Xp - D_bg A_pos_bg.  Negative-bag instances carry P(z=1) = 0
-    by definition; that forcing happens in fit(), not here."""
-    p = -np.expm1(-beta * _column_sq_norms(R_bg_pos))
+    instance, from the (N_pos,) squared norms of the background residuals
+    Xp - D_bg A_pos_bg.  Negative-bag instances carry P(z=1) = 0 by
+    definition; that forcing happens in fit(), not here."""
+    p = -np.expm1(-beta * np.asarray(sq_norms, dtype=float))
     np.clip(p, 0.0, 1.0, out=p)
     return p
 
@@ -205,10 +219,23 @@ def _column_sq_norms(R: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", R, R)
 
 
-def _objective_from_residuals(
-    R_full_pos: np.ndarray,
-    R_bg_pos: np.ndarray,
-    R_bg_neg: np.ndarray,
+def _residual_sq_norms(
+    x_sq: np.ndarray, A: np.ndarray, corr: np.ndarray, gram: np.ndarray
+) -> np.ndarray:
+    """Column squared norms of X - B A without forming the residuals:
+    ||x||^2 - 2 a^T (B^T x) + a^T (B^T B) a per column, clamped at 0.
+
+    x_sq holds ||x||^2 per column of X, corr = B^T X and gram = B^T B must
+    be current for the atoms B the codes A (K, N) refer to.
+    """
+    r = x_sq + np.einsum("ij,ij->j", A, gram @ A - 2.0 * corr)
+    return np.maximum(r, 0.0, out=r)
+
+
+def _objective_from_sq_norms(
+    sq_full_pos: np.ndarray,
+    sq_bg_pos: np.ndarray,
+    sq_bg_neg: np.ndarray,
     A_pos: np.ndarray,
     A_neg: np.ndarray,
     p_pos: np.ndarray,
@@ -220,14 +247,14 @@ def _objective_from_residuals(
 ) -> float:
     """objective() over fit()'s positive / negative instance blocks.
 
-    The residual blocks must be current for the atoms and codes given
-    (R_full_pos = Xp - D A_pos, R_bg_pos = Xp - D_bg A_pos_bg,
-    R_bg_neg = Xn - D_bg A_neg); negative-bag instances have weight 1 and
-    P(z=1) = 0, so only their background terms appear.
+    The residual squared norms must be current for the atoms and codes
+    given (sq_full_pos of Xp - D A_pos, sq_bg_pos of Xp - D_bg A_pos_bg,
+    sq_bg_neg of Xn - D_bg A_neg, one per column); negative-bag instances
+    have weight 1 and P(z=1) = 0, so only their background terms appear.
     """
     T = A_pos.shape[0] - A_neg.shape[0]
-    recon_pos = p_pos * _column_sq_norms(R_full_pos) + (1.0 - p_pos) * _column_sq_norms(R_bg_pos)
-    recon = 0.5 * (psi * np.sum(recon_pos) + np.sum(_column_sq_norms(R_bg_neg)))
+    recon_pos = p_pos * sq_full_pos + (1.0 - p_pos) * sq_bg_pos
+    recon = 0.5 * (psi * np.sum(recon_pos) + np.sum(sq_bg_neg))
     l1_pos = p_pos * np.sum(np.abs(A_pos[:T]), axis=0) + np.sum(np.abs(A_pos[T:]), axis=0)
     l1 = lam * (psi * np.sum(l1_pos) + np.sum(np.abs(A_neg)))
     disc = float(np.sum(gamma * (background_atoms.T @ target_atoms_old)))
@@ -407,7 +434,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     undefined (stale) is kept, and after 3 consecutive stale iterations is
     re-seeded from the highest-residual instance of its class; then
     inner_iters ISTA code steps.  Stops when no atom moves more than
-    params.tol or after max_em_iters iterations.
+    params.tol or after max_em_iters iterations; the result's stop_reason
+    says which.
 
     With inner_objective_trace=True the result also carries, per EM
     iteration, the objective value before the code updates and after each
@@ -430,13 +458,16 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
 
     Xp = np.ascontiguousarray(X[:, is_pos])
     Xn = np.ascontiguousarray(X[:, ~is_pos])
+    Xp_sq = _column_sq_norms(Xp)
+    Xn_sq = _column_sq_norms(Xn)
 
     # --- initialization ---------------------------------------------------
     D_bg = _farthest_point_init(Xn, M, rng)
     eta_bg = safe_step_length(D_bg)
     G_bg = D_bg.T @ D_bg
+    corr_neg = D_bg.T @ Xn
     A_neg = kernels.ista_negative(
-        G_bg, D_bg.T @ Xn, np.zeros((M, n_neg)), params.lam, eta_bg, _WARMUP_STEPS
+        G_bg, corr_neg, np.zeros((M, n_neg)), params.lam, eta_bg, _WARMUP_STEPS
     )
     A_pos_bg = kernels.ista_negative(
         G_bg, D_bg.T @ Xp, np.zeros((M, n_pos)), params.lam, eta_bg, _WARMUP_STEPS
@@ -453,9 +484,10 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
 
     D = Dictionary(D_tgt, D_bg)
     eta = safe_step_length(D)
+    G = D.atoms.T @ D.atoms
     corr_pos = np.vstack([D.target_atoms.T @ Xp, D.background_atoms.T @ Xp])
     A_pos = kernels.ista_positive(
-        D.atoms.T @ D.atoms,
+        G,
         G_bg,
         corr_pos,
         np.ones(n_pos),
@@ -466,12 +498,14 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         T,
     )
 
-    def residuals():
-        """(R_full_pos, R_bg_pos, R_bg_neg) for the current atoms and codes."""
+    def sq_norms():
+        """Residual squared norms per column (full positive, background
+        positive, background negative) for the current codes; G, G_bg,
+        corr_pos and corr_neg belong to the atoms the codes were fit to."""
         return (
-            Xp - D.atoms @ A_pos,
-            Xp - D.background_atoms @ A_pos[T:],
-            Xn - D.background_atoms @ A_neg,
+            _residual_sq_norms(Xp_sq, A_pos, corr_pos, G),
+            _residual_sq_norms(Xp_sq, A_pos[T:], corr_pos[T:], G_bg),
+            _residual_sq_norms(Xn_sq, A_neg, corr_neg, G_bg),
         )
 
     def reseed(Xc, R):
@@ -479,23 +513,24 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         atom = _normalize_or_none(Xc[:, int(np.argmax(_column_sq_norms(R)))])
         return atom if atom is not None else _random_unit(d, rng)
 
-    def objective_now(blocks, gamma, tgt_old):
-        return _objective_from_residuals(
-            *blocks, A_pos, A_neg, p_pos, psi, params.lam, D.background_atoms, gamma, tgt_old
+    def objective_now(norms, gamma, tgt_old):
+        return _objective_from_sq_norms(
+            *norms, A_pos, A_neg, p_pos, psi, params.lam, D.background_atoms, gamma, tgt_old
         )
 
-    blocks = residuals()
+    norms = sq_norms()
     stale_tgt = np.zeros(T, dtype=int)
     stale_bg = np.zeros(M, dtype=int)
     trace: list[float] = []
     inner_trace: list[np.ndarray] = []
     p_pos = np.zeros(n_pos)
     n_iterations = 0
+    stop_reason = "max_iter"
 
     for em in range(params.max_em_iters):
         n_iterations = em + 1
         # --- E-step: posterior from current background reconstruction ----
-        p_pos = e_step(blocks[1], params.beta)
+        p_pos = e_step(norms[1], params.beta)
 
         tgt_old = D.target_atoms.copy()
         atoms_before = D.atoms.copy()
@@ -542,7 +577,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         )
         corr_neg = D.background_atoms.T @ Xn
         if inner_objective_trace:
-            vals = [objective_now(residuals(), gamma, tgt_old)]
+            vals = [objective_now(sq_norms(), gamma, tgt_old)]
             for _ in range(params.inner_iters):
                 A_pos = kernels.ista_positive(
                     G, G_bg, corr_pos, p_pos, A_pos, params.lam, eta, 1, T
@@ -550,8 +585,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
                 A_neg = kernels.ista_negative(
                     G_bg, corr_neg, A_neg, params.lam, eta_bg, 1
                 )
-                blocks = residuals()
-                vals.append(objective_now(blocks, gamma, tgt_old))
+                norms = sq_norms()
+                vals.append(objective_now(norms, gamma, tgt_old))
             inner_trace.append(np.asarray(vals))
         else:
             A_pos = kernels.ista_positive(
@@ -560,12 +595,13 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             A_neg = kernels.ista_negative(
                 G_bg, corr_neg, A_neg, params.lam, eta_bg, params.inner_iters
             )
-            blocks = residuals()
+            norms = sq_norms()
 
-        trace.append(objective_now(blocks, gamma, tgt_old))
+        trace.append(objective_now(norms, gamma, tgt_old))
 
         atom_change = np.linalg.norm(D.atoms - atoms_before, axis=0).max()
         if atom_change < params.tol:
+            stop_reason = "tol"
             break
 
     codes = np.zeros((T + M, n))
@@ -582,5 +618,9 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         bag_index=bag_index,
         psi=psi,
         n_iterations=n_iterations,
+        stop_reason=stop_reason,
+        last_objective_rel_change=(
+            (trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) > 1 else float("nan")
+        ),
         inner_objective_trace=inner_trace,
     )

@@ -5,11 +5,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bcgbeat import kernels
 from bcgbeat.dlfumi import (
     Dictionary,
     FumiParams,
+    _residual_sq_norms,
     background_atom_update,
     e_step,
     fit,
@@ -45,6 +49,10 @@ def random_dictionary(rng, d, T, M):
 def orthonormal_dictionary(rng, d, T, M):
     Q, _ = np.linalg.qr(rng.standard_normal((d, T + M)))
     return Dictionary(Q[:, :T], Q[:, T:])
+
+
+def column_sq_norms(R):
+    return np.sum(R * R, axis=0)
 
 
 class TestSoftThreshold:
@@ -100,7 +108,7 @@ class TestEStep:
         D = random_dictionary(rng, 8, 1, 3)
         b = rng.standard_normal((3, 1))
         x = D.background_atoms @ b
-        assert e_step(x - D.background_atoms @ b, beta=90.0)[0] == 0.0
+        assert e_step(column_sq_norms(x - D.background_atoms @ b), beta=90.0)[0] == 0.0
 
     def test_half_probability_at_log2_residual(self):
         rng = np.random.default_rng(5)
@@ -113,7 +121,7 @@ class TestEStep:
         r -= D.background_atoms @ (D.background_atoms.T @ r)
         r /= np.linalg.norm(r)
         x = base + np.sqrt(np.log(2.0) / 90.0) * r
-        p = e_step((x - D.background_atoms @ b)[:, None], beta=90.0)
+        p = e_step(column_sq_norms((x - D.background_atoms @ b)[:, None]), beta=90.0)
         assert abs(p[0] - 0.5) <= 1e-12
 
     def test_probability_stays_in_unit_interval(self):
@@ -122,9 +130,49 @@ class TestEStep:
         for _ in range(50):
             X = rng.standard_normal((8, 20)) * rng.uniform(0, 10)
             R = X - D.background_atoms @ rng.standard_normal((3, 20))
-            p = e_step(R, beta=rng.uniform(1, 200))
+            p = e_step(column_sq_norms(R), beta=rng.uniform(1, 200))
             assert p.shape == (20,)
             assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+@st.composite
+def coded_columns(draw):
+    """(X, B, A, exact): unit atoms B (d, K), codes A (K, n) and columns X
+    (d, n) drawn apart from the codes, except the `exact` ones, which are
+    B @ a exactly; one scale for X and A spans small to large norms."""
+    d, K, n = draw(st.integers(1, 16)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    unit = st.floats(-2.0, 2.0, allow_subnormal=False)
+    B = draw(arrays(float, (d, K), elements=unit))
+    B[:, np.linalg.norm(B, axis=0) == 0.0] = 1.0
+    B /= np.linalg.norm(B, axis=0)
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    A = scale * draw(arrays(float, (K, n), elements=unit))
+    X = scale * draw(arrays(float, (d, n), elements=unit))
+    exact = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    X[:, exact] = (B @ A)[:, exact]
+    return X, B, A, exact
+
+
+class TestResidualSqNorms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coded_columns())
+    def test_gram_form_matches_explicit_residual_norms(self, case):
+        # The gram form cancels terms of size ||x||^2 and ||a||_1^2, so its
+        # error scales with the larger of the two.  fit's codes are ISTA
+        # codes of the columns they reconstruct, no larger than a few
+        # ||x||; there it must agree within 1e-12 (1 + ||x||^2).
+        X, B, A, exact = case
+        x_sq = column_sq_norms(X)
+        got = _residual_sq_norms(x_sq, A, B.T @ X, B.T @ B)
+        want = column_sq_norms(X - B @ A)
+        err = np.abs(got - want)
+        a_l1 = np.sum(np.abs(A), axis=0)
+        assert got.shape == want.shape
+        assert np.all(got >= 0.0)
+        assert np.all(err <= 1e-12 * (1.0 + x_sq + a_l1**2))
+        fit_sized = a_l1 <= 4.0 * np.sqrt(x_sq)
+        assert np.all(err[fit_sized] <= 1e-12 * (1.0 + x_sq[fit_sized]))
+        assert np.all(got[exact & fit_sized] <= 1e-12 * x_sq[exact & fit_sized])
 
 
 class TestAdaptiveGamma:
@@ -443,6 +491,21 @@ class TestFit:
         np.testing.assert_array_equal(result.dictionary.atoms, again.dictionary.atoms)
         np.testing.assert_array_equal(result.posteriors, again.posteriors)
 
+    def test_iteration_cap_is_the_stop_reason(self, planted_fit):
+        _, bags, _ = planted_fit
+        result = fit(bags, FumiParams(T=1, M=2, max_em_iters=3, tol=1e-300), seed=0)
+        assert result.n_iterations == 3
+        assert result.stop_reason == "max_iter"
+        prev, last = result.objective_trace[-2:]
+        assert result.last_objective_rel_change == (last - prev) / abs(prev)
+
+    def test_atom_tolerance_is_the_stop_reason(self, planted_fit):
+        _, bags, _ = planted_fit
+        result = fit(bags, FumiParams(T=1, M=2, tol=1e300), seed=0)
+        assert result.n_iterations == 1
+        assert result.stop_reason == "tol"
+        assert np.isnan(result.last_objective_rel_change)
+
     def test_objective_trace_has_one_entry_per_iteration(self, planted_fit):
         _, _, result = planted_fit
         assert len(result.objective_trace) == result.n_iterations
@@ -452,7 +515,8 @@ class TestFit:
     def test_objective_trace_matches_the_public_objective(self, planted_fit, k):
         # Iteration k+1 freezes gamma and the old targets at the dictionary
         # the k-iteration run returns; its trace entry, computed from fit's
-        # residual blocks, must equal objective() over the flattened bags.
+        # gram-form residual norms, must equal objective() over the flattened
+        # bags, which forms the residuals.
         _, bags, _ = planted_fit
         params = FumiParams(T=2, M=3, max_em_iters=k, tol=1e-300)
         D_k = fit(bags, params, seed=0).dictionary

@@ -1,6 +1,9 @@
 """The array voting, grid search and beat matching against their loop
 references (tests/voting_reference.py): identical beats (index and float
-confidence sum), identical matches and identical chosen parameters."""
+confidence sum), identical matches and identical chosen parameters.  Also
+the properties their docstrings promise, checked without a reference:
+beats a refractory apart, each with enough voting channels, and matches
+one-to-one within the tolerance."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -64,6 +67,22 @@ def test_vote_beats_matches_the_loop_reference(s, p):
     assert all(type(b) is int and type(c) is float for b, c in beats)
 
 
+@exact
+@given(series(), params)
+def test_vote_beats_are_refractory_apart_with_enough_votes(s, p):
+    beats = [b for b, _ in vote_beats(s, p)]
+    assert np.all(np.diff(beats) >= int(round(p.refractory_s * s.fs)))
+    # Every event of a beat's cluster lies within `neighborhood` samples of
+    # the cluster's first event, and so of its median, the beat index.
+    for b in beats:
+        voters = {
+            c
+            for c, (idx, conf) in enumerate(zip(s.peak_indices, s.confidences))
+            if np.any((np.abs(idx - b) <= p.neighborhood) & (conf > p.threshold))
+        }
+        assert len(voters) >= p.min_votes
+
+
 gt_beats = st.lists(st.integers(0, N_SAMPLES), min_size=1, max_size=15, unique=True).map(sorted)
 
 
@@ -98,3 +117,18 @@ def test_greedy_match_matches_the_loop_reference(est, gt, tol):
     pairs = greedy_match(est, gt, tol)
     assert pairs == ref.greedy_match(est, gt, tol)
     assert all(type(i) is int and type(j) is int for i, j in pairs)
+
+
+@exact
+@given(
+    st.lists(st.floats(0.0, 10.0), max_size=30).map(np.sort),
+    st.lists(st.floats(0.0, 10.0), max_size=30).map(np.sort),
+    st.sampled_from((0.0, 0.1, 0.3, 1.0)),
+)
+def test_greedy_match_is_one_to_one_within_tolerance(est, gt, tol):
+    pairs = greedy_match(est, gt, tol)
+    i = [a for a, _ in pairs]
+    j = [b for _, b in pairs]
+    assert len(set(i)) == len(i) and len(set(j)) == len(j)
+    # "within" as the matcher defines it: gt in [est - tol, est + tol]
+    assert all(est[a] - tol <= gt[b] <= est[a] + tol for a, b in pairs)
