@@ -25,7 +25,6 @@ from .dlfumi import (
     gamma_matrix,
     e_step,
     fit,
-    flatten_bags,
     objective,
     resolve_psi,
     safe_step_length,
@@ -45,7 +44,6 @@ from .metrics import (
 from .signals import (
     Bag,
     ChannelInstances,
-    Instance,
     Recording,
     bandpass_filter,
     build_bags,
@@ -68,7 +66,6 @@ __all__ = [
     "FitResult",
     "FumiParams",
     "HrSeries",
-    "Instance",
     "Recording",
     "SynthConfig",
     "SynthResult",
@@ -84,7 +81,6 @@ __all__ = [
     "extract_instances",
     "find_peaks",
     "fit",
-    "flatten_bags",
     "generate",
     "greedy_match",
     "hr_from_beats",

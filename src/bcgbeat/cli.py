@@ -42,6 +42,7 @@ from .signals import (
     DEFAULT_HALF_LEN,
     DEFAULT_MIN_SEPARATION,
     DEFAULT_PER_POSITIVE,
+    bag_columns,
     build_bags,
     preprocess_recording,
 )
@@ -270,33 +271,43 @@ def cmd_train(args) -> int:
     per_pos = cfg.get("per_positive", DEFAULT_PER_POSITIVE)
     code_iters = cfg.get("code_iters", DEFAULT_CODE_ITERS)
 
-    recs, all_bags = [], []
+    recs = []
     for path in args.recordings:
         rec = _read_recording(path)
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
-        blocks = preprocess_recording(rec, **pk)
-        recs.append((rec, blocks))
-        all_bags.extend(build_bags(blocks, rec.gt_beat_times, per_pos))
+        recs.append(rec)
+    # A window of 2*half_len+1 samples spans a different time at another
+    # rate, so windows of mixed rates are not one heartbeat concept.
+    for path, rec in zip(args.recordings, recs):
+        if rec.sample_rate_hz != recs[0].sample_rate_hz:
+            raise CliError(
+                EXIT_CONFIG,
+                f"{path} is sampled at {rec.sample_rate_hz:g} Hz but "
+                f"{args.recordings[0]} at {recs[0].sample_rate_hz:g} Hz; "
+                "train on recordings of one sample rate",
+            )
+    blocks = [preprocess_recording(rec, **pk) for rec in recs]
+    bags = [
+        bag for rec, b in zip(recs, blocks) for bag in build_bags(b, rec.gt_beat_times, per_pos)
+    ]
 
     try:
-        result = fit(all_bags, params, seed=cfg.seed)
+        result = fit(bags, params, seed=cfg.seed)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"training failed: {exc}") from exc
     for i, v in enumerate(result.objective_trace, 1):
         print(f"em_iter={i} objective={v!r}")
 
-    neg_instances = [
-        inst for bag in all_bags if bag.label == 0 for inst in bag.instances
-    ]
-    model = background_covariance(neg_instances)
+    model = background_covariance(bag_columns(bags, 0))
+    del bags  # the voting-parameter grid needs only the blocks
 
     # The voting-parameter grid scores the blocks the bags were built from.
     series_list = [
-        code_blocks(rec, blocks, result.dictionary, model, lam=params.lam, n_iter=code_iters)
-        for rec, blocks in recs
+        code_blocks(rec, b, result.dictionary, model, lam=params.lam, n_iter=code_iters)
+        for rec, b in zip(recs, blocks)
     ]
-    dparams = learn_detection_params_pooled(series_list, [rec.gt_beat_times for rec, _ in recs])
+    dparams = learn_detection_params_pooled(series_list, [rec.gt_beat_times for rec in recs])
 
     bio.write_dictionary(args.out, result.dictionary)
     bio.write_covariance(_sibling(args.out, ".cov.csv"), model)

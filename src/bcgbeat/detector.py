@@ -97,19 +97,15 @@ class ConfidenceSeries:
         return len(self.peak_indices)
 
 
-def background_covariance(instances, ridge: float = 0.0) -> BackgroundModel:
-    """Sample covariance (n-1 normalization) of background instances.
+def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> BackgroundModel:
+    """Sample covariance (n-1 normalization) of background instances, the
+    columns of a (d, n) array.
 
-    Accepts a (d, n) column-instance array or a list of instances/arrays.
     The result must be positive definite; if `ridge` does not achieve
     that it is raised automatically (starting at 1e-6 * trace / d) and the
     effective value is reported on the returned model and the log.
     """
-    if isinstance(instances, np.ndarray):
-        X = np.atleast_2d(np.asarray(instances, dtype=float))
-    else:
-        cols = [getattr(i, "features", i) for i in instances]
-        X = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+    X = np.atleast_2d(np.asarray(instances, dtype=float))
     d, n = X.shape
     if n < 1:
         raise ValueError("need at least one instance")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .signals import Bag
+from .signals import Bag, bag_columns
 
 _POSTERIOR_CLAMP = 1e-12
 _STALE_LIMIT = 3
@@ -135,7 +135,6 @@ class FitResult:
     posteriors: np.ndarray
     objective_trace: list[float]
     is_positive: np.ndarray
-    bag_index: np.ndarray
     psi: float
     n_iterations: int
     stop_reason: str
@@ -143,25 +142,9 @@ class FitResult:
     inner_objective_trace: list[np.ndarray] = field(default_factory=list)
 
 
-def flatten_bags(bags: list[Bag]):
-    """Stack all bag instances column-wise in canonical order.
-
-    Returns (X, is_positive, bag_index) with X of shape (d, N).
-    """
-    if not bags:
-        raise ValueError("no bags given")
-    cols, pos, bidx = [], [], []
-    for j, bag in enumerate(bags):
-        for inst in bag.instances:
-            cols.append(np.asarray(inst.features, dtype=float))
-            pos.append(bag.label == 1)
-            bidx.append(j)
-    d = cols[0].size
-    for c in cols:
-        if c.size != d:
-            raise ValueError("instances disagree on feature dimension")
-    X = np.column_stack(cols)
-    return X, np.asarray(pos, dtype=bool), np.asarray(bidx, dtype=int)
+def _is_positive(bags: list[Bag]) -> np.ndarray:
+    """Per instance, in bag order: whether its bag is positive."""
+    return np.repeat([b.label == 1 for b in bags], [len(b) for b in bags])
 
 
 def resolve_psi(is_positive: np.ndarray, params: FumiParams) -> float:
@@ -283,7 +266,7 @@ def objective(
     (self-consistent evaluation); pass the frozen per-iteration values to
     reproduce the EM surrogate exactly.
     """
-    X, is_pos, _ = flatten_bags(bags)
+    X, is_pos = bag_columns(bags), _is_positive(bags)
     codes = np.asarray(codes, dtype=float)
     posteriors = np.asarray(posteriors, dtype=float)
     if codes.shape != (D.n_target + D.n_background, X.shape[1]):
@@ -444,20 +427,18 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     to be non-increasing.
     """
     params.validate()
-    X, is_pos, bag_index = flatten_bags(bags)
-    d, n = X.shape
-    n_pos = int(np.count_nonzero(is_pos))
-    n_neg = n - n_pos
-    if n_pos == 0:
+    if not any(b.label == 1 for b in bags):
         raise ValueError("cannot learn target concept: no positive bags")
-    if n_neg == 0:
+    if all(b.label == 1 for b in bags):
         raise ValueError("cannot model background: no negative bags")
+    Xp, Xn = bag_columns(bags, 1), bag_columns(bags, 0)
+    is_pos = _is_positive(bags)
+    d, n_pos = Xp.shape
+    n_neg = Xn.shape[1]
     psi = resolve_psi(is_pos, params)
     T, M = params.T, params.M
     rng = np.random.default_rng(seed)
 
-    Xp = np.ascontiguousarray(X[:, is_pos])
-    Xn = np.ascontiguousarray(X[:, ~is_pos])
     Xp_sq = _column_sq_norms(Xp)
     Xn_sq = _column_sq_norms(Xn)
 
@@ -604,10 +585,10 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             stop_reason = "tol"
             break
 
-    codes = np.zeros((T + M, n))
+    codes = np.zeros((T + M, is_pos.size))
     codes[:, is_pos] = A_pos
     codes[T:, ~is_pos] = A_neg
-    posteriors = np.zeros(n)
+    posteriors = np.zeros(is_pos.size)
     posteriors[is_pos] = p_pos
     return FitResult(
         dictionary=D,
@@ -615,7 +596,6 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         posteriors=posteriors,
         objective_trace=trace,
         is_positive=is_pos,
-        bag_index=bag_index,
         psi=psi,
         n_iterations=n_iterations,
         stop_reason=stop_reason,

@@ -65,15 +65,6 @@ class Recording:
         return self.n_samples / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A fixed-length window centered on one candidate peak."""
-
-    features: np.ndarray
-    channel_id: int
-    peak_index: int
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelInstances:
     """All instances of one channel: row i of `features` is the window
@@ -91,24 +82,51 @@ class ChannelInstances:
         return self.peak_indices.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bag:
-    """A labeled multiset of instances.
+    """A labeled block of instances: row i of `features` is the window
+    centered on sample `peak_indices[i]` of channel `channel_ids[i]`.
+
+    features     : (n, d) float array, one window per row
+    channel_ids  : (n,) int array
+    peak_indices : (n,) int array
 
     label 1 marks a positive bag (at least one instance is a true heartbeat
     window); label 0 marks a bag of pure-background instances.
     anchor_time is the groundtruth beat sample for positive bags.
     """
 
-    instances: tuple[Instance, ...]
+    features: np.ndarray
+    channel_ids: np.ndarray
+    peak_indices: np.ndarray
     label: int
     anchor_time: int | None = None
 
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError("bag label must be 0 or 1")
-        if not self.instances:
+        if self.features.ndim != 2 or not (
+            len(self.features) == self.channel_ids.size == self.peak_indices.size
+        ):
+            raise ValueError("bag needs one (channel, peak) per row of features")
+        if not len(self.features):
             raise ValueError("bags must be non-empty")
+
+    def __len__(self) -> int:
+        return self.peak_indices.size
+
+
+def bag_columns(bags: list[Bag], label: int | None = None) -> np.ndarray:
+    """The instances of the bags labeled `label` (of all bags when None) as
+    one C-contiguous (d, n) float array, one column per instance in bag
+    order."""
+    dims = {b.features.shape[1] for b in bags}
+    if len(dims) != 1:
+        raise ValueError("instances disagree on feature dimension" if dims else "no bags given")
+    cols = [b.features.T for b in bags if label in (None, b.label)]
+    # Without `out`, concatenate would keep the transposes' column-major layout.
+    out = np.empty((dims.pop(), sum(c.shape[1] for c in cols)))
+    return np.concatenate(cols, axis=1, out=out)
 
 
 def _compensated_band_edges(low: float, high: float, half_order: int):
@@ -351,24 +369,20 @@ def build_bags(
     Positive bags come first in beat order, then negative bags in gap order;
     a bag lists its instances by channel id, then peak index.  Without
     groundtruth beats all instances form one negative bag, in block order.
+    The bags are row slices of one array that gathers every window once.
     """
     beats = np.asarray(gt_beat_times, dtype=int)
-    instances = [
-        Instance(features=w, channel_id=b.channel_id, peak_index=p)
-        for b in blocks
-        for w, p in zip(b.features, b.peak_indices.tolist())
-    ]
-    if not instances:
-        return []
-    if beats.size == 0:
-        return [Bag(instances=tuple(instances), label=0)]
-
-    # Per-instance arrays, in the order of `instances`.  lexsort is
-    # stable, so instances equal in every key keep this order below.
+    # Per-instance arrays in block order.  lexsort is stable, so instances
+    # equal in every key keep this order below.
     sizes = [len(b) for b in blocks]
-    block = np.repeat(np.arange(len(blocks)), sizes)
+    if not sum(sizes):
+        return []
+    features = np.concatenate([b.features for b in blocks])
     peak = np.concatenate([b.peak_indices for b in blocks])
     channel = np.repeat([b.channel_id for b in blocks], sizes)
+    if beats.size == 0:
+        return [Bag(features, channel, peak, label=0)]
+    block = np.repeat(np.arange(len(blocks)), sizes)
 
     # Nearest beat; an equidistant peak goes to the earlier beat.
     gap = np.searchsorted(beats, peak)
@@ -390,16 +404,13 @@ def build_bags(
     # Beat b's positive bag has id b, gap g's negative bag n_beats + g.
     bag_id = np.where(positive, nearest, beats.size + gap)
     order = np.lexsort((peak, channel, bag_id))
-    bag_id = bag_id[order]
+    bag_id, features, channel, peak = bag_id[order], features[order], channel[order], peak[order]
     bounds = np.flatnonzero(np.diff(bag_id)) + 1
     bags: list[Bag] = []
     for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), order.size]):
-        members = tuple(instances[i] for i in order[lo:hi].tolist())
         b = int(bag_id[lo])
-        if b < beats.size:
-            bags.append(Bag(instances=members, label=1, anchor_time=int(beats[b])))
-        else:
-            bags.append(Bag(instances=members, label=0))
+        label, anchor = (1, int(beats[b])) if b < beats.size else (0, None)
+        bags.append(Bag(features[lo:hi], channel[lo:hi], peak[lo:hi], label, anchor))
     return bags
 
 

@@ -3,12 +3,25 @@
 These are the straightforward per-peak implementations that the array
 versions in bcgbeat.signals replaced.  They are kept only as the reference
 that tests/test_signals_exact.py compares against: both must return
-identical peaks, byte-identical windows and identical bags.
+identical peaks, byte-identical windows and identical bags.  They build
+their own plain records, not the package's types they are the oracle for.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from bcgbeat.signals import Bag, Instance
+
+class Window(NamedTuple):
+    features: np.ndarray
+    channel_id: int
+    peak_index: int
+
+
+class RefBag(NamedTuple):
+    windows: tuple
+    label: int
+    anchor_time: int | None = None
 
 
 def find_peaks(x, min_separation=10):
@@ -39,7 +52,7 @@ def find_peaks(x, min_separation=10):
 
 
 def extract_instances(x, peaks, half_len=45, channel_id=0, zscore=False):
-    """One Instance per in-range peak, in the order of `peaks`."""
+    """One Window per in-range peak, in the order of `peaks`."""
     x = np.asarray(x, dtype=float)
     out = []
     for p in np.asarray(peaks, dtype=int):
@@ -49,7 +62,7 @@ def extract_instances(x, peaks, half_len=45, channel_id=0, zscore=False):
         if zscore:
             sd = w.std()
             w = (w - w.mean()) / (sd if sd > 0 else 1.0)
-        out.append(Instance(features=w, channel_id=channel_id, peak_index=int(p)))
+        out.append(Window(features=w, channel_id=channel_id, peak_index=int(p)))
     return out
 
 
@@ -65,13 +78,13 @@ def _nearest_beat(peak, beats):
 
 
 def build_bags(per_channel_instances, gt_beat_times, per_positive=3):
-    """build_bags over per-channel lists of Instance objects."""
+    """build_bags over per-channel lists of Window records."""
     beats = np.asarray(gt_beat_times, dtype=int)
     all_instances = [inst for ch in per_channel_instances for inst in ch]
     if beats.size == 0:
         if not all_instances:
             return []
-        return [Bag(instances=tuple(all_instances), label=0)]
+        return [RefBag(windows=tuple(all_instances), label=0)]
 
     assigned = {}
     for ch_id, ch_instances in enumerate(per_channel_instances):
@@ -90,7 +103,7 @@ def build_bags(per_channel_instances, gt_beat_times, per_positive=3):
             leftovers.extend(cand[per_positive:])
         if chosen:
             chosen.sort(key=lambda i: (i.channel_id, i.peak_index))
-            bags.append(Bag(instances=tuple(chosen), label=1, anchor_time=int(beats[b])))
+            bags.append(RefBag(windows=tuple(chosen), label=1, anchor_time=int(beats[b])))
 
     gaps = {}
     for inst in leftovers:
@@ -98,5 +111,5 @@ def build_bags(per_channel_instances, gt_beat_times, per_positive=3):
         gaps.setdefault(g, []).append(inst)
     for g in sorted(gaps):
         members = sorted(gaps[g], key=lambda i: (i.channel_id, i.peak_index))
-        bags.append(Bag(instances=tuple(members), label=0))
+        bags.append(RefBag(windows=tuple(members), label=0))
     return bags

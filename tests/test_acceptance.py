@@ -28,7 +28,6 @@ from bcgbeat.dlfumi import (
     FumiParams,
     background_atom_update,
     fit,
-    flatten_bags,
     gamma_matrix,
     objective,
     resolve_psi,
@@ -36,7 +35,7 @@ from bcgbeat.dlfumi import (
 )
 from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
-from bcgbeat.signals import Bag, Instance, bandpass_filter, build_bags, preprocess_recording
+from bcgbeat.signals import Bag, bag_columns, bandpass_filter, build_bags, preprocess_recording
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
@@ -87,8 +86,7 @@ def hrv_pipeline():
     per_channel = preprocess_recording(train.recording, zscore=True)
     bags = build_bags(per_channel, train.recording.gt_beat_times)
     fitres = fit(bags, params, seed=0)
-    neg = [inst for bag in bags if bag.label == 0 for inst in bag.instances]
-    model = background_covariance(neg)
+    model = background_covariance(bag_columns(bags, 0))
     train_series = confidence_series(
         train.recording, fitres.dictionary, model, lam=params.lam, zscore=True
     )
@@ -116,8 +114,7 @@ def dft_pipeline():
     per_channel = preprocess_recording(train.recording)
     bags = build_bags(per_channel, train.recording.gt_beat_times)
     fitres = fit(bags, params, seed=0)
-    neg = [inst for bag in bags if bag.label == 0 for inst in bag.instances]
-    model = background_covariance(neg)
+    model = background_covariance(bag_columns(bags, 0))
     series = confidence_series(test.recording, fitres.dictionary, model, lam=params.lam)
     return hr_from_confidence_dft(series)
 
@@ -183,18 +180,9 @@ class TestCriteria:
         worst = 0.0
         for _ in range(20):
             X = rng.standard_normal((d, 5))
-            pos = Bag(
-                instances=[
-                    Instance(X[:, j], peak_index=0, channel_id=0) for j in range(3)
-                ],
-                label=1,
-            )
-            neg = Bag(
-                instances=[
-                    Instance(X[:, j], peak_index=0, channel_id=0) for j in range(3, 5)
-                ],
-                label=0,
-            )
+            ids = np.zeros(5, dtype=int)
+            pos = Bag(X[:, :3].T, ids[:3], ids[:3], label=1)
+            neg = Bag(X[:, 3:].T, ids[3:], ids[3:], label=0)
             bags = [pos, neg]
             D = Dictionary(unit_columns(rng, d, T), unit_columns(rng, d, M))
             codes = rng.standard_normal((T + M, 5)) * 0.7
@@ -235,8 +223,8 @@ class TestCriteria:
                 return atom
 
             # the positive / negative instance blocks fit() updates atoms from
-            X_all, is_pos, _ = flatten_bags(bags)
-            Xp, Xn = X_all[:, is_pos], X_all[:, ~is_pos]
+            is_pos = np.arange(5) < 3
+            Xp, Xn = X[:, is_pos], X[:, ~is_pos]
             A_pos, A_neg = codes[:, is_pos], codes[T:, ~is_pos]
             p_pos = posteriors[is_pos]
             psi = resolve_psi(is_pos, params)

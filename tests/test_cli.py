@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bcgbeat import cli, kernels
 from bcgbeat import io as bio
-from bcgbeat import kernels
 from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
 from bcgbeat.metrics import HrSeries
@@ -170,6 +170,25 @@ class TestTrain:
             assert main(argv) == 0
         flat_warnings = [r.getMessage() for r in caplog.records if "is flat" in r.getMessage()]
         assert len(flat_warnings) == 1 and flat_warnings[0].startswith("ch2 is flat")
+
+    def test_mixed_sample_rates_exit_2_before_preprocessing(self, workdir, tmp_path, capsys, monkeypatch):
+        rec = bio.read_recording(workdir / "rec.csv")
+        fast = tmp_path / "fast.csv"
+        bio.write_recording(
+            fast, Recording(rec.channels, sample_rate_hz=250.0, gt_beat_times=rec.gt_beat_times)
+        )
+
+        def never(*args, **kwargs):
+            raise AssertionError("preprocessed a recording of mixed rate")
+
+        monkeypatch.setattr(cli, "preprocess_recording", never)
+        argv = ["train", str(workdir / "rec.csv"), str(fast), "--mode", "batch",
+                "--out", str(tmp_path / "d.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "250 Hz" in err and "100 Hz" in err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_recording_without_groundtruth_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)

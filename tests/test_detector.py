@@ -20,7 +20,7 @@ from bcgbeat.detector import (
     vote_beats,
 )
 from bcgbeat.dlfumi import Dictionary, FumiParams, fit
-from bcgbeat.signals import Recording, build_bags, preprocess_recording
+from bcgbeat.signals import Recording, bag_columns, build_bags, preprocess_recording
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
@@ -136,8 +136,7 @@ def trained_small():
     res = generate(cfg)
     bags = build_bags(preprocess_recording(res.recording), res.recording.gt_beat_times)
     result = fit(bags, FumiParams(T=1, M=2), seed=0)
-    neg = [inst for bag in bags if bag.label == 0 for inst in bag.instances]
-    model = background_covariance(neg)
+    model = background_covariance(bag_columns(bags, 0))
     return cfg, res, result, model
 
 

@@ -17,7 +17,6 @@ from bcgbeat.dlfumi import (
     background_atom_update,
     e_step,
     fit,
-    flatten_bags,
     gamma_matrix,
     objective,
     resolve_psi,
@@ -25,17 +24,22 @@ from bcgbeat.dlfumi import (
     target_atom_update,
 )
 from bcgbeat.kernels import soft_threshold
-from bcgbeat.signals import Bag, Instance
+from bcgbeat.signals import Bag
 from bcgbeat.synth import SynthConfig, generate
 from bcgbeat.signals import build_bags, preprocess_recording
 
 
-def make_instance(x, channel_id=0, peak_index=0):
-    return Instance(features=np.asarray(x, dtype=float), channel_id=channel_id, peak_index=peak_index)
-
-
 def make_bag(vectors, label):
-    return Bag(instances=tuple(make_instance(v, peak_index=i) for i, v in enumerate(vectors)), label=label)
+    n = len(vectors)
+    return Bag(np.array(vectors, dtype=float), np.zeros(n, dtype=int), np.arange(n), label=label)
+
+
+def flatten(bags):
+    """The bags' instances as (d, N) columns in bag order, and whether each
+    one's bag is positive."""
+    X = np.vstack([b.features for b in bags]).T
+    is_pos = np.concatenate([np.full(len(b), b.label == 1) for b in bags])
+    return X, is_pos
 
 
 def random_dictionary(rng, d, T, M):
@@ -314,7 +318,7 @@ class TestObjective:
         posteriors = np.zeros(2)
         params = FumiParams(T=1, M=2, lam=0.0, gamma=0.0)
         # positive instance with posterior 0 still pays its background residual
-        x_pos = np.asarray(bags[0].instances[0].features)
+        x_pos = bags[0].features[0]
         expected = 0.5 * float(x_pos @ x_pos)
         got = objective(bags, D, codes, posteriors, params)
         assert abs(got - expected * (1.0 / 1.0)) <= 1e-12
@@ -335,7 +339,7 @@ class TestObjective:
         old = rng.standard_normal((d, T))
         gamma = gamma_matrix(D, params.gamma, old)
 
-        X, is_pos, _ = flatten_bags(bags)
+        X, is_pos = flatten(bags)
         total = 0.0
         for i in range(10):
             x = X[:, i]
@@ -359,7 +363,7 @@ class TestObjective:
 
 def update_blocks(bags, codes, posteriors, params):
     """fit()'s (Xp, Xn, A_pos, A_neg, p_pos, psi) for the given codes."""
-    X, is_pos, _ = flatten_bags(bags)
+    X, is_pos = flatten(bags)
     p = np.asarray(posteriors, dtype=float)
     return (
         X[:, is_pos],

@@ -5,9 +5,9 @@ import pytest
 
 from bcgbeat.signals import (
     Bag,
-    Instance,
     Recording,
     _compensated_band_edges,
+    bag_columns,
     bandpass_filter,
     build_bags,
     butter_bandpass_sos,
@@ -269,13 +269,12 @@ class TestBuildBags:
         bags = build_bags(per_channel, np.array([1000]), per_positive=3)
         pos = [b for b in bags if b.label == 1]
         assert len(pos) == 1
-        assert len(pos[0].instances) == 12
+        assert len(pos[0]) == 12
+        assert pos[0].features.shape == (12, 91)
         assert pos[0].anchor_time == 1000
         # the three closest peaks per channel are 960, 1000, 1040
         for ch in range(4):
-            got = sorted(
-                i.peak_index for i in pos[0].instances if i.channel_id == ch
-            )
+            got = sorted(pos[0].peak_indices[pos[0].channel_ids == ch].tolist())
             assert got == [960, 1000, 1040]
 
     def test_no_groundtruth_gives_one_negative_bag(self):
@@ -284,7 +283,7 @@ class TestBuildBags:
         bags = build_bags(per_channel, np.array([], dtype=int))
         assert len(bags) == 1
         assert bags[0].label == 0
-        assert len(bags[0].instances) == 20
+        assert len(bags[0]) == 20
 
     def test_every_instance_lands_in_exactly_one_bag(self):
         rng = np.random.default_rng(10)
@@ -297,20 +296,18 @@ class TestBuildBags:
             per_pos = int(rng.integers(1, 5))
             bags = build_bags(per_channel, beats, per_positive=per_pos)
             total_in = sum(len(ch) for ch in per_channel)
-            total_out = sum(len(b.instances) for b in bags)
+            total_out = sum(len(b) for b in bags)
             assert total_in == total_out
             seen = set()
             for b in bags:
-                assert len(b.instances) > 0
-                for inst in b.instances:
-                    key = (inst.channel_id, inst.peak_index)
+                assert len(b) > 0
+                for key in zip(b.channel_ids.tolist(), b.peak_indices.tolist()):
                     assert key not in seen
                     seen.add(key)
             for b in bags:
                 if b.label == 1:
                     for ch in range(n_ch):
-                        k = sum(1 for i in b.instances if i.channel_id == ch)
-                        assert k <= per_pos
+                        assert np.count_nonzero(b.channel_ids == ch) <= per_pos
 
     def test_positive_bags_precede_negative_and_follow_beat_order(self):
         rng = np.random.default_rng(11)
@@ -322,6 +319,22 @@ class TestBuildBags:
             assert labels.index(0) >= sum(labels)
         anchors = [b.anchor_time for b in bags if b.label == 1]
         assert anchors == sorted(anchors)
+
+
+class TestBagColumns:
+    def test_columns_are_c_contiguous_and_in_bag_order(self):
+        rng = np.random.default_rng(14)
+        bags = build_bags(_synthetic_instances(rng, 3, 3000, 12), np.array([700, 1500, 2300]))
+        for label, chosen in ((None, bags), (0, [b for b in bags if b.label == 0])):
+            X = bag_columns(bags, label)
+            assert X.flags.c_contiguous
+            assert X.tobytes() == np.vstack([b.features for b in chosen]).T.tobytes()
+
+    def test_rejects_mixed_feature_dimensions(self):
+        ids = np.zeros(1, dtype=int)
+        bags = [Bag(np.zeros((1, 91)), ids, ids, label=1), Bag(np.zeros((1, 61)), ids, ids, label=0)]
+        with pytest.raises(ValueError, match="feature dimension"):
+            bag_columns(bags, 1)
 
 
 class TestRecording:
@@ -353,11 +366,20 @@ class TestRecording:
 
 class TestBagValidation:
     def test_rejects_empty_bag_and_bad_label(self):
-        inst = Instance(features=np.zeros(91), channel_id=0, peak_index=45)
-        with pytest.raises(ValueError):
-            Bag(instances=(), label=0)
-        with pytest.raises(ValueError):
-            Bag(instances=(inst,), label=2)
+        one = np.zeros(1, dtype=int)
+        with pytest.raises(ValueError, match="non-empty"):
+            Bag(np.zeros((0, 91)), one[:0], one[:0], label=0)
+        with pytest.raises(ValueError, match="label"):
+            Bag(np.zeros((1, 91)), one, one + 45, label=2)
+
+    @pytest.mark.parametrize("rows, ids, peaks", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
+    def test_rejects_rows_that_do_not_match_their_ids(self, rows, ids, peaks):
+        with pytest.raises(ValueError, match="one \\(channel, peak\\) per row"):
+            Bag(np.zeros((rows, 91)), np.zeros(ids, dtype=int), np.arange(peaks), label=1)
+
+    def test_rejects_features_that_are_not_rows(self):
+        with pytest.raises(ValueError, match="per row"):
+            Bag(np.zeros(91), np.zeros(1, dtype=int), np.zeros(1, dtype=int), label=0)
 
 
 def test_flat_channel_gives_no_candidates_and_is_logged(caplog):

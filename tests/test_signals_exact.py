@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import signals_reference as ref
 from bcgbeat.signals import (
     ChannelInstances,
-    Instance,
     build_bags,
     extract_instances,
     find_peaks,
@@ -119,21 +118,18 @@ beat_times = st.sets(st.integers(0, 300), max_size=8).map(
 )
 
 
-def as_instances(block):
+def as_windows(block):
     return [
-        Instance(features=w, channel_id=block.channel_id, peak_index=int(p))
+        ref.Window(features=w, channel_id=block.channel_id, peak_index=int(p))
         for w, p in zip(block.features, block.peak_indices)
     ]
 
 
-def summary(bags):
+def rows(bag):
+    """(channel, peak, feature bytes) per row of a bag."""
     return [
-        (
-            b.label,
-            b.anchor_time,
-            [(i.channel_id, i.peak_index, i.features.tobytes()) for i in b.instances],
-        )
-        for b in bags
+        (c, p, w.tobytes())
+        for c, p, w in zip(bag.channel_ids.tolist(), bag.peak_indices.tolist(), bag.features)
     ]
 
 
@@ -141,26 +137,29 @@ def summary(bags):
 @given(blocks(), beat_times, st.integers(0, 5))
 def test_build_bags_matches_loop(chans, beats, per_positive):
     got = build_bags(chans, beats, per_positive)
-    want = ref.build_bags([as_instances(b) for b in chans], beats, per_positive)
-    assert summary(got) == summary(want)
+    want = ref.build_bags([as_windows(b) for b in chans], beats, per_positive)
+    assert [(b.label, b.anchor_time, rows(b)) for b in got] == [
+        (b.label, b.anchor_time, [(w.channel_id, w.peak_index, w.features.tobytes()) for w in b.windows])
+        for b in want
+    ]
     for b in got:
-        for inst in b.instances:
-            assert type(inst.peak_index) is int
+        assert b.features.dtype == np.float64
+        assert b.channel_ids.dtype == b.peak_indices.dtype == np.asarray(0).dtype
 
 
 @exact
 @given(blocks(unique_peaks=True), beat_times, st.integers(1, 5))
 def test_build_bags_is_a_partition(chans, beats, per_positive):
     bags = build_bags(chans, beats, per_positive)
-    placed = [(i.channel_id, i.peak_index) for b in bags for i in b.instances]
+    placed = [(c, p) for b in bags for c, p, _ in rows(b)]
     every = [(c.channel_id, p) for c in chans for p in c.peak_indices.tolist()]
     assert sorted(placed) == sorted(every)
     assert len(set(placed)) == len(placed)
     for b in bags:
         if b.label == 1:
-            per_channel = [i.channel_id for i in b.instances]
+            per_channel = b.channel_ids.tolist()
             assert max(per_channel.count(c) for c in set(per_channel)) <= per_positive
             assert b.anchor_time in beats.tolist()
         else:
-            gaps = {int(np.searchsorted(beats, i.peak_index)) for i in b.instances}
+            gaps = set(np.searchsorted(beats, b.peak_indices).tolist())
             assert len(gaps) == 1
