@@ -125,11 +125,11 @@ def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> Backgrou
 
 
 def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
-    """Background-only and full-dictionary codes for test instances.
+    """Background-only and full-dictionary lasso codes for test instances.
 
     The full coding warm-starts from the background solution (target block
-    zero), so its lasso objective can only improve on it; that is checked
-    per instance and a violation raises RuntimeError."""
+    zero), so its lasso objective can only improve on it; _confidence_batch
+    checks that."""
     T = D.n_target
     Dbg = D.background_atoms
     G_bg = Dbg.T @ Dbg
@@ -145,15 +145,6 @@ def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
     A_full = kernels.ista_positive(
         G, G_bg, corr, np.ones(X.shape[1]), A0, lam, eta, n_iter, T
     )
-
-    def lasso_obj(A):
-        R = X - full @ A
-        return 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.sum(np.abs(A), axis=0)
-
-    obj_full = lasso_obj(A_full)
-    obj_warm = lasso_obj(A0)
-    if not np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))):
-        raise RuntimeError("full-dictionary coding worsened its warm start")
     return A_bg, A_full
 
 
@@ -170,14 +161,29 @@ def _confidence_batch(
            / (x - D a)^T Sigma^-1 (x - D a),
     both residual norms floored at 1e-12, so an instance that the
     background already reconstructs exactly scores 1, not 0.
+
+    Raises RuntimeError where the full coding's lasso objective
+    0.5*||x - D a||^2 + lam*||a||_1 is worse than its warm start's.  The
+    warm start's target block is zero, so its residual is the background
+    one: each residual block is formed once and gives both its objective
+    and its Mahalanobis norm.
     """
     if X.shape[0] != D.d:
         raise ValueError("instance dimension does not match dictionary")
     if model.d != D.d:
         raise ValueError("covariance dimension does not match dictionary")
     A_bg, A_full = _code_test_instances(X, D, lam, n_iter)
-    num = model.mahalanobis_sq(X - D.background_atoms @ A_bg)
-    den = model.mahalanobis_sq(X - D.atoms @ A_full)
+
+    def scores(atoms, A):
+        R = atoms @ A
+        np.subtract(X, R, out=R)
+        lasso = 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.sum(np.abs(A), axis=0)
+        return model.mahalanobis_sq(R), lasso
+
+    num, obj_warm = scores(D.background_atoms, A_bg)
+    den, obj_full = scores(D.atoms, A_full)
+    if not np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))):
+        raise RuntimeError("full-dictionary coding worsened its warm start")
     return np.maximum(num, _RATIO_FLOOR) / np.maximum(den, _RATIO_FLOOR)
 
 

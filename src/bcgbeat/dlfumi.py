@@ -12,6 +12,12 @@ target instance, negative bags contain none.  An EM loop alternates
            renormalization to unit norm, followed by the batched ISTA
            code steps of the kernels module.
 
+The codes and posteriors stay fixed while the atoms update, so every
+product of the data and codes those updates need is formed once per
+iteration (update_products): two data GEMMs, Xp W^T and Xn A_neg^T, and
+three small code grams.  Each update then reads its columns of them and
+does only (d, K) work against the atoms updated so far.
+
 A cross-coherence penalty (gamma_matrix) pushes background atoms away
 from the previous iteration's target atoms so the target structure is not
 absorbed into the background model.
@@ -25,12 +31,15 @@ residual block is formed per iteration.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .signals import Bag, bag_columns
+
+log = logging.getLogger(__name__)
 
 _POSTERIOR_CLAMP = 1e-12
 _STALE_LIMIT = 3
@@ -298,33 +307,85 @@ def _clamp_posteriors(p: np.ndarray) -> np.ndarray:
     return np.clip(p, _POSTERIOR_CLAMP, 1.0 - _POSTERIOR_CLAMP)
 
 
-def target_atom_update(
-    Xp: np.ndarray, A_pos: np.ndarray, p_pos: np.ndarray, D: Dictionary, t: int
-):
-    """Closed-form minimizer of the expected objective over target atom t,
-    everything else held fixed, before renormalization.
+@dataclass(frozen=True)
+class UpdateProducts:
+    """The products the M-step's atom updates read, formed once per EM
+    iteration by update_products.
 
-    Xp, A_pos and p_pos are the positive-bag instances (d, N_pos), their
-    codes (T+M, N_pos) and posteriors.  Returns None (stale) when the update
-    is undefined because sum_i P_i * a_it^2 is exactly zero.  The
-    positive-bag weight psi cancels and does not appear.
+    The codes and posteriors stay fixed while the atoms update, so none of
+    these depends on the atoms.  With pc the clamped posteriors of the
+    positive-bag instances, A_tgt / A_bg the target / background rows of
+    their codes A_pos, and W = [pc*A_tgt ; A_bg] (K, N_pos):
+
+      xp             Xp W^T                     (d, K)
+      xn             Xn A_neg^T                 (d, M)
+      gram_pos       A_pos (pc*A_pos)^T         (K, K)
+      gram_bg        A_bg ((1-pc)*A_bg)^T       (M, M)
+      gram_neg       A_neg A_neg^T              (M, M)
+      target_mass    sum_i p_i a_it^2 with the unclamped p, (T,)
+      background_den psi*||a_kp||^2 + ||a_kn||^2, (M,)
+
+    A zero target_mass or background_den marks a stale atom.  The
+    clamped gram diagonal is never zero, so it cannot serve for that test.
     """
-    a_t = A_pos[t, :]
-    if float(np.sum(p_pos * a_t * a_t)) == 0.0:
-        return None
-    w = _clamp_posteriors(p_pos) * a_t
-    den = float(np.sum(w * a_t))
-    # R_full_pos @ w, with R_full_pos = Xp - D A_pos never formed
-    return (Xp @ w - D.atoms @ (A_pos @ w) + den * D.target_atoms[:, t]) / den
+
+    xp: np.ndarray
+    xn: np.ndarray
+    gram_pos: np.ndarray
+    gram_bg: np.ndarray
+    gram_neg: np.ndarray
+    target_mass: np.ndarray
+    background_den: np.ndarray
+    psi: float
 
 
-def background_atom_update(
+def update_products(
     Xp: np.ndarray,
     Xn: np.ndarray,
     A_pos: np.ndarray,
     A_neg: np.ndarray,
     p_pos: np.ndarray,
     psi: float,
+) -> UpdateProducts:
+    """UpdateProducts of the positive-bag instances Xp (d, N_pos), their
+    codes A_pos (T+M, N_pos) and posteriors p_pos, and the negative-bag
+    instances Xn (d, N_neg) with their background codes A_neg (M, N_neg):
+    two data GEMMs and three code grams."""
+    T = A_pos.shape[0] - A_neg.shape[0]
+    pc = _clamp_posteriors(p_pos)
+    A_tgt, A_bg = A_pos[:T], A_pos[T:]
+    weighted = pc * A_pos
+    return UpdateProducts(
+        xp=Xp @ np.vstack([weighted[:T], A_bg]).T,
+        xn=Xn @ A_neg.T,
+        gram_pos=A_pos @ weighted.T,
+        gram_bg=A_bg @ ((1.0 - pc) * A_bg).T,
+        gram_neg=A_neg @ A_neg.T,
+        target_mass=np.sum(p_pos * A_tgt * A_tgt, axis=1),
+        background_den=psi * np.einsum("ij,ij->i", A_bg, A_bg)
+        + np.einsum("ij,ij->i", A_neg, A_neg),
+        psi=float(psi),
+    )
+
+
+def target_atom_update(P: UpdateProducts, D: Dictionary, t: int):
+    """Closed-form minimizer of the expected objective over target atom t,
+    everything else held fixed, before renormalization.
+
+    Reads column t of the iteration's products P.  Returns None (stale)
+    when the update is undefined because sum_i P_i * a_it^2 is exactly
+    zero.  The positive-bag weight psi cancels and does not appear.
+    """
+    if P.target_mass[t] == 0.0:
+        return None
+    g = P.gram_pos[:, t]
+    den = g[t]
+    # R_full_pos @ (pc a_t), with R_full_pos = Xp - D A_pos never formed
+    return (P.xp[:, t] - D.atoms @ g + den * D.target_atoms[:, t]) / den
+
+
+def background_atom_update(
+    P: UpdateProducts,
     D: Dictionary,
     k: int,
     gamma: np.ndarray,
@@ -334,25 +395,21 @@ def background_atom_update(
     atom k, everything else held fixed, including the cross-coherence pull
     gamma[k] (a gamma_matrix row) away from the previous target atoms.
 
-    Blocks as in target_atom_update, plus the negative-bag instances Xn
-    (d, N_neg) and their background codes A_neg (M, N_neg).  Returns the
-    atom before renormalization, or None (stale) when
+    Reads column k of the background blocks of the iteration's products
+    P.  Returns the atom before renormalization, or None (stale) when
     psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.
     """
-    T = D.n_target
-    a_kp = A_pos[T + k, :]
-    a_kn = A_neg[k, :]
-    den = float(psi * (a_kp @ a_kp) + a_kn @ a_kn)
+    den = P.background_den[k]
     if den == 0.0:
         return None
-    pc = _clamp_posteriors(p_pos)
+    T = D.n_target
     bg = D.background_atoms
-    # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a), with the two Xp products
-    # folded into Xp @ a and the residuals never formed
+    # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a) + R_bg_neg @ a_neg, with
+    # the two Xp products folded into Xp @ a and the residuals never formed
     raw = (
-        psi * (Xp @ a_kp - D.atoms @ (A_pos @ (pc * a_kp)) - bg @ (A_pos[T:] @ ((1.0 - pc) * a_kp)))
-        + Xn @ a_kn
-        - bg @ (A_neg @ a_kn)
+        P.psi * (P.xp[:, T + k] - D.atoms @ P.gram_pos[:, T + k] - bg @ P.gram_bg[:, k])
+        + P.xn[:, k]
+        - bg @ P.gram_neg[:, k]
         + den * bg[:, k]
         - target_atoms_old @ gamma[k]
     )
@@ -418,7 +475,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     re-seeded from the highest-residual instance of its class; then
     inner_iters ISTA code steps.  Stops when no atom moves more than
     params.tol or after max_em_iters iterations; the result's stop_reason
-    says which.
+    says which, and so does one INFO record on this module's logger, with
+    the iteration count and the last relative objective change.
 
     With inner_objective_trace=True the result also carries, per EM
     iteration, the objective value before the code updates and after each
@@ -520,8 +578,9 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         # --- M-step: sequential closed-form atom updates ------------------
         # Each update sees the atoms as updated so far; a stale atom is
         # kept, and re-seeded after _STALE_LIMIT stale iterations in a row.
+        products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
         for t in range(T):
-            raw = target_atom_update(Xp, A_pos, p_pos, D, t)
+            raw = target_atom_update(products, D, t)
             new_atom = raw if raw is None else _normalize_or_none(raw)
             if new_atom is not None:
                 stale_tgt[t] = 0
@@ -534,9 +593,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             D.target_atoms[:, t] = new_atom
 
         for k in range(M):
-            raw = background_atom_update(
-                Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, tgt_old
-            )
+            raw = background_atom_update(products, D, k, gamma, tgt_old)
             new_atom = raw if raw is None else _normalize_or_none(raw)
             if new_atom is not None:
                 stale_bg[k] = 0
@@ -585,6 +642,11 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             stop_reason = "tol"
             break
 
+    last_change = (trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) > 1 else float("nan")
+    log.info(
+        "EM stopped: stop_reason=%s n_iterations=%d last_objective_rel_change=%r",
+        stop_reason, n_iterations, last_change,
+    )
     codes = np.zeros((T + M, is_pos.size))
     codes[:, is_pos] = A_pos
     codes[T:, ~is_pos] = A_neg
@@ -599,8 +661,6 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         psi=psi,
         n_iterations=n_iterations,
         stop_reason=stop_reason,
-        last_objective_rel_change=(
-            (trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) > 1 else float("nan")
-        ),
+        last_objective_rel_change=last_change,
         inner_objective_trace=inner_trace,
     )

@@ -32,6 +32,7 @@ from bcgbeat.dlfumi import (
     objective,
     resolve_psi,
     target_atom_update,
+    update_products,
 )
 from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
@@ -228,16 +229,11 @@ class TestCriteria:
             A_pos, A_neg = codes[:, is_pos], codes[T:, ~is_pos]
             p_pos = posteriors[is_pos]
             psi = resolve_psi(is_pos, params)
-            updates = [("target", 0, target_atom_update(Xp, A_pos, p_pos, D, 0))]
+            P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
+            updates = [("target", 0, target_atom_update(P, D, 0))]
             for k in range(M):
                 updates.append(
-                    (
-                        "background",
-                        k,
-                        background_atom_update(
-                            Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, old_targets
-                        ),
-                    )
+                    ("background", k, background_atom_update(P, D, k, gamma, old_targets))
                 )
             for which, k, closed in updates:
                 assert closed is not None

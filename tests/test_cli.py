@@ -124,6 +124,27 @@ class TestTrain:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("em_iter=1 objective=") for line in lines)
 
+    def test_em_stop_record_goes_to_logging_not_the_terminal(self, workdir, tmp_path, capsys, caplog):
+        argv = ["train", str(workdir / "rec.csv"), "--max_em_iters", "2", "--out", str(tmp_path / "d.csv")]
+        capsys.readouterr()
+        with caplog.at_level("INFO", logger="bcgbeat.dlfumi"):
+            assert main(argv) == 0
+        in_process_out = capsys.readouterr().out
+        (record,) = [r for r in caplog.records if r.name == "bcgbeat.dlfumi"]
+        assert "stop_reason=max_iter n_iterations=2" in record.getMessage()
+        # a fresh interpreter with no handler set up: an INFO record is not
+        # printed, so stdout and stderr are what they were without it
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcgbeat.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == in_process_out
+        assert proc.stderr == ""
+
     def test_batch_mode_pools_recordings(self, workdir, tmp_path):
         cfg = tmp_path / "synth.conf"
         cfg.write_text("duration_s=90\nhr_bpm=72\nsnr_db=10\n")

@@ -2,6 +2,7 @@
 gradient and steps, atom updates, fit."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dlfumi_reference as ref
 from bcgbeat import kernels
 from bcgbeat.dlfumi import (
     Dictionary,
@@ -22,6 +24,7 @@ from bcgbeat.dlfumi import (
     resolve_psi,
     safe_step_length,
     target_atom_update,
+    update_products,
 )
 from bcgbeat.kernels import soft_threshold
 from bcgbeat.signals import Bag
@@ -375,11 +378,15 @@ def update_blocks(bags, codes, posteriors, params):
     )
 
 
+def products(bags, codes, posteriors, params):
+    """The M-step products fit() forms for the given codes."""
+    return update_products(*update_blocks(bags, codes, posteriors, params))
+
+
 def bg_update(bags, codes, posteriors, D, k, params, target_atoms_old):
-    Xp, Xn, A_pos, A_neg, p_pos, psi = update_blocks(bags, codes, posteriors, params)
     gamma = gamma_matrix(D, params.gamma, target_atoms_old)
     return background_atom_update(
-        Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, target_atoms_old
+        products(bags, codes, posteriors, params), D, k, gamma, target_atoms_old
     )
 
 
@@ -391,8 +398,8 @@ class TestAtomUpdates:
         bags = [make_bag([x], 1), make_bag([rng.standard_normal(6)], 0)]
         codes = np.zeros((3, 2))
         codes[0, 0] = 1.0
-        Xp, _, A_pos, _, p_pos, _ = update_blocks(bags, codes, [1.0, 0.0], FumiParams(T=1, M=2))
-        atom = target_atom_update(Xp, A_pos, p_pos, D, 0)
+        P = products(bags, codes, [1.0, 0.0], FumiParams(T=1, M=2))
+        atom = target_atom_update(P, D, 0)
         np.testing.assert_allclose(atom, x, atol=1e-9)
 
     def test_target_update_is_stale_when_no_instance_is_believed(self):
@@ -400,8 +407,8 @@ class TestAtomUpdates:
         D = random_dictionary(rng, 6, 1, 2)
         bags = [make_bag([rng.standard_normal(6)], 1), make_bag([rng.standard_normal(6)], 0)]
         codes = rng.standard_normal((3, 2))
-        Xp, _, A_pos, _, p_pos, _ = update_blocks(bags, codes, np.zeros(2), FumiParams(T=1, M=2))
-        assert target_atom_update(Xp, A_pos, p_pos, D, 0) is None
+        P = products(bags, codes, np.zeros(2), FumiParams(T=1, M=2))
+        assert target_atom_update(P, D, 0) is None
 
     def test_background_update_recovers_scaled_instance_direction(self):
         rng = np.random.default_rng(19)
@@ -439,6 +446,67 @@ class TestAtomUpdates:
         codes = np.zeros((3, 2))
         params = FumiParams(T=1, M=2)
         assert bg_update(bags, codes, np.zeros(2), D, 1, params, D.target_atoms) is None
+
+
+@st.composite
+def update_problems(draw):
+    """Instance blocks, codes with whole rows zeroed (stale atoms) and
+    posteriors that are exactly 0, exactly 1 or mixed."""
+    T = draw(st.integers(1, 4))
+    M = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 10))
+    n_pos = draw(st.integers(1, 30))
+    n_neg = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Xp = rng.standard_normal((d, n_pos))
+    Xn = rng.standard_normal((d, n_neg))
+    A_pos = rng.standard_normal((T + M, n_pos))
+    A_neg = rng.standard_normal((M, n_neg))
+    A_pos[rng.random(T + M) < 0.3] = 0.0
+    A_neg[rng.random(M) < 0.3] = 0.0
+    A_pos[rng.random((T + M, n_pos)) < 0.3] = 0.0
+    kind = draw(st.sampled_from(["zero", "one", "mixed"]))
+    if kind == "mixed":
+        p_pos = rng.uniform(0.0, 1.0, n_pos)
+        p_pos[rng.random(n_pos) < 0.3] = 0.0
+    else:
+        p_pos = np.full(n_pos, 0.0 if kind == "zero" else 1.0)
+    psi = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    D = random_dictionary(rng, d, T, M)
+    tgt_old = random_dictionary(rng, d, T, M).target_atoms
+    gamma = gamma_matrix(D, draw(st.sampled_from([0.0, 5e-3, 0.5])), tgt_old)
+    return Xp, Xn, A_pos, A_neg, p_pos, psi, D, gamma, tgt_old
+
+
+def assert_same_update(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestBatchedUpdatesMatchTheMatrixVectorForms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(update_problems())
+    def test_updates_and_stale_atoms_match(self, problem):
+        # The atoms update one after another and each update sees the ones
+        # before it, as in fit(); both forms read the same dictionary.
+        Xp, Xn, A_pos, A_neg, p_pos, psi, D, gamma, tgt_old = problem
+        P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
+        for t in range(D.n_target):
+            got = target_atom_update(P, D, t)
+            assert_same_update(got, ref.target_atom_update(Xp, A_pos, p_pos, D, t))
+            if got is not None:
+                D.target_atoms[:, t] = got / np.linalg.norm(got)
+        for k in range(D.n_background):
+            got = background_atom_update(P, D, k, gamma, tgt_old)
+            want = ref.background_atom_update(
+                Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, tgt_old
+            )
+            assert_same_update(got, want)
+            if got is not None:
+                D.background_atoms[:, k] = got / np.linalg.norm(got)
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +577,21 @@ class TestFit:
         assert result.n_iterations == 1
         assert result.stop_reason == "tol"
         assert np.isnan(result.last_objective_rel_change)
+
+    @pytest.mark.parametrize(
+        "kwargs, reason, n", [({"max_em_iters": 3, "tol": 1e-300}, "max_iter", 3), ({"tol": 1e300}, "tol", 1)]
+    )
+    def test_why_em_stopped_is_logged_once(self, planted_fit, caplog, kwargs, reason, n):
+        _, bags, _ = planted_fit
+        with caplog.at_level(logging.INFO, logger="bcgbeat.dlfumi"):
+            result = fit(bags, FumiParams(T=1, M=2, **kwargs), seed=0)
+        (record,) = [r for r in caplog.records if r.name == "bcgbeat.dlfumi"]
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == (
+            f"EM stopped: stop_reason={reason} n_iterations={n} "
+            f"last_objective_rel_change={result.last_objective_rel_change!r}"
+        )
+        assert result.stop_reason == reason and result.n_iterations == n
 
     def test_objective_trace_has_one_entry_per_iteration(self, planted_fit):
         _, _, result = planted_fit
