@@ -207,11 +207,21 @@ def _sibling(path: str, new_tail: str) -> str:
     return base + new_tail
 
 
-def _read_recording(path: str):
+def _read_recording(read, path: str):
+    """read(path), with a file it rejects as exit 2."""
     try:
-        return bio.read_recording(path)
+        return read(path)
     except (OSError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"cannot read recording {path}: {exc}") from exc
+
+
+def _require_one_window(path: str, duration_s: float, window_s: float) -> None:
+    if duration_s < window_s:
+        raise CliError(
+            EXIT_EVAL_IMPOSSIBLE,
+            f"{path} lasts {duration_s:g} s, "
+            f"shorter than one {window_s:g}-s HR window",
+        )
 
 
 # --- synth -------------------------------------------------------------------
@@ -273,7 +283,7 @@ def cmd_train(args) -> int:
 
     recs = []
     for path in args.recordings:
-        rec = _read_recording(path)
+        rec = _read_recording(bio.read_recording, path)
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
         recs.append(rec)
@@ -334,15 +344,10 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = load_run_config(args.config, args.mode, args.seed)
-    rec = _read_recording(args.recording)
+    rec = _read_recording(bio.read_recording, args.recording)
     window_s = cfg.get("window_s", 60.0)
     step_s = cfg.get("step_s", 15.0)
-    if rec.duration_s < window_s:
-        raise CliError(
-            EXIT_EVAL_IMPOSSIBLE,
-            f"{args.recording} lasts {rec.duration_s:g} s, "
-            f"shorter than one {window_s:g}-s HR window",
-        )
+    _require_one_window(args.recording, rec.duration_s, window_s)
     try:
         D = bio.read_dictionary(args.dict)
     except (OSError, ValueError) as exc:
@@ -430,19 +435,17 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, None, None)
-    rec = _read_recording(args.groundtruth)
-    if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
+    fs, n_samples, gt = _read_recording(bio.read_groundtruth, args.groundtruth)
+    duration_s = n_samples / fs
+    window_s = cfg.get("window_s", 60.0)
+    step_s = cfg.get("step_s", 15.0)
+    _require_one_window(args.groundtruth, duration_s, window_s)
+    if gt is None or gt.size == 0:
         raise CliError(
             EXIT_NO_GROUNDTRUTH, f"{args.groundtruth} has no groundtruth beats"
         )
-    window_s = cfg.get("window_s", 60.0)
-    step_s = cfg.get("step_s", 15.0)
     gt_hr = hr_from_beats(
-        rec.gt_beat_times,
-        rec.sample_rate_hz,
-        window_s=window_s,
-        step_s=step_s,
-        duration_s=rec.duration_s,
+        gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s
     )
     try:
         est_hr = bio.read_hr(args.est_hr)
@@ -469,7 +472,7 @@ def cmd_eval(args) -> int:
             _, est_times, _ = bio.read_beats(args.est_beats)
         except (OSError, ValueError) as exc:
             raise CliError(EXIT_CONFIG, f"cannot read beats: {exc}") from exc
-        gt_times = rec.gt_beat_times / rec.sample_rate_hz
+        gt_times = gt / fs
         try:
             report["bbi_relative_error_pct"] = repr(
                 bbi_relative_error(est_times, gt_times)

@@ -16,8 +16,9 @@ from .signals import Recording
 from .synth import SynthResult
 
 
-# Largest relative deviation of a time step from 1/fs that read_recording
-# accepts: room for rounded timestamps, far below any shifted or swapped row.
+# Largest relative deviation of a time step from 1/fs that the recording
+# readers accept: room for rounded timestamps, far below any shifted or
+# swapped row.
 _T_STEP_RTOL = 1e-3
 
 
@@ -51,7 +52,15 @@ def write_recording(path, rec: Recording) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def read_recording(path) -> Recording:
+def _read_table(path, channels: bool):
+    """The checks that both recording readers share.
+
+    Checks the header, then parses `t`, the last column and, with
+    `channels`, every column.  Every row must have exactly the header's
+    width, `t` must be a uniform grid and `gt` must be 0 or 1.  Returns
+    (sample rate, parsed columns, channel count, groundtruth beat indices
+    or None).
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t":
@@ -60,17 +69,28 @@ def read_recording(path) -> Recording:
         ch_names = header[1 : -1 if has_gt else len(header)]
         if any(not c.startswith("ch") for c in ch_names) or not ch_names:
             raise ValueError(f"{path}: malformed recording header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
+        width = len(header)
+        # the last column is always parsed, so every shorter row fails here
+        data = np.loadtxt(
+            fh, delimiter=",", ndmin=2, usecols=None if channels else (0, width - 1)
+        )
+    # No row is shorter, so a delimiter count finds any longer one: the
+    # header and every row hold exactly width - 1 commas.  Counted in
+    # blocks, so no copy of the whole file is held.
+    with open(path, "rb") as fh:
+        n_delims = sum(b.count(b",") for b in iter(lambda: fh.read(1 << 20), b""))
+    n = data.shape[0]
+    if n_delims != (n + 1) * (width - 1):
         raise ValueError(f"{path}: row width disagrees with header")
-    t = data[:, 0]
-    if t.size < 2:
+    if n < 2:
         raise ValueError(f"{path}: need at least two samples")
+    t = data[:, 0]
     dt = np.diff(t)  # dt[k] is the step into sample k + 1
-    if np.any(dt <= 0):
-        k = int(np.argmax(dt <= 0))
+    not_up = ~(dt > 0)  # NaN steps too
+    if np.any(not_up):
+        k = int(np.argmax(not_up))
         raise ValueError(f"{path}: time column does not increase at sample {k + 1}")
-    fs = round((t.size - 1) / (t[-1] - t[0]), 9)
+    fs = round((n - 1) / (t[-1] - t[0]), 9)
     off_grid = np.abs(dt * fs - 1.0) > _T_STEP_RTOL
     if np.any(off_grid):
         k = int(np.argmax(off_grid))
@@ -78,11 +98,34 @@ def read_recording(path) -> Recording:
             f"{path}: time column is not a uniform grid at sample {k + 1} "
             f"(step {float(dt[k])!r} s, expected {1.0 / fs!r} s)"
         )
-    channels = [data[:, 1 + c] for c in range(len(ch_names))]
     gt = None
     if has_gt:
-        gt = np.flatnonzero(data[:, -1] != 0)
+        marks = data[:, -1]
+        not_mark = (marks != 0) & (marks != 1)
+        if np.any(not_mark):
+            k = int(np.argmax(not_mark))
+            raise ValueError(
+                f"{path}: gt is {float(marks[k])!r} at sample {k}, not 0 or 1"
+            )
+        gt = np.flatnonzero(marks)
+    return fs, data, len(ch_names), gt
+
+
+def read_recording(path) -> Recording:
+    fs, data, n_ch, gt = _read_table(path, channels=True)
+    channels = [data[:, 1 + c] for c in range(n_ch)]
     return Recording(channels=channels, sample_rate_hz=fs, gt_beat_times=gt)
+
+
+def read_groundtruth(path) -> tuple[float, int, np.ndarray | None]:
+    """(sample rate, sample count, groundtruth beat indices or None) of a
+    recording CSV, parsing only its `t` and last column.
+
+    Rejects every file that read_recording rejects, except for a channel
+    value that is not a finite number: channels are not parsed.
+    """
+    fs, data, _, gt = _read_table(path, channels=False)
+    return fs, data.shape[0], gt
 
 
 # --- dictionary CSV: kind,s0..s{d-1} ---------------------------------------

@@ -473,6 +473,32 @@ class TestEval:
         )
         assert code == 3
 
+    def test_groundtruth_other_than_0_or_1_exits_2(self, workdir, tmp_path, capsys):
+        lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
+        lines[500] = lines[500].rstrip("\n").rsplit(",", 1)[0] + ",2\n"
+        bad = tmp_path / "gt2.csv"
+        bad.write_text("".join(lines))
+        code = main(
+            ["eval", str(bad), "--est-hr", str(workdir / "det") + ".hr.csv",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert f"{bad}: gt is 2.0 at sample 499, not 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_recording_shorter_than_one_hr_window_exits_5(self, workdir, tmp_path, capsys):
+        lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines[: 1 + 30 * 100]))
+        code = main(
+            ["eval", str(short), "--est-hr", str(workdir / "det") + ".hr.csv",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"{short} lasts 30 s, shorter than one 60-s HR window" in err
+        assert not (tmp_path / "r").exists()
+
     def test_all_gap_estimate_exits_5(self, workdir, tmp_path):
         gt_hr = bio.read_hr(str(workdir / "det") + ".hr.csv")
         empty = HrSeries(times=gt_hr.times, bpm=np.full(gt_hr.times.size, np.nan))

@@ -8,8 +8,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bcgbeat import io as bio
+from bcgbeat.cli import main
 from bcgbeat.detector import BackgroundModel
 from bcgbeat.dlfumi import Dictionary
 from bcgbeat.metrics import HrSeries
@@ -111,6 +114,132 @@ class TestRecordingRoundtrip:
         rec = bio.read_recording(p)
         assert rec.sample_rate_hz == pytest.approx(fs, rel=1e-6)
         np.testing.assert_array_equal(rec.channels[0], x)
+
+
+def _edit_field(row: int, col: int, value):
+    def edit(lines):
+        fields = lines[row].rstrip("\n").split(",")
+        fields[col] = value(fields[col])
+        lines[row] = ",".join(fields) + "\n"
+
+    return edit
+
+
+def _swap_rows(lines):
+    lines[101], lines[102] = lines[102], lines[101]
+
+
+def _extra_field(lines, row=150):
+    lines[row] = lines[row].rstrip("\n") + ",0.5\n"
+
+
+def _missing_field(lines, row=150):
+    lines[row] = lines[row].rstrip("\n").rsplit(",", 1)[0] + "\n"
+
+
+def _missing_and_extra_field(lines):
+    # the delimiter count balances, so only the short first row gives it away
+    _missing_field(lines, 1)
+    _extra_field(lines, 2)
+
+
+# (id, edit of the lines of random_recording's CSV, message both readers
+# give or None where the parser's own message differs between them)
+MALFORMED = [
+    ("foreign_header", _edit_field(0, 0, lambda _: "time"),
+     "not a recording CSV (missing 't' column)"),
+    ("non_channel_column", _edit_field(0, 2, lambda _: "volts"), "malformed recording header"),
+    ("single_sample", lambda lines: lines.__delitem__(slice(2, None)), "need at least two samples"),
+    ("shifted_timestamp", _edit_field(201, 0, lambda v: repr(float(v) + 0.5)),
+     "time column does not increase at sample 201"),
+    ("swapped_rows", _swap_rows, "time column does not increase at sample 101"),
+    ("uneven_time_axis", _edit_field(301, 0, lambda v: repr(float(v) + 0.004)),
+     "time column is not a uniform grid at sample 300"),
+    ("extra_field", _extra_field, None),
+    ("missing_field", _missing_field, None),
+    ("missing_and_extra_field", _missing_and_extra_field, None),
+    ("non_numeric_t", _edit_field(120, 0, lambda _: "1.19s"), None),
+    ("nan_t", _edit_field(120, 0, lambda _: "nan"),
+     "time column does not increase at sample 119"),
+    ("gt_2", _edit_field(40, -1, lambda _: "2"), "gt is 2.0 at sample 39, not 0 or 1"),
+    ("gt_half", _edit_field(41, -1, lambda _: "0.5"), "gt is 0.5 at sample 40, not 0 or 1"),
+]
+
+
+def _malformed(tmp_path, edit):
+    p = tmp_path / "bad.csv"
+    bio.write_recording(p, random_recording())
+    lines = p.read_text().splitlines(keepends=True)
+    edit(lines)
+    p.write_text("".join(lines))
+    return p
+
+
+recordings = st.tuples(
+    st.integers(1, 4),
+    st.sampled_from([50.0, 100.0, 128.0, 250.0, 1000.0 / 3.0]),
+    st.integers(2, 300),
+    st.integers(0, 2**32 - 1),
+    st.none() | st.sets(st.integers(0, 299)),
+)
+
+
+class TestGroundtruthReader:
+    """read_groundtruth parses only `t` and `gt` but must agree with
+    read_recording on every file, apart from channel values."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(recordings)
+    def test_agrees_with_read_recording(self, tmp_path, drawn):
+        n_ch, fs, n, seed, marks = drawn
+        rng = np.random.default_rng(seed)
+        gt = None if marks is None else np.asarray(sorted(m for m in marks if m < n), dtype=int)
+        rec = Recording(
+            channels=[rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) for _ in range(n_ch)],
+            sample_rate_hz=fs,
+            gt_beat_times=gt,
+        )
+        p = tmp_path / "rec.csv"
+        bio.write_recording(p, rec)
+        full = bio.read_recording(p)
+        got_fs, got_n, got_gt = bio.read_groundtruth(p)
+        assert got_fs == full.sample_rate_hz
+        assert got_n == full.n_samples == n
+        if gt is None:
+            assert got_gt is None and full.gt_beat_times is None
+        else:
+            assert got_gt.dtype == full.gt_beat_times.dtype
+            np.testing.assert_array_equal(got_gt, full.gt_beat_times)
+            np.testing.assert_array_equal(got_gt, gt)
+
+    @pytest.mark.parametrize("read", [bio.read_recording, bio.read_groundtruth])
+    @pytest.mark.parametrize("edit,msg", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+    def test_both_readers_reject(self, tmp_path, read, edit, msg):
+        p = _malformed(tmp_path, edit)
+        with pytest.raises(ValueError, match=None if msg is None else re.escape(f"{p}: {msg}")):
+            read(p)
+
+    @pytest.mark.parametrize("edit", [m[1] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+    def test_eval_exits_2(self, tmp_path, capsys, edit):
+        p = _malformed(tmp_path, edit)
+        hr = tmp_path / "est.hr.csv"
+        hr.write_text("window_center_s,hr_bpm\n30.0,60.0\n")
+        code = main(["eval", str(p), "--est-hr", str(hr), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"cannot read recording {p}" in capsys.readouterr().err
+
+    def test_channel_values_are_not_parsed(self, tmp_path):
+        p = _malformed(tmp_path, _edit_field(77, 2, lambda _: "nan"))
+        with pytest.raises(ValueError, match="channel ch1 has non-finite samples"):
+            bio.read_recording(p)
+        fs, n, gt = bio.read_groundtruth(p)
+        assert (fs, n) == (100.0, 500)
+        np.testing.assert_array_equal(gt, random_recording().gt_beat_times)
 
 
 class TestDictionaryRoundtrip:
