@@ -439,11 +439,11 @@ def cmd_eval(args) -> int:
     duration_s = n_samples / fs
     window_s = cfg.get("window_s", 60.0)
     step_s = cfg.get("step_s", 15.0)
-    _require_one_window(args.groundtruth, duration_s, window_s)
     if gt is None or gt.size == 0:
         raise CliError(
             EXIT_NO_GROUNDTRUTH, f"{args.groundtruth} has no groundtruth beats"
         )
+    _require_one_window(args.groundtruth, duration_s, window_s)
     gt_hr = hr_from_beats(
         gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s
     )

@@ -52,6 +52,23 @@ def write_recording(path, rec: Recording) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _commas(path) -> int:
+    """The commas of a recording CSV as np.loadtxt's parse sees them: a
+    '#' comment in a row is cut off.  Counted over raw 1-MiB blocks, so no
+    copy of the whole file is held; line by line only if a '#' occurs."""
+    with open(path, "rb") as fh:
+        n = 0
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            if b"#" in block:
+                break
+            n += block.count(b",")
+        else:
+            return n
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()  # read whole, as _read_table does
+        return header.count(",") + sum(line.split("#", 1)[0].count(",") for line in fh)
+
+
 def _read_table(path, channels: bool):
     """The checks that both recording readers share.
 
@@ -70,17 +87,20 @@ def _read_table(path, channels: bool):
         if any(not c.startswith("ch") for c in ch_names) or not ch_names:
             raise ValueError(f"{path}: malformed recording header")
         width = len(header)
-        # the last column is always parsed, so every shorter row fails here
+        # loadtxt rejects a row whose width differs from the first row's;
+        # the usecols parse always includes the last column, so there every
+        # shorter row fails, but a longer one passes
         data = np.loadtxt(
             fh, delimiter=",", ndmin=2, usecols=None if channels else (0, width - 1)
         )
-    # No row is shorter, so a delimiter count finds any longer one: the
-    # header and every row hold exactly width - 1 commas.  Counted in
-    # blocks, so no copy of the whole file is held.
-    with open(path, "rb") as fh:
-        n_delims = sum(b.count(b",") for b in iter(lambda: fh.read(1 << 20), b""))
     n = data.shape[0]
-    if n_delims != (n + 1) * (width - 1):
+    if channels:
+        wrong_width = data.shape[1] != width
+    else:
+        # no row is shorter, so the header and every row hold exactly
+        # width - 1 commas unless some row is longer
+        wrong_width = _commas(path) != (n + 1) * (width - 1)
+    if wrong_width:
         raise ValueError(f"{path}: row width disagrees with header")
     if n < 2:
         raise ValueError(f"{path}: need at least two samples")
@@ -90,7 +110,13 @@ def _read_table(path, channels: bool):
     if np.any(not_up):
         k = int(np.argmax(not_up))
         raise ValueError(f"{path}: time column does not increase at sample {k + 1}")
-    fs = round((n - 1) / (t[-1] - t[0]), 9)
+    span = t[-1] - t[0]
+    fs = round((n - 1) / span, 9)
+    if not 0 < fs < np.inf:  # an infinite `t`, or a span that overflows
+        raise ValueError(
+            f"{path}: time column spans {float(span)!r} s, "
+            "no positive finite sample rate"
+        )
     off_grid = np.abs(dt * fs - 1.0) > _T_STEP_RTOL
     if np.any(off_grid):
         k = int(np.argmax(off_grid))

@@ -499,6 +499,19 @@ class TestEval:
         assert f"{short} lasts 30 s, shorter than one 60-s HR window" in err
         assert not (tmp_path / "r").exists()
 
+    def test_short_recording_without_groundtruth_exits_3(self, workdir, tmp_path, capsys):
+        # the missing groundtruth is reported before the short duration
+        rng = np.random.default_rng(0)
+        rec = Recording(channels=[rng.standard_normal(3000)], sample_rate_hz=100.0)
+        p = tmp_path / "short_nogt.csv"
+        bio.write_recording(p, rec)
+        code = main(
+            ["eval", str(p), "--est-hr", str(workdir / "det") + ".hr.csv",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 3
+        assert f"{p} has no groundtruth beats" in capsys.readouterr().err
+
     def test_all_gap_estimate_exits_5(self, workdir, tmp_path):
         gt_hr = bio.read_hr(str(workdir / "det") + ".hr.csv")
         empty = HrSeries(times=gt_hr.times, bpm=np.full(gt_hr.times.size, np.nan))

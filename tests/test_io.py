@@ -137,6 +137,18 @@ def _missing_field(lines, row=150):
     lines[row] = lines[row].rstrip("\n").rsplit(",", 1)[0] + "\n"
 
 
+def _two_samples_last_t_inf(lines):
+    del lines[3:]
+    _edit_field(2, 0, lambda _: "inf")(lines)
+
+
+def _two_samples_span_overflows(lines):
+    # both timestamps finite, but their difference is not
+    del lines[3:]
+    _edit_field(1, 0, lambda _: "-1e308")(lines)
+    _edit_field(2, 0, lambda _: "1e308")(lines)
+
+
 def _missing_and_extra_field(lines):
     # the delimiter count balances, so only the short first row gives it away
     _missing_field(lines, 1)
@@ -161,6 +173,14 @@ MALFORMED = [
     ("non_numeric_t", _edit_field(120, 0, lambda _: "1.19s"), None),
     ("nan_t", _edit_field(120, 0, lambda _: "nan"),
      "time column does not increase at sample 119"),
+    ("inf_t_two_samples", _two_samples_last_t_inf,
+     "time column spans inf s, no positive finite sample rate"),
+    ("inf_t_last", _edit_field(500, 0, lambda _: "inf"),
+     "time column spans inf s, no positive finite sample rate"),
+    ("minus_inf_t_first", _edit_field(1, 0, lambda _: "-inf"),
+     "time column spans inf s, no positive finite sample rate"),
+    ("t_span_overflows", _two_samples_span_overflows,
+     "time column spans inf s, no positive finite sample rate"),
     ("gt_2", _edit_field(40, -1, lambda _: "2"), "gt is 2.0 at sample 39, not 0 or 1"),
     ("gt_half", _edit_field(41, -1, lambda _: "0.5"), "gt is 0.5 at sample 40, not 0 or 1"),
 ]
@@ -232,6 +252,29 @@ class TestGroundtruthReader:
         code = main(["eval", str(p), "--est-hr", str(hr), "--out", str(tmp_path / "r")])
         assert code == 2
         assert f"cannot read recording {p}" in capsys.readouterr().err
+
+    def test_comments_are_skipped_alike(self, tmp_path):
+        # np.loadtxt drops '#' comments, so the comma count must drop them too
+        def edit(lines):
+            lines.insert(1, "# a comment line, with, commas\n")
+            lines[200] = lines[200].rstrip("\n") + "  # inline, with a comma\n"
+
+        p = _malformed(tmp_path, edit)
+        full = bio.read_recording(p)
+        fs, n, gt = bio.read_groundtruth(p)
+        assert (fs, n) == (full.sample_rate_hz, full.n_samples) == (100.0, 500)
+        np.testing.assert_array_equal(gt, full.gt_beat_times)
+        np.testing.assert_array_equal(gt, random_recording().gt_beat_times)
+
+    def test_extra_field_after_a_comment_is_still_rejected(self, tmp_path):
+        def edit(lines):
+            lines.insert(1, "# a comment\n")
+            _extra_field(lines, 300)
+
+        p = _malformed(tmp_path, edit)
+        for read in (bio.read_recording, bio.read_groundtruth):
+            with pytest.raises(ValueError):
+                read(p)
 
     def test_channel_values_are_not_parsed(self, tmp_path):
         p = _malformed(tmp_path, _edit_field(77, 2, lambda _: "nan"))
