@@ -4,19 +4,27 @@ Exit codes: 0 success, 2 config or IO problem, 3 groundtruth missing where
 required, 4 model/data mismatch (dimensions, or codes that fail the
 warm-start check), 5 evaluation impossible.
 Runs are deterministic given the config file and --seed.
+
+Every setting is resolved by one rule: a CLI flag beats a `--config` key,
+which beats the model's `.params` (detect), which beats the `--mode`
+preset.  A setting that none of them gives is not passed on, so the
+function or dataclass it configures applies its own default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
 from . import io as bio
 from .detector import (
     DEFAULT_CODE_ITERS,
+    DEFAULT_DFT_BAND_HZ,
+    DEFAULT_STEP_S,
+    DEFAULT_WINDOW_S,
     DetectionParams,
     background_covariance,
     code_blocks,
@@ -36,16 +44,7 @@ from .metrics import (
     pearson_r,
     per_window_errors,
 )
-from .signals import (
-    DEFAULT_BAND_HZ,
-    DEFAULT_FILTER_ORDER,
-    DEFAULT_HALF_LEN,
-    DEFAULT_MIN_SEPARATION,
-    DEFAULT_PER_POSITIVE,
-    bag_columns,
-    build_bags,
-    preprocess_recording,
-)
+from .signals import bag_columns, build_bags, preprocess_recording
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -54,13 +53,12 @@ EXIT_NO_GROUNDTRUTH = 3
 EXIT_MODEL_MISMATCH = 4
 EXIT_EVAL_IMPOSSIBLE = 5
 
+# Learner settings each preset changes; individual mode is FumiParams' own
+# defaults.
 MODE_PRESETS = {
-    "individual": dict(T=3, M=3, lam=5e-3, gamma=5e-3, beta=90.0),
-    "batch": dict(T=9, M=9, lam=1e-3, gamma=5e-3, beta=120.0),
+    "individual": {},
+    "batch": {"T": 9, "M": 9, "lambda": 1e-3, "beta": 120.0},
 }
-# exercise reuses a dictionary trained elsewhere; training in this mode
-# anyway gets the individual preset.
-MODE_PRESETS["exercise"] = MODE_PRESETS["individual"]
 
 
 class CliError(Exception):
@@ -114,7 +112,6 @@ _CONFIG_PARSERS = {
     "step_s": float,
     "dft_band_low": float,
     "dft_band_high": float,
-    "dft_pulse_width_s": float,
     "duration_s": float,
     "fs": float,
     "hr_bpm": float,
@@ -135,71 +132,74 @@ _CONFIG_PARSERS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Everything a run can configure, from one flat key=value namespace."""
-
-    mode: str = "individual"
-    seed: int = 0
-    values: dict = None
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+# Config keys named otherwise than the parameter they set (`lambda` is a
+# Python keyword).  `.params` files name their keys as the parameters.
+_PARAM_NAMES = {"lambda": "lam", "band_low": "low", "band_high": "high", "filter_order": "order"}
+# The FumiParams fields; train also takes each as a flag.
+_LEARNER_KEYS = ("T", "M", "lambda", "gamma", "beta", "psi", "inner_iters", "max_em_iters", "tol")
+_PREPROCESS_KEYS = ("band_low", "band_high", "filter_order", "min_separation", "half_len", "zscore")
+_VOTING_KEYS = tuple(f.name for f in fields(DetectionParams))
 
 
-def load_run_config(path: str | None, mode_flag: str | None, seed_flag: int | None) -> RunConfig:
-    values: dict = {}
-    if path is not None:
+def load_settings(args) -> dict:
+    """The settings given on the command line: the keys of the --config
+    file and, over them, every flag whose dest is a config key.  `mode`
+    is always set, and is one of MODE_PRESETS."""
+    given: dict = {}
+    if args.config is not None:
         try:
-            raw = bio.read_keyvalue(path)
+            raw = bio.read_keyvalue(args.config)
         except (OSError, ValueError) as exc:
             raise CliError(EXIT_CONFIG, f"cannot read config: {exc}") from exc
         for k, v in raw.items():
             if k not in _CONFIG_PARSERS:
                 raise CliError(EXIT_CONFIG, f"unknown config key {k!r}")
             try:
-                values[k] = _CONFIG_PARSERS[k](v)
+                given[k] = _CONFIG_PARSERS[k](v)
             except ValueError as exc:
                 raise CliError(EXIT_CONFIG, f"bad value for {k!r}: {exc}") from exc
-    mode = mode_flag or values.get("mode", "individual")
-    if mode not in MODE_PRESETS:
-        raise CliError(EXIT_CONFIG, f"unknown mode {mode!r}")
-    seed = seed_flag if seed_flag is not None else values.get("seed", 0)
-    return RunConfig(mode=mode, seed=int(seed), values=values)
-
-
-def _fumi_params(cfg: RunConfig, args) -> FumiParams:
-    kw = dict(MODE_PRESETS[cfg.mode])
-    mapping = {
-        "T": "T",
-        "M": "M",
-        "lambda": "lam",
-        "gamma": "gamma",
-        "beta": "beta",
-        "psi": "psi",
-        "inner_iters": "inner_iters",
-        "max_em_iters": "max_em_iters",
-        "tol": "tol",
-    }
-    for key, attr in mapping.items():
-        if key in cfg.values:
-            kw[attr] = cfg.values[key]
-    for key, attr in mapping.items():
-        flag = getattr(args, key.replace("lambda", "lam"), None)
-        if flag is not None:
-            kw[attr] = flag
-    return FumiParams(**kw)
-
-
-def _preprocess_kwargs(cfg: RunConfig) -> dict:
-    return dict(
-        low=cfg.get("band_low", DEFAULT_BAND_HZ[0]),
-        high=cfg.get("band_high", DEFAULT_BAND_HZ[1]),
-        order=cfg.get("filter_order", DEFAULT_FILTER_ORDER),
-        min_separation=cfg.get("min_separation", DEFAULT_MIN_SEPARATION),
-        half_len=cfg.get("half_len", DEFAULT_HALF_LEN),
-        zscore=cfg.get("zscore", False),
+    given.update(
+        (k, v) for k, v in vars(args).items() if k in _CONFIG_PARSERS and v is not None
     )
+    given.setdefault("mode", "individual")
+    if given["mode"] not in MODE_PRESETS:
+        raise CliError(EXIT_CONFIG, f"unknown mode {given['mode']!r}")
+    return given
+
+
+def _resolve(given: dict, stored: dict | None = None) -> dict:
+    """Every setting of the run: `given` (load_settings) over the model's
+    stored .params over the mode preset."""
+    return {**MODE_PRESETS[given["mode"]], **(stored or {}), **given}
+
+
+def _kwargs(settings: dict, keys) -> dict:
+    """The settings among `keys` that some source gave, keyed by the
+    parameter each one sets."""
+    return {_PARAM_NAMES.get(k, k): settings[k] for k in keys if k in settings}
+
+
+def _read_params(path: str) -> dict:
+    """The settings stored in train's .params file; none when it is
+    missing or empty.  The voting keys are required, lam and code_iters
+    are not."""
+    try:
+        stored = bio.read_keyvalue(path)
+    except OSError:
+        return {}
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"cannot read params {path}: {exc}") from exc
+    if not stored:
+        return {}
+    try:
+        values = {k: _CONFIG_PARSERS[k](stored[k]) for k in _VOTING_KEYS}
+        for k in ("lambda", "code_iters"):
+            name = _PARAM_NAMES.get(k, k)
+            if name in stored:
+                values[k] = _CONFIG_PARSERS[k](stored[name])
+    except (KeyError, ValueError) as exc:
+        raise CliError(EXIT_CONFIG, f"malformed detection params {path}: {exc}") from exc
+    return values
 
 
 def _sibling(path: str, new_tail: str) -> str:
@@ -228,33 +228,9 @@ def _require_one_window(path: str, duration_s: float, window_s: float) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_run_config(args.config, None, args.seed)
-    kw = {}
-    for key in (
-        "duration_s",
-        "fs",
-        "hr_bpm",
-        "hrv_amp_bpm",
-        "hrv_period_s",
-        "template_carrier_hz",
-        "template_width_s",
-        "half_len",
-        "gains",
-        "delays",
-        "jitter_sd_samples",
-        "respiration_amp",
-        "respiration_hz",
-        "noise_sd",
-        "snr_db",
-        "artifact_rate_per_min",
-        "artifact_amp",
-        "artifact_width_s",
-    ):
-        if key in cfg.values:
-            kw[key] = cfg.values[key]
+    given = load_settings(args)
     try:
-        synth_cfg = SynthConfig(seed=cfg.seed, **kw)
-        result = generate(synth_cfg)
+        result = generate(SynthConfig(**_kwargs(given, [f.name for f in fields(SynthConfig)])))
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"bad synthesis config: {exc}") from exc
     bio.write_recording(args.out, result.recording)
@@ -271,15 +247,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, args.mode, args.seed)
-    params = _fumi_params(cfg, args)
+    settings = _resolve(load_settings(args))
+    params = FumiParams(**_kwargs(settings, _LEARNER_KEYS))
     try:
         params.validate()
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
-    pk = _preprocess_kwargs(cfg)
-    per_pos = cfg.get("per_positive", DEFAULT_PER_POSITIVE)
-    code_iters = cfg.get("code_iters", DEFAULT_CODE_ITERS)
+    code_iters = settings.get("code_iters", DEFAULT_CODE_ITERS)
 
     recs = []
     for path in args.recordings:
@@ -297,13 +271,15 @@ def cmd_train(args) -> int:
                 f"{args.recordings[0]} at {recs[0].sample_rate_hz:g} Hz; "
                 "train on recordings of one sample rate",
             )
-    blocks = [preprocess_recording(rec, **pk) for rec in recs]
+    blocks = [preprocess_recording(rec, **_kwargs(settings, _PREPROCESS_KEYS)) for rec in recs]
     bags = [
-        bag for rec, b in zip(recs, blocks) for bag in build_bags(b, rec.gt_beat_times, per_pos)
+        bag
+        for rec, b in zip(recs, blocks)
+        for bag in build_bags(b, rec.gt_beat_times, **_kwargs(settings, ["per_positive"]))
     ]
 
     try:
-        result = fit(bags, params, seed=cfg.seed)
+        result = fit(bags, params, **_kwargs(settings, ["seed"]))
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"training failed: {exc}") from exc
     for i, v in enumerate(result.objective_trace, 1):
@@ -317,7 +293,11 @@ def cmd_train(args) -> int:
         code_blocks(rec, b, result.dictionary, model, lam=params.lam, n_iter=code_iters)
         for rec, b in zip(recs, blocks)
     ]
-    dparams = learn_detection_params_pooled(series_list, [rec.gt_beat_times for rec in recs])
+    dparams = learn_detection_params_pooled(
+        series_list,
+        [rec.gt_beat_times for rec in recs],
+        **_kwargs(settings, ["min_votes", "refractory_s"]),
+    )
 
     bio.write_dictionary(args.out, result.dictionary)
     bio.write_covariance(_sibling(args.out, ".cov.csv"), model)
@@ -343,10 +323,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = load_run_config(args.config, args.mode, args.seed)
+    given = load_settings(args)
     rec = _read_recording(bio.read_recording, args.recording)
-    window_s = cfg.get("window_s", 60.0)
-    step_s = cfg.get("step_s", 15.0)
+    window_s = given.get("window_s", DEFAULT_WINDOW_S)
+    step_s = given.get("step_s", DEFAULT_STEP_S)
     _require_one_window(args.recording, rec.duration_s, window_s)
     try:
         D = bio.read_dictionary(args.dict)
@@ -359,40 +339,17 @@ def cmd_detect(args) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"cannot read covariance {cov_path}: {exc}") from exc
 
-    params_path = args.params or _sibling(args.dict, ".params")
-    lam = MODE_PRESETS[cfg.mode]["lam"]
-    code_iters = cfg.get("code_iters", DEFAULT_CODE_ITERS)
-    dkw: dict = {}
+    settings = _resolve(given, _read_params(args.params or _sibling(args.dict, ".params")))
+    dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
     try:
-        stored = bio.read_keyvalue(params_path)
-    except OSError:
-        stored = {}
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read params {params_path}: {exc}") from exc
-    if stored:
-        try:
-            dkw = dict(
-                threshold=float(stored["threshold"]),
-                neighborhood=int(stored["neighborhood"]),
-                min_votes=int(stored["min_votes"]),
-                refractory_s=float(stored["refractory_s"]),
-            )
-            lam = float(stored.get("lam", lam))
-            code_iters = int(stored.get("code_iters", code_iters))
-        except (KeyError, ValueError) as exc:
-            raise CliError(
-                EXIT_CONFIG, f"malformed detection params {params_path}: {exc}"
-            ) from exc
-    for key in ("threshold", "neighborhood", "min_votes", "refractory_s"):
-        if key in cfg.values:
-            dkw[key] = cfg.values[key]
-    if "lambda" in cfg.values:
-        lam = cfg.values["lambda"]
-    dparams = DetectionParams(**dkw)
-
-    pk = _preprocess_kwargs(cfg)
-    try:
-        series = confidence_series(rec, D, model, lam=lam, n_iter=code_iters, **pk)
+        series = confidence_series(
+            rec,
+            D,
+            model,
+            lam=settings.get("lambda", FumiParams.lam),
+            n_iter=settings.get("code_iters", DEFAULT_CODE_ITERS),
+            **_kwargs(settings, _PREPROCESS_KEYS),
+        )
     except ValueError as exc:
         if "does not match" in str(exc):
             raise CliError(EXIT_MODEL_MISMATCH, str(exc)) from exc
@@ -409,8 +366,10 @@ def cmd_detect(args) -> int:
             series,
             window_s=window_s,
             step_s=step_s,
-            band_hz=(cfg.get("dft_band_low", 0.66), cfg.get("dft_band_high", 3.0)),
-            pulse_width_s=cfg.get("dft_pulse_width_s", 0.0),
+            band_hz=(
+                settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
+                settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1]),
+            ),
         )
     else:
         hr = hr_from_beats(
@@ -434,11 +393,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, None, None)
+    given = load_settings(args)
     fs, n_samples, gt = _read_recording(bio.read_groundtruth, args.groundtruth)
     duration_s = n_samples / fs
-    window_s = cfg.get("window_s", 60.0)
-    step_s = cfg.get("step_s", 15.0)
+    window_s = given.get("window_s", DEFAULT_WINDOW_S)
+    step_s = given.get("step_s", DEFAULT_STEP_S)
     if gt is None or gt.size == 0:
         raise CliError(
             EXIT_NO_GROUNDTRUTH, f"{args.groundtruth} has no groundtruth beats"
@@ -541,18 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--seed", type=int, default=None)
     pt.add_argument("--mode", choices=sorted(MODE_PRESETS), default=None)
     pt.add_argument("--out", required=True, help="output dictionary CSV")
-    for flag, typ in (
-        ("--T", int),
-        ("--M", int),
-        ("--lambda", float),
-        ("--gamma", float),
-        ("--beta", float),
-        ("--psi", float),
-        ("--inner_iters", int),
-        ("--max_em_iters", int),
-        ("--tol", float),
-    ):
-        pt.add_argument(flag, dest=flag.lstrip("-").replace("lambda", "lam"), type=typ, default=None)
+    for key in _LEARNER_KEYS:
+        pt.add_argument("--" + key, type=_CONFIG_PARSERS[key])
     pt.set_defaults(func=cmd_train)
 
     pd = sub.add_parser("detect", help="detect beats with a trained dictionary")
@@ -561,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--cov", default=None, help="covariance sidecar (default: next to --dict)")
     pd.add_argument("--params", default=None, help="detection params file (default: next to --dict)")
     pd.add_argument("--config", help="key=value config file")
-    pd.add_argument("--seed", type=int, default=None)
     pd.add_argument("--mode", choices=sorted(MODE_PRESETS), default=None)
     pd.add_argument("--dft", action="store_true", help="estimate HR spectrally instead of beat-to-beat")
     pd.add_argument("--out", required=True, help="output prefix (.beats.csv / .hr.csv)")

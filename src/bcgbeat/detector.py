@@ -35,6 +35,9 @@ _RATIO_FLOOR = 1e-12
 DEFAULT_CODE_ITERS = 50
 DEFAULT_THRESHOLD_GRID = tuple(round(1.0 + 0.05 * i, 2) for i in range(41))
 DEFAULT_NEIGHBORHOOD_GRID = (15, 20, 25, 30, 35)
+DEFAULT_WINDOW_S = 60.0
+DEFAULT_STEP_S = 15.0
+DEFAULT_DFT_BAND_HZ = (0.66, 3.0)
 
 
 @dataclass
@@ -142,9 +145,7 @@ def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
     eta = safe_step_length(D)
     corr = np.vstack([D.target_atoms.T @ X, Dbg.T @ X])
     A0 = np.vstack([np.zeros((T, X.shape[1])), A_bg])
-    A_full = kernels.ista_positive(
-        G, G_bg, corr, np.ones(X.shape[1]), A0, lam, eta, n_iter, T
-    )
+    A_full = kernels.ista_negative(G, corr, A0, lam, eta, n_iter)
     return A_bg, A_full
 
 
@@ -305,8 +306,8 @@ def learn_detection_params_pooled(
     gt_list,
     thresholds=DEFAULT_THRESHOLD_GRID,
     neighborhoods=DEFAULT_NEIGHBORHOOD_GRID,
-    min_votes: int = 2,
-    refractory_s: float = 0.3,
+    min_votes: int = DetectionParams.min_votes,
+    refractory_s: float = DetectionParams.refractory_s,
     match_tol_s: float = 0.3,
 ) -> DetectionParams:
     """Grid-search the voting threshold and neighborhood for best F1
@@ -358,8 +359,8 @@ def learn_detection_params_pooled(
 def hr_from_beats(
     beat_indices: np.ndarray,
     fs: float,
-    window_s: float = 60.0,
-    step_s: float = 15.0,
+    window_s: float = DEFAULT_WINDOW_S,
+    step_s: float = DEFAULT_STEP_S,
     duration_s: float | None = None,
 ) -> HrSeries:
     """Sliding-window heart rate from beat locations.
@@ -387,35 +388,24 @@ def hr_from_beats(
 
 def hr_from_confidence_dft(
     series: ConfidenceSeries,
-    window_s: float = 60.0,
-    step_s: float = 15.0,
-    band_hz: tuple[float, float] = (0.66, 3.0),
-    pulse_width_s: float = 0.0,
+    window_s: float = DEFAULT_WINDOW_S,
+    step_s: float = DEFAULT_STEP_S,
+    band_hz: tuple[float, float] = DEFAULT_DFT_BAND_HZ,
 ) -> HrSeries:
     """Spectral heart rate from the confidence series.
 
     Confidence values are embedded at their peak indices in a zero-filled
-    series at the recording rate (optionally widened by convolution with a
-    Hann pulse of pulse_width_s, which suppresses harmonics of the beat
-    comb).  Per window and channel the mean is removed and the DFT taken;
-    the in-band bin with the largest magnitude across all channels gives
-    HR = 60 * f.  Windows with no confidence samples, or with no in-band
+    series at the recording rate.  Per window and channel the mean is
+    removed and the DFT taken; the in-band bin with the largest magnitude
+    across all channels gives HR = 60 * f.  Windows with no confidence samples, or with no in-band
     energy after mean removal, are gaps.
     """
     fs = series.fs
     n = series.n_samples
     embedded = []
-    pulse = None
-    if pulse_width_s > 0:
-        L = int(round(pulse_width_s * fs))
-        L += 1 - (L % 2)  # odd length so the pulse is centered
-        if L > 1:
-            pulse = np.hanning(L + 2)[1:-1]
     for idx, conf in zip(series.peak_indices, series.confidences):
         arr = np.zeros(n)
         arr[idx] = conf
-        if pulse is not None:
-            arr = np.convolve(arr, pulse, mode="same")
         embedded.append(arr)
 
     times, bpm = [], []

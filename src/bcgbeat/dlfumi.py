@@ -119,9 +119,6 @@ class Dictionary:
     def atoms(self) -> np.ndarray:
         return np.hstack([self.target_atoms, self.background_atoms])
 
-    def copy(self) -> "Dictionary":
-        return Dictionary(self.target_atoms.copy(), self.background_atoms.copy())
-
 
 @dataclass
 class FitResult:
@@ -429,10 +426,6 @@ def _farthest_point_init(Xn: np.ndarray, m: int, rng: np.random.Generator) -> np
     ok = norms > 0
     U = np.where(ok, 1.0, 0.0) * Xn / np.where(ok, norms, 1.0)
     atoms = np.empty((d, m))
-    if n == 0:
-        for j in range(m):
-            atoms[:, j] = _random_unit(d, rng)
-        return atoms
     first = int(rng.integers(n))
     chosen = [first]
     min_dist = 1.0 - U.T @ U[:, first]
@@ -525,16 +518,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     eta = safe_step_length(D)
     G = D.atoms.T @ D.atoms
     corr_pos = np.vstack([D.target_atoms.T @ Xp, D.background_atoms.T @ Xp])
-    A_pos = kernels.ista_positive(
-        G,
-        G_bg,
-        corr_pos,
-        np.ones(n_pos),
-        np.vstack([np.zeros((T, n_pos)), A_pos_bg]),
-        params.lam,
-        eta,
-        _WARMUP_STEPS,
-        T,
+    A_pos = kernels.ista_negative(
+        G, corr_pos, np.vstack([np.zeros((T, n_pos)), A_pos_bg]), params.lam, eta, _WARMUP_STEPS
     )
 
     def sq_norms():

@@ -39,10 +39,11 @@ def ista_negative(
     eta: float,
     n_iter: int,
 ) -> np.ndarray:
-    """Batched ISTA for background-only coding.
+    """Batched ISTA for plain lasso coding over a dictionary B: the
+    background atoms alone, or the full dictionary.
 
     Minimizes 0.5*||x - B a||^2 + lam*||a||_1 per instance, where
-    gram = BᵀB (M, M) and corr = BᵀX (M, N).  Each iteration is a full
+    gram = BᵀB (K, K) and corr = BᵀX (K, N).  Each iteration is a full
     gradient step of length eta followed by soft-thresholding at eta*lam:
         A = soft_threshold(A - eta * (gram @ A - corr), eta * lam)
     """
@@ -109,8 +110,10 @@ def ista_positive(
 
     Each iteration is a full step of length eta along positive_gradient
     followed by the weighted-L1 prox: soft-thresholding at eta*lam*p on the
-    target block and eta*lam on the background block.  post == 1 reduces
-    to plain lasso coding on the full dictionary.
+    target block and eta*lam on the background block.  At post == 1 this
+    is plain lasso coding on the full dictionary; ista_negative with
+    gram = DᵀD gives the same codes without the background product and the
+    products with post.
     """
     A = np.array(codes0, dtype=float, order="C")
     post = np.asarray(post, dtype=float)

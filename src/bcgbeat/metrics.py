@@ -35,10 +35,6 @@ class HrSeries:
     def n_windows(self) -> int:
         return self.times.size
 
-    @property
-    def gap_mask(self) -> np.ndarray:
-        return np.isnan(self.bpm)
-
 
 @dataclass(frozen=True)
 class AgreementStats:

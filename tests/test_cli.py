@@ -1,5 +1,6 @@
 """End-to-end command-line tests: synth -> train -> detect -> eval."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
 from bcgbeat.metrics import HrSeries
 from bcgbeat.signals import Recording
+from bcgbeat.synth import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,39 @@ class TestSynth:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_config_reaches_every_synth_field(self, tmp_path):
+        # each value written as the sidecar writes it back, none a default
+        values = {
+            "duration_s": "12.0",
+            "fs": "50.0",
+            "hr_bpm": "75.0",
+            "hrv_amp_bpm": "3.0",
+            "hrv_period_s": "20.0",
+            "template_carrier_hz": "6.0",
+            "template_width_s": "0.1",
+            "half_len": "20",
+            "gains": "0.5,0.4",
+            "delays": "0,2",
+            "jitter_sd_samples": "1.0",
+            "respiration_amp": "0.1",
+            "respiration_hz": "0.3",
+            "noise_sd": "0.2",
+            "snr_db": "5.0",
+            "artifact_rate_per_min": "2.0",
+            "artifact_amp": "3.0",
+            "artifact_width_s": "0.3,0.9",
+        }
+        fields = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+        assert set(values) == set(fields) - {"seed"}
+        cfg = tmp_path / "synth.conf"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        sidecar = bio.read_keyvalue(tmp_path / "r.sidecar")
+        sidecar["noise_sd"] = sidecar.pop("noise_sd_effective")
+        for key, value in values.items():
+            assert sidecar[key] == value, key
+            assert cli._CONFIG_PARSERS[key](value) != fields[key], key
+
 
 class TestTrain:
     def test_writes_dictionary_and_sidecars(self, workdir):
@@ -168,16 +203,6 @@ class TestTrain:
         D = bio.read_dictionary(out)
         assert D.n_target == 9
         assert D.n_background == 9
-
-    def test_exercise_mode_trains_like_individual(self, workdir, tmp_path):
-        modes = ("individual", "exercise")
-        for mode in modes:
-            argv = ["train", str(workdir / "rec.csv"), "--mode", mode, "--max_em_iters", "2",
-                    "--out", str(tmp_path / f"{mode}.csv")]
-            assert main(argv) == 0
-        for name in ("{}.csv", "{}.cov.csv", "{}.params"):
-            a, b = (tmp_path / name.format(m) for m in modes)
-            assert a.read_bytes() == b.read_bytes()
 
     def test_flat_channel_is_reported_once(self, workdir, tmp_path, caplog):
         # train codes the blocks it cut for the bags, so each recording is
@@ -272,12 +297,15 @@ class TestDetect:
         assert code == 4
 
     def test_codes_worse_than_their_warm_start_exit_4(self, workdir, tmp_path, capsys, monkeypatch):
-        real = kernels.ista_positive
+        real = kernels.ista_negative
+        D = bio.read_dictionary(workdir / "model.csv")
 
-        def worse(*args, **kwargs):
-            return real(*args, **kwargs) + 1.0
+        def worse(gram, *args, **kwargs):
+            # only the full-dictionary coding, not its background warm start
+            A = real(gram, *args, **kwargs)
+            return A + 1.0 if gram.shape[0] == D.n_target + D.n_background else A
 
-        monkeypatch.setattr(kernels, "ista_positive", worse)
+        monkeypatch.setattr(kernels, "ista_negative", worse)
         argv = ["detect", str(workdir / "rec.csv"), "--dict", str(workdir / "model.csv"),
                 "--out", str(tmp_path / "d")]
         assert main(argv) == 4
@@ -543,6 +571,66 @@ class TestEval:
         assert code == 2
 
 
+def _detect_argv(workdir, out):
+    return ["detect", str(workdir / "rec.csv"), "--dict", str(workdir / "model.csv"),
+            "--out", str(out)]
+
+
+def _train_argv(workdir, out):
+    return ["train", str(workdir / "rec.csv"), "--max_em_iters", "2", "--out", str(out) + ".csv"]
+
+
+def _beats(out):
+    return Path(str(out) + ".beats.csv").read_bytes()
+
+
+def _stored(out, *keys):
+    stored = bio.read_keyvalue(str(out) + ".params")
+    return tuple(stored[k] for k in keys)
+
+
+def _atoms(out):
+    D = bio.read_dictionary(str(out) + ".csv")
+    return D.n_target, D.n_background
+
+
+# (argv, extra flags, config file, check of (workdir, out prefix, stdout))
+PRECEDENCE = {
+    "config_code_iters_over_params": (
+        _detect_argv, [], "code_iters=3\n",
+        lambda w, out, stdout: _beats(out) != _beats(w / "det"),
+    ),
+    "config_threshold_over_params": (
+        _detect_argv, [], "threshold=1000\n",
+        lambda w, out, stdout: bio.read_beats(str(out) + ".beats.csv")[0].size == 0,
+    ),
+    "config_voting_rule_reaches_the_train_grid": (
+        _train_argv, [], "min_votes=3\nrefractory_s=0.4\n",
+        lambda w, out, stdout: _stored(out, "min_votes", "refractory_s") == ("3", "0.4"),
+    ),
+    "flag_over_config": (
+        _train_argv, [], "max_em_iters=3\n",
+        lambda w, out, stdout: stdout.count("em_iter=") == 2,
+    ),
+    "config_over_mode_preset": (
+        _train_argv, ["--mode", "batch"], "T=2\n",
+        lambda w, out, stdout: _atoms(out) == (2, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_setting_precedence(case, workdir, tmp_path, capsys):
+    """CLI flag > --config > .params > --mode preset > built-in default."""
+    argv, flags, config, check = PRECEDENCE[case]
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv(workdir, out) + flags + ["--config", str(cfg)]) == 0
+    assert check(workdir, out, capsys.readouterr().out)
+
+
 class TestParser:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -553,3 +641,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_detect_takes_no_seed(self, workdir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(_detect_argv(workdir, tmp_path / "d") + ["--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [("mode=exercise\n", "unknown mode 'exercise'"),
+         ("dft_pulse_width_s=0.1\n", "unknown config key 'dft_pulse_width_s'")],
+        ids=["exercise_mode", "dft_pulse_width_s"],
+    )
+    def test_removed_settings_exit_2(self, workdir, tmp_path, capsys, config, message):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config)
+        argv = _detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err

@@ -190,12 +190,15 @@ class TestConfidenceSeries:
 
     def test_full_coding_worse_than_its_warm_start_is_an_error(self, trained_small, monkeypatch):
         _, _, result, model = trained_small
-        real = kernels.ista_positive
+        real = kernels.ista_negative
+        K = result.dictionary.atoms.shape[1]
 
-        def worse(*args, **kwargs):
-            return real(*args, **kwargs) + 1.0
+        def worse(gram, *args, **kwargs):
+            # only the full-dictionary coding, not its background warm start
+            A = real(gram, *args, **kwargs)
+            return A + 1.0 if gram.shape[0] == K else A
 
-        monkeypatch.setattr(kernels, "ista_positive", worse)
+        monkeypatch.setattr(kernels, "ista_negative", worse)
         x = result.dictionary.target_atoms[:, 0]
         with pytest.raises(RuntimeError, match="worsened its warm start"):
             _confidence_batch(x[:, None], result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
