@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detector import hr_from_beats
+from .detector import DEFAULT_STEP_S, DEFAULT_WINDOW_S, hr_from_beats
 from .metrics import HrSeries, mae
 from .signals import Recording, bandpass_filter, find_peaks
 
@@ -32,8 +32,8 @@ def _smooth_lowpass(x: np.ndarray, fs: float, cutoff_hz: float, order: int = 2) 
 def wppd_hr(
     x: np.ndarray,
     fs: float,
-    window_s: float = 60.0,
-    step_s: float = 15.0,
+    window_s: float = DEFAULT_WINDOW_S,
+    step_s: float = DEFAULT_STEP_S,
 ) -> HrSeries:
     """Windowed-peak heart rate.
 
@@ -57,8 +57,8 @@ def wppd_hr(
 def en_hr(
     x: np.ndarray,
     fs: float,
-    window_s: float = 60.0,
-    step_s: float = 15.0,
+    window_s: float = DEFAULT_WINDOW_S,
+    step_s: float = DEFAULT_STEP_S,
 ) -> HrSeries:
     """Short-term-energy heart rate.
 
@@ -100,8 +100,8 @@ def en_hr(
 def pick_best_channel(
     rec: Recording,
     estimator,
-    window_s: float = 60.0,
-    step_s: float = 15.0,
+    window_s: float = DEFAULT_WINDOW_S,
+    step_s: float = DEFAULT_STEP_S,
 ) -> int:
     """Channel whose estimate best matches the recording's groundtruth HR
     (lowest MAE; ties take the lower channel id).  Used to choose which

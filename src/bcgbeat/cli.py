@@ -33,6 +33,7 @@ from .detector import (
     hr_from_confidence_dft,
     learn_detection_params_pooled,
     vote_beats,
+    window_starts,
 )
 from .dlfumi import FumiParams, fit
 from .metrics import (
@@ -215,13 +216,21 @@ def _read_recording(read, path: str):
         raise CliError(EXIT_CONFIG, f"cannot read recording {path}: {exc}") from exc
 
 
-def _require_one_window(path: str, duration_s: float, window_s: float) -> None:
-    if duration_s < window_s:
+def _hr_grid(path: str, duration_s: float, given: dict) -> tuple[float, float]:
+    """The run's HR window and step, checked to fit a window in `duration_s`."""
+    window_s = given.get("window_s", DEFAULT_WINDOW_S)
+    step_s = given.get("step_s", DEFAULT_STEP_S)
+    try:
+        starts = window_starts(duration_s, window_s, step_s)
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"bad HR window grid: {exc}") from exc
+    if starts.size == 0:
         raise CliError(
             EXIT_EVAL_IMPOSSIBLE,
             f"{path} lasts {duration_s:g} s, "
             f"shorter than one {window_s:g}-s HR window",
         )
+    return window_s, step_s
 
 
 # --- synth -------------------------------------------------------------------
@@ -325,9 +334,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     given = load_settings(args)
     rec = _read_recording(bio.read_recording, args.recording)
-    window_s = given.get("window_s", DEFAULT_WINDOW_S)
-    step_s = given.get("step_s", DEFAULT_STEP_S)
-    _require_one_window(args.recording, rec.duration_s, window_s)
+    window_s, step_s = _hr_grid(args.recording, rec.duration_s, given)
     try:
         D = bio.read_dictionary(args.dict)
     except (OSError, ValueError) as exc:
@@ -396,13 +403,11 @@ def cmd_eval(args) -> int:
     given = load_settings(args)
     fs, n_samples, gt = _read_recording(bio.read_groundtruth, args.groundtruth)
     duration_s = n_samples / fs
-    window_s = given.get("window_s", DEFAULT_WINDOW_S)
-    step_s = given.get("step_s", DEFAULT_STEP_S)
     if gt is None or gt.size == 0:
         raise CliError(
             EXIT_NO_GROUNDTRUTH, f"{args.groundtruth} has no groundtruth beats"
         )
-    _require_one_window(args.groundtruth, duration_s, window_s)
+    window_s, step_s = _hr_grid(args.groundtruth, duration_s, given)
     gt_hr = hr_from_beats(
         gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s
     )
@@ -454,7 +459,7 @@ def cmd_eval(args) -> int:
             base_hr = bio.read_hr(args.baseline_hr)
         except (OSError, ValueError) as exc:
             raise CliError(EXIT_CONFIG, f"cannot read baseline HR: {exc}") from exc
-        est_rows = {r[0]: r[3] for r in per_window_errors(est_hr, gt_hr)}
+        est_rows = {r[0]: r[3] for r in rows}
         base_rows = {r[0]: r[3] for r in per_window_errors(base_hr, gt_hr)}
         common = sorted(set(est_rows) & set(base_rows))
         est_errs = np.asarray([est_rows[t] for t in common])

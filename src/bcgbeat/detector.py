@@ -356,6 +356,20 @@ def learn_detection_params_pooled(
     return best
 
 
+def window_starts(duration_s: float, window_s: float, step_s: float) -> np.ndarray:
+    """Start times (s) of the HR windows that end within `duration_s` + 1e-9:
+    0, then each the previous one plus `step_s`.  Raises ValueError unless
+    `window_s` and `step_s` are positive and finite."""
+    if not (0.0 < window_s < np.inf and 0.0 < step_s < np.inf):
+        raise ValueError(f"window_s={window_s!r} and step_s={step_s!r} must be positive and finite")
+    starts = []
+    start = 0.0
+    while start + window_s <= duration_s + 1e-9:
+        starts.append(start)
+        start += step_s
+    return np.asarray(starts, dtype=float)
+
+
 def hr_from_beats(
     beat_indices: np.ndarray,
     fs: float,
@@ -363,27 +377,23 @@ def hr_from_beats(
     step_s: float = DEFAULT_STEP_S,
     duration_s: float | None = None,
 ) -> HrSeries:
-    """Sliding-window heart rate from beat locations.
+    """Sliding-window heart rate from beat locations (sorted first).
 
     Each window averages 60/interval over the beat-to-beat intervals that
     lie fully inside it; windows with fewer than two beats are gaps (NaN).
     Window centers step every step_s; duration defaults to the last beat.
     """
-    beats = np.asarray(beat_indices, dtype=float) / fs
+    beats = np.sort(np.asarray(beat_indices, dtype=float) / fs)
     if duration_s is None:
         duration_s = float(beats[-1]) if beats.size else 0.0
-    times, bpm = [], []
-    start = 0.0
-    while start + window_s <= duration_s + 1e-9:
-        inside = beats[(beats >= start - 1e-9) & (beats <= start + window_s + 1e-9)]
-        times.append(start + window_s / 2.0)
-        if inside.size >= 2:
-            iv = np.diff(inside)
-            bpm.append(float(np.mean(60.0 / iv)))
-        else:
-            bpm.append(np.nan)
-        start += step_s
-    return HrSeries(times=np.asarray(times), bpm=np.asarray(bpm))
+    starts = window_starts(duration_s, window_s, step_s)
+    lo = np.searchsorted(beats, starts - 1e-9, side="left")
+    hi = np.searchsorted(beats, starts + window_s + 1e-9, side="right")
+    bpm = [
+        float(np.mean(60.0 / np.diff(beats[a:b]))) if b - a >= 2 else np.nan
+        for a, b in zip(lo.tolist(), hi.tolist())
+    ]
+    return HrSeries(times=starts + window_s / 2.0, bpm=bpm)
 
 
 def hr_from_confidence_dft(
@@ -397,49 +407,32 @@ def hr_from_confidence_dft(
     Confidence values are embedded at their peak indices in a zero-filled
     series at the recording rate.  Per window and channel the mean is
     removed and the DFT taken; the in-band bin with the largest magnitude
-    across all channels gives HR = 60 * f.  Windows with no confidence samples, or with no in-band
-    energy after mean removal, are gaps.
+    across all channels gives HR = 60 * f, the earliest channel winning
+    ties.  Windows with no confidence samples, or with no in-band energy
+    after mean removal, are gaps.
     """
     fs = series.fs
     n = series.n_samples
-    embedded = []
-    for idx, conf in zip(series.peak_indices, series.confidences):
-        arr = np.zeros(n)
-        arr[idx] = conf
-        embedded.append(arr)
+    embedded = np.zeros((series.n_channels, n))
+    for row, idx, conf in zip(embedded, series.peak_indices, series.confidences):
+        row[idx] = conf
 
-    times, bpm = [], []
-    start = 0.0
-    while start + window_s <= n / fs + 1e-9:
+    starts = window_starts(n / fs, window_s, step_s)
+    bpm = np.full(starts.size, np.nan)
+    for w, start in enumerate(starts.tolist()):
         i0 = int(round(start * fs))
         i1 = min(int(round((start + window_s) * fs)), n)
-        times.append(start + window_s / 2.0)
-        any_conf = any(
-            np.any((idx >= i0) & (idx < i1)) for idx in series.peak_indices
-        )
-        if not any_conf:
-            bpm.append(np.nan)
-            start += step_s
+        # a window without candidates is all zeros, so the magnitude test makes it a gap
+        if i1 == i0 or series.n_channels == 0:
             continue
-        best_mag = 0.0
-        best_f = np.nan
-        scale = 0.0
-        for arr in embedded:
-            seg = arr[i0:i1]
-            scale = max(scale, float(np.abs(seg).sum()))
-            seg = seg - seg.mean()
-            spec = np.abs(np.fft.rfft(seg))
-            freqs = np.fft.rfftfreq(seg.size, d=1.0 / fs)
-            mask = (freqs >= band_hz[0]) & (freqs <= band_hz[1])
-            if not np.any(mask):
-                continue
-            j = int(np.argmax(spec[mask]))
-            if spec[mask][j] > best_mag:
-                best_mag = float(spec[mask][j])
-                best_f = float(freqs[mask][j])
-        if best_mag <= 1e-9 * scale or not np.isfinite(best_f):
-            bpm.append(np.nan)
-        else:
-            bpm.append(60.0 * best_f)
-        start += step_s
-    return HrSeries(times=np.asarray(times), bpm=np.asarray(bpm))
+        freqs = np.fft.rfftfreq(i1 - i0, d=1.0 / fs)
+        band = (freqs >= band_hz[0]) & (freqs <= band_hz[1])
+        if not band.any():
+            continue
+        seg = embedded[:, i0:i1]
+        scale = float(np.abs(seg).sum(axis=1).max())
+        spec = np.abs(np.fft.rfft(seg - seg.mean(axis=1, keepdims=True), axis=1))[:, band]
+        ch, j = np.unravel_index(np.argmax(spec), spec.shape)
+        if spec[ch, j] > 1e-9 * scale:
+            bpm[w] = 60.0 * float(freqs[band][j])
+    return HrSeries(times=starts + window_s / 2.0, bpm=bpm)

@@ -659,3 +659,38 @@ class TestParser:
         argv = _detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+GRID_COMMANDS = {
+    "detect": _detect_argv,
+    "detect_dft": lambda w, out: _detect_argv(w, out) + ["--dft"],
+    "eval": lambda w, out: ["eval", str(w / "rec.csv"), "--est-hr", str(w / "det") + ".hr.csv",
+                            "--out", str(out)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+@pytest.mark.parametrize(
+    "setting",
+    ["step_s=0", "step_s=-15", "step_s=nan", "step_s=inf",
+     "window_s=0", "window_s=-5", "window_s=nan", "window_s=inf"],
+)
+def test_hr_window_grid_outside_its_domain_exits_2(workdir, tmp_path, command, setting):
+    """A non-positive or non-finite window or step exits 2 before any
+    output is written.  Each run gets its own interpreter and a timeout,
+    because a step of 0 once made the window loop run without end."""
+    cfg = tmp_path / "grid.conf"
+    cfg.write_text(setting + "\n")
+    argv = GRID_COMMANDS[command](workdir, tmp_path / "out") + ["--config", str(cfg)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcgbeat.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "bad HR window grid" in proc.stderr
+    assert setting.split("=")[0] in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.conf"]

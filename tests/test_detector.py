@@ -18,6 +18,7 @@ from bcgbeat.detector import (
     hr_from_confidence_dft,
     learn_detection_params_pooled,
     vote_beats,
+    window_starts,
 )
 from bcgbeat.dlfumi import Dictionary, FumiParams, fit
 from bcgbeat.signals import Recording, bag_columns, build_bags, preprocess_recording
@@ -310,6 +311,25 @@ class TestLearnDetectionParams:
         assert single == pooled
 
 
+class TestWindowStarts:
+    def test_default_grid_over_three_minutes(self):
+        starts = window_starts(180.0, 60.0, 15.0)
+        np.testing.assert_array_equal(starts, np.arange(0.0, 121.0, 15.0))
+
+    def test_one_window_minus_a_microsecond_fits_none(self):
+        starts = window_starts(60.0 - 1e-6, 60.0, 15.0)
+        assert starts.size == 0 and starts.dtype == float
+
+    @pytest.mark.parametrize(
+        "window_s, step_s",
+        [(60.0, 0.0), (60.0, -15.0), (60.0, np.nan), (60.0, np.inf),
+         (0.0, 15.0), (-5.0, 15.0), (np.nan, 15.0), (np.inf, 15.0)],
+    )
+    def test_non_positive_or_non_finite_settings_are_rejected(self, window_s, step_s):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            window_starts(180.0, window_s, step_s)
+
+
 class TestHrFromBeats:
     def test_one_second_period_is_sixty_bpm(self):
         beats = np.arange(0, 30001, 100)
@@ -333,6 +353,13 @@ class TestHrFromBeats:
         hr = hr_from_beats(beats, FS, duration_s=100.0)
         assert np.isnan(hr.bpm[-1])
         assert not np.isnan(hr.bpm[0])
+
+    def test_beats_in_any_order_give_the_same_series(self):
+        beats = np.cumsum(np.random.default_rng(3).integers(60, 120, 200))
+        hr = hr_from_beats(beats, FS)
+        shuffled = hr_from_beats(np.random.default_rng(4).permutation(beats), FS)
+        np.testing.assert_array_equal(shuffled.times, hr.times)
+        np.testing.assert_array_equal(shuffled.bpm, hr.bpm)
 
     def test_window_centers_follow_the_step(self):
         beats = np.arange(0, 20000, 100)
