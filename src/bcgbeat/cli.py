@@ -216,10 +216,17 @@ def _read_recording(read, path: str):
         raise CliError(EXIT_CONFIG, f"cannot read recording {path}: {exc}") from exc
 
 
-def _hr_grid(path: str, duration_s: float, given: dict) -> tuple[float, float]:
-    """The run's HR window and step, checked to fit a window in `duration_s`."""
+def _hr_grid(path: str, duration_s: float, fs: float, given: dict) -> tuple[float, float]:
+    """The run's HR window and step, checked to fit a window in `duration_s`
+    and to step by at least one sample at `fs` Hz, so the grid has at most
+    one window per sample."""
     window_s = given.get("window_s", DEFAULT_WINDOW_S)
     step_s = given.get("step_s", DEFAULT_STEP_S)
+    if 0.0 < step_s < 1.0 / fs:
+        raise CliError(
+            EXIT_CONFIG,
+            f"bad HR window grid: step_s={step_s!r} is shorter than one sample ({1.0 / fs:g} s)",
+        )
     try:
         starts = window_starts(duration_s, window_s, step_s)
     except ValueError as exc:
@@ -231,6 +238,21 @@ def _hr_grid(path: str, duration_s: float, given: dict) -> tuple[float, float]:
             f"shorter than one {window_s:g}-s HR window",
         )
     return window_s, step_s
+
+
+def _check_domains(values: dict, n_channels: int) -> None:
+    """Exit 2 unless each coding or voting setting the run will use (given
+    by a flag, --config or .params, or a default) lies in its domain."""
+    domains = {
+        "code_iters": ("at least 1", lambda v: v >= 1),
+        "lambda": ("finite and >= 0", lambda v: 0.0 <= v < np.inf),
+        "threshold": ("finite", np.isfinite),
+        "min_votes": (f"from 1 to the {n_channels} channels", lambda v: 1 <= v <= n_channels),
+    }
+    for key, value in values.items():
+        domain, ok = domains[key]
+        if not ok(value):
+            raise CliError(EXIT_CONFIG, f"bad setting {key}={value!r}: must be {domain}")
 
 
 # --- synth -------------------------------------------------------------------
@@ -280,6 +302,11 @@ def cmd_train(args) -> int:
                 f"{args.recordings[0]} at {recs[0].sample_rate_hz:g} Hz; "
                 "train on recordings of one sample rate",
             )
+    _check_domains(
+        {"code_iters": code_iters, "lambda": params.lam,
+         "min_votes": settings.get("min_votes", DetectionParams.min_votes)},
+        min(len(rec.channels) for rec in recs),
+    )
     blocks = [preprocess_recording(rec, **_kwargs(settings, _PREPROCESS_KEYS)) for rec in recs]
     bags = [
         bag
@@ -334,7 +361,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     given = load_settings(args)
     rec = _read_recording(bio.read_recording, args.recording)
-    window_s, step_s = _hr_grid(args.recording, rec.duration_s, given)
+    window_s, step_s = _hr_grid(args.recording, rec.duration_s, rec.sample_rate_hz, given)
     try:
         D = bio.read_dictionary(args.dict)
     except (OSError, ValueError) as exc:
@@ -348,14 +375,16 @@ def cmd_detect(args) -> int:
 
     settings = _resolve(given, _read_params(args.params or _sibling(args.dict, ".params")))
     dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
+    lam = settings.get("lambda", FumiParams.lam)
+    code_iters = settings.get("code_iters", DEFAULT_CODE_ITERS)
+    _check_domains(
+        {"code_iters": code_iters, "lambda": lam, "threshold": dparams.threshold,
+         "min_votes": dparams.min_votes},
+        len(rec.channels),
+    )
     try:
         series = confidence_series(
-            rec,
-            D,
-            model,
-            lam=settings.get("lambda", FumiParams.lam),
-            n_iter=settings.get("code_iters", DEFAULT_CODE_ITERS),
-            **_kwargs(settings, _PREPROCESS_KEYS),
+            rec, D, model, lam=lam, n_iter=code_iters, **_kwargs(settings, _PREPROCESS_KEYS)
         )
     except ValueError as exc:
         if "does not match" in str(exc):
@@ -407,7 +436,7 @@ def cmd_eval(args) -> int:
         raise CliError(
             EXIT_NO_GROUNDTRUTH, f"{args.groundtruth} has no groundtruth beats"
         )
-    window_s, step_s = _hr_grid(args.groundtruth, duration_s, given)
+    window_s, step_s = _hr_grid(args.groundtruth, duration_s, fs, given)
     gt_hr = hr_from_beats(
         gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s
     )

@@ -26,7 +26,8 @@ from .signals import (
     DEFAULT_MIN_SEPARATION,
     ChannelInstances,
     Recording,
-    preprocess_recording,
+    candidate_peaks,
+    extract_instances,
 )
 
 log = logging.getLogger(__name__)
@@ -188,6 +189,32 @@ def _confidence_batch(
     return np.maximum(num, _RATIO_FLOOR) / np.maximum(den, _RATIO_FLOOR)
 
 
+# Columns per coding call: a channel is coded _CODE_CHUNK columns at a time,
+# except that its last 2 * _CODE_CHUNK to 3 * _CODE_CHUNK - 1 columns are one
+# call (a channel with fewer is one call).  The last call is this wide so
+# that it rounds the channel's edge columns as one call per channel does:
+# OpenBLAS on AVX-512 cores runs a product with rows * inner * columns <= 1e6
+# on a small-matrix kernel that rounds a call's edge columns differently,
+# and the default dictionary's 91 x 3 products cross that bound at 3,663
+# columns (README "Performance").
+_CODE_CHUNK = 2048
+
+
+def _code_columns(n: int, windows, D: Dictionary, model: BackgroundModel, lam: float, n_iter: int):
+    """Confidences of a channel's n candidates, coded in the calls that
+    `_CODE_CHUNK` describes: windows(a, b) gives candidates a..b-1 as
+    (b - a, d) window rows."""
+    conf = np.empty(n)
+    a = 0
+    for b in [*range(_CODE_CHUNK, n - 2 * _CODE_CHUNK + 1, _CODE_CHUNK), n]:
+        if b > a:
+            X = np.ascontiguousarray(windows(a, b).T)
+            conf[a:b] = _confidence_batch(X, D, model, lam, n_iter)
+            del X  # freed before the next chunk is cut
+        a = b
+    return conf
+
+
 def confidence_series(
     rec: Recording,
     D: Dictionary,
@@ -201,10 +228,30 @@ def confidence_series(
     half_len: int = DEFAULT_HALF_LEN,
     zscore: bool = False,
 ) -> ConfidenceSeries:
-    """Per-channel candidate peaks with their confidence ratios: the
-    blocks of `signals.preprocess_recording`, coded by `code_blocks`."""
-    blocks = preprocess_recording(rec, low, high, order, min_separation, half_len, zscore)
-    return code_blocks(rec, blocks, D, model, lam, n_iter)
+    """Per-channel candidate peaks with their confidence ratios.
+
+    The channels are filtered once (`signals.candidate_peaks`).  Then each
+    channel's windows are cut and coded one chunk of columns at a time, and
+    only its peak indices and confidences are kept.  At its peak this holds
+    the recording, the filtered channels and one chunk's windows and coding
+    blocks, never a channel's whole candidate block.  A chunk is
+    `_CODE_CHUNK` (2,048) columns and the last one takes the remainder plus
+    one more chunk, so that the confidences are those of one call per
+    channel to the bit (see `_CODE_CHUNK`)."""
+    peak_indices, confidences = [], []
+    for ch_id, filt, peaks in candidate_peaks(rec, low, high, order, min_separation, half_len):
+
+        def windows(a, b):
+            return extract_instances(filt, peaks[a:b], half_len, ch_id, zscore).features
+
+        peak_indices.append(peaks)
+        confidences.append(_code_columns(peaks.size, windows, D, model, lam, n_iter))
+    return ConfidenceSeries(
+        fs=rec.sample_rate_hz,
+        n_samples=rec.n_samples,
+        peak_indices=peak_indices,
+        confidences=confidences,
+    )
 
 
 def code_blocks(
@@ -215,18 +262,18 @@ def code_blocks(
     lam: float,
     n_iter: int = DEFAULT_CODE_ITERS,
 ) -> ConfidenceSeries:
-    """Confidence ratios (`_confidence_batch`) of the candidate blocks
-    that `signals.preprocess_recording` cut from `rec`, one per channel."""
-    confidences = [
-        _confidence_batch(np.ascontiguousarray(b.features.T), D, model, lam, n_iter)
-        if len(b) else np.empty(0)
-        for b in blocks
-    ]
+    """Confidence ratios of the candidate blocks that
+    `signals.preprocess_recording` cut from `rec`, coded in the column
+    chunks of `confidence_series` (see `_CODE_CHUNK`).  The blocks stay
+    alive with the caller; this adds one chunk's coding blocks to them."""
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,
         peak_indices=[b.peak_indices for b in blocks],
-        confidences=confidences,
+        confidences=[
+            _code_columns(len(b), lambda a, z, b=b: b.features[a:z], D, model, lam, n_iter)
+            for b in blocks
+        ],
     )
 
 

@@ -223,27 +223,28 @@ def _block_operators(section: np.ndarray, length: int):
     return W, powers[length - 1 :: -1] @ u, powers[length]
 
 
-def _sosfilt(operators, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """The section cascade run over each row of x (c, m) from the states
-    zi (sections, c, 2), as a blocked scan: per section, every block's
-    zero-state response is one matmul over all rows, and the state is
-    carried from block to block."""
-    c, m = x.shape
-    nb = -(-m // _BLOCK)
-    y = np.zeros((c * nb, _BLOCK))
-    y.reshape(c, -1)[:, :m] = x
+def _sosfilt(operators, src: np.ndarray, dst: np.ndarray, c: int, zi: np.ndarray):
+    """The section cascade run over c rows from the states zi (sections, c, 2),
+    as a blocked scan.  Row r's samples are blocks r*nb .. r*nb + nb - 1 of
+    the buffers, each (c * nb, _BLOCK + 2): a block's _BLOCK samples, then
+    the 2-state it starts from.  The input is in src; per section, every
+    block's start state is carried from block to block, and one matmul
+    over all blocks writes the section's output into the other buffer.
+    Returns (the buffer holding the output, the other one)."""
+    nb = src.shape[0] // c
     for (W, F, A_block), z in zip(operators, zi):
-        ends = (y @ F).reshape(c, nb, 2).transpose(1, 0, 2).copy()
-        starts = np.empty((nb, c, 2))
+        ends = (src[:, :_BLOCK] @ F).reshape(c, nb, 2).transpose(1, 0, 2).copy()
+        starts = src[:, _BLOCK:].reshape(c, nb, 2).transpose(1, 0, 2)
         for k in range(nb):
             starts[k] = z
             z = z @ A_block.T + ends[k]
-        y = np.hstack([y, starts.transpose(1, 0, 2).reshape(c * nb, 2)]) @ W
-    return y.reshape(c, -1)[:, :m]
+        np.matmul(src, W, out=dst[:, :_BLOCK])
+        src, dst = dst, src
+    return src, dst
 
 
 def bandpass_filter(
-    x: np.ndarray,
+    x,
     fs: float,
     low: float = DEFAULT_BAND_HZ[0],
     high: float = DEFAULT_BAND_HZ[1],
@@ -254,15 +255,28 @@ def bandpass_filter(
     `order` is the analog prototype order of the band-pass (must be even,
     >= 2); the forward-backward application doubles the effective rolloff
     but the -3 dB contract refers to the full zero-phase result.  `x` is
-    one signal or a (channels, n) array filtered row by row; the output
-    has its shape.  The result is scipy's sosfiltfilt: odd extension by
+    one signal, a (channels, n) array or a list of equal-length channels,
+    filtered row by row; the output is 1-D for one signal and (channels, n)
+    otherwise.  The result is scipy's sosfiltfilt: odd extension by
     3 (2 sections + 1) samples at each end, a forward and a backward pass
     started from the steady state of the first sample (Gustafsson, IEEE
     TSP 44(4), 1996).
+
+    Both passes run in two (channels * blocks, _BLOCK + 2) buffers that
+    each section writes alternately, and the output is a view of one of
+    them, so the filter holds about twice the channels' bytes at its peak
+    and no copy of its input.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("expected a 1-D signal or a (channels, n) array")
+    if isinstance(x, (list, tuple)) and x and all(np.ndim(r) == 1 for r in x):
+        rows = [np.asarray(r, dtype=float) for r in x]
+        if len({r.size for r in rows}) != 1:
+            raise ValueError("channels must have equal length")
+        shape = (len(rows), rows[0].size)
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ValueError("expected a 1-D signal or a (channels, n) array")
+        rows, shape = np.atleast_2d(x), x.shape
     if order % 2 != 0 or order < 2:
         raise ValueError("filter order must be even and >= 2")
     if not (0.0 < low < high < fs / 2.0):
@@ -272,19 +286,49 @@ def bandpass_filter(
     if hi >= fs / 2.0:
         raise ValueError("compensated upper edge reaches Nyquist; raise fs")
     pad = 3 * (2 * half_order + 1)
-    if x.shape[-1] <= pad:
+    n = shape[-1]
+    if n <= pad:
         raise ValueError("signal too short for zero-phase filtering")
     sos = butter_bandpass_sos(half_order, lo, hi, fs)
-    rows = np.atleast_2d(x)
-    ext = np.concatenate(
-        [2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]],
-        axis=1,
-    )
     operators = [_block_operators(s, _BLOCK) for s in sos]
     zi = _steady_states(sos)[:, None, :]
-    y = _sosfilt(operators, ext, zi * ext[:, :1])
-    y = _sosfilt(operators, y[:, ::-1], zi * y[:, -1:])
-    return np.ascontiguousarray(y[:, ::-1][:, pad:-pad]).reshape(x.shape)
+
+    c, m = len(rows), n + 2 * pad
+    nb = -(-m // _BLOCK)
+    tail = nb * _BLOCK - m
+    src, dst = np.empty((c * nb, _BLOCK + 2)), np.empty((c * nb, _BLOCK + 2))
+
+    def row_blocks(buf, r):
+        return buf[r * nb : (r + 1) * nb, :_BLOCK]
+
+    # One row's samples as blocks, zero after its m samples for the first
+    # pass.  line stays zero from nb * _BLOCK on, so after reversed_row
+    # line[tail:] holds a pass's output row reversed, zero-padded likewise.
+    line = np.zeros((nb + 1) * _BLOCK)
+    seq = line[: nb * _BLOCK].reshape(nb, _BLOCK)
+
+    def reversed_row(buf, r):
+        seq[::-1, ::-1] = row_blocks(buf, r)
+        return line[tail : tail + nb * _BLOCK]
+
+    first = np.empty((c, 1))  # each row's first input sample, per pass
+    for r, row in enumerate(rows):
+        line[:pad] = 2 * row[:1] - row[pad:0:-1]
+        line[pad : pad + n] = row
+        line[pad + n : m] = 2 * row[-1:] - row[-2 : -pad - 2 : -1]
+        row_blocks(src, r)[...] = seq
+        first[r] = line[0]
+    src, dst = _sosfilt(operators, src, dst, c, zi * first)
+    for r in range(c):
+        rev = reversed_row(src, r)
+        row_blocks(dst, r)[...] = rev.reshape(nb, _BLOCK)
+        first[r] = rev[0]
+    src, dst = _sosfilt(operators, dst, src, c, zi * first)
+    # The result reuses the memory of the buffer the last section read.
+    y = dst.reshape(-1)[: c * n].reshape(c, n)
+    for r in range(c):
+        y[r] = reversed_row(src, r)[pad : pad + n]
+    return y.reshape(shape)
 
 
 def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> np.ndarray:
@@ -312,6 +356,11 @@ def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> n
     return np.flatnonzero(np.frombuffer(kept, dtype=np.uint8))
 
 
+def _fitting(peaks: np.ndarray, half_len: int, n: int) -> np.ndarray:
+    """The peaks whose (2*half_len + 1)-sample window lies inside n samples."""
+    return peaks[(peaks >= half_len) & (peaks + half_len < n)]
+
+
 def extract_instances(
     x: np.ndarray,
     peaks: np.ndarray,
@@ -326,9 +375,8 @@ def extract_instances(
     mean, unit variance (a constant window is only centered).
     """
     x = np.asarray(x, dtype=float)
-    peaks = np.asarray(peaks, dtype=int)
+    peaks = _fitting(np.asarray(peaks, dtype=int), half_len, x.size)
     width = 2 * half_len + 1
-    peaks = peaks[(peaks >= half_len) & (peaks + half_len < x.size)]
     if peaks.size:
         W = sliding_window_view(x, width)[peaks - half_len]
     else:
@@ -414,6 +462,28 @@ def build_bags(
     return bags
 
 
+def candidate_peaks(
+    rec: Recording,
+    low: float = DEFAULT_BAND_HZ[0],
+    high: float = DEFAULT_BAND_HZ[1],
+    order: int = DEFAULT_FILTER_ORDER,
+    min_separation: int = DEFAULT_MIN_SEPARATION,
+    half_len: int = DEFAULT_HALF_LEN,
+):
+    """Filter every channel in one call, then yield per channel
+    (channel id, filtered channel, candidate peaks): the peaks whose
+    window fits inside the recording, none on a flat channel (see
+    `flat_channel`).  The filtered channels are one (channels, n) array
+    that lives as long as the generator."""
+    filtered = bandpass_filter(rec.channels, rec.sample_rate_hz, low, high, order)
+    for ch_id, (raw, filt) in enumerate(zip(rec.channels, filtered)):
+        if flat_channel(raw, ch_id):
+            peaks = np.empty(0, dtype=int)
+        else:
+            peaks = find_peaks(filt, min_separation)
+        yield ch_id, filt, _fitting(peaks, half_len, filt.size)
+
+
 def preprocess_recording(
     rec: Recording,
     low: float = DEFAULT_BAND_HZ[0],
@@ -423,15 +493,9 @@ def preprocess_recording(
     half_len: int = DEFAULT_HALF_LEN,
     zscore: bool = False,
 ) -> list[ChannelInstances]:
-    """Filter every channel, locate candidate peaks, and cut instances.
-
-    A flat channel gets no candidates (see `flat_channel`)."""
-    filtered = bandpass_filter(np.array(rec.channels), rec.sample_rate_hz, low, high, order)
-    blocks: list[ChannelInstances] = []
-    for ch_id, (raw, filt) in enumerate(zip(rec.channels, filtered)):
-        if flat_channel(raw, ch_id):
-            peaks = np.empty(0, dtype=int)
-        else:
-            peaks = find_peaks(filt, min_separation)
-        blocks.append(extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore))
-    return blocks
+    """Every channel's candidate windows (`candidate_peaks`), cut as one
+    block per channel."""
+    return [
+        extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore)
+        for ch_id, filt, peaks in candidate_peaks(rec, low, high, order, min_separation, half_len)
+    ]

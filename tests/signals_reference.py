@@ -1,15 +1,26 @@
-"""Loop versions of peak picking, window cutting and bag building.
+"""Loop versions of peak picking, window cutting and bag building, and the
+allocating blocked scan of the band-pass filter.
 
 These are the straightforward per-peak implementations that the array
-versions in bcgbeat.signals replaced.  They are kept only as the reference
+versions in bcgbeat.signals replaced, and the filter scan that stacked a
+new block array for every section.  They are kept only as the reference
 that tests/test_signals_exact.py compares against: both must return
-identical peaks, byte-identical windows and identical bags.  They build
-their own plain records, not the package's types they are the oracle for.
+identical peaks, byte-identical windows, identical bags and bit-identical
+filter output.  They build their own plain records, not the package's
+types they are the oracle for.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from bcgbeat.signals import (
+    _BLOCK,
+    _block_operators,
+    _compensated_band_edges,
+    _steady_states,
+    butter_bandpass_sos,
+)
 
 
 class Window(NamedTuple):
@@ -113,3 +124,38 @@ def build_bags(per_channel_instances, gt_beat_times, per_positive=3):
         members = sorted(gaps[g], key=lambda i: (i.channel_id, i.peak_index))
         bags.append(RefBag(windows=tuple(members), label=0))
     return bags
+
+
+def _sosfilt(operators, x, zi):
+    c, m = x.shape
+    nb = -(-m // _BLOCK)
+    y = np.zeros((c * nb, _BLOCK))
+    y.reshape(c, -1)[:, :m] = x
+    for (W, F, A_block), z in zip(operators, zi):
+        ends = (y @ F).reshape(c, nb, 2).transpose(1, 0, 2).copy()
+        starts = np.empty((nb, c, 2))
+        for k in range(nb):
+            starts[k] = z
+            z = z @ A_block.T + ends[k]
+        y = np.hstack([y, starts.transpose(1, 0, 2).reshape(c * nb, 2)]) @ W
+    return y.reshape(c, -1)[:, :m]
+
+
+def bandpass_filter(x, fs, low=0.4, high=10.0, order=6):
+    """The band-pass of a 1-D signal or a (channels, n) array, as two
+    allocating blocked scans over an odd-extended copy of the input."""
+    x = np.asarray(x, dtype=float)
+    half_order = order // 2
+    lo, hi = _compensated_band_edges(low, high, half_order)
+    pad = 3 * (2 * half_order + 1)
+    sos = butter_bandpass_sos(half_order, lo, hi, fs)
+    rows = np.atleast_2d(x)
+    ext = np.concatenate(
+        [2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]],
+        axis=1,
+    )
+    operators = [_block_operators(s, _BLOCK) for s in sos]
+    zi = _steady_states(sos)[:, None, :]
+    y = _sosfilt(operators, ext, zi * ext[:, :1])
+    y = _sosfilt(operators, y[:, ::-1], zi * y[:, -1:])
+    return np.ascontiguousarray(y[:, ::-1][:, pad:-pad]).reshape(x.shape)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -694,3 +695,95 @@ def test_hr_window_grid_outside_its_domain_exits_2(workdir, tmp_path, command, s
     assert "bad HR window grid" in proc.stderr
     assert setting.split("=")[0] in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["grid.conf"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_step_shorter_than_one_sample_exits_2(workdir, tmp_path, command):
+    """A step below one sample would give more windows than samples; a step
+    of 1e-300 once grew the window list until memory ran out.  The child
+    runs under a 1-GB address-space limit and a timeout, so such a run fails
+    on its own instead of taking the machine's memory."""
+    cfg = tmp_path / "grid.conf"
+    cfg.write_text("step_s=1e-300\n")
+    argv = GRID_COMMANDS[command](workdir, tmp_path / "out") + ["--config", str(cfg)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcgbeat.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert "bad HR window grid: step_s=1e-300 is shorter than one sample (0.01 s)" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.conf"]
+
+
+def test_step_of_one_sample_is_accepted(workdir, tmp_path):
+    cfg = tmp_path / "grid.conf"
+    cfg.write_text("step_s=0.01\n")
+    out = tmp_path / "d"
+    assert main(_detect_argv(workdir, out) + ["--config", str(cfg)]) == 0
+    assert bio.read_hr(str(out) + ".hr.csv").n_windows == 3001
+
+
+class TestCodingSettingDomains:
+    """code_iters, lambda, threshold and min_votes are checked where the
+    run resolves them, whichever source gave them, before anything is
+    coded."""
+
+    @pytest.fixture
+    def no_coding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coding ran")
+
+        monkeypatch.setattr(cli, "confidence_series", refuse)
+        monkeypatch.setattr(cli, "fit", refuse)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("code_iters=0", "code_iters=0: must be at least 1"),
+            ("lambda=-1", "lambda=-1.0: must be finite and >= 0"),
+            ("lambda=inf", "lambda=inf: must be finite and >= 0"),
+            ("threshold=nan", "threshold=nan: must be finite"),
+            ("min_votes=0", "min_votes=0: must be from 1 to the 4 channels"),
+            ("min_votes=9", "min_votes=9: must be from 1 to the 4 channels"),
+        ],
+    )
+    def test_detect_config_outside_its_domain_exits_2(
+        self, workdir, tmp_path, capsys, no_coding, setting, message
+    ):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(setting + "\n")
+        assert main(_detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]) == 2
+        assert f"error: bad setting {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+    def test_detect_params_file_outside_its_domain_exits_2(
+        self, workdir, tmp_path, capsys, no_coding
+    ):
+        params = tmp_path / "bad.params"
+        text = (workdir / "model.params").read_text()
+        params.write_text(text.replace("min_votes=2", "min_votes=5"))
+        argv = _detect_argv(workdir, tmp_path / "d") + ["--params", str(params)]
+        assert main(argv) == 2
+        assert "bad setting min_votes=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--lambda", "nan"], "lambda=nan"), (["--config", "CFG"], "code_iters=0")],
+    )
+    def test_train_outside_its_domain_exits_2(
+        self, workdir, tmp_path, capsys, no_coding, flags, message
+    ):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("code_iters=0\n")
+        flags = [str(cfg) if f == "CFG" else f for f in flags]
+        assert main(_train_argv(workdir, tmp_path / "m") + flags) == 2
+        assert f"bad setting {message}" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Detector tests: covariance, GLRT confidence, voting, HR extraction."""
 
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bcgbeat import kernels
+import detector_reference as ref
+from bcgbeat import detector, kernels
 from bcgbeat.detector import (
     DEFAULT_CODE_ITERS,
     BackgroundModel,
@@ -13,6 +15,7 @@ from bcgbeat.detector import (
     DetectionParams,
     background_covariance,
     _confidence_batch,
+    code_blocks,
     confidence_series,
     hr_from_beats,
     hr_from_confidence_dft,
@@ -21,7 +24,13 @@ from bcgbeat.detector import (
     window_starts,
 )
 from bcgbeat.dlfumi import Dictionary, FumiParams, fit
-from bcgbeat.signals import Recording, bag_columns, build_bags, preprocess_recording
+from bcgbeat.signals import (
+    Recording,
+    bag_columns,
+    build_bags,
+    candidate_peaks,
+    preprocess_recording,
+)
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
@@ -209,6 +218,113 @@ class TestConfidenceSeries:
         series = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
         for conf in series.confidences:
             assert np.all(conf > 0.0)
+
+
+def channel0_count(rec):
+    return next(candidate_peaks(rec))[2].size
+
+
+def truncated_to_count(rec, k, r):
+    """rec cut short, by as few samples as needed, until its channel 0 has
+    k * c + r candidates for some c >= 1; returns (recording, c)."""
+    for n in range(rec.n_samples, rec.n_samples // 2, -25):
+        cut = Recording(channels=[c[:n] for c in rec.channels], sample_rate_hz=rec.sample_rate_hz)
+        count = channel0_count(cut)
+        if (count - r) % k == 0 and count - r >= k:
+            return cut, (count - r) // k
+    raise AssertionError(f"no truncation gives k * c + {r} candidates")
+
+
+def assert_series_close(got, want):
+    assert got.fs == want.fs and got.n_samples == want.n_samples
+    for gi, wi in zip(got.peak_indices, want.peak_indices, strict=True):
+        np.testing.assert_array_equal(gi, wi, strict=True)
+    for gc, wc in zip(got.confidences, want.confidences, strict=True):
+        np.testing.assert_allclose(gc, wc, rtol=1e-12, atol=0)
+
+
+class TestChunkedCoding:
+    """The column-chunked coding against one call per channel
+    (tests/detector_reference.py), with a small chunk so that a 90-s
+    recording spans every chunk layout."""
+
+    @pytest.mark.parametrize(
+        "k, r",
+        [(2, -1), (2, 0), (2, 1), (3, -1), (3, 0), (3, 1), (7, 3)],
+        ids=["2c-1", "2c", "2c+1", "3c-1", "3c", "3c+1", "7c+3"],
+    )
+    def test_confidence_series_matches_one_call_per_channel(self, trained_small, monkeypatch, k, r):
+        _, res, result, model = trained_small
+        rec, chunk = truncated_to_count(res.recording, k, r)
+        monkeypatch.setattr(detector, "_CODE_CHUNK", chunk)
+        got = confidence_series(rec, result.dictionary, model, lam=5e-3, zscore=True)
+        want = ref.confidence_series(rec, result.dictionary, model, lam=5e-3, zscore=True)
+        assert got.peak_indices[0].size == k * chunk + r
+        assert_series_close(got, want)
+        # chunks this narrow may round a few confidences differently; the
+        # beats must not move
+        params = DetectionParams(threshold=1.5)
+        got_beats, want_beats = (np.asarray(vote_beats(s, params)) for s in (got, want))
+        np.testing.assert_array_equal(got_beats[:, 0], want_beats[:, 0])
+        np.testing.assert_allclose(got_beats[:, 1], want_beats[:, 1], rtol=1e-12, atol=0)
+
+    def test_channel_shorter_than_one_chunk_is_one_call(self, trained_small, monkeypatch):
+        _, res, result, model = trained_small
+        monkeypatch.setattr(detector, "_CODE_CHUNK", channel0_count(res.recording) + 1)
+        got = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        want = ref.confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        assert_series_close(got, want)
+
+    def test_code_blocks_matches_one_call_per_channel(self, trained_small, monkeypatch):
+        _, res, result, model = trained_small
+        monkeypatch.setattr(detector, "_CODE_CHUNK", 50)
+        blocks = preprocess_recording(res.recording)
+        got = code_blocks(res.recording, blocks, result.dictionary, model, lam=5e-3)
+        want = ref.confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        assert_series_close(got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 2048])
+    def test_calls_code_whole_chunks_then_a_last_one_of_two_to_three(
+        self, trained_small, monkeypatch, chunk
+    ):
+        _, res, result, model = trained_small
+        widths = []
+        real = detector._confidence_batch
+
+        def spy(X, *args):
+            widths.append(X.shape[1])
+            return real(X, *args)
+
+        monkeypatch.setattr(detector, "_confidence_batch", spy)
+        monkeypatch.setattr(detector, "_CODE_CHUNK", chunk)
+        series = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        calls = iter(widths)
+        for p in series.peak_indices:
+            mine = []
+            while sum(mine) < p.size:
+                mine.append(next(calls))
+            assert sum(mine) == p.size
+            if p.size < 3 * chunk:
+                assert mine == [p.size]
+            else:
+                assert mine[:-1] == [chunk] * (len(mine) - 1)
+                assert 2 * chunk <= mine[-1] < 3 * chunk
+        assert next(calls, None) is None
+
+    def test_peak_memory_is_a_few_times_the_channels(self, trained_small):
+        """Only the filtered channels and one chunk's windows and coding
+        blocks are alive at once: 6.0x the channels' bytes here.  Holding
+        every channel's candidate block until all were coded took 11.1x."""
+        _, _, result, model = trained_small
+        rec = generate(SynthConfig(duration_s=600.0, hr_bpm=66.0, snr_db=10.0, seed=5)).recording
+        channel_bytes = sum(c.nbytes for c in rec.channels)
+        tracemalloc.start()
+        try:
+            confidence_series(rec, result.dictionary, model, lam=5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.0 * channel_bytes
 
 
 def two_channel_series(indices_confs, n_samples=2000):

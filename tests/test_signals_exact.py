@@ -1,6 +1,8 @@
 """The array peak picking, window cutting and bag building against their
 loop references (tests/signals_reference.py): identical peaks, byte-identical
-windows and peak indices, identical bags; plus properties of the results."""
+windows and peak indices, identical bags; plus properties of the results.
+The band-pass filter's buffered scan against the allocating one: bit for
+bit the same output."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 import signals_reference as ref
 from bcgbeat.signals import (
+    _BLOCK,
     ChannelInstances,
+    bandpass_filter,
     build_bags,
     extract_instances,
     find_peaks,
@@ -163,3 +167,36 @@ def test_build_bags_is_a_partition(chans, beats, per_positive):
         else:
             gaps = set(np.searchsorted(beats, b.peak_indices).tolist())
             assert len(gaps) == 1
+
+
+@st.composite
+def filter_input(draw):
+    """1-5 channels of noise with an offset, from one sample more than the
+    3 * (order + 1) pad to four blocks long, often within 2 samples of a
+    whole number of blocks once the pad is on both ends, at one of three
+    rates."""
+    order = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    pad = 3 * (order + 1)
+    blocks = draw(st.integers(1, 4))
+    n = draw(st.one_of(
+        st.integers(pad + 1, 4 * _BLOCK),
+        st.integers(-2, 2).map(lambda e: blocks * _BLOCK - 2 * pad + e),
+    ))
+    n = max(n, pad + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((draw(st.integers(1, 5)), n)) * draw(st.sampled_from((1e-3, 1.0, 1e4)))
+    x += draw(st.sampled_from((0.0, -3.5, 100.0)))
+    return x, draw(st.sampled_from((50.0, 100.0, 250.0))), order
+
+
+@exact
+@given(filter_input(), st.booleans())
+def test_bandpass_filter_matches_the_allocating_scan(case, as_list):
+    x, fs, order = case
+    want = ref.bandpass_filter(x, fs, order=order)
+    got = bandpass_filter(list(x) if as_list else x, fs, order=order)
+    assert got.shape == want.shape
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if x.shape[0] == 1:
+        assert bandpass_filter(x[0], fs, order=order).tobytes() == want.tobytes()
