@@ -1,8 +1,8 @@
 """Command-line pipeline: synth | train | detect | eval.
 
 Exit codes: 0 success, 2 config or IO problem, 3 groundtruth missing where
-required, 4 model/data mismatch (dimensions, or codes that fail the
-warm-start check), 5 evaluation impossible.
+required, 4 model/data mismatch (`detector.ModelMismatch`: dimensions, or
+codes that fail the warm-start check), 5 evaluation impossible.
 Runs are deterministic given the config file and --seed.
 
 Every setting is resolved by one rule: a CLI flag beats a `--config` key,
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +27,7 @@ from .detector import (
     DEFAULT_STEP_S,
     DEFAULT_WINDOW_S,
     DetectionParams,
+    ModelMismatch,
     background_covariance,
     code_blocks,
     confidence_series,
@@ -66,6 +68,22 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextmanager
+def _fails(code: int, prefix: str = "", errors=ValueError):
+    """Exit `code` on an error of type `errors` in the block, with the
+    message `prefix` followed by the error's."""
+    try:
+        yield
+    except errors as exc:
+        raise CliError(code, f"{prefix}{exc}") from exc
+
+
+def _load(read, path: str, what: str):
+    """read(path), with a file it rejects as exit 2 (`cannot read <what>`)."""
+    with _fails(EXIT_CONFIG, f"cannot read {what}: ", (OSError, ValueError)):
+        return read(path)
 
 
 def _parse_bool(v: str) -> bool:
@@ -148,17 +166,11 @@ def load_settings(args) -> dict:
     is always set, and is one of MODE_PRESETS."""
     given: dict = {}
     if args.config is not None:
-        try:
-            raw = bio.read_keyvalue(args.config)
-        except (OSError, ValueError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot read config: {exc}") from exc
-        for k, v in raw.items():
+        for k, v in _load(bio.read_keyvalue, args.config, "config").items():
             if k not in _CONFIG_PARSERS:
                 raise CliError(EXIT_CONFIG, f"unknown config key {k!r}")
-            try:
+            with _fails(EXIT_CONFIG, f"bad value for {k!r}: "):
                 given[k] = _CONFIG_PARSERS[k](v)
-            except ValueError as exc:
-                raise CliError(EXIT_CONFIG, f"bad value for {k!r}: {exc}") from exc
     given.update(
         (k, v) for k, v in vars(args).items() if k in _CONFIG_PARSERS and v is not None
     )
@@ -192,28 +204,18 @@ def _read_params(path: str) -> dict:
         raise CliError(EXIT_CONFIG, f"cannot read params {path}: {exc}") from exc
     if not stored:
         return {}
-    try:
+    with _fails(EXIT_CONFIG, f"malformed detection params {path}: ", (KeyError, ValueError)):
         values = {k: _CONFIG_PARSERS[k](stored[k]) for k in _VOTING_KEYS}
         for k in ("lambda", "code_iters"):
             name = _PARAM_NAMES.get(k, k)
             if name in stored:
                 values[k] = _CONFIG_PARSERS[k](stored[name])
-    except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"malformed detection params {path}: {exc}") from exc
     return values
 
 
 def _sibling(path: str, new_tail: str) -> str:
     base = path[:-4] if path.endswith(".csv") else path
     return base + new_tail
-
-
-def _read_recording(read, path: str):
-    """read(path), with a file it rejects as exit 2."""
-    try:
-        return read(path)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read recording {path}: {exc}") from exc
 
 
 def _hr_grid(path: str, duration_s: float, fs: float, given: dict) -> tuple[float, float]:
@@ -227,10 +229,8 @@ def _hr_grid(path: str, duration_s: float, fs: float, given: dict) -> tuple[floa
             EXIT_CONFIG,
             f"bad HR window grid: step_s={step_s!r} is shorter than one sample ({1.0 / fs:g} s)",
         )
-    try:
+    with _fails(EXIT_CONFIG, "bad HR window grid: "):
         starts = window_starts(duration_s, window_s, step_s)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"bad HR window grid: {exc}") from exc
     if starts.size == 0:
         raise CliError(
             EXIT_EVAL_IMPOSSIBLE,
@@ -247,6 +247,8 @@ def _check_domains(values: dict, n_channels: int) -> None:
         "code_iters": ("at least 1", lambda v: v >= 1),
         "lambda": ("finite and >= 0", lambda v: 0.0 <= v < np.inf),
         "threshold": ("finite", np.isfinite),
+        "neighborhood": (">= 0", lambda v: v >= 0),
+        "refractory_s": ("finite and >= 0", lambda v: 0.0 <= v < np.inf),
         "min_votes": (f"from 1 to the {n_channels} channels", lambda v: 1 <= v <= n_channels),
     }
     for key, value in values.items():
@@ -260,10 +262,8 @@ def _check_domains(values: dict, n_channels: int) -> None:
 
 def cmd_synth(args) -> int:
     given = load_settings(args)
-    try:
+    with _fails(EXIT_CONFIG, "bad synthesis config: "):
         result = generate(SynthConfig(**_kwargs(given, [f.name for f in fields(SynthConfig)])))
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"bad synthesis config: {exc}") from exc
     bio.write_recording(args.out, result.recording)
     bio.write_synth_sidecar(_sibling(args.out, ".sidecar"), result)
     print(
@@ -280,15 +280,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     settings = _resolve(load_settings(args))
     params = FumiParams(**_kwargs(settings, _LEARNER_KEYS))
-    try:
+    with _fails(EXIT_CONFIG):
         params.validate()
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
     code_iters = settings.get("code_iters", DEFAULT_CODE_ITERS)
 
     recs = []
     for path in args.recordings:
-        rec = _read_recording(bio.read_recording, path)
+        rec = _load(bio.read_recording, path, f"recording {path}")
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
         recs.append(rec)
@@ -304,20 +302,20 @@ def cmd_train(args) -> int:
             )
     _check_domains(
         {"code_iters": code_iters, "lambda": params.lam,
-         "min_votes": settings.get("min_votes", DetectionParams.min_votes)},
+         "min_votes": settings.get("min_votes", DetectionParams.min_votes),
+         "refractory_s": settings.get("refractory_s", DetectionParams.refractory_s)},
         min(len(rec.channels) for rec in recs),
     )
-    blocks = [preprocess_recording(rec, **_kwargs(settings, _PREPROCESS_KEYS)) for rec in recs]
+    with _fails(EXIT_CONFIG):
+        blocks = [preprocess_recording(rec, **_kwargs(settings, _PREPROCESS_KEYS)) for rec in recs]
     bags = [
         bag
         for rec, b in zip(recs, blocks)
         for bag in build_bags(b, rec.gt_beat_times, **_kwargs(settings, ["per_positive"]))
     ]
 
-    try:
+    with _fails(EXIT_CONFIG, "training failed: "):
         result = fit(bags, params, **_kwargs(settings, ["seed"]))
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"training failed: {exc}") from exc
     for i, v in enumerate(result.objective_trace, 1):
         print(f"em_iter={i} objective={v!r}")
 
@@ -360,41 +358,30 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     given = load_settings(args)
-    rec = _read_recording(bio.read_recording, args.recording)
+    rec = _load(bio.read_recording, args.recording, f"recording {args.recording}")
     window_s, step_s = _hr_grid(args.recording, rec.duration_s, rec.sample_rate_hz, given)
-    try:
-        D = bio.read_dictionary(args.dict)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read dictionary: {exc}") from exc
-
-    cov_path = args.cov or _sibling(args.dict, ".cov.csv")
-    try:
-        model = bio.read_covariance(cov_path)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read covariance {cov_path}: {exc}") from exc
-
+    D = _load(bio.read_dictionary, args.dict, "dictionary")
+    cov_path = _sibling(args.dict, ".cov.csv")
+    model = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     settings = _resolve(given, _read_params(args.params or _sibling(args.dict, ".params")))
     dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
     lam = settings.get("lambda", FumiParams.lam)
     code_iters = settings.get("code_iters", DEFAULT_CODE_ITERS)
     _check_domains(
         {"code_iters": code_iters, "lambda": lam, "threshold": dparams.threshold,
-         "min_votes": dparams.min_votes},
+         "neighborhood": dparams.neighborhood, "min_votes": dparams.min_votes,
+         "refractory_s": dparams.refractory_s},
         len(rec.channels),
     )
     try:
         series = confidence_series(
             rec, D, model, lam=lam, n_iter=code_iters, **_kwargs(settings, _PREPROCESS_KEYS)
         )
+    except ModelMismatch as exc:
+        msg = f"{exc}; the model does not fit {args.recording}"
+        raise CliError(EXIT_MODEL_MISMATCH, msg) from exc
     except ValueError as exc:
-        if "does not match" in str(exc):
-            raise CliError(EXIT_MODEL_MISMATCH, str(exc)) from exc
         raise CliError(EXIT_CONFIG, str(exc)) from exc
-    except RuntimeError as exc:
-        # the model's codes for this recording fail the warm-start check
-        raise CliError(
-            EXIT_MODEL_MISMATCH, f"{exc}; the model does not fit {args.recording}"
-        ) from exc
 
     beats = vote_beats(series, dparams)
     if args.dft:
@@ -430,50 +417,31 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     given = load_settings(args)
-    fs, n_samples, gt = _read_recording(bio.read_groundtruth, args.groundtruth)
+    path = args.groundtruth
+    fs, n_samples, gt = _load(bio.read_groundtruth, path, f"recording {path}")
     duration_s = n_samples / fs
     if gt is None or gt.size == 0:
-        raise CliError(
-            EXIT_NO_GROUNDTRUTH, f"{args.groundtruth} has no groundtruth beats"
-        )
-    window_s, step_s = _hr_grid(args.groundtruth, duration_s, fs, given)
-    gt_hr = hr_from_beats(
-        gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s
-    )
-    try:
-        est_hr = bio.read_hr(args.est_hr)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read HR series: {exc}") from exc
+        raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
+    window_s, step_s = _hr_grid(path, duration_s, fs, given)
+    gt_hr = hr_from_beats(gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s)
+    est_hr = _load(bio.read_hr, args.est_hr, "HR series")
 
     report: dict = {}
-    try:
+    with _fails(EXIT_EVAL_IMPOSSIBLE, "HR comparison impossible: "):
         report["mae_bpm"] = repr(mae(est_hr, gt_hr))
-    except ValueError as exc:
-        raise CliError(EXIT_EVAL_IMPOSSIBLE, f"HR comparison impossible: {exc}") from exc
     rows = per_window_errors(est_hr, gt_hr)
     report["n_windows_compared"] = len(rows)
     if len(rows) >= 2:
         e = np.asarray([r[1] for r in rows])
         g = np.asarray([r[2] for r in rows])
-        try:
+        with suppress(ValueError):
             report["pearson_r"] = repr(pearson_r(e, g))
-        except ValueError:
-            pass
 
     if args.est_beats is not None:
-        try:
-            _, est_times, _ = bio.read_beats(args.est_beats)
-        except (OSError, ValueError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot read beats: {exc}") from exc
+        _, est_times, _ = _load(bio.read_beats, args.est_beats, "beats")
         gt_times = gt / fs
-        try:
-            report["bbi_relative_error_pct"] = repr(
-                bbi_relative_error(est_times, gt_times)
-            )
-        except ValueError as exc:
-            raise CliError(
-                EXIT_EVAL_IMPOSSIBLE, f"BBI comparison impossible: {exc}"
-            ) from exc
+        with _fails(EXIT_EVAL_IMPOSSIBLE, "BBI comparison impossible: "):
+            report["bbi_relative_error_pct"] = repr(bbi_relative_error(est_times, gt_times))
         e_iv, g_iv = matched_interval_pairs(est_times, gt_times)
         if e_iv.size >= 2:
             stats = bland_altman(60.0 / e_iv, 60.0 / g_iv)
@@ -484,22 +452,14 @@ def cmd_eval(args) -> int:
             report["n_beat_pairs"] = stats.n
 
     if args.baseline_hr is not None:
-        try:
-            base_hr = bio.read_hr(args.baseline_hr)
-        except (OSError, ValueError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot read baseline HR: {exc}") from exc
+        base_hr = _load(bio.read_hr, args.baseline_hr, "baseline HR")
         est_rows = {r[0]: r[3] for r in rows}
         base_rows = {r[0]: r[3] for r in per_window_errors(base_hr, gt_hr)}
         common = sorted(set(est_rows) & set(base_rows))
         est_errs = np.asarray([est_rows[t] for t in common])
         base_errs = np.asarray([base_rows[t] for t in common])
-        try:
-            t_stat = paired_t(est_errs, base_errs)
-        except ValueError as exc:
-            raise CliError(
-                EXIT_EVAL_IMPOSSIBLE, f"paired comparison impossible: {exc}"
-            ) from exc
-        report["paired_t_stat"] = repr(t_stat)
+        with _fails(EXIT_EVAL_IMPOSSIBLE, "paired comparison impossible: "):
+            report["paired_t_stat"] = repr(paired_t(est_errs, base_errs))
         report["paired_t_df"] = len(common) - 1
 
     bio.write_keyvalue(args.out, report)
@@ -541,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("detect", help="detect beats with a trained dictionary")
     pd.add_argument("recording", help="recording CSV")
     pd.add_argument("--dict", required=True, help="dictionary CSV from train")
-    pd.add_argument("--cov", default=None, help="covariance sidecar (default: next to --dict)")
     pd.add_argument("--params", default=None, help="detection params file (default: next to --dict)")
     pd.add_argument("--config", help="key=value config file")
     pd.add_argument("--mode", choices=sorted(MODE_PRESETS), default=None)

@@ -41,6 +41,12 @@ DEFAULT_STEP_S = 15.0
 DEFAULT_DFT_BAND_HZ = (0.66, 3.0)
 
 
+class ModelMismatch(ValueError):
+    """The model does not fit the data: an instance or covariance dimension
+    differs from the dictionary's, or the full-dictionary codes come out
+    worse than their warm start."""
+
+
 @dataclass
 class BackgroundModel:
     """Training background covariance Sigma = L L^T, with L^-1 kept."""
@@ -138,13 +144,14 @@ def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
     Dbg = D.background_atoms
     G_bg = Dbg.T @ Dbg
     eta_bg = safe_step_length(Dbg)
+    corr_bg = Dbg.T @ X
     A_bg = kernels.ista_negative(
-        G_bg, Dbg.T @ X, np.zeros((D.n_background, X.shape[1])), lam, eta_bg, n_iter
+        G_bg, corr_bg, np.zeros((D.n_background, X.shape[1])), lam, eta_bg, n_iter
     )
     full = D.atoms
     G = full.T @ full
     eta = safe_step_length(D)
-    corr = np.vstack([D.target_atoms.T @ X, Dbg.T @ X])
+    corr = np.vstack([D.target_atoms.T @ X, corr_bg])
     A0 = np.vstack([np.zeros((T, X.shape[1])), A_bg])
     A_full = kernels.ista_negative(G, corr, A0, lam, eta, n_iter)
     return A_bg, A_full
@@ -164,16 +171,16 @@ def _confidence_batch(
     both residual norms floored at 1e-12, so an instance that the
     background already reconstructs exactly scores 1, not 0.
 
-    Raises RuntimeError where the full coding's lasso objective
+    Raises ModelMismatch where the full coding's lasso objective
     0.5*||x - D a||^2 + lam*||a||_1 is worse than its warm start's.  The
     warm start's target block is zero, so its residual is the background
     one: each residual block is formed once and gives both its objective
     and its Mahalanobis norm.
     """
     if X.shape[0] != D.d:
-        raise ValueError("instance dimension does not match dictionary")
+        raise ModelMismatch("instance dimension does not match dictionary")
     if model.d != D.d:
-        raise ValueError("covariance dimension does not match dictionary")
+        raise ModelMismatch("covariance dimension does not match dictionary")
     A_bg, A_full = _code_test_instances(X, D, lam, n_iter)
 
     def scores(atoms, A):
@@ -185,7 +192,7 @@ def _confidence_batch(
     num, obj_warm = scores(D.background_atoms, A_bg)
     den, obj_full = scores(D.atoms, A_full)
     if not np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))):
-        raise RuntimeError("full-dictionary coding worsened its warm start")
+        raise ModelMismatch("full-dictionary coding worsened its warm start")
     return np.maximum(num, _RATIO_FLOOR) / np.maximum(den, _RATIO_FLOOR)
 
 

@@ -543,8 +543,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         )
 
     norms = sq_norms()
-    stale_tgt = np.zeros(T, dtype=int)
-    stale_bg = np.zeros(M, dtype=int)
+    stale = np.zeros(T + M, dtype=int)  # stale iterations in a row, per atom
     trace: list[float] = []
     inner_trace: list[np.ndarray] = []
     p_pos = np.zeros(n_pos)
@@ -561,34 +560,29 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         gamma = gamma_matrix(D, params.gamma, tgt_old)
 
         # --- M-step: sequential closed-form atom updates ------------------
-        # Each update sees the atoms as updated so far; a stale atom is
-        # kept, and re-seeded after _STALE_LIMIT stale iterations in a row.
+        # Targets first, then backgrounds; each update sees the atoms as
+        # updated so far.  A stale atom is kept, and re-seeded after
+        # _STALE_LIMIT stale iterations in a row.
         products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
-        for t in range(T):
-            raw = target_atom_update(products, D, t)
-            new_atom = raw if raw is None else _normalize_or_none(raw)
-            if new_atom is not None:
-                stale_tgt[t] = 0
-            else:
-                stale_tgt[t] += 1
-                if stale_tgt[t] < _STALE_LIMIT:
-                    continue
-                new_atom = reseed(Xp, Xp - D.atoms @ A_pos)
-                stale_tgt[t] = 0
-            D.target_atoms[:, t] = new_atom
-
-        for k in range(M):
-            raw = background_atom_update(products, D, k, gamma, tgt_old)
-            new_atom = raw if raw is None else _normalize_or_none(raw)
-            if new_atom is not None:
-                stale_bg[k] = 0
-            else:
-                stale_bg[k] += 1
-                if stale_bg[k] < _STALE_LIMIT:
-                    continue
-                new_atom = reseed(Xn, Xn - D.background_atoms @ A_neg)
-                stale_bg[k] = 0
-            D.background_atoms[:, k] = new_atom
+        blocks = (
+            (D.target_atoms, stale[:T], Xp, lambda: D.atoms @ A_pos,
+             lambda j: target_atom_update(products, D, j)),
+            (D.background_atoms, stale[T:], Xn, lambda: D.background_atoms @ A_neg,
+             lambda j: background_atom_update(products, D, j, gamma, tgt_old)),
+        )
+        for atoms, stale_block, Xc, recon, update in blocks:
+            for j in range(atoms.shape[1]):
+                raw = update(j)
+                new_atom = raw if raw is None else _normalize_or_none(raw)
+                if new_atom is not None:
+                    stale_block[j] = 0
+                else:
+                    stale_block[j] += 1
+                    if stale_block[j] < _STALE_LIMIT:
+                        continue
+                    new_atom = reseed(Xc, Xc - recon())
+                    stale_block[j] = 0
+                atoms[:, j] = new_atom
 
         # --- code updates --------------------------------------------------
         eta = safe_step_length(D)
@@ -599,26 +593,20 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
             [D.target_atoms.T @ Xp, D.background_atoms.T @ Xp]
         )
         corr_neg = D.background_atoms.T @ Xn
-        if inner_objective_trace:
-            vals = [objective_now(sq_norms(), gamma, tgt_old)]
-            for _ in range(params.inner_iters):
-                A_pos = kernels.ista_positive(
-                    G, G_bg, corr_pos, p_pos, A_pos, params.lam, eta, 1, T
-                )
-                A_neg = kernels.ista_negative(
-                    G_bg, corr_neg, A_neg, params.lam, eta_bg, 1
-                )
-                norms = sq_norms()
-                vals.append(objective_now(norms, gamma, tgt_old))
-            inner_trace.append(np.asarray(vals))
-        else:
+        # One call of inner_iters steps, or single steps each followed by
+        # the objective when tracing.
+        steps = [1] * params.inner_iters if inner_objective_trace else [params.inner_iters]
+        vals = [objective_now(sq_norms(), gamma, tgt_old)] if inner_objective_trace else []
+        for n_steps in steps:
             A_pos = kernels.ista_positive(
-                G, G_bg, corr_pos, p_pos, A_pos, params.lam, eta, params.inner_iters, T
+                G, G_bg, corr_pos, p_pos, A_pos, params.lam, eta, n_steps, T
             )
-            A_neg = kernels.ista_negative(
-                G_bg, corr_neg, A_neg, params.lam, eta_bg, params.inner_iters
-            )
+            A_neg = kernels.ista_negative(G_bg, corr_neg, A_neg, params.lam, eta_bg, n_steps)
             norms = sq_norms()
+            if inner_objective_trace:
+                vals.append(objective_now(norms, gamma, tgt_old))
+        if inner_objective_trace:
+            inner_trace.append(np.asarray(vals))
 
         trace.append(objective_now(norms, gamma, tgt_old))
 

@@ -733,9 +733,9 @@ def test_step_of_one_sample_is_accepted(workdir, tmp_path):
 
 
 class TestCodingSettingDomains:
-    """code_iters, lambda, threshold and min_votes are checked where the
-    run resolves them, whichever source gave them, before anything is
-    coded."""
+    """code_iters, lambda, threshold, neighborhood, min_votes and
+    refractory_s are checked where the run resolves them, whichever source
+    gave them, before anything is coded."""
 
     @pytest.fixture
     def no_coding(self, monkeypatch):
@@ -754,6 +754,10 @@ class TestCodingSettingDomains:
             ("threshold=nan", "threshold=nan: must be finite"),
             ("min_votes=0", "min_votes=0: must be from 1 to the 4 channels"),
             ("min_votes=9", "min_votes=9: must be from 1 to the 4 channels"),
+            ("neighborhood=-5", "neighborhood=-5: must be >= 0"),
+            ("refractory_s=nan", "refractory_s=nan: must be finite and >= 0"),
+            ("refractory_s=-1", "refractory_s=-1.0: must be finite and >= 0"),
+            ("refractory_s=inf", "refractory_s=inf: must be finite and >= 0"),
         ],
     )
     def test_detect_config_outside_its_domain_exits_2(
@@ -777,13 +781,36 @@ class TestCodingSettingDomains:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--lambda", "nan"], "lambda=nan"), (["--config", "CFG"], "code_iters=0")],
+        [(["--lambda", "nan"], "lambda=nan"), (["--config", "CFG"], "code_iters=0"),
+         (["--config", "CFG"], "refractory_s=nan"), (["--config", "CFG"], "refractory_s=-1.0")],
     )
     def test_train_outside_its_domain_exits_2(
         self, workdir, tmp_path, capsys, no_coding, flags, message
     ):
+        """CFG is a config file that sets the value the message names."""
         cfg = tmp_path / "run.conf"
-        cfg.write_text("code_iters=0\n")
+        cfg.write_text(message + "\n")
         flags = [str(cfg) if f == "CFG" else f for f in flags]
         assert main(_train_argv(workdir, tmp_path / "m") + flags) == 2
         assert f"bad setting {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("band_low=20", "need 0 < low < high < Nyquist"),
+        ("filter_order=3", "filter order must be even and >= 2"),
+        ("min_separation=0", "min_separation must be >= 1"),
+    ],
+)
+def test_train_preprocessing_setting_outside_its_domain_exits_2(
+    workdir, tmp_path, capsys, setting, message
+):
+    """train maps the band-pass filter's and the peak picker's errors to
+    exit 2 as detect does, before it fits or writes a model."""
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(setting + "\n")
+    assert main(_train_argv(workdir, tmp_path / "m") + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]

@@ -13,6 +13,7 @@ from bcgbeat.detector import (
     BackgroundModel,
     ConfidenceSeries,
     DetectionParams,
+    ModelMismatch,
     background_covariance,
     _confidence_batch,
     code_blocks,
@@ -210,7 +211,7 @@ class TestConfidenceSeries:
 
         monkeypatch.setattr(kernels, "ista_negative", worse)
         x = result.dictionary.target_atoms[:, 0]
-        with pytest.raises(RuntimeError, match="worsened its warm start"):
+        with pytest.raises(ModelMismatch, match="worsened its warm start"):
             _confidence_batch(x[:, None], result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
 
     def test_all_confidences_are_positive(self, trained_small):
