@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import fields
+from dataclasses import asdict, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .detector import (
     DetectionParams,
     ModelMismatch,
     background_covariance,
+    check_dft_band,
     code_blocks,
     confidence_series,
     hr_from_beats,
@@ -95,89 +97,117 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
-def _parse_floats(v: str):
-    return tuple(float(x) for x in v.split(",") if x.strip() != "")
+def _parse_tuple(kind):
+    """A parser of comma-separated `kind` values."""
+    return lambda v: tuple(kind(x) for x in v.split(",") if x.strip() != "")
 
 
-def _parse_ints(v: str):
-    return tuple(int(x) for x in v.split(",") if x.strip() != "")
+class _Setting(NamedTuple):
+    """A settings-table row: the key's parser, its domain as (description,
+    predicate), and the parameter it sets if named otherwise (`lambda`)."""
+
+    parse: Callable
+    domain: tuple[str, Callable] | None = None
+    name: str | None = None
 
 
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_FINITE_NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < np.inf)
+_POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < np.inf)
+
+# Every setting.  The code a key without a domain configures checks it:
+# FumiParams.validate, SynthConfig.validate, the band-pass filter and peak
+# picker, window_starts, or (min_votes) the channel count (_check_min_votes).
 _CONFIG_PARSERS = {
-    "mode": str,
-    "seed": int,
-    "T": int,
-    "M": int,
-    "lambda": float,
-    "gamma": float,
-    "beta": float,
-    "psi": float,
-    "inner_iters": int,
-    "max_em_iters": int,
-    "tol": float,
-    "band_low": float,
-    "band_high": float,
-    "filter_order": int,
-    "min_separation": int,
-    "half_len": int,
-    "per_positive": int,
-    "zscore": _parse_bool,
-    "code_iters": int,
-    "threshold": float,
-    "neighborhood": int,
-    "min_votes": int,
-    "refractory_s": float,
-    "window_s": float,
-    "step_s": float,
-    "dft_band_low": float,
-    "dft_band_high": float,
-    "duration_s": float,
-    "fs": float,
-    "hr_bpm": float,
-    "hrv_amp_bpm": float,
-    "hrv_period_s": float,
-    "template_carrier_hz": float,
-    "template_width_s": float,
-    "gains": _parse_floats,
-    "delays": _parse_ints,
-    "jitter_sd_samples": float,
-    "respiration_amp": float,
-    "respiration_hz": float,
-    "noise_sd": float,
-    "snr_db": float,
-    "artifact_rate_per_min": float,
-    "artifact_amp": float,
-    "artifact_width_s": _parse_floats,
+    "mode": _Setting(str),
+    "seed": _Setting(int, _NON_NEGATIVE),
+    "T": _Setting(int),
+    "M": _Setting(int),
+    "lambda": _Setting(float, _FINITE_NON_NEGATIVE, "lam"),
+    "gamma": _Setting(float),
+    "beta": _Setting(float),
+    "psi": _Setting(float),
+    "inner_iters": _Setting(int),
+    "max_em_iters": _Setting(int),
+    "tol": _Setting(float),
+    "band_low": _Setting(float, name="low"),
+    "band_high": _Setting(float, name="high"),
+    "filter_order": _Setting(int, name="order"),
+    "min_separation": _Setting(int),
+    "half_len": _Setting(int, _AT_LEAST_1),
+    "per_positive": _Setting(int, _AT_LEAST_1),
+    "zscore": _Setting(_parse_bool),
+    "code_iters": _Setting(int, _AT_LEAST_1),
+    "threshold": _Setting(float, ("finite", np.isfinite)),
+    "neighborhood": _Setting(int, _NON_NEGATIVE),
+    "min_votes": _Setting(int),
+    "refractory_s": _Setting(float, _FINITE_NON_NEGATIVE),
+    "window_s": _Setting(float),
+    "step_s": _Setting(float),
+    "dft_band_low": _Setting(float, _POSITIVE_FINITE),
+    "dft_band_high": _Setting(float, _POSITIVE_FINITE),
+    "duration_s": _Setting(float),
+    "fs": _Setting(float),
+    "hr_bpm": _Setting(float),
+    "hrv_amp_bpm": _Setting(float),
+    "hrv_period_s": _Setting(float),
+    "template_carrier_hz": _Setting(float),
+    "template_width_s": _Setting(float),
+    "gains": _Setting(_parse_tuple(float)),
+    "delays": _Setting(_parse_tuple(int)),
+    "jitter_sd_samples": _Setting(float),
+    "respiration_amp": _Setting(float),
+    "respiration_hz": _Setting(float),
+    "noise_sd": _Setting(float),
+    "snr_db": _Setting(float),
+    "artifact_rate_per_min": _Setting(float),
+    "artifact_amp": _Setting(float),
+    "artifact_width_s": _Setting(_parse_tuple(float)),
 }
 
-
-# Config keys named otherwise than the parameter they set (`lambda` is a
-# Python keyword).  `.params` files name their keys as the parameters.
-_PARAM_NAMES = {"lambda": "lam", "band_low": "low", "band_high": "high", "filter_order": "order"}
 # The FumiParams fields; train also takes each as a flag.
 _LEARNER_KEYS = ("T", "M", "lambda", "gamma", "beta", "psi", "inner_iters", "max_em_iters", "tol")
 _PREPROCESS_KEYS = ("band_low", "band_high", "filter_order", "min_separation", "half_len", "zscore")
 _VOTING_KEYS = tuple(f.name for f in fields(DetectionParams))
+# What train stores in .params, under the parameter names, for detect to read.
+_STORED_KEYS = (*_VOTING_KEYS, "lambda", "code_iters")
+
+
+def _name(key: str) -> str:
+    """The parameter that setting `key` sets."""
+    return _CONFIG_PARSERS[key].name or key
+
+
+def _checked(values: dict) -> dict:
+    """`values`, each checked against its key's domain: exit 2 on the first
+    one outside it."""
+    for key, value in values.items():
+        domain = _CONFIG_PARSERS[key].domain
+        if domain is not None and not domain[1](value):
+            raise CliError(EXIT_CONFIG, f"bad setting {key}={value!r}: must be {domain[0]}")
+    return values
 
 
 def load_settings(args) -> dict:
     """The settings given on the command line: the keys of the --config
-    file and, over them, every flag whose dest is a config key.  `mode`
-    is always set, and is one of MODE_PRESETS."""
+    file and, over them, every flag whose dest is a config key, each
+    checked against its domain.  `mode` is always set, and is one of
+    MODE_PRESETS."""
     given: dict = {}
     if args.config is not None:
         for k, v in _load(bio.read_keyvalue, args.config, "config").items():
             if k not in _CONFIG_PARSERS:
                 raise CliError(EXIT_CONFIG, f"unknown config key {k!r}")
             with _fails(EXIT_CONFIG, f"bad value for {k!r}: "):
-                given[k] = _CONFIG_PARSERS[k](v)
+                given[k] = _CONFIG_PARSERS[k].parse(v)
     given.update(
         (k, v) for k, v in vars(args).items() if k in _CONFIG_PARSERS and v is not None
     )
     given.setdefault("mode", "individual")
     if given["mode"] not in MODE_PRESETS:
         raise CliError(EXIT_CONFIG, f"unknown mode {given['mode']!r}")
-    return given
+    return _checked(given)
 
 
 def _resolve(given: dict, stored: dict | None = None) -> dict:
@@ -189,13 +219,13 @@ def _resolve(given: dict, stored: dict | None = None) -> dict:
 def _kwargs(settings: dict, keys) -> dict:
     """The settings among `keys` that some source gave, keyed by the
     parameter each one sets."""
-    return {_PARAM_NAMES.get(k, k): settings[k] for k in keys if k in settings}
+    return {_name(k): settings[k] for k in keys if k in settings}
 
 
 def _read_params(path: str) -> dict:
-    """The settings stored in train's .params file; none when it is
-    missing or empty.  The voting keys are required, lam and code_iters
-    are not."""
+    """The settings stored in train's .params file, each checked against
+    its domain; none when the file is missing or empty.  The voting keys
+    are required, lam and code_iters are not."""
     try:
         stored = bio.read_keyvalue(path)
     except OSError:
@@ -205,12 +235,8 @@ def _read_params(path: str) -> dict:
     if not stored:
         return {}
     with _fails(EXIT_CONFIG, f"malformed detection params {path}: ", (KeyError, ValueError)):
-        values = {k: _CONFIG_PARSERS[k](stored[k]) for k in _VOTING_KEYS}
-        for k in ("lambda", "code_iters"):
-            name = _PARAM_NAMES.get(k, k)
-            if name in stored:
-                values[k] = _CONFIG_PARSERS[k](stored[name])
-    return values
+        return _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS
+                         if k in _VOTING_KEYS or _name(k) in stored})
 
 
 def _sibling(path: str, new_tail: str) -> str:
@@ -240,21 +266,14 @@ def _hr_grid(path: str, duration_s: float, fs: float, given: dict) -> tuple[floa
     return window_s, step_s
 
 
-def _check_domains(values: dict, n_channels: int) -> None:
-    """Exit 2 unless each coding or voting setting the run will use (given
-    by a flag, --config or .params, or a default) lies in its domain."""
-    domains = {
-        "code_iters": ("at least 1", lambda v: v >= 1),
-        "lambda": ("finite and >= 0", lambda v: 0.0 <= v < np.inf),
-        "threshold": ("finite", np.isfinite),
-        "neighborhood": (">= 0", lambda v: v >= 0),
-        "refractory_s": ("finite and >= 0", lambda v: 0.0 <= v < np.inf),
-        "min_votes": (f"from 1 to the {n_channels} channels", lambda v: 1 <= v <= n_channels),
-    }
-    for key, value in values.items():
-        domain, ok = domains[key]
-        if not ok(value):
-            raise CliError(EXIT_CONFIG, f"bad setting {key}={value!r}: must be {domain}")
+def _check_min_votes(settings: dict, n_channels: int) -> None:
+    """Exit 2 unless the run's min_votes channels can agree on a beat."""
+    min_votes = settings.get("min_votes", DetectionParams.min_votes)
+    if not 1 <= min_votes <= n_channels:
+        raise CliError(
+            EXIT_CONFIG,
+            f"bad setting min_votes={min_votes!r}: must be from 1 to the {n_channels} channels",
+        )
 
 
 # --- synth -------------------------------------------------------------------
@@ -300,12 +319,7 @@ def cmd_train(args) -> int:
                 f"{args.recordings[0]} at {recs[0].sample_rate_hz:g} Hz; "
                 "train on recordings of one sample rate",
             )
-    _check_domains(
-        {"code_iters": code_iters, "lambda": params.lam,
-         "min_votes": settings.get("min_votes", DetectionParams.min_votes),
-         "refractory_s": settings.get("refractory_s", DetectionParams.refractory_s)},
-        min(len(rec.channels) for rec in recs),
-    )
+    _check_min_votes(settings, min(len(rec.channels) for rec in recs))
     with _fails(EXIT_CONFIG):
         blocks = [preprocess_recording(rec, **_kwargs(settings, _PREPROCESS_KEYS)) for rec in recs]
     bags = [
@@ -335,16 +349,9 @@ def cmd_train(args) -> int:
 
     bio.write_dictionary(args.out, result.dictionary)
     bio.write_covariance(_sibling(args.out, ".cov.csv"), model)
+    stored = {**asdict(dparams), "lambda": params.lam, "code_iters": code_iters}
     bio.write_keyvalue(
-        _sibling(args.out, ".params"),
-        {
-            "threshold": repr(dparams.threshold),
-            "neighborhood": dparams.neighborhood,
-            "min_votes": dparams.min_votes,
-            "refractory_s": repr(dparams.refractory_s),
-            "lam": repr(params.lam),
-            "code_iters": code_iters,
-        },
+        _sibling(args.out, ".params"), {_name(k): repr(stored[k]) for k in _STORED_KEYS}
     )
     print(
         f"wrote {args.out} (+ .cov.csv, .params): "
@@ -365,17 +372,16 @@ def cmd_detect(args) -> int:
     model = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     settings = _resolve(given, _read_params(args.params or _sibling(args.dict, ".params")))
     dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
-    lam = settings.get("lambda", FumiParams.lam)
-    code_iters = settings.get("code_iters", DEFAULT_CODE_ITERS)
-    _check_domains(
-        {"code_iters": code_iters, "lambda": lam, "threshold": dparams.threshold,
-         "neighborhood": dparams.neighborhood, "min_votes": dparams.min_votes,
-         "refractory_s": dparams.refractory_s},
-        len(rec.channels),
-    )
+    _check_min_votes(settings, len(rec.channels))
+    if args.dft:
+        band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
+                   settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1]))
+        with _fails(EXIT_CONFIG, "bad DFT band: "):
+            check_dft_band(band_hz, rec.sample_rate_hz)
     try:
         series = confidence_series(
-            rec, D, model, lam=lam, n_iter=code_iters, **_kwargs(settings, _PREPROCESS_KEYS)
+            rec, D, model, lam=settings.get("lambda", FumiParams.lam),
+            n_iter=settings.get("code_iters", DEFAULT_CODE_ITERS), **_kwargs(settings, _PREPROCESS_KEYS)
         )
     except ModelMismatch as exc:
         msg = f"{exc}; the model does not fit {args.recording}"
@@ -385,15 +391,7 @@ def cmd_detect(args) -> int:
 
     beats = vote_beats(series, dparams)
     if args.dft:
-        hr = hr_from_confidence_dft(
-            series,
-            window_s=window_s,
-            step_s=step_s,
-            band_hz=(
-                settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
-                settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1]),
-            ),
-        )
+        hr = hr_from_confidence_dft(series, window_s=window_s, step_s=step_s, band_hz=band_hz)
     else:
         hr = hr_from_beats(
             np.asarray([b[0] for b in beats]),
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--mode", choices=sorted(MODE_PRESETS), default=None)
     pt.add_argument("--out", required=True, help="output dictionary CSV")
     for key in _LEARNER_KEYS:
-        pt.add_argument("--" + key, type=_CONFIG_PARSERS[key])
+        pt.add_argument("--" + key, type=_CONFIG_PARSERS[key].parse)
     pt.set_defaults(func=cmd_train)
 
     pd = sub.add_parser("detect", help="detect beats with a trained dictionary")
@@ -524,12 +522,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.code if isinstance(exc, CliError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

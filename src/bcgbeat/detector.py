@@ -134,27 +134,16 @@ def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> Backgrou
     raise np.linalg.LinAlgError("could not make covariance positive definite")
 
 
-def _code_test_instances(X: np.ndarray, D: Dictionary, lam: float, n_iter: int):
-    """Background-only and full-dictionary lasso codes for test instances.
-
-    The full coding warm-starts from the background solution (target block
-    zero), so its lasso objective can only improve on it; _confidence_batch
-    checks that."""
-    T = D.n_target
-    Dbg = D.background_atoms
-    G_bg = Dbg.T @ Dbg
-    eta_bg = safe_step_length(Dbg)
-    corr_bg = Dbg.T @ X
-    A_bg = kernels.ista_negative(
-        G_bg, corr_bg, np.zeros((D.n_background, X.shape[1])), lam, eta_bg, n_iter
-    )
-    full = D.atoms
-    G = full.T @ full
-    eta = safe_step_length(D)
-    corr = np.vstack([D.target_atoms.T @ X, corr_bg])
-    A0 = np.vstack([np.zeros((T, X.shape[1])), A_bg])
-    A_full = kernels.ista_negative(G, corr, A0, lam, eta, n_iter)
-    return A_bg, A_full
+def _coding_operands(D: Dictionary, model: BackgroundModel, d: int):
+    """(D_bg, D_bg^T D_bg, its ISTA step, D, D^T D, its step), which every
+    coding call against `D` shares.  Raises ModelMismatch unless the
+    instance dimension `d` and the covariance's are the dictionary's."""
+    if d != D.d:
+        raise ModelMismatch("instance dimension does not match dictionary")
+    if model.d != D.d:
+        raise ModelMismatch("covariance dimension does not match dictionary")
+    Dbg, full = D.background_atoms, D.atoms
+    return Dbg, Dbg.T @ Dbg, safe_step_length(Dbg), full, full.T @ full, safe_step_length(full)
 
 
 def _confidence_batch(
@@ -163,25 +152,29 @@ def _confidence_batch(
     model: BackgroundModel,
     lam: float,
     n_iter: int,
+    operands=None,
 ) -> np.ndarray:
-    """Confidence ratio for each column x of the (d, n) instance matrix X.
+    """Confidence ratio for each column x of the (d, n) instance matrix X,
+    coded with `operands` (`_coding_operands`, formed here if not given).
 
     Lambda = (x - D_bg a_bg)^T Sigma^-1 (x - D_bg a_bg)
            / (x - D a)^T Sigma^-1 (x - D a),
     both residual norms floored at 1e-12, so an instance that the
     background already reconstructs exactly scores 1, not 0.
 
-    Raises ModelMismatch where the full coding's lasso objective
+    The full coding warm-starts from the background-only codes (target
+    block zero).  Raises ModelMismatch where its lasso objective
     0.5*||x - D a||^2 + lam*||a||_1 is worse than its warm start's.  The
-    warm start's target block is zero, so its residual is the background
-    one: each residual block is formed once and gives both its objective
-    and its Mahalanobis norm.
+    warm start's residual is the background one: each residual block is
+    formed once and gives both its objective and its Mahalanobis norm.
     """
-    if X.shape[0] != D.d:
-        raise ModelMismatch("instance dimension does not match dictionary")
-    if model.d != D.d:
-        raise ModelMismatch("covariance dimension does not match dictionary")
-    A_bg, A_full = _code_test_instances(X, D, lam, n_iter)
+    Dbg, G_bg, eta_bg, full, G, eta = operands or _coding_operands(D, model, X.shape[0])
+    n = X.shape[1]
+    corr_bg = Dbg.T @ X
+    A_bg = kernels.ista_negative(G_bg, corr_bg, np.zeros((D.n_background, n)), lam, eta_bg, n_iter)
+    corr = np.vstack([D.target_atoms.T @ X, corr_bg])
+    A0 = np.vstack([np.zeros((D.n_target, n)), A_bg])
+    A_full = kernels.ista_negative(G, corr, A0, lam, eta, n_iter)
 
     def scores(atoms, A):
         R = atoms @ A
@@ -189,8 +182,8 @@ def _confidence_batch(
         lasso = 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.sum(np.abs(A), axis=0)
         return model.mahalanobis_sq(R), lasso
 
-    num, obj_warm = scores(D.background_atoms, A_bg)
-    den, obj_full = scores(D.atoms, A_full)
+    num, obj_warm = scores(Dbg, A_bg)
+    den, obj_full = scores(full, A_full)
     if not np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))):
         raise ModelMismatch("full-dictionary coding worsened its warm start")
     return np.maximum(num, _RATIO_FLOOR) / np.maximum(den, _RATIO_FLOOR)
@@ -207,16 +200,16 @@ def _confidence_batch(
 _CODE_CHUNK = 2048
 
 
-def _code_columns(n: int, windows, D: Dictionary, model: BackgroundModel, lam: float, n_iter: int):
-    """Confidences of a channel's n candidates, coded in the calls that
-    `_CODE_CHUNK` describes: windows(a, b) gives candidates a..b-1 as
-    (b - a, d) window rows."""
+def _code_columns(n: int, windows, coding: tuple) -> np.ndarray:
+    """Confidences of a channel's n candidates, coded in the calls
+    _confidence_batch(X, *coding) that `_CODE_CHUNK` describes:
+    windows(a, b) gives candidates a..b-1 as (b - a, d) window rows."""
     conf = np.empty(n)
     a = 0
     for b in [*range(_CODE_CHUNK, n - 2 * _CODE_CHUNK + 1, _CODE_CHUNK), n]:
         if b > a:
             X = np.ascontiguousarray(windows(a, b).T)
-            conf[a:b] = _confidence_batch(X, D, model, lam, n_iter)
+            conf[a:b] = _confidence_batch(X, *coding)
             del X  # freed before the next chunk is cut
         a = b
     return conf
@@ -245,6 +238,7 @@ def confidence_series(
     `_CODE_CHUNK` (2,048) columns and the last one takes the remainder plus
     one more chunk, so that the confidences are those of one call per
     channel to the bit (see `_CODE_CHUNK`)."""
+    coding = (D, model, lam, n_iter, _coding_operands(D, model, 2 * half_len + 1))
     peak_indices, confidences = [], []
     for ch_id, filt, peaks in candidate_peaks(rec, low, high, order, min_separation, half_len):
 
@@ -252,7 +246,7 @@ def confidence_series(
             return extract_instances(filt, peaks[a:b], half_len, ch_id, zscore).features
 
         peak_indices.append(peaks)
-        confidences.append(_code_columns(peaks.size, windows, D, model, lam, n_iter))
+        confidences.append(_code_columns(peaks.size, windows, coding))
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,
@@ -273,13 +267,13 @@ def code_blocks(
     `signals.preprocess_recording` cut from `rec`, coded in the column
     chunks of `confidence_series` (see `_CODE_CHUNK`).  The blocks stay
     alive with the caller; this adds one chunk's coding blocks to them."""
+    coding = (D, model, lam, n_iter, _coding_operands(D, model, blocks[0].features.shape[1]))
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,
         peak_indices=[b.peak_indices for b in blocks],
         confidences=[
-            _code_columns(len(b), lambda a, z, b=b: b.features[a:z], D, model, lam, n_iter)
-            for b in blocks
+            _code_columns(len(b), lambda a, z, b=b: b.features[a:z], coding) for b in blocks
         ],
     )
 
@@ -424,6 +418,14 @@ def window_starts(duration_s: float, window_s: float, step_s: float) -> np.ndarr
     return np.asarray(starts, dtype=float)
 
 
+def check_dft_band(band_hz: tuple[float, float], fs: float) -> None:
+    """Raises ValueError unless the DFT band (low, high) Hz can hold a
+    heart rate at `fs` Hz: 0 < low < high <= fs / 2."""
+    low, high = band_hz
+    if not 0.0 < low < high <= fs / 2.0:
+        raise ValueError(f"need 0 < low < high <= Nyquist ({fs / 2.0:g} Hz), got ({low!r}, {high!r})")
+
+
 def hr_from_beats(
     beat_indices: np.ndarray,
     fs: float,
@@ -463,9 +465,11 @@ def hr_from_confidence_dft(
     removed and the DFT taken; the in-band bin with the largest magnitude
     across all channels gives HR = 60 * f, the earliest channel winning
     ties.  Windows with no confidence samples, or with no in-band energy
-    after mean removal, are gaps.
+    after mean removal, are gaps.  Raises ValueError on a band that
+    `check_dft_band` rejects.
     """
     fs = series.fs
+    check_dft_band(band_hz, fs)
     n = series.n_samples
     embedded = np.zeros((series.n_channels, n))
     for row, idx, conf in zip(embedded, series.peak_indices, series.confidences):

@@ -74,18 +74,19 @@ class FumiParams:
     tol: float = 1e-5
 
     def validate(self):
-        if self.T < 1 or self.M < 1:
+        # each test states what must hold, so that NaN fails it
+        if not (self.T >= 1 and self.M >= 1):
             raise ValueError("T and M must be >= 1")
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError("lam and gamma must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.psi is not None and self.psi <= 0:
-            raise ValueError("psi must be > 0")
-        if self.inner_iters < 1 or self.max_em_iters < 1:
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):
+            raise ValueError("lam and gamma must be finite and >= 0")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and > 0")
+        if self.psi is not None and not 0.0 < self.psi < np.inf:
+            raise ValueError("psi must be finite and > 0")
+        if not (self.inner_iters >= 1 and self.max_em_iters >= 1):
             raise ValueError("inner_iters and max_em_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass

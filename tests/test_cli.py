@@ -1,14 +1,20 @@
 """End-to-end command-line tests: synth -> train -> detect -> eval."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import resource
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcgbeat import cli, kernels
 from bcgbeat import io as bio
@@ -128,7 +134,7 @@ class TestSynth:
         sidecar["noise_sd"] = sidecar.pop("noise_sd_effective")
         for key, value in values.items():
             assert sidecar[key] == value, key
-            assert cli._CONFIG_PARSERS[key](value) != fields[key], key
+            assert cli._CONFIG_PARSERS[key].parse(value) != fields[key], key
 
 
 class TestTrain:
@@ -296,6 +302,18 @@ class TestDetect:
             ]
         )
         assert code == 4
+
+    def test_instance_dimension_is_checked_before_any_candidate(self, workdir, tmp_path, capsys):
+        """No candidate's 10,001-sample window fits the 90-s recording, so
+        the dimension check must not wait for one."""
+        cfg = tmp_path / "wide.conf"
+        cfg.write_text("half_len=5000\n")
+        argv = _detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]
+        assert main(argv) == 4
+        assert "error: instance dimension does not match dictionary; the model does not fit" in (
+            capsys.readouterr().err
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["wide.conf"]
 
     def test_codes_worse_than_their_warm_start_exit_4(self, workdir, tmp_path, capsys, monkeypatch):
         real = kernels.ista_negative
@@ -733,9 +751,10 @@ def test_step_of_one_sample_is_accepted(workdir, tmp_path):
 
 
 class TestCodingSettingDomains:
-    """code_iters, lambda, threshold, neighborhood, min_votes and
-    refractory_s are checked where the run resolves them, whichever source
-    gave them, before anything is coded."""
+    """A setting outside its domain exits 2 before anything is coded or
+    written, whichever source gave it: its row of cli._CONFIG_PARSERS, or
+    min_votes against the channel count and the DFT band against the
+    sample rate, where the recording is read."""
 
     @pytest.fixture
     def no_coding(self, monkeypatch):
@@ -758,6 +777,12 @@ class TestCodingSettingDomains:
             ("refractory_s=nan", "refractory_s=nan: must be finite and >= 0"),
             ("refractory_s=-1", "refractory_s=-1.0: must be finite and >= 0"),
             ("refractory_s=inf", "refractory_s=inf: must be finite and >= 0"),
+            ("half_len=0", "half_len=0: must be at least 1"),
+            ("per_positive=0", "per_positive=0: must be at least 1"),
+            ("seed=-1", "seed=-1: must be >= 0"),
+            ("dft_band_low=0", "dft_band_low=0.0: must be positive and finite"),
+            ("dft_band_low=nan", "dft_band_low=nan: must be positive and finite"),
+            ("dft_band_high=inf", "dft_band_high=inf: must be positive and finite"),
         ],
     )
     def test_detect_config_outside_its_domain_exits_2(
@@ -782,7 +807,9 @@ class TestCodingSettingDomains:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--lambda", "nan"], "lambda=nan"), (["--config", "CFG"], "code_iters=0"),
-         (["--config", "CFG"], "refractory_s=nan"), (["--config", "CFG"], "refractory_s=-1.0")],
+         (["--config", "CFG"], "refractory_s=nan"), (["--config", "CFG"], "refractory_s=-1.0"),
+         (["--config", "CFG"], "half_len=0"), (["--config", "CFG"], "half_len=-3"),
+         (["--config", "CFG"], "per_positive=0"), (["--seed", "-1"], "seed=-1")],
     )
     def test_train_outside_its_domain_exits_2(
         self, workdir, tmp_path, capsys, no_coding, flags, message
@@ -793,6 +820,88 @@ class TestCodingSettingDomains:
         flags = [str(cfg) if f == "CFG" else f for f in flags]
         assert main(_train_argv(workdir, tmp_path / "m") + flags) == 2
         assert f"bad setting {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("psi=nan", "psi must be finite and > 0"),
+            ("gamma=nan", "lam and gamma must be finite and >= 0"),
+            ("tol=nan", "tol must be finite and > 0"),
+            ("beta=inf", "beta must be finite and > 0"),
+        ],
+    )
+    def test_train_learner_setting_not_finite_exits_2(
+        self, workdir, tmp_path, capsys, no_coding, setting, message
+    ):
+        """FumiParams.validate rejects it before fit runs."""
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(setting + "\n")
+        assert main(_train_argv(workdir, tmp_path / "m") + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("dft_band_low=3\n", "got (3.0, 3.0)"),
+            ("dft_band_low=2.9\ndft_band_high=0.7\n", "got (2.9, 0.7)"),
+            ("dft_band_high=60\n", "got (0.66, 60.0)"),
+        ],
+        ids=["low_at_high", "inverted", "above_nyquist"],
+    )
+    def test_detect_dft_band_that_cannot_hold_a_heart_rate_exits_2(
+        self, workdir, tmp_path, capsys, no_coding, config, message
+    ):
+        """The default band is 0.66-3 Hz and the recording's Nyquist 50 Hz."""
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config)
+        argv = _detect_argv(workdir, tmp_path / "d") + ["--dft", "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad DFT band: need 0 < low < high <= Nyquist (50 Hz), {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+# Edge values of the numeric settings.  An iteration count gets no huge
+# value, because a huge count is a legal long run.
+_EDGES = {float: ("0", "-1", "nan", "inf", "-inf", "1e300"), int: ("0", "-1", "1000000")}
+_ITERATION_KEYS = ("code_iters", "inner_iters", "max_em_iters")
+
+
+@st.composite
+def edge_setting(draw):
+    keys = sorted(k for k, row in cli._CONFIG_PARSERS.items() if row.parse in _EDGES)
+    key = draw(st.sampled_from(keys))
+    edges = ("0", "-1", "1") if key in _ITERATION_KEYS else _EDGES[cli._CONFIG_PARSERS[key].parse]
+    return f"{key}={draw(st.sampled_from(edges))}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(GRID_COMMANDS)), setting=edge_setting())
+def test_edge_value_of_any_setting_exits_with_a_documented_code(workdir, command, setting):
+    """One setting at an edge value: the run ends in time with exit 0, or
+    with 2, 4 or 5 and an `error: ` line, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edge.conf"
+        cfg.write_text(setting + "\n")
+        argv = GRID_COMMANDS[command](workdir, Path(tmp) / "out") + ["--config", str(cfg)]
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10.0, setting
+    assert code in (0, 2, 4, 5), (setting, code)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("error: "), (setting, err.getvalue())
+
+
+def test_readme_settings_table_lists_every_key_once():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | commands | domain | where checked |\n")[1].split("\n\n")[0]
+    keys = [row.split("|")[1].strip().strip("`") for row in table.splitlines()[1:]]
+    assert sorted(keys) == sorted(cli._CONFIG_PARSERS)
 
 
 @pytest.mark.parametrize(

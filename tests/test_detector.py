@@ -284,6 +284,26 @@ class TestChunkedCoding:
         want = ref.confidence_series(res.recording, result.dictionary, model, lam=5e-3)
         assert_series_close(got, want)
 
+    def test_coding_operands_are_formed_once_per_call(self, trained_small, monkeypatch):
+        """Two step lengths (background and full dictionary) per call, not
+        two per chunk."""
+        _, res, result, model = trained_small
+        calls = []
+        real = detector.safe_step_length
+
+        def spy(D):
+            calls.append(D)
+            return real(D)
+
+        monkeypatch.setattr(detector, "safe_step_length", spy)
+        monkeypatch.setattr(detector, "_CODE_CHUNK", 7)
+        assert channel0_count(res.recording) > 3 * 7
+        confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        assert len(calls) == 2
+        blocks = preprocess_recording(res.recording)
+        code_blocks(res.recording, blocks, result.dictionary, model, lam=5e-3)
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("chunk", [1, 7, 64, 2048])
     def test_calls_code_whole_chunks_then_a_last_one_of_two_to_three(
         self, trained_small, monkeypatch, chunk

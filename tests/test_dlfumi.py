@@ -519,6 +519,17 @@ def planted_fit():
     return res, bags, result
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("lam", np.nan), ("lam", np.inf), ("gamma", np.nan), ("beta", np.nan), ("beta", np.inf),
+     ("psi", np.nan), ("psi", np.inf), ("tol", np.nan), ("tol", np.inf)],
+)
+def test_validate_rejects_non_finite_settings(field, value):
+    params = FumiParams(**{field: value})
+    with pytest.raises(ValueError, match=f"{field}.* must be finite"):
+        params.validate()
+
+
 class TestFit:
     def test_requires_positive_bags(self):
         rng = np.random.default_rng(22)

@@ -5,9 +5,12 @@ gaps (NaN) in the same windows.
 The draws cover non-integer sample rates, windows whose length in samples
 varies by one from window to window, DFT bands that hold no bin, empty
 channels, and channels that repeat another one, so that in-band
-magnitudes tie across channels and the earliest channel must win."""
+magnitudes tie across channels and the earliest channel must win.  A band
+that cannot hold a heart rate (inverted, or above Nyquist) has no
+reference: the estimator rejects it."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +91,11 @@ def confidence_series(draw):
 @exact
 @given(confidence_series(), window, step, band)
 def test_hr_from_confidence_dft_matches_reference(series, window_s, step_s, band_hz):
+    low, high = band_hz
+    if not low < high <= series.fs / 2.0:
+        with pytest.raises(ValueError, match="need 0 < low < high <= Nyquist"):
+            hr_from_confidence_dft(series, window_s, step_s, band_hz)
+        return
     assert_same(
         hr_from_confidence_dft(series, window_s, step_s, band_hz),
         ref.hr_from_confidence_dft(series, window_s, step_s, band_hz),
