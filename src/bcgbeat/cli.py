@@ -5,8 +5,8 @@ required, 4 model/data mismatch (`detector.ModelMismatch`: dimensions, or
 codes that fail the warm-start check), 5 evaluation impossible.
 Runs are deterministic given the config file and --seed.
 
-Every setting is resolved by one rule: a CLI flag beats a `--config` key,
-which beats the model's `.params` (detect), which beats the `--mode`
+`detect` resolves each setting as a CLI flag over a `--config` key over the
+model's `.params`; `train` as a flag over a `--config` key over the `--mode`
 preset.  A setting that none of them gives is not passed on, so the
 function or dataclass it configures applies its own default.
 """
@@ -210,12 +210,6 @@ def load_settings(args) -> dict:
     return _checked(given)
 
 
-def _resolve(given: dict, stored: dict | None = None) -> dict:
-    """Every setting of the run: `given` (load_settings) over the model's
-    stored .params over the mode preset."""
-    return {**MODE_PRESETS[given["mode"]], **(stored or {}), **given}
-
-
 def _kwargs(settings: dict, keys) -> dict:
     """The settings among `keys` that some source gave, keyed by the
     parameter each one sets."""
@@ -223,20 +217,11 @@ def _kwargs(settings: dict, keys) -> dict:
 
 
 def _read_params(path: str) -> dict:
-    """The settings stored in train's .params file, each checked against
-    its domain; none when the file is missing or empty.  The voting keys
-    are required, lam and code_iters are not."""
-    try:
-        stored = bio.read_keyvalue(path)
-    except OSError:
-        return {}
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read params {path}: {exc}") from exc
-    if not stored:
-        return {}
+    """Every setting train stored in its .params file, each checked against
+    its domain."""
+    stored = _load(bio.read_keyvalue, path, f"params {path}")
     with _fails(EXIT_CONFIG, f"malformed detection params {path}: ", (KeyError, ValueError)):
-        return _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS
-                         if k in _VOTING_KEYS or _name(k) in stored})
+        return _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS})
 
 
 def _sibling(path: str, new_tail: str) -> str:
@@ -297,7 +282,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = _resolve(load_settings(args))
+    given = load_settings(args)
+    settings = {**MODE_PRESETS[given["mode"]], **given}
     params = FumiParams(**_kwargs(settings, _LEARNER_KEYS))
     with _fails(EXIT_CONFIG):
         params.validate()
@@ -370,7 +356,7 @@ def cmd_detect(args) -> int:
     D = _load(bio.read_dictionary, args.dict, "dictionary")
     cov_path = _sibling(args.dict, ".cov.csv")
     model = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
-    settings = _resolve(given, _read_params(args.params or _sibling(args.dict, ".params")))
+    settings = {**_read_params(_sibling(args.dict, ".params")), **given}
     dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
     _check_min_votes(settings, len(rec.channels))
     if args.dft:
@@ -380,8 +366,8 @@ def cmd_detect(args) -> int:
             check_dft_band(band_hz, rec.sample_rate_hz)
     try:
         series = confidence_series(
-            rec, D, model, lam=settings.get("lambda", FumiParams.lam),
-            n_iter=settings.get("code_iters", DEFAULT_CODE_ITERS), **_kwargs(settings, _PREPROCESS_KEYS)
+            rec, D, model, lam=settings["lambda"], n_iter=settings["code_iters"],
+            **_kwargs(settings, _PREPROCESS_KEYS)
         )
     except ModelMismatch as exc:
         msg = f"{exc}; the model does not fit {args.recording}"
@@ -499,9 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("detect", help="detect beats with a trained dictionary")
     pd.add_argument("recording", help="recording CSV")
     pd.add_argument("--dict", required=True, help="dictionary CSV from train")
-    pd.add_argument("--params", default=None, help="detection params file (default: next to --dict)")
     pd.add_argument("--config", help="key=value config file")
-    pd.add_argument("--mode", choices=sorted(MODE_PRESETS), default=None)
     pd.add_argument("--dft", action="store_true", help="estimate HR spectrally instead of beat-to-beat")
     pd.add_argument("--out", required=True, help="output prefix (.beats.csv / .hr.csv)")
     pd.set_defaults(func=cmd_detect)

@@ -66,10 +66,11 @@ class BackgroundModel:
         return self.covariance.shape[0]
 
     def mahalanobis_sq(self, residuals: np.ndarray) -> np.ndarray:
-        """r^T Sigma^-1 r = ||L^-1 r||^2 for each column of residuals."""
-        R = np.atleast_2d(np.asarray(residuals, dtype=float))
-        if R.shape[0] != self.d:
-            R = R.T
+        """r^T Sigma^-1 r = ||L^-1 r||^2 for each column of the (d, n)
+        residuals."""
+        R = np.asarray(residuals, dtype=float)
+        if R.ndim != 2 or R.shape[0] != self.d:
+            raise ValueError(f"residuals must be ({self.d}, n), got shape {R.shape}")
         W = self._whiten @ R
         return np.einsum("ij,ij->j", W, W)
 

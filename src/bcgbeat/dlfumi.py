@@ -235,7 +235,9 @@ def _objective_from_sq_norms(
     gamma: np.ndarray,
     target_atoms_old: np.ndarray,
 ) -> float:
-    """objective() over fit()'s positive / negative instance blocks.
+    """The expected objective over positive / negative instance blocks, from
+    their residual squared norms: fit() passes its gram-form norms,
+    objective() explicit ones.
 
     The residual squared norms must be current for the atoms and codes
     given (sq_full_pos of Xp - D A_pos, sq_bg_pos of Xp - D_bg A_pos_bg,
@@ -278,27 +280,25 @@ def objective(
     posteriors = np.asarray(posteriors, dtype=float)
     if codes.shape != (D.n_target + D.n_background, X.shape[1]):
         raise ValueError("codes matrix shape does not match bags and dictionary")
-    psi = resolve_psi(is_pos, params)
-    T = D.n_target
-    p = np.where(is_pos, posteriors, 0.0)
-    w = np.where(is_pos, psi, 1.0)
-    R_full = X - D.atoms @ codes
-    R_bg = X - D.background_atoms @ codes[T:]
-    recon = 0.5 * np.sum(
-        w * (p * _column_sq_norms(R_full) + (1.0 - p) * _column_sq_norms(R_bg))
-    )
-    l1 = params.lam * np.sum(
-        w
-        * (
-            p * np.sum(np.abs(codes[:T]), axis=0)
-            + np.sum(np.abs(codes[T:]), axis=0)
-        )
-    )
+    Xp, A_pos = X[:, is_pos], codes[:, is_pos]
+    Xn, A_neg = X[:, ~is_pos], codes[D.n_target:, ~is_pos]
+    bg = D.background_atoms
     tgt_old = D.target_atoms if target_atoms_old is None else target_atoms_old
     if gamma is None:
         gamma = gamma_matrix(D, params.gamma, tgt_old)
-    disc = float(np.sum(gamma * (D.background_atoms.T @ tgt_old)))
-    return float(recon + l1 + disc)
+    return _objective_from_sq_norms(
+        _column_sq_norms(Xp - D.atoms @ A_pos),
+        _column_sq_norms(Xp - bg @ A_pos[D.n_target:]),
+        _column_sq_norms(Xn - bg @ A_neg),
+        A_pos,
+        A_neg,
+        posteriors[is_pos],
+        resolve_psi(is_pos, params),
+        params.lam,
+        bg,
+        gamma,
+        tgt_old,
+    )
 
 
 def _clamp_posteriors(p: np.ndarray) -> np.ndarray:

@@ -40,20 +40,29 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
-        if self.duration_s <= 0 or self.fs <= 0:
-            raise ValueError("duration_s and fs must be positive")
-        if self.hr_bpm - abs(self.hrv_amp_bpm) <= 0:
-            raise ValueError("heart rate profile must stay positive")
+        # each test states what must hold, so that NaN fails it
+        for name in ("duration_s", "fs", "hrv_period_s", "template_width_s"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("template_carrier_hz", "jitter_sd_samples", "respiration_hz", "noise_sd",
+                     "artifact_rate_per_min", "artifact_amp"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("respiration_amp", "snr_db"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if not (0.0 < self.hr_bpm - abs(self.hrv_amp_bpm) and self.hr_bpm < np.inf):
+            raise ValueError("heart rate profile must stay positive and finite")
         if len(self.gains) != len(self.delays) or not self.gains:
             raise ValueError("gains and delays must be equal-length and non-empty")
-        if any(g < 0 for g in self.gains):
-            raise ValueError("gains must be non-negative")
-        if self.half_len < 1:
+        if not all(0.0 <= g < np.inf for g in self.gains):
+            raise ValueError("gains must be finite and >= 0")
+        if not self.half_len >= 1:
             raise ValueError("half_len must be >= 1")
-        if self.artifact_rate_per_min < 0:
-            raise ValueError("artifact_rate_per_min must be >= 0")
         lo, hi = self.artifact_width_s
-        if not (0 < lo <= hi):
+        if not 0 < lo <= hi < np.inf:
             raise ValueError("artifact_width_s must be an increasing positive pair")
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -102,6 +103,31 @@ class TestSynth:
         cfg.write_text("duration_s=-5\n")
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("snr_db=nan", "snr_db must be finite"),
+            ("noise_sd=-1", "noise_sd must be finite and >= 0"),
+            ("hrv_period_s=0", "hrv_period_s must be finite and > 0"),
+            ("jitter_sd_samples=-1", "jitter_sd_samples must be finite and >= 0"),
+            ("respiration_hz=-1", "respiration_hz must be finite and >= 0"),
+            ("respiration_amp=inf", "respiration_amp must be finite"),
+            ("artifact_amp=nan", "artifact_amp must be finite and >= 0"),
+            ("template_carrier_hz=nan", "template_carrier_hz must be finite and >= 0"),
+            ("template_width_s=0", "template_width_s must be finite and > 0"),
+            ("duration_s=nan", "duration_s must be finite and > 0"),
+            ("fs=inf", "fs must be finite and > 0"),
+            ("hr_bpm=inf", "heart rate profile must stay positive and finite"),
+            ("gains=1,nan,1,1", "gains must be finite and >= 0"),
+        ],
+    )
+    def test_setting_outside_its_domain_exits_2(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "synth.conf"
+        cfg.write_text(f"duration_s=30\n{setting}\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == f"error: bad synthesis config: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["synth.conf"]
 
     def test_config_reaches_every_synth_field(self, tmp_path):
         # each value written as the sidecar writes it back, none a default
@@ -331,22 +357,6 @@ class TestDetect:
         assert "error: full-dictionary coding worsened its warm start" in capsys.readouterr().err
         assert not (tmp_path / "d.beats.csv").exists()
 
-    def test_missing_params_file_falls_back_to_defaults(self, workdir, tmp_path):
-        out = tmp_path / "nodefaults"
-        code = main(
-            [
-                "detect",
-                str(workdir / "rec.csv"),
-                "--dict",
-                str(workdir / "model.csv"),
-                "--params",
-                str(tmp_path / "nonexistent.params"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-
     def test_non_finite_sample_exits_2(self, workdir, tmp_path, capsys):
         lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
         row = lines[500].split(",")
@@ -433,23 +443,33 @@ class TestDetect:
         assert bio.read_hr(str(out) + ".hr.csv").n_windows > 0
 
     def test_params_missing_a_field_exits_2(self, workdir, tmp_path, capsys):
-        params = tmp_path / "partial.params"
-        params.write_text("threshold=1.32\nneighborhood=25\nrefractory_s=0.3\n")
-        code = main(
-            [
-                "detect",
-                str(workdir / "rec.csv"),
-                "--dict",
-                str(workdir / "model.csv"),
-                "--params",
-                str(params),
-                "--out",
-                str(tmp_path / "d"),
-            ]
-        )
-        assert code == 2
+        dict_path = _copied_model(workdir, tmp_path)
+        params = dict_path.with_suffix(".params")
+        params.write_text(params.read_text().replace("min_votes=2\n", ""))
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
         err = capsys.readouterr().err
         assert "malformed detection params" in err and "min_votes" in err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.unlink(), "cannot read params"),
+            (lambda p: (p.unlink(), p.mkdir()), "cannot read params"),
+            (lambda p: p.write_text(""), "malformed detection params"),
+            (lambda p: p.write_text(_without(p.read_text(), "lam=")), "'lam'"),
+            (lambda p: p.write_text(_without(p.read_text(), "code_iters=")), "'code_iters'"),
+        ],
+        ids=["missing", "directory", "empty", "no_lambda", "no_code_iters"],
+    )
+    def test_params_missing_or_incomplete_exits_2(self, workdir, tmp_path, capsys, damage, message):
+        """detect codes with exactly the model train wrote: no .params, or
+        one without lam or code_iters, is no model."""
+        dict_path = _copied_model(workdir, tmp_path)
+        damage(dict_path.with_suffix(".params"))
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
 
     def test_missing_dictionary_exits_2(self, workdir, tmp_path):
         code = main(
@@ -590,9 +610,22 @@ class TestEval:
         assert code == 2
 
 
-def _detect_argv(workdir, out):
-    return ["detect", str(workdir / "rec.csv"), "--dict", str(workdir / "model.csv"),
+def _detect_argv(workdir, out, dict_path=None):
+    return ["detect", str(workdir / "rec.csv"), "--dict", str(dict_path or workdir / "model.csv"),
             "--out", str(out)]
+
+
+def _copied_model(workdir, root):
+    """A copy of the trained model's three files under root/model/, for a
+    test to edit; the path of its dictionary."""
+    (root / "model").mkdir()
+    for name in ("model.csv", "model.cov.csv", "model.params"):
+        shutil.copy(workdir / name, root / "model" / name)
+    return root / "model" / "model.csv"
+
+
+def _without(text, prefix):
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(prefix))
 
 
 def _train_argv(workdir, out):
@@ -640,7 +673,8 @@ PRECEDENCE = {
 
 @pytest.mark.parametrize("case", sorted(PRECEDENCE))
 def test_setting_precedence(case, workdir, tmp_path, capsys):
-    """CLI flag > --config > .params > --mode preset > built-in default."""
+    """detect: CLI flag > --config > .params; train: CLI flag > --config >
+    --mode preset > built-in default."""
     argv, flags, config, check = PRECEDENCE[case]
     cfg = tmp_path / "run.conf"
     cfg.write_text(config)
@@ -664,6 +698,13 @@ class TestParser:
     def test_detect_takes_no_seed(self, workdir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(_detect_argv(workdir, tmp_path / "d") + ["--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--params", "x.params"], ["--mode", "batch"]],
+                             ids=["params", "mode"])
+    def test_detect_reads_its_settings_only_from_the_model_and_config(self, workdir, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(_detect_argv(workdir, tmp_path / "d") + flags)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
@@ -797,11 +838,10 @@ class TestCodingSettingDomains:
     def test_detect_params_file_outside_its_domain_exits_2(
         self, workdir, tmp_path, capsys, no_coding
     ):
-        params = tmp_path / "bad.params"
-        text = (workdir / "model.params").read_text()
-        params.write_text(text.replace("min_votes=2", "min_votes=5"))
-        argv = _detect_argv(workdir, tmp_path / "d") + ["--params", str(params)]
-        assert main(argv) == 2
+        dict_path = _copied_model(workdir, tmp_path)
+        params = dict_path.with_suffix(".params")
+        params.write_text(params.read_text().replace("min_votes=2", "min_votes=5"))
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
         assert "bad setting min_votes=5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

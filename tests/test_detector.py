@@ -92,7 +92,14 @@ class TestMahalanobis:
         R = rng.standard_normal((91, 500))
         want = solve_oracle(model.covariance, R)
         np.testing.assert_allclose(model.mahalanobis_sq(R), want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(model.mahalanobis_sq(R[:, :7].T), want[:7], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 4, 1), (4,)], ids=["transposed", "3d", "1d"])
+    def test_takes_residuals_as_d_by_n_only(self, shape):
+        """A square (n, d) block would pass for (d, n), so no other layout is
+        guessed at."""
+        model = BackgroundModel(covariance=np.eye(4), ridge=1.0)
+        with pytest.raises(ValueError, match=r"residuals must be \(4, n\)"):
+            model.mahalanobis_sq(np.ones(shape))
 
     def test_matches_a_solve_on_a_trained_covariance(self, trained_small):
         # The ridge floor leaves this covariance ill-conditioned, so any two

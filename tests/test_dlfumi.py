@@ -614,7 +614,9 @@ class TestFit:
         # Iteration k+1 freezes gamma and the old targets at the dictionary
         # the k-iteration run returns; its trace entry, computed from fit's
         # gram-form residual norms, must equal objective() over the flattened
-        # bags, which forms the residuals.
+        # bags, which forms the residuals and passes their norms through the
+        # same formula; so this checks fit's norms against explicit ones.
+        # test_matches_term_by_term_reimplementation checks the formula.
         _, bags, _ = planted_fit
         params = FumiParams(T=2, M=3, max_em_iters=k, tol=1e-300)
         D_k = fit(bags, params, seed=0).dictionary

@@ -1,4 +1,5 @@
-"""Import footprint: no command loads scipy.
+"""Import footprint: no command loads scipy, and the package and the CLI
+load no module they do not use.
 
 Every check runs in a fresh interpreter, since this test process has
 long since imported scipy itself (the oracle tests use it).
@@ -41,12 +42,13 @@ def run_fresh(code: str) -> str:
     ).stdout
 
 
-def scipy_modules_after(code: str) -> set[str]:
-    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+def modules_after(code: str, package: str) -> set[str]:
+    """The modules of `package`, itself included, loaded once `code` has run
+    in a fresh interpreter."""
     code += (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules"
+        f" if m == {package!r} or m.startswith({package + '.'!r}))))\n"
     )
     return set(json.loads(run_fresh(code).splitlines()[-1]))
 
@@ -76,14 +78,22 @@ def inputs(tmp_path_factory):
 
 
 def test_importing_the_package_loads_no_scipy():
-    assert scipy_modules_after("import bcgbeat, bcgbeat.cli") == set()
+    assert modules_after("import bcgbeat, bcgbeat.cli", "scipy") == set()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert modules_after("import bcgbeat", "bcgbeat") == {"bcgbeat"}
+
+
+def test_importing_the_cli_loads_no_baseline():
+    assert "bcgbeat.baselines" not in modules_after("import bcgbeat.cli", "bcgbeat")
 
 
 def test_eval_loads_no_scipy(inputs):
     d = inputs
     argv = ["eval", d / "rec.csv", "--est-hr", d / "est.hr.csv",
             "--est-beats", d / "est.beats.csv", "--out", d / "report"]
-    assert scipy_modules_after(cli_code(argv)) == set()
+    assert modules_after(cli_code(argv), "scipy") == set()
     assert "mae_bpm" in bio.read_keyvalue(d / "report")
 
 
@@ -91,14 +101,14 @@ def test_synth_loads_no_scipy(tmp_path):
     cfg = tmp_path / "synth.conf"
     cfg.write_text("duration_s=10\nhrv_amp_bpm=5\n")
     argv = ["synth", "--config", cfg, "--out", tmp_path / "rec.csv"]
-    assert scipy_modules_after(cli_code(argv)) == set()
+    assert modules_after(cli_code(argv), "scipy") == set()
 
 
 @pytest.mark.parametrize("mode", ["individual", "batch"])
 def test_train_loads_no_scipy(inputs, tmp_path, mode):
     recs = [inputs / "rec.csv"] + ([inputs / "rec2.csv"] if mode == "batch" else [])
     argv = ["train", *recs, "--mode", mode, "--max_em_iters", "2", "--out", tmp_path / "m.csv"]
-    assert scipy_modules_after(cli_code(argv)) == set()
+    assert modules_after(cli_code(argv), "scipy") == set()
     assert (tmp_path / "m.params").exists()
 
 
@@ -106,7 +116,7 @@ def test_train_loads_no_scipy(inputs, tmp_path, mode):
 def test_detect_loads_no_scipy(inputs, tmp_path, flags):
     argv = ["detect", inputs / "rec.csv", "--dict", inputs / "model.csv", *flags,
             "--out", tmp_path / "d"]
-    assert scipy_modules_after(cli_code(argv)) == set()
+    assert modules_after(cli_code(argv), "scipy") == set()
     assert (tmp_path / "d.hr.csv").exists()
 
 
