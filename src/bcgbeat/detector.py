@@ -190,29 +190,18 @@ def _confidence_batch(
     return np.maximum(num, _RATIO_FLOOR) / np.maximum(den, _RATIO_FLOOR)
 
 
-# Columns per coding call: a channel is coded _CODE_CHUNK columns at a time,
-# except that its last 2 * _CODE_CHUNK to 3 * _CODE_CHUNK - 1 columns are one
-# call (a channel with fewer is one call).  The last call is this wide so
-# that it rounds the channel's edge columns as one call per channel does:
-# OpenBLAS on AVX-512 cores runs a product with rows * inner * columns <= 1e6
-# on a small-matrix kernel that rounds a call's edge columns differently,
-# and the default dictionary's 91 x 3 products cross that bound at 3,663
-# columns (README "Performance").
+# Columns per coding call; it bounds `detect`'s coding memory at one chunk.
 _CODE_CHUNK = 2048
 
 
 def _code_columns(n: int, windows, coding: tuple) -> np.ndarray:
-    """Confidences of a channel's n candidates, coded in the calls
-    _confidence_batch(X, *coding) that `_CODE_CHUNK` describes:
-    windows(a, b) gives candidates a..b-1 as (b - a, d) window rows."""
+    """Confidences of a channel's n candidates, coded `_CODE_CHUNK` columns
+    per _confidence_batch(X, *coding) call: windows(a, b) gives candidates
+    a..b-1 as (b - a, d) window rows."""
     conf = np.empty(n)
-    a = 0
-    for b in [*range(_CODE_CHUNK, n - 2 * _CODE_CHUNK + 1, _CODE_CHUNK), n]:
-        if b > a:
-            X = np.ascontiguousarray(windows(a, b).T)
-            conf[a:b] = _confidence_batch(X, *coding)
-            del X  # freed before the next chunk is cut
-        a = b
+    for a in range(0, n, _CODE_CHUNK):
+        b = min(a + _CODE_CHUNK, n)
+        conf[a:b] = _confidence_batch(np.ascontiguousarray(windows(a, b).T), *coding)
     return conf
 
 
@@ -236,9 +225,7 @@ def confidence_series(
     only its peak indices and confidences are kept.  At its peak this holds
     the recording, the filtered channels and one chunk's windows and coding
     blocks, never a channel's whole candidate block.  A chunk is
-    `_CODE_CHUNK` (2,048) columns and the last one takes the remainder plus
-    one more chunk, so that the confidences are those of one call per
-    channel to the bit (see `_CODE_CHUNK`)."""
+    `_CODE_CHUNK` (2,048) columns, and the last one takes the remainder."""
     coding = (D, model, lam, n_iter, _coding_operands(D, model, 2 * half_len + 1))
     peak_indices, confidences = [], []
     for ch_id, filt, peaks in candidate_peaks(rec, low, high, order, min_separation, half_len):
@@ -266,7 +253,7 @@ def code_blocks(
 ) -> ConfidenceSeries:
     """Confidence ratios of the candidate blocks that
     `signals.preprocess_recording` cut from `rec`, coded in the column
-    chunks of `confidence_series` (see `_CODE_CHUNK`).  The blocks stay
+    chunks of `confidence_series`.  The blocks stay
     alive with the caller; this adds one chunk's coding blocks to them."""
     coding = (D, model, lam, n_iter, _coding_operands(D, model, blocks[0].features.shape[1]))
     return ConfidenceSeries(

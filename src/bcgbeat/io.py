@@ -33,23 +33,28 @@ def _open_w(path):
 # --- recording CSV: t,ch0..chN[,gt] ---------------------------------------
 
 
+# Rows per block: each column of a block is formatted at once, and only one
+# block's text is held, never a whole recording's.
+_WRITE_ROWS = 128
+
+
 def write_recording(path, rec: Recording) -> None:
-    n_ch = len(rec.channels)
-    gt = rec.gt_beat_times
-    marks = np.zeros(rec.n_samples, dtype=int)
-    if gt is not None:
-        marks[gt] = 1
+    fs = float(rec.sample_rate_hz)
+    names = ["t", *(f"ch{c}" for c in range(len(rec.channels)))]
+    columns = list(rec.channels)
+    if rec.gt_beat_times is not None:
+        marks = np.zeros(rec.n_samples, dtype=int)
+        marks[rec.gt_beat_times] = 1
+        names.append("gt")
+        columns.append(marks)
     with _open_w(path) as fh:
-        header = "t," + ",".join(f"ch{c}" for c in range(n_ch))
-        if gt is not None:
-            header += ",gt"
-        fh.write(header + "\n")
-        fs = rec.sample_rate_hz
-        for i in range(rec.n_samples):
-            row = [_f(i / fs)] + [_f(ch[i]) for ch in rec.channels]
-            if gt is not None:
-                row.append(str(marks[i]))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(names) + "\n")
+        for a in range(0, rec.n_samples, _WRITE_ROWS):
+            b = min(a + _WRITE_ROWS, rec.n_samples)
+            block = [np.arange(a, b) / fs, *(c[a:b] for c in columns)]
+            # repr of a Python float is _f's text, of an int its str
+            text = [map(repr, c.tolist()) for c in block]
+            fh.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def _commas(path) -> int:
@@ -186,6 +191,8 @@ def read_dictionary(path) -> Dictionary:
             if len(vals) != d:
                 raise ValueError(f"{path}: atom row width disagrees with header")
             atom = np.asarray([float(v) for v in vals])
+            if not np.isfinite(atom).all():
+                raise ValueError(f"{path}: atoms must be finite")
             if kind == "target":
                 tgt.append(atom)
             elif kind == "background":
@@ -216,7 +223,13 @@ def read_covariance(path) -> BackgroundModel:
         rows = [
             [float(v) for v in line.strip().split(",")] for line in fh if line.strip()
         ]
-    return BackgroundModel(covariance=np.asarray(rows), ridge=ridge)
+    cov = np.asarray(rows)
+    # cholesky reads only the lower triangle and lets NaN through
+    if not (np.isfinite(cov).all() and np.array_equal(cov, cov.T)):
+        raise ValueError(f"{path}: covariance must be finite and symmetric")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"{path}: ridge must be finite and >= 0")
+    return BackgroundModel(covariance=cov, ridge=ridge)
 
 
 # --- beats CSV --------------------------------------------------------------

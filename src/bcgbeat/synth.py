@@ -53,8 +53,12 @@ class SynthConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if not self.duration_s * self.fs >= 2:
+            raise ValueError("duration_s * fs must be >= 2")
         if not (0.0 < self.hr_bpm - abs(self.hrv_amp_bpm) and self.hr_bpm < np.inf):
             raise ValueError("heart rate profile must stay positive and finite")
+        if not (self.hr_bpm + abs(self.hrv_amp_bpm)) / 60.0 <= self.fs / 2.0:
+            raise ValueError("(hr_bpm + |hrv_amp_bpm|) / 60 must be <= fs / 2")
         if len(self.gains) != len(self.delays) or not self.gains:
             raise ValueError("gains and delays must be equal-length and non-empty")
         if not all(0.0 <= g < np.inf for g in self.gains):

@@ -120,6 +120,12 @@ class TestSynth:
             ("fs=inf", "fs must be finite and > 0"),
             ("hr_bpm=inf", "heart rate profile must stay positive and finite"),
             ("gains=1,nan,1,1", "gains must be finite and >= 0"),
+            ("fs=0.01", "duration_s * fs must be >= 2"),
+            ("fs=0.0666", "duration_s * fs must be >= 2"),
+            ("hr_bpm=600\nfs=10", "(hr_bpm + |hrv_amp_bpm|) / 60 must be <= fs / 2"),
+            ("hr_bpm=1e9", "(hr_bpm + |hrv_amp_bpm|) / 60 must be <= fs / 2"),
+            ("hr_bpm=60\nhrv_amp_bpm=-1\nfs=2",
+             "(hr_bpm + |hrv_amp_bpm|) / 60 must be <= fs / 2"),
         ],
     )
     def test_setting_outside_its_domain_exits_2(self, tmp_path, capsys, setting, message):
@@ -128,6 +134,14 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err == f"error: bad synthesis config: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["synth.conf"]
+
+    def test_two_samples_and_a_beat_every_two_samples_are_accepted(self, tmp_path):
+        """The boundary of both sample-rate conditions: duration_s * fs == 2
+        and hr_bpm / 60 == fs / 2."""
+        cfg = tmp_path / "synth.conf"
+        cfg.write_text("duration_s=1\nfs=2\nhr_bpm=60\nhalf_len=1\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        assert bio.read_recording(str(tmp_path / "r.csv")).n_samples == 2
 
     def test_config_reaches_every_synth_field(self, tmp_path):
         # each value written as the sidecar writes it back, none a default
@@ -469,6 +483,38 @@ class TestDetect:
         assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
+    @pytest.mark.parametrize(
+        "name, row, col, value, message",
+        [
+            ("model.cov.csv", 2, 0, "nan", "covariance must be finite and symmetric"),
+            ("model.cov.csv", 1, 1, "nan", "covariance must be finite and symmetric"),
+            ("model.cov.csv", 1, 1, "0.5", "covariance must be finite and symmetric"),
+            ("model.cov.csv", 1, 0, "inf", "covariance must be finite and symmetric"),
+            ("model.cov.csv", 0, 0, "ridge=nan", "ridge must be finite and >= 0"),
+            ("model.cov.csv", 0, 0, "ridge=-1.0", "ridge must be finite and >= 0"),
+            ("model.csv", 1, 1, "nan", "atoms must be finite"),
+            ("model.csv", 2, 5, "-inf", "atoms must be finite"),
+        ],
+        ids=["lower_nan", "upper_nan", "upper_changed", "diagonal_inf", "ridge_nan",
+             "ridge_negative", "atom_nan", "atom_inf"],
+    )
+    def test_corrupt_model_file_exits_2(
+        self, workdir, tmp_path, capsys, name, row, col, value, message
+    ):
+        """Cholesky reads only the covariance's lower triangle and lets NaN
+        through, so the readers reject a damaged model file."""
+        dict_path = _copied_model(workdir, tmp_path)
+        path = dict_path.parent / name
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
+        what = "dictionary:" if name == "model.csv" else f"covariance {path}:"
+        assert capsys.readouterr().err == f"error: cannot read {what} {path}: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["model"]
 
     def test_missing_dictionary_exits_2(self, workdir, tmp_path):

@@ -54,6 +54,19 @@ class TestRecordingRoundtrip:
         bio.write_recording(p2, rec)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("with_gt", [True, False])
+    def test_rows_are_the_repr_of_each_sample(self, tmp_path, with_gt):
+        """500 rows span several of the writer's blocks and a partial one."""
+        rec = random_recording(with_gt)
+        p = tmp_path / "rec.csv"
+        bio.write_recording(p, rec)
+        marks = np.isin(np.arange(rec.n_samples), rec.gt_beat_times)
+        want = ["t,ch0,ch1,ch2" + (",gt" if with_gt else "") + "\n"]
+        for i in range(rec.n_samples):
+            row = [repr(i / 100.0)] + [repr(float(ch[i])) for ch in rec.channels]
+            want.append(",".join(row + ([str(int(marks[i]))] if with_gt else [])) + "\n")
+        assert p.read_text() == "".join(want)
+
     def test_rejects_foreign_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,ch0\n0.0,1.0\n0.01,2.0\n")
