@@ -49,7 +49,7 @@ from .metrics import (
     pearson_r,
     per_window_errors,
 )
-from .signals import bag_columns, build_bags, preprocess_recording
+from .signals import Preprocessing, bag_columns, build_bags, preprocess_recording
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -131,9 +131,9 @@ _CONFIG_PARSERS = {
     "inner_iters": _Setting(int),
     "max_em_iters": _Setting(int),
     "tol": _Setting(float),
-    "band_low": _Setting(float, name="low"),
-    "band_high": _Setting(float, name="high"),
-    "filter_order": _Setting(int, name="order"),
+    "band_low": _Setting(float),
+    "band_high": _Setting(float),
+    "filter_order": _Setting(int),
     "min_separation": _Setting(int),
     "half_len": _Setting(int, _AT_LEAST_1),
     "per_positive": _Setting(int, _AT_LEAST_1),
@@ -168,7 +168,7 @@ _CONFIG_PARSERS = {
 
 # The FumiParams fields; train also takes each as a flag.
 _LEARNER_KEYS = ("T", "M", "lambda", "gamma", "beta", "psi", "inner_iters", "max_em_iters", "tol")
-_PREPROCESS_KEYS = ("band_low", "band_high", "filter_order", "min_separation", "half_len", "zscore")
+_PREPROCESS_KEYS = tuple(f.name for f in fields(Preprocessing))
 _VOTING_KEYS = tuple(f.name for f in fields(DetectionParams))
 # What train stores in .params, under the parameter names, for detect to read.
 _STORED_KEYS = (*_VOTING_KEYS, "lambda", "code_iters")
@@ -306,8 +306,9 @@ def cmd_train(args) -> int:
                 "train on recordings of one sample rate",
             )
     _check_min_votes(settings, min(len(rec.channels) for rec in recs))
+    pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
     with _fails(EXIT_CONFIG):
-        blocks = [preprocess_recording(rec, **_kwargs(settings, _PREPROCESS_KEYS)) for rec in recs]
+        blocks = [preprocess_recording(rec, pre) for rec in recs]
     bags = [
         bag
         for rec, b in zip(recs, blocks)
@@ -358,6 +359,7 @@ def cmd_detect(args) -> int:
     model = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     settings = {**_read_params(_sibling(args.dict, ".params")), **given}
     dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
+    pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
     _check_min_votes(settings, len(rec.channels))
     if args.dft:
         band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
@@ -365,10 +367,7 @@ def cmd_detect(args) -> int:
         with _fails(EXIT_CONFIG, "bad DFT band: "):
             check_dft_band(band_hz, rec.sample_rate_hz)
     try:
-        series = confidence_series(
-            rec, D, model, lam=settings["lambda"], n_iter=settings["code_iters"],
-            **_kwargs(settings, _PREPROCESS_KEYS)
-        )
+        series = confidence_series(rec, D, model, settings["lambda"], settings["code_iters"], pre)
     except ModelMismatch as exc:
         msg = f"{exc}; the model does not fit {args.recording}"
         raise CliError(EXIT_MODEL_MISMATCH, msg) from exc

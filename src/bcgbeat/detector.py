@@ -20,11 +20,8 @@ from . import kernels
 from .dlfumi import Dictionary, safe_step_length
 from .metrics import HrSeries, greedy_match
 from .signals import (
-    DEFAULT_BAND_HZ,
-    DEFAULT_FILTER_ORDER,
-    DEFAULT_HALF_LEN,
-    DEFAULT_MIN_SEPARATION,
     ChannelInstances,
+    Preprocessing,
     Recording,
     candidate_peaks,
     extract_instances,
@@ -211,27 +208,23 @@ def confidence_series(
     model: BackgroundModel,
     lam: float,
     n_iter: int = DEFAULT_CODE_ITERS,
-    low: float = DEFAULT_BAND_HZ[0],
-    high: float = DEFAULT_BAND_HZ[1],
-    order: int = DEFAULT_FILTER_ORDER,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-    half_len: int = DEFAULT_HALF_LEN,
-    zscore: bool = False,
+    pre: Preprocessing = Preprocessing(),
 ) -> ConfidenceSeries:
     """Per-channel candidate peaks with their confidence ratios.
 
-    The channels are filtered once (`signals.candidate_peaks`).  Then each
+    `pre` must be the record the dictionary was trained under.  The
+    channels are filtered once (`signals.candidate_peaks`).  Then each
     channel's windows are cut and coded one chunk of columns at a time, and
     only its peak indices and confidences are kept.  At its peak this holds
     the recording, the filtered channels and one chunk's windows and coding
     blocks, never a channel's whole candidate block.  A chunk is
     `_CODE_CHUNK` (2,048) columns, and the last one takes the remainder."""
-    coding = (D, model, lam, n_iter, _coding_operands(D, model, 2 * half_len + 1))
+    coding = (D, model, lam, n_iter, _coding_operands(D, model, 2 * pre.half_len + 1))
     peak_indices, confidences = [], []
-    for ch_id, filt, peaks in candidate_peaks(rec, low, high, order, min_separation, half_len):
+    for ch_id, filt, peaks in candidate_peaks(rec, pre):
 
         def windows(a, b):
-            return extract_instances(filt, peaks[a:b], half_len, ch_id, zscore).features
+            return extract_instances(filt, peaks[a:b], pre.half_len, ch_id, pre.zscore).features
 
         peak_indices.append(peaks)
         confidences.append(_code_columns(peaks.size, windows, coding))

@@ -65,6 +65,22 @@ class Recording:
         return self.n_samples / self.sample_rate_hz
 
 
+@dataclass(frozen=True)
+class Preprocessing:
+    """How a recording becomes candidate windows: the band-pass edges (Hz)
+    and order, the least spacing of candidate peaks (samples), the window
+    half-length (samples) and whether each window is z-scored.  A learned
+    dictionary holds only on windows cut under the record it was trained
+    with.  The band-pass filter and the peak picker check the values."""
+
+    band_low: float = DEFAULT_BAND_HZ[0]
+    band_high: float = DEFAULT_BAND_HZ[1]
+    filter_order: int = DEFAULT_FILTER_ORDER
+    min_separation: int = DEFAULT_MIN_SEPARATION
+    half_len: int = DEFAULT_HALF_LEN
+    zscore: bool = False
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelInstances:
     """All instances of one channel: row i of `features` is the window
@@ -462,40 +478,29 @@ def build_bags(
     return bags
 
 
-def candidate_peaks(
-    rec: Recording,
-    low: float = DEFAULT_BAND_HZ[0],
-    high: float = DEFAULT_BAND_HZ[1],
-    order: int = DEFAULT_FILTER_ORDER,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-    half_len: int = DEFAULT_HALF_LEN,
-):
+def candidate_peaks(rec: Recording, pre: Preprocessing = Preprocessing()):
     """Filter every channel in one call, then yield per channel
     (channel id, filtered channel, candidate peaks): the peaks whose
     window fits inside the recording, none on a flat channel (see
     `flat_channel`).  The filtered channels are one (channels, n) array
     that lives as long as the generator."""
-    filtered = bandpass_filter(rec.channels, rec.sample_rate_hz, low, high, order)
+    filtered = bandpass_filter(
+        rec.channels, rec.sample_rate_hz, pre.band_low, pre.band_high, pre.filter_order
+    )
     for ch_id, (raw, filt) in enumerate(zip(rec.channels, filtered)):
         if flat_channel(raw, ch_id):
             peaks = np.empty(0, dtype=int)
         else:
-            peaks = find_peaks(filt, min_separation)
-        yield ch_id, filt, _fitting(peaks, half_len, filt.size)
+            peaks = find_peaks(filt, pre.min_separation)
+        yield ch_id, filt, _fitting(peaks, pre.half_len, filt.size)
 
 
 def preprocess_recording(
-    rec: Recording,
-    low: float = DEFAULT_BAND_HZ[0],
-    high: float = DEFAULT_BAND_HZ[1],
-    order: int = DEFAULT_FILTER_ORDER,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-    half_len: int = DEFAULT_HALF_LEN,
-    zscore: bool = False,
+    rec: Recording, pre: Preprocessing = Preprocessing()
 ) -> list[ChannelInstances]:
     """Every channel's candidate windows (`candidate_peaks`), cut as one
     block per channel."""
     return [
-        extract_instances(filt, peaks, half_len, channel_id=ch_id, zscore=zscore)
-        for ch_id, filt, peaks in candidate_peaks(rec, low, high, order, min_separation, half_len)
+        extract_instances(filt, peaks, pre.half_len, ch_id, pre.zscore)
+        for ch_id, filt, peaks in candidate_peaks(rec, pre)
     ]

@@ -10,11 +10,11 @@ tests/test_detector.py compares the chunked coding against.
 import numpy as np
 
 from bcgbeat.detector import ConfidenceSeries, _confidence_batch
-from bcgbeat.signals import preprocess_recording
+from bcgbeat.signals import Preprocessing, preprocess_recording
 
 
-def confidence_series(rec, D, model, lam, n_iter=50, zscore=False):
-    blocks = preprocess_recording(rec, zscore=zscore)
+def confidence_series(rec, D, model, lam, n_iter=50, pre=Preprocessing()):
+    blocks = preprocess_recording(rec, pre)
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,

@@ -36,7 +36,14 @@ from bcgbeat.dlfumi import (
 )
 from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
-from bcgbeat.signals import Bag, bag_columns, bandpass_filter, build_bags, preprocess_recording
+from bcgbeat.signals import (
+    Bag,
+    Preprocessing,
+    bag_columns,
+    bandpass_filter,
+    build_bags,
+    preprocess_recording,
+)
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
@@ -84,17 +91,17 @@ def hrv_pipeline():
     train, test = generate(train_cfg), generate(test_cfg)
     params = FumiParams()
 
-    per_channel = preprocess_recording(train.recording, zscore=True)
+    per_channel = preprocess_recording(train.recording, Preprocessing(zscore=True))
     bags = build_bags(per_channel, train.recording.gt_beat_times)
     fitres = fit(bags, params, seed=0)
     model = background_covariance(bag_columns(bags, 0))
     train_series = confidence_series(
-        train.recording, fitres.dictionary, model, lam=params.lam, zscore=True
+        train.recording, fitres.dictionary, model, lam=params.lam, pre=Preprocessing(zscore=True)
     )
     dparams = learn_detection_params_pooled([train_series], [train.recording.gt_beat_times])
 
     test_series = confidence_series(
-        test.recording, fitres.dictionary, model, lam=params.lam, zscore=True
+        test.recording, fitres.dictionary, model, lam=params.lam, pre=Preprocessing(zscore=True)
     )
     beats = vote_beats(test_series, dparams)
     beat_idx = np.asarray([b[0] for b in beats])

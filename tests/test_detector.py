@@ -26,6 +26,7 @@ from bcgbeat.detector import (
 )
 from bcgbeat.dlfumi import Dictionary, FumiParams, fit
 from bcgbeat.signals import (
+    Preprocessing,
     Recording,
     bag_columns,
     build_bags,
@@ -265,8 +266,9 @@ class TestChunkedCoding:
         _, res, result, model = trained_small
         rec, chunk = truncated_to_count(res.recording, k, r)
         monkeypatch.setattr(detector, "_CODE_CHUNK", chunk)
-        got = confidence_series(rec, result.dictionary, model, lam=5e-3, zscore=True)
-        want = ref.confidence_series(rec, result.dictionary, model, lam=5e-3, zscore=True)
+        pre = Preprocessing(zscore=True)
+        got = confidence_series(rec, result.dictionary, model, lam=5e-3, pre=pre)
+        want = ref.confidence_series(rec, result.dictionary, model, lam=5e-3, pre=pre)
         assert got.peak_indices[0].size == k * chunk + r
         assert_series_close(got, want)
         # chunks this narrow may round a few confidences differently; the
