@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config or IO problem, 3 groundtruth missing where
 required, 4 model/data mismatch (`detector.ModelMismatch`: dimensions, or
-codes that fail the warm-start check), 5 evaluation impossible.
+codes that fail the warm-start check; or a recording sampled at another
+rate than the model's training recordings), 5 evaluation impossible.
 Runs are deterministic given the config file and --seed.
 
 `detect` resolves each setting as a CLI flag over a `--config` key over the
@@ -14,6 +15,7 @@ function or dataclass it configures applies its own default.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
@@ -57,6 +59,8 @@ EXIT_CONFIG = 2
 EXIT_NO_GROUNDTRUTH = 3
 EXIT_MODEL_MISMATCH = 4
 EXIT_EVAL_IMPOSSIBLE = 5
+
+log = logging.getLogger(__name__)
 
 # Learner settings each preset changes; individual mode is FumiParams' own
 # defaults.
@@ -170,8 +174,10 @@ _CONFIG_PARSERS = {
 _LEARNER_KEYS = ("T", "M", "lambda", "gamma", "beta", "psi", "inner_iters", "max_em_iters", "tol")
 _PREPROCESS_KEYS = tuple(f.name for f in fields(Preprocessing))
 _VOTING_KEYS = tuple(f.name for f in fields(DetectionParams))
-# What train stores in .params, under the parameter names, for detect to read.
-_STORED_KEYS = (*_VOTING_KEYS, "lambda", "code_iters")
+# What train stores in .params, under the parameter names, for detect to read:
+# the voting and coding settings, and the sample rate and preprocessing the
+# dictionary's windows were cut at.
+_STORED_KEYS = (*_VOTING_KEYS, "lambda", "code_iters", "fs", *_PREPROCESS_KEYS)
 
 
 def _name(key: str) -> str:
@@ -217,8 +223,8 @@ def _kwargs(settings: dict, keys) -> dict:
 
 
 def _read_params(path: str) -> dict:
-    """Every setting train stored in its .params file, each checked against
-    its domain."""
+    """Every setting train stored in its .params file (`_STORED_KEYS`, all
+    required), each checked against its domain."""
     stored = _load(bio.read_keyvalue, path, f"params {path}")
     with _fails(EXIT_CONFIG, f"malformed detection params {path}: ", (KeyError, ValueError)):
         return _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS})
@@ -336,7 +342,8 @@ def cmd_train(args) -> int:
 
     bio.write_dictionary(args.out, result.dictionary)
     bio.write_covariance(_sibling(args.out, ".cov.csv"), model)
-    stored = {**asdict(dparams), "lambda": params.lam, "code_iters": code_iters}
+    stored = {**asdict(dparams), "lambda": params.lam, "code_iters": code_iters,
+              "fs": float(recs[0].sample_rate_hz), **asdict(pre)}
     bio.write_keyvalue(
         _sibling(args.out, ".params"), {_name(k): repr(stored[k]) for k in _STORED_KEYS}
     )
@@ -357,7 +364,14 @@ def cmd_detect(args) -> int:
     D = _load(bio.read_dictionary, args.dict, "dictionary")
     cov_path = _sibling(args.dict, ".cov.csv")
     model = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
-    settings = {**_read_params(_sibling(args.dict, ".params")), **given}
+    stored = _read_params(_sibling(args.dict, ".params"))
+    if rec.sample_rate_hz != stored["fs"]:
+        raise CliError(
+            EXIT_MODEL_MISMATCH,
+            f"the model was trained at {stored['fs']:g} Hz, the recording is sampled at "
+            f"{rec.sample_rate_hz:g} Hz; the model does not fit {args.recording}",
+        )
+    settings = {**stored, **given}
     dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
     pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
     _check_min_votes(settings, len(rec.channels))
@@ -374,6 +388,10 @@ def cmd_detect(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
+    live = sum(p.size > 0 for p in series.peak_indices)
+    if live < dparams.min_votes:
+        log.warning("only %d of %d channels have candidate peaks, fewer than min_votes=%d: "
+                    "no beat can be voted", live, series.n_channels, dparams.min_votes)
     beats = vote_beats(series, dparams)
     if args.dft:
         hr = hr_from_confidence_dft(series, window_s=window_s, step_s=step_s, band_hz=band_hz)

@@ -22,7 +22,7 @@ from bcgbeat import io as bio
 from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
 from bcgbeat.metrics import HrSeries
-from bcgbeat.signals import Recording
+from bcgbeat.signals import Preprocessing, Recording
 from bcgbeat.synth import SynthConfig
 
 
@@ -126,6 +126,10 @@ class TestSynth:
             ("hr_bpm=1e9", "(hr_bpm + |hrv_amp_bpm|) / 60 must be <= fs / 2"),
             ("hr_bpm=60\nhrv_amp_bpm=-1\nfs=2",
              "(hr_bpm + |hrv_amp_bpm|) / 60 must be <= fs / 2"),
+            ("artifact_width_s=0.4,0.8,1.2",
+             "artifact_width_s must be an increasing positive (low, high) pair"),
+            ("artifact_width_s=0.4",
+             "artifact_width_s must be an increasing positive (low, high) pair"),
         ],
     )
     def test_setting_outside_its_domain_exits_2(self, tmp_path, capsys, setting, message):
@@ -187,6 +191,14 @@ class TestTrain:
         assert model.covariance.shape == (91, 91)
         stored = bio.read_keyvalue(workdir / "model.params")
         assert {"threshold", "neighborhood", "min_votes", "refractory_s"} <= set(stored)
+        assert (stored["fs"], stored["half_len"], stored["zscore"]) == ("100.0", "45", "False")
+
+    def test_every_stored_key_is_a_setting(self):
+        """A new Preprocessing field becomes a stored key, so it cannot miss
+        the settings table (nor, by test_readme_settings_table_lists_every_key_once,
+        README's)."""
+        assert cli._PREPROCESS_KEYS == tuple(f.name for f in dataclasses.fields(Preprocessing))
+        assert set(cli._STORED_KEYS) <= set(cli._CONFIG_PARSERS)
 
     def test_prints_objective_trace(self, workdir, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -410,6 +422,69 @@ class TestDetect:
         beat_indices, _, _ = bio.read_beats(tmp_path / "d.beats.csv")
         assert len(beat_indices) > 80
 
+    @pytest.mark.parametrize("dead, warned", [((2,), False), ((1, 2, 3), True)],
+                             ids=["one_dead", "three_dead"])
+    def test_too_few_live_channels_for_min_votes_are_reported(
+        self, workdir, tmp_path, capsys, caplog, dead, warned
+    ):
+        """Three flat channels of four leave min_votes=2 out of reach: the
+        run still exits 0 with 0 beats, and one warning says why."""
+        rec = bio.read_recording(workdir / "rec.csv")
+        for ch in dead:
+            rec.channels[ch] = np.full(rec.n_samples, 0.25)
+        flat = tmp_path / "flat.csv"
+        bio.write_recording(flat, rec)
+        out = tmp_path / "d"
+        argv = ["detect", str(flat), "--dict", str(workdir / "model.csv"), "--out", str(out)]
+        capsys.readouterr()
+        with caplog.at_level("WARNING", logger="bcgbeat.cli"):
+            assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        messages = [r.getMessage() for r in caplog.records if r.name == "bcgbeat.cli"]
+        n_beats = bio.read_beats(str(out) + ".beats.csv")[0].size
+        if warned:
+            assert messages == ["only 1 of 4 channels have candidate peaks, fewer than "
+                                "min_votes=2: no beat can be voted"]
+            assert n_beats == 0
+        else:
+            assert messages == [] and n_beats > 80
+        assert stdout.startswith(f"wrote {out}.beats.csv ({n_beats} beats) and ")
+
+    def test_model_reproduces_its_preprocessing_without_the_config(self, workdir, tmp_path):
+        """train stores the preprocessing it cut its windows with in .params,
+        so a zscore=true model detects the same beats with or without the
+        training config."""
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("zscore=true\n")
+        model = tmp_path / "model.csv"
+        argv = ["train", str(workdir / "rec.csv"), "--config", str(cfg), "--out", str(model)]
+        assert main(argv) == 0
+        outputs = []
+        for name, flags in (("with", ["--config", str(cfg)]), ("without", [])):
+            out = tmp_path / name
+            assert main(_detect_argv(workdir, out, model) + flags) == 0
+            outputs.append([Path(str(out) + tail).read_bytes() for tail in (".beats.csv", ".hr.csv")])
+        assert outputs[0] == outputs[1]
+        assert bio.read_beats(tmp_path / "without.beats.csv")[0].size > 80
+
+    @pytest.mark.parametrize("config", ["", "fs=50\n"], ids=["no_config", "config_fs"])
+    def test_recording_at_another_sample_rate_exits_4(self, workdir, tmp_path, capsys, config):
+        """A 100-Hz model on a 50-Hz recording: the check is against the rate
+        stored in .params, never one a --config gives."""
+        rec = bio.read_recording(workdir / "rec.csv")
+        slow = tmp_path / "slow.csv"
+        bio.write_recording(slow, Recording(rec.channels, sample_rate_hz=50.0))
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config)
+        argv = ["detect", str(slow), "--dict", str(workdir / "model.csv"), "--config", str(cfg),
+                "--out", str(tmp_path / "d")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: the model was trained at 100 Hz, the recording is sampled at 50 Hz; "
+            f"the model does not fit {slow}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf", "slow.csv"]
+
     @pytest.mark.parametrize("probe", ["shifted", "swapped"])
     def test_non_uniform_time_axis_exits_2(self, workdir, tmp_path, capsys, probe):
         lines = (workdir / "rec.csv").read_text().splitlines(keepends=True)
@@ -472,12 +547,15 @@ class TestDetect:
             (lambda p: p.write_text(""), "malformed detection params"),
             (lambda p: p.write_text(_without(p.read_text(), "lam=")), "'lam'"),
             (lambda p: p.write_text(_without(p.read_text(), "code_iters=")), "'code_iters'"),
+            (lambda p: p.write_text(_without(p.read_text(), "fs=")), "'fs'"),
+            (lambda p: p.write_text(_without(p.read_text(), "zscore=")), "'zscore'"),
         ],
-        ids=["missing", "directory", "empty", "no_lambda", "no_code_iters"],
+        ids=["missing", "directory", "empty", "no_lambda", "no_code_iters", "no_fs", "no_zscore"],
     )
     def test_params_missing_or_incomplete_exits_2(self, workdir, tmp_path, capsys, damage, message):
         """detect codes with exactly the model train wrote: no .params, or
-        one without lam or code_iters, is no model."""
+        one without lam, code_iters, the sample rate or a preprocessing
+        setting, is no model."""
         dict_path = _copied_model(workdir, tmp_path)
         damage(dict_path.with_suffix(".params"))
         assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
@@ -692,11 +770,23 @@ def _atoms(out):
     return D.n_target, D.n_background
 
 
+def _stored_zscore_argv(workdir, out):
+    """detect with a copy of the model whose .params says zscore=True."""
+    dict_path = _copied_model(workdir, out.parent)
+    params = dict_path.with_suffix(".params")
+    params.write_text(params.read_text().replace("zscore=False", "zscore=True"))
+    return _detect_argv(workdir, out, dict_path)
+
+
 # (argv, extra flags, config file, check of (workdir, out prefix, stdout))
 PRECEDENCE = {
     "config_code_iters_over_params": (
         _detect_argv, [], "code_iters=3\n",
         lambda w, out, stdout: _beats(out) != _beats(w / "det"),
+    ),
+    "config_zscore_over_params": (
+        _stored_zscore_argv, [], "zscore=false\n",
+        lambda w, out, stdout: _beats(out) == _beats(w / "det"),
     ),
     "config_threshold_over_params": (
         _detect_argv, [], "threshold=1000\n",
