@@ -71,7 +71,8 @@ class Preprocessing:
     and order, the least spacing of candidate peaks (samples), the window
     half-length (samples) and whether each window is z-scored.  A learned
     dictionary holds only on windows cut under the record it was trained
-    with.  The band-pass filter and the peak picker check the values."""
+    with.  The band-pass filter checks the band and order, the peak picker
+    the spacing, and the CLI's settings table `half_len`."""
 
     band_low: float = DEFAULT_BAND_HZ[0]
     band_high: float = DEFAULT_BAND_HZ[1]

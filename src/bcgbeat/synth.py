@@ -65,7 +65,7 @@ class SynthConfig:
             raise ValueError("gains must be finite and >= 0")
         if not self.half_len >= 1:
             raise ValueError("half_len must be >= 1")
-        widths = tuple(self.artifact_width_s)
+        widths = self.artifact_width_s
         if not (len(widths) == 2 and 0 < widths[0] <= widths[1] < np.inf):
             raise ValueError("artifact_width_s must be an increasing positive (low, high) pair")
 
