@@ -33,7 +33,6 @@ from .detector import (
     ModelMismatch,
     background_covariance,
     check_dft_band,
-    code_blocks,
     confidence_series,
     hr_from_beats,
     hr_from_confidence_dft,
@@ -51,7 +50,7 @@ from .metrics import (
     pearson_r,
     per_window_errors,
 )
-from .signals import Preprocessing, bag_columns, build_bags, preprocess_recording
+from .signals import Preprocessing, bag_columns, build_bags, candidate_peaks, extract_instances
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -313,12 +312,18 @@ def cmd_train(args) -> int:
             )
     _check_min_votes(settings, min(len(rec.channels) for rec in recs))
     pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
+    # Each recording is filtered and peak-picked once, for its bags and
+    # for the voting-parameter grid.
     with _fails(EXIT_CONFIG):
-        blocks = [preprocess_recording(rec, pre) for rec in recs]
+        candidates = [list(candidate_peaks(rec, pre)) for rec in recs]
     bags = [
         bag
-        for rec, b in zip(recs, blocks)
-        for bag in build_bags(b, rec.gt_beat_times, **_kwargs(settings, ["per_positive"]))
+        for rec, cands in zip(recs, candidates)
+        for bag in build_bags(
+            [extract_instances(f, p, pre.half_len, ch, pre.zscore) for ch, f, p in cands],
+            rec.gt_beat_times,
+            **_kwargs(settings, ["per_positive"]),
+        )
     ]
 
     with _fails(EXIT_CONFIG, "training failed: "):
@@ -327,12 +332,12 @@ def cmd_train(args) -> int:
         print(f"em_iter={i} objective={v!r}")
 
     model = background_covariance(bag_columns(bags, 0))
-    del bags  # the voting-parameter grid needs only the blocks
+    del bags  # the grid cuts its own windows, one chunk at a time
 
-    # The voting-parameter grid scores the blocks the bags were built from.
+    # The grid scores the confidences `detect` computes on these recordings.
     series_list = [
-        code_blocks(rec, b, result.dictionary, model, lam=params.lam, n_iter=code_iters)
-        for rec, b in zip(recs, blocks)
+        confidence_series(rec, result.dictionary, model, params.lam, code_iters, pre, cands)
+        for rec, cands in zip(recs, candidates)
     ]
     dparams = learn_detection_params_pooled(
         series_list,

@@ -19,13 +19,7 @@ import numpy as np
 from . import kernels
 from .dlfumi import Dictionary, safe_step_length
 from .metrics import HrSeries, greedy_match
-from .signals import (
-    ChannelInstances,
-    Preprocessing,
-    Recording,
-    candidate_peaks,
-    extract_instances,
-)
+from .signals import Preprocessing, Recording, candidate_peaks, extract_instances
 
 log = logging.getLogger(__name__)
 
@@ -191,17 +185,6 @@ def _confidence_batch(
 _CODE_CHUNK = 2048
 
 
-def _code_columns(n: int, windows, coding: tuple) -> np.ndarray:
-    """Confidences of a channel's n candidates, coded `_CODE_CHUNK` columns
-    per _confidence_batch(X, *coding) call: windows(a, b) gives candidates
-    a..b-1 as (b - a, d) window rows."""
-    conf = np.empty(n)
-    for a in range(0, n, _CODE_CHUNK):
-        b = min(a + _CODE_CHUNK, n)
-        conf[a:b] = _confidence_batch(np.ascontiguousarray(windows(a, b).T), *coding)
-    return conf
-
-
 def confidence_series(
     rec: Recording,
     D: Dictionary,
@@ -209,53 +192,36 @@ def confidence_series(
     lam: float,
     n_iter: int = DEFAULT_CODE_ITERS,
     pre: Preprocessing = Preprocessing(),
+    candidates=None,
 ) -> ConfidenceSeries:
     """Per-channel candidate peaks with their confidence ratios.
 
     `pre` must be the record the dictionary was trained under.  The
-    channels are filtered once (`signals.candidate_peaks`).  Then each
-    channel's windows are cut and coded one chunk of columns at a time, and
-    only its peak indices and confidences are kept.  At its peak this holds
-    the recording, the filtered channels and one chunk's windows and coding
-    blocks, never a channel's whole candidate block.  A chunk is
-    `_CODE_CHUNK` (2,048) columns, and the last one takes the remainder."""
+    channels are filtered once: `candidates` holds what
+    `signals.candidate_peaks(rec, pre)` yields, which is called when it
+    is None.  Then each channel's windows are cut and coded one chunk of
+    columns at a time, and only its peak indices and confidences are kept.
+    At its peak this holds the recording, the filtered channels and one
+    chunk's windows and coding blocks, never a channel's whole candidate
+    block.  A chunk is `_CODE_CHUNK` (2,048) columns, and the last one
+    takes the remainder."""
     coding = (D, model, lam, n_iter, _coding_operands(D, model, 2 * pre.half_len + 1))
+    if candidates is None:
+        candidates = candidate_peaks(rec, pre)
     peak_indices, confidences = [], []
-    for ch_id, filt, peaks in candidate_peaks(rec, pre):
-
-        def windows(a, b):
-            return extract_instances(filt, peaks[a:b], pre.half_len, ch_id, pre.zscore).features
-
+    for ch_id, filt, peaks in candidates:
+        conf = np.empty(peaks.size)
+        for a in range(0, peaks.size, _CODE_CHUNK):
+            b = min(a + _CODE_CHUNK, peaks.size)
+            X = extract_instances(filt, peaks[a:b], pre.half_len, ch_id, pre.zscore).features
+            conf[a:b] = _confidence_batch(np.ascontiguousarray(X.T), *coding)
         peak_indices.append(peaks)
-        confidences.append(_code_columns(peaks.size, windows, coding))
+        confidences.append(conf)
     return ConfidenceSeries(
         fs=rec.sample_rate_hz,
         n_samples=rec.n_samples,
         peak_indices=peak_indices,
         confidences=confidences,
-    )
-
-
-def code_blocks(
-    rec: Recording,
-    blocks: list[ChannelInstances],
-    D: Dictionary,
-    model: BackgroundModel,
-    lam: float,
-    n_iter: int = DEFAULT_CODE_ITERS,
-) -> ConfidenceSeries:
-    """Confidence ratios of the candidate blocks that
-    `signals.preprocess_recording` cut from `rec`, coded in the column
-    chunks of `confidence_series`.  The blocks stay
-    alive with the caller; this adds one chunk's coding blocks to them."""
-    coding = (D, model, lam, n_iter, _coding_operands(D, model, blocks[0].features.shape[1]))
-    return ConfidenceSeries(
-        fs=rec.sample_rate_hz,
-        n_samples=rec.n_samples,
-        peak_indices=[b.peak_indices for b in blocks],
-        confidences=[
-            _code_columns(len(b), lambda a, z, b=b: b.features[a:z], coding) for b in blocks
-        ],
     )
 
 

@@ -263,8 +263,7 @@ class TestTrain:
         assert D.n_background == 9
 
     def test_flat_channel_is_reported_once(self, workdir, tmp_path, caplog):
-        # train codes the blocks it cut for the bags, so each recording is
-        # filtered and cut once
+        # train filters each recording once, for its bags and its voting grid
         rec = bio.read_recording(workdir / "rec.csv")
         rec.channels[2] = np.full(rec.n_samples, 0.25)
         flat = tmp_path / "flat.csv"
@@ -285,7 +284,7 @@ class TestTrain:
         def never(*args, **kwargs):
             raise AssertionError("preprocessed a recording of mixed rate")
 
-        monkeypatch.setattr(cli, "preprocess_recording", never)
+        monkeypatch.setattr(cli, "candidate_peaks", never)
         argv = ["train", str(workdir / "rec.csv"), str(fast), "--mode", "batch",
                 "--out", str(tmp_path / "d.csv")]
         assert main(argv) == 2

@@ -16,7 +16,6 @@ from bcgbeat.detector import (
     ModelMismatch,
     background_covariance,
     _confidence_batch,
-    code_blocks,
     confidence_series,
     hr_from_beats,
     hr_from_confidence_dft,
@@ -285,14 +284,6 @@ class TestChunkedCoding:
         want = ref.confidence_series(res.recording, result.dictionary, model, lam=5e-3)
         assert_series_close(got, want)
 
-    def test_code_blocks_matches_one_call_per_channel(self, trained_small, monkeypatch):
-        _, res, result, model = trained_small
-        monkeypatch.setattr(detector, "_CODE_CHUNK", 50)
-        blocks = preprocess_recording(res.recording)
-        got = code_blocks(res.recording, blocks, result.dictionary, model, lam=5e-3)
-        want = ref.confidence_series(res.recording, result.dictionary, model, lam=5e-3)
-        assert_series_close(got, want)
-
     def test_coding_operands_are_formed_once_per_call(self, trained_small, monkeypatch):
         """Two step lengths (background and full dictionary) per call, not
         two per chunk."""
@@ -309,9 +300,6 @@ class TestChunkedCoding:
         assert channel0_count(res.recording) > 3 * 7
         confidence_series(res.recording, result.dictionary, model, lam=5e-3)
         assert len(calls) == 2
-        blocks = preprocess_recording(res.recording)
-        code_blocks(res.recording, blocks, result.dictionary, model, lam=5e-3)
-        assert len(calls) == 4
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 2048])
     def test_calls_code_whole_chunks_then_the_remainder(self, trained_small, monkeypatch, chunk):
