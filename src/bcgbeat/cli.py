@@ -348,7 +348,7 @@ def cmd_train(args) -> int:
     bio.write_dictionary(args.out, result.dictionary)
     bio.write_covariance(_sibling(args.out, ".cov.csv"), model)
     stored = {**asdict(dparams), "lambda": params.lam, "code_iters": code_iters,
-              "fs": float(recs[0].sample_rate_hz), **asdict(pre)}
+              "fs": recs[0].sample_rate_hz, **asdict(pre)}
     bio.write_keyvalue(
         _sibling(args.out, ".params"), {_name(k): repr(stored[k]) for k in _STORED_KEYS}
     )

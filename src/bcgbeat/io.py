@@ -116,7 +116,7 @@ def _read_table(path, channels: bool):
         k = int(np.argmax(not_up))
         raise ValueError(f"{path}: time column does not increase at sample {k + 1}")
     span = t[-1] - t[0]
-    fs = round((n - 1) / span, 9)
+    fs = float(round((n - 1) / span, 9))
     if not 0 < fs < np.inf:  # an infinite `t`, or a span that overflows
         raise ValueError(
             f"{path}: time column spans {float(span)!r} s, "

@@ -27,7 +27,8 @@ class Recording:
     """A multi-channel recording sampled on a common uniform time grid.
 
     channels       : list of equal-length 1-D arrays of finite floats
-    sample_rate_hz : sampling rate shared by all channels
+    sample_rate_hz : sampling rate shared by all channels, stored as a
+                     float; 0 < sample_rate_hz < inf must hold
     gt_beat_times  : optional strictly increasing int sample indices of
                      groundtruth beats (reference-sensor role)
     """
@@ -46,8 +47,11 @@ class Recording:
                 raise ValueError("all channels must be 1-D and equal length")
             if not np.all(np.isfinite(c)):
                 raise ValueError(f"channel ch{i} has non-finite samples")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        self.sample_rate_hz = float(self.sample_rate_hz)
+        if not 0.0 < self.sample_rate_hz < np.inf:
+            raise ValueError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz!r}"
+            )
         if self.gt_beat_times is not None:
             gt = np.asarray(self.gt_beat_times, dtype=int)
             if gt.size and (np.any(np.diff(gt) <= 0) or gt[0] < 0 or gt[-1] >= n):
@@ -483,8 +487,9 @@ def candidate_peaks(rec: Recording, pre: Preprocessing = Preprocessing()):
     """Filter every channel in one call, then yield per channel
     (channel id, filtered channel, candidate peaks): the peaks whose
     window fits inside the recording, none on a flat channel (see
-    `flat_channel`).  The filtered channels are one (channels, n) array
-    that lives as long as the generator."""
+    `flat_channel`).  The filtered channels are rows of one (channels, n)
+    array, which lives as long as the generator or as long as its caller
+    holds any of the yielded arrays."""
     filtered = bandpass_filter(
         rec.channels, rec.sample_rate_hz, pre.band_low, pre.band_high, pre.filter_order
     )

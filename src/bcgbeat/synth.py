@@ -8,7 +8,7 @@ respiration drift, and white noise at a requested SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,5 +1,5 @@
-"""One coding call per channel, as `confidence_series` and `code_blocks`
-coded before they streamed their candidates in column chunks.
+"""One coding call per channel, as `confidence_series` coded before it
+streamed its candidates in column chunks.
 
 Every channel is filtered, peak-picked and cut into one block by
 `preprocess_recording`, and each block is coded by one `_confidence_batch`

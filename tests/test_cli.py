@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 from bcgbeat import cli, kernels
 from bcgbeat import io as bio
 from bcgbeat.cli import main
+from bcgbeat.detector import confidence_series
 from bcgbeat.baselines import wppd_hr
 from bcgbeat.metrics import HrSeries
-from bcgbeat.signals import Recording
+from bcgbeat.signals import Preprocessing, Recording, preprocess_recording
 from bcgbeat.synth import SynthConfig
 
 
@@ -273,6 +275,58 @@ class TestTrain:
             assert main(argv) == 0
         flat_warnings = [r.getMessage() for r in caplog.records if "is flat" in r.getMessage()]
         assert len(flat_warnings) == 1 and flat_warnings[0].startswith("ch2 is flat")
+
+    @pytest.mark.parametrize("config", ["", "zscore=true\n"], ids=["raw", "zscore"])
+    def test_voting_grid_scores_what_detect_codes(self, workdir, tmp_path, monkeypatch, config):
+        """Each series the voting-parameter grid receives is, bit for bit,
+        the one confidence_series gives under the model train wrote."""
+        synth_cfg = tmp_path / "synth.conf"
+        synth_cfg.write_text("duration_s=60\nhr_bpm=80\nsnr_db=10\n")
+        recs = [workdir / "rec.csv", tmp_path / "rec2.csv"]
+        assert main(["synth", "--config", str(synth_cfg), "--seed", "8", "--out", str(recs[1])]) == 0
+        graded = []
+        real = cli.learn_detection_params_pooled
+
+        def spy(series_list, *args, **kwargs):
+            graded.extend(series_list)
+            return real(series_list, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "learn_detection_params_pooled", spy)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config)
+        out = tmp_path / "m.csv"
+        argv = ["train", *map(str, recs), "--max_em_iters", "2", "--config", str(cfg),
+                "--out", str(out)]
+        assert main(argv) == 0
+        stored = cli._read_params(str(tmp_path / "m.params"))
+        pre = Preprocessing(**{k: stored[k] for k in cli._PREPROCESS_KEYS})
+        assert pre.zscore == bool(config)
+        D, model = bio.read_dictionary(out), bio.read_covariance(tmp_path / "m.cov.csv")
+        for path, got in zip(recs, graded, strict=True):
+            rec = bio.read_recording(path)
+            want = confidence_series(rec, D, model, stored["lambda"], stored["code_iters"], pre)
+            assert (got.fs, got.n_samples) == (want.fs, want.n_samples)
+            for g, w in zip(got.peak_indices, want.peak_indices, strict=True):
+                np.testing.assert_array_equal(g, w, strict=True)
+            for g, w in zip(got.confidences, want.confidences, strict=True):
+                np.testing.assert_array_equal(g, w, strict=True)
+
+    def test_holds_no_second_copy_of_its_windows(self, workdir, tmp_path):
+        """train's traced peak is 3.6x the training windows' bytes here.
+        Keeping each recording's window blocks alive through fit, for the
+        voting grid to code, took 4.5x."""
+        rec = bio.read_recording(workdir / "rec.csv")
+        window_bytes = sum(b.features.nbytes for b in preprocess_recording(rec))
+        del rec
+        argv = ["train", str(workdir / "rec.csv"), "--max_em_iters", "2",
+                "--out", str(tmp_path / "m.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * window_bytes
 
     def test_mixed_sample_rates_exit_2_before_preprocessing(self, workdir, tmp_path, capsys, monkeypatch):
         rec = bio.read_recording(workdir / "rec.csv")

@@ -1,10 +1,12 @@
-"""Import footprint: no command loads scipy, and the package and the CLI
-load no module they do not use.
+"""Import footprint: no command loads scipy, the package and the CLI
+load no module they do not use, and no module imports a name it does not
+use.
 
 Every check runs in a fresh interpreter, since this test process has
 long since imported scipy itself (the oracle tests use it).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -140,3 +142,26 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
     )
     run_fresh(BLOCK_SCIPY + chain)
     assert "mae_bpm" in bio.read_keyvalue(d / "report")
+
+
+def unused_imports(path: Path) -> list[str]:
+    """`file:line name` for each module-level import of `path` (bar
+    `from __future__`) whose bound name the module never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    modules = sorted(p for p in (SRC / "bcgbeat").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [u for p in modules for u in unused_imports(p)] == []

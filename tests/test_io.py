@@ -39,6 +39,12 @@ class TestRecordingRoundtrip:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.gt_beat_times, rec.gt_beat_times)
 
+    def test_sample_rate_reads_back_as_a_float(self, tmp_path):
+        p = tmp_path / "rec.csv"
+        bio.write_recording(p, random_recording())
+        assert type(bio.read_recording(p).sample_rate_hz) is float
+        assert type(bio.read_groundtruth(p)[0]) is float
+
     def test_without_groundtruth(self, tmp_path):
         rec = random_recording(with_gt=False)
         p = tmp_path / "rec.csv"

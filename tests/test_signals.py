@@ -356,6 +356,15 @@ class TestRecording:
                 gt_beat_times=np.array([5, 5]),
             )
 
+    @pytest.mark.parametrize("fs", [np.nan, np.inf, 0.0])
+    def test_rejects_a_sample_rate_that_is_not_positive_and_finite(self, fs):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            Recording(channels=[np.zeros(10)], sample_rate_hz=fs)
+
+    def test_stores_the_sample_rate_as_a_float(self):
+        rec = Recording(channels=[np.zeros(10)], sample_rate_hz=np.float64(FS))
+        assert type(rec.sample_rate_hz) is float
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_samples_and_names_the_channel(self, bad):
         ch1 = np.zeros(10)
