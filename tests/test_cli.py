@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from bcgbeat import cli, kernels
 from bcgbeat import io as bio
 from bcgbeat.cli import main
-from bcgbeat.detector import confidence_series
 from bcgbeat.baselines import wppd_hr
+from bcgbeat.detector import confidence_series
 from bcgbeat.metrics import HrSeries
 from bcgbeat.signals import Preprocessing, Recording, preprocess_recording
 from bcgbeat.synth import SynthConfig
