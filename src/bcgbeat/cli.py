@@ -15,7 +15,6 @@ function or dataclass it configures applies its own default.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
@@ -25,22 +24,18 @@ import numpy as np
 
 from . import io as bio
 from .detector import (
-    DEFAULT_CODE_ITERS,
     DEFAULT_DFT_BAND_HZ,
     DEFAULT_STEP_S,
     DEFAULT_WINDOW_S,
     DetectionParams,
+    Model,
     ModelMismatch,
-    background_covariance,
-    check_dft_band,
-    confidence_series,
+    detect_recording,
     hr_from_beats,
-    hr_from_confidence_dft,
-    learn_detection_params_pooled,
-    vote_beats,
+    train_model,
     window_starts,
 )
-from .dlfumi import FumiParams, fit
+from .dlfumi import FumiParams
 from .metrics import (
     bbi_relative_error,
     bland_altman,
@@ -50,7 +45,7 @@ from .metrics import (
     pearson_r,
     per_window_errors,
 )
-from .signals import Preprocessing, bag_columns, build_bags, candidate_peaks, extract_instances
+from .signals import Preprocessing
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -58,8 +53,6 @@ EXIT_CONFIG = 2
 EXIT_NO_GROUNDTRUTH = 3
 EXIT_MODEL_MISMATCH = 4
 EXIT_EVAL_IMPOSSIBLE = 5
-
-log = logging.getLogger(__name__)
 
 # Learner settings each preset changes; individual mode is FumiParams' own
 # defaults.
@@ -121,7 +114,7 @@ _POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < np.inf)
 
 # Every setting.  The code a key without a domain configures checks it:
 # FumiParams.validate, SynthConfig.validate, the band-pass filter and peak
-# picker, window_starts, or (min_votes) the channel count (_check_min_votes).
+# picker, window_starts, or (min_votes) the channel count (detector).
 _CONFIG_PARSERS = {
     "mode": _Setting(str),
     "seed": _Setting(int, _NON_NEGATIVE),
@@ -256,16 +249,6 @@ def _hr_grid(path: str, duration_s: float, fs: float, given: dict) -> tuple[floa
     return window_s, step_s
 
 
-def _check_min_votes(settings: dict, n_channels: int) -> None:
-    """Exit 2 unless the run's min_votes channels can agree on a beat."""
-    min_votes = settings.get("min_votes", DetectionParams.min_votes)
-    if not 1 <= min_votes <= n_channels:
-        raise CliError(
-            EXIT_CONFIG,
-            f"bad setting min_votes={min_votes!r}: must be from 1 to the {n_channels} channels",
-        )
-
-
 # --- synth -------------------------------------------------------------------
 
 
@@ -292,7 +275,6 @@ def cmd_train(args) -> int:
     params = FumiParams(**_kwargs(settings, _LEARNER_KEYS))
     with _fails(EXIT_CONFIG):
         params.validate()
-    code_iters = settings.get("code_iters", DEFAULT_CODE_ITERS)
 
     recs = []
     for path in args.recordings:
@@ -310,51 +292,23 @@ def cmd_train(args) -> int:
                 f"{args.recordings[0]} at {recs[0].sample_rate_hz:g} Hz; "
                 "train on recordings of one sample rate",
             )
-    _check_min_votes(settings, min(len(rec.channels) for rec in recs))
     pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
-    # Each recording is filtered and peak-picked once, for its bags and
-    # for the voting-parameter grid.
+    keys = ["code_iters", "seed", "per_positive", "min_votes", "refractory_s"]
     with _fails(EXIT_CONFIG):
-        candidates = [list(candidate_peaks(rec, pre)) for rec in recs]
-    bags = [
-        bag
-        for rec, cands in zip(recs, candidates)
-        for bag in build_bags(
-            [extract_instances(f, p, pre.half_len, ch, pre.zscore) for ch, f, p in cands],
-            rec.gt_beat_times,
-            **_kwargs(settings, ["per_positive"]),
-        )
-    ]
-
-    with _fails(EXIT_CONFIG, "training failed: "):
-        result = fit(bags, params, **_kwargs(settings, ["seed"]))
+        model, result = train_model(recs, params, pre, **_kwargs(settings, keys))
     for i, v in enumerate(result.objective_trace, 1):
         print(f"em_iter={i} objective={v!r}")
 
-    model = background_covariance(bag_columns(bags, 0))
-    del bags  # the grid cuts its own windows, one chunk at a time
-
-    # The grid scores the confidences `detect` computes on these recordings.
-    series_list = [
-        confidence_series(rec, result.dictionary, model, params.lam, code_iters, pre, cands)
-        for rec, cands in zip(recs, candidates)
-    ]
-    dparams = learn_detection_params_pooled(
-        series_list,
-        [rec.gt_beat_times for rec in recs],
-        **_kwargs(settings, ["min_votes", "refractory_s"]),
-    )
-
-    bio.write_dictionary(args.out, result.dictionary)
-    bio.write_covariance(_sibling(args.out, ".cov.csv"), model)
-    stored = {**asdict(dparams), "lambda": params.lam, "code_iters": code_iters,
-              "fs": recs[0].sample_rate_hz, **asdict(pre)}
+    bio.write_dictionary(args.out, model.dictionary)
+    bio.write_covariance(_sibling(args.out, ".cov.csv"), model.background)
+    stored = {**asdict(model.detection), "lambda": model.lam, "code_iters": model.code_iters,
+              "fs": model.fs, **asdict(model.pre)}
     bio.write_keyvalue(
         _sibling(args.out, ".params"), {_name(k): repr(stored[k]) for k in _STORED_KEYS}
     )
     print(
         f"wrote {args.out} (+ .cov.csv, .params): "
-        f"threshold={dparams.threshold:g} neighborhood={dparams.neighborhood}"
+        f"threshold={model.detection.threshold:g} neighborhood={model.detection.neighborhood}"
     )
     return EXIT_OK
 
@@ -368,46 +322,24 @@ def cmd_detect(args) -> int:
     window_s, step_s = _hr_grid(args.recording, rec.duration_s, rec.sample_rate_hz, given)
     D = _load(bio.read_dictionary, args.dict, "dictionary")
     cov_path = _sibling(args.dict, ".cov.csv")
-    model = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
+    background = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     stored = _read_params(_sibling(args.dict, ".params"))
-    if rec.sample_rate_hz != stored["fs"]:
-        raise CliError(
-            EXIT_MODEL_MISMATCH,
-            f"the model was trained at {stored['fs']:g} Hz, the recording is sampled at "
-            f"{rec.sample_rate_hz:g} Hz; the model does not fit {args.recording}",
-        )
     settings = {**stored, **given}
-    dparams = DetectionParams(**_kwargs(settings, _VOTING_KEYS))
-    pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
-    _check_min_votes(settings, len(rec.channels))
-    if args.dft:
-        band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
-                   settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1]))
-        with _fails(EXIT_CONFIG, "bad DFT band: "):
-            check_dft_band(band_hz, rec.sample_rate_hz)
+    model = Model(
+        D, background, DetectionParams(**_kwargs(settings, _VOTING_KEYS)),
+        lam=settings["lambda"], code_iters=settings["code_iters"], fs=stored["fs"],
+        pre=Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS)),
+    )
+    band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
+               settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1])) if args.dft else None
     try:
-        series = confidence_series(rec, D, model, settings["lambda"], settings["code_iters"], pre)
+        beats, hr = detect_recording(rec, model, window_s, step_s, band_hz)
     except ModelMismatch as exc:
         msg = f"{exc}; the model does not fit {args.recording}"
         raise CliError(EXIT_MODEL_MISMATCH, msg) from exc
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
-    live = sum(p.size > 0 for p in series.peak_indices)
-    if live < dparams.min_votes:
-        log.warning("only %d of %d channels have candidate peaks, fewer than min_votes=%d: "
-                    "no beat can be voted", live, series.n_channels, dparams.min_votes)
-    beats = vote_beats(series, dparams)
-    if args.dft:
-        hr = hr_from_confidence_dft(series, window_s=window_s, step_s=step_s, band_hz=band_hz)
-    else:
-        hr = hr_from_beats(
-            np.asarray([b[0] for b in beats]),
-            rec.sample_rate_hz,
-            window_s=window_s,
-            step_s=step_s,
-            duration_s=rec.duration_s,
-        )
     bio.write_beats(args.out + ".beats.csv", beats, rec.sample_rate_hz)
     bio.write_hr(args.out + ".hr.csv", hr)
     n_est = int(np.sum(~np.isnan(hr.bpm)))

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dlfumi import Dictionary, safe_step_length
+from .dlfumi import Dictionary, FitResult, FumiParams, fit, safe_step_length
 from .metrics import HrSeries, greedy_match
-from .signals import Preprocessing, Recording, candidate_peaks, extract_instances
+from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, bag_columns, build_bags
+from .signals import candidate_peaks, extract_instances
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +98,19 @@ class ConfidenceSeries:
     @property
     def n_channels(self) -> int:
         return len(self.peak_indices)
+
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """A trained detector and the settings its windows are cut and coded with."""
+
+    dictionary: Dictionary
+    background: BackgroundModel
+    detection: DetectionParams
+    lam: float
+    code_iters: int
+    fs: float
+    pre: Preprocessing
 
 
 def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> BackgroundModel:
@@ -370,7 +384,9 @@ def check_dft_band(band_hz: tuple[float, float], fs: float) -> None:
     heart rate at `fs` Hz: 0 < low < high <= fs / 2."""
     low, high = band_hz
     if not 0.0 < low < high <= fs / 2.0:
-        raise ValueError(f"need 0 < low < high <= Nyquist ({fs / 2.0:g} Hz), got ({low!r}, {high!r})")
+        raise ValueError(
+            f"bad DFT band: need 0 < low < high <= Nyquist ({fs / 2.0:g} Hz), got ({low!r}, {high!r})"
+        )
 
 
 def hr_from_beats(
@@ -441,3 +457,84 @@ def hr_from_confidence_dft(
         if spec[ch, j] > 1e-9 * scale:
             bpm[w] = 60.0 * float(freqs[band][j])
     return HrSeries(times=starts + window_s / 2.0, bpm=bpm)
+
+
+def _check_min_votes(min_votes: int, n_channels: int) -> None:
+    if not 1 <= min_votes <= n_channels:
+        raise ValueError(f"bad setting min_votes={min_votes!r}: "
+                         f"must be from 1 to the {n_channels} channels")
+
+
+def train_model(
+    recordings: list[Recording],
+    params: FumiParams,
+    pre: Preprocessing = Preprocessing(),
+    code_iters: int = DEFAULT_CODE_ITERS,
+    seed: int = 0,
+    per_positive: int = DEFAULT_PER_POSITIVE,
+    min_votes: int = DetectionParams.min_votes,
+    refractory_s: float = DetectionParams.refractory_s,
+) -> tuple[Model, FitResult]:
+    """Fit a dictionary on the bags of `recordings` (one sample rate, with
+    groundtruth beats), then grid-search the voting parameters on the
+    confidences `detect_recording` gives them.  A learner error is raised
+    as a ValueError prefixed `training failed: `."""
+    _check_min_votes(min_votes, min(len(rec.channels) for rec in recordings))
+    # Each recording is filtered and peak-picked once, for its bags and
+    # for the voting-parameter grid.
+    candidates = [list(candidate_peaks(rec, pre)) for rec in recordings]
+    bags = [
+        bag
+        for rec, cands in zip(recordings, candidates)
+        for bag in build_bags(
+            [extract_instances(f, p, pre.half_len, ch, pre.zscore) for ch, f, p in cands],
+            rec.gt_beat_times, per_positive,
+        )
+    ]
+    try:
+        result = fit(bags, params, seed)
+    except ValueError as exc:
+        raise ValueError(f"training failed: {exc}") from exc
+    background = background_covariance(bag_columns(bags, 0))
+    del bags  # the grid cuts its own windows, one chunk at a time
+    series_list = [
+        confidence_series(rec, result.dictionary, background, params.lam, code_iters, pre, cands)
+        for rec, cands in zip(recordings, candidates)
+    ]
+    gt = [rec.gt_beat_times for rec in recordings]
+    detection = learn_detection_params_pooled(
+        series_list, gt, min_votes=min_votes, refractory_s=refractory_s
+    )
+    fs = recordings[0].sample_rate_hz
+    return Model(result.dictionary, background, detection, params.lam, code_iters, fs, pre), result
+
+
+def detect_recording(
+    rec: Recording,
+    model: Model,
+    window_s: float = DEFAULT_WINDOW_S,
+    step_s: float = DEFAULT_STEP_S,
+    dft_band_hz: tuple[float, float] | None = None,
+) -> tuple[list[tuple[int, float]], HrSeries]:
+    """The beats `model` votes on `rec`, and its HR series: from the beats,
+    or spectrally in `dft_band_hz` if given.  Raises ModelMismatch if the
+    model does not fit `rec`, ValueError on a setting that cannot work on
+    it, and warns when fewer channels have candidates than min_votes."""
+    if rec.sample_rate_hz != model.fs:
+        raise ModelMismatch(f"the model was trained at {model.fs:g} Hz, "
+                            f"the recording is sampled at {rec.sample_rate_hz:g} Hz")
+    _check_min_votes(model.detection.min_votes, len(rec.channels))
+    if dft_band_hz is not None:
+        check_dft_band(dft_band_hz, rec.sample_rate_hz)
+    series = confidence_series(
+        rec, model.dictionary, model.background, model.lam, model.code_iters, model.pre
+    )
+    live = sum(p.size > 0 for p in series.peak_indices)
+    if live < model.detection.min_votes:
+        log.warning("only %d of %d channels have candidate peaks, fewer than min_votes=%d: "
+                    "no beat can be voted", live, series.n_channels, model.detection.min_votes)
+    beats = vote_beats(series, model.detection)
+    if dft_band_hz is not None:
+        return beats, hr_from_confidence_dft(series, window_s, step_s, dft_band_hz)
+    beat_idx = np.asarray([b[0] for b in beats])
+    return beats, hr_from_beats(beat_idx, rec.sample_rate_hz, window_s, step_s, rec.duration_s)

@@ -14,13 +14,12 @@ import pytest
 
 from bcgbeat.baselines import en_hr, pick_best_channel, wppd_hr
 from bcgbeat.detector import (
+    DEFAULT_DFT_BAND_HZ,
     ConfidenceSeries,
     DetectionParams,
-    background_covariance,
-    confidence_series,
+    detect_recording,
     hr_from_beats,
-    hr_from_confidence_dft,
-    learn_detection_params_pooled,
+    train_model,
     vote_beats,
 )
 from bcgbeat.dlfumi import (
@@ -36,14 +35,7 @@ from bcgbeat.dlfumi import (
 )
 from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
-from bcgbeat.signals import (
-    Bag,
-    Preprocessing,
-    bag_columns,
-    bandpass_filter,
-    build_bags,
-    preprocess_recording,
-)
+from bcgbeat.signals import Bag, Preprocessing, bandpass_filter, build_bags, preprocess_recording
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
@@ -64,12 +56,11 @@ def unit_columns(rng, d, k):
 
 @pytest.fixture(scope="session")
 def template_recovery():
-    """5-minute training run with the standard individual-mode parameters."""
+    """5-minute training run with the standard individual-mode parameters,
+    voting-parameter grid included."""
     res = generate(SynthConfig(duration_s=300.0, snr_db=10.0, seed=0))
     t0 = time.perf_counter()
-    per_channel = preprocess_recording(res.recording)
-    bags = build_bags(per_channel, res.recording.gt_beat_times)
-    fitres = fit(bags, FumiParams(), seed=0)
+    _, fitres = train_model([res.recording], FumiParams())
     elapsed = time.perf_counter() - t0
     return res, fitres, elapsed
 
@@ -89,23 +80,9 @@ def hrv_pipeline():
     )
     test_cfg = dataclasses.replace(train_cfg, hrv_amp_bpm=5.0, hrv_period_s=60.0, seed=11)
     train, test = generate(train_cfg), generate(test_cfg)
-    params = FumiParams()
-
-    per_channel = preprocess_recording(train.recording, Preprocessing(zscore=True))
-    bags = build_bags(per_channel, train.recording.gt_beat_times)
-    fitres = fit(bags, params, seed=0)
-    model = background_covariance(bag_columns(bags, 0))
-    train_series = confidence_series(
-        train.recording, fitres.dictionary, model, lam=params.lam, pre=Preprocessing(zscore=True)
-    )
-    dparams = learn_detection_params_pooled([train_series], [train.recording.gt_beat_times])
-
-    test_series = confidence_series(
-        test.recording, fitres.dictionary, model, lam=params.lam, pre=Preprocessing(zscore=True)
-    )
-    beats = vote_beats(test_series, dparams)
+    model, _ = train_model([train.recording], FumiParams(), Preprocessing(zscore=True))
+    beats, est_hr = detect_recording(test.recording, model)
     beat_idx = np.asarray([b[0] for b in beats])
-    est_hr = hr_from_beats(beat_idx, FS, duration_s=test.recording.duration_s)
     gt_hr = hr_from_beats(
         test.recording.gt_beat_times, FS, duration_s=test.recording.duration_s
     )
@@ -118,13 +95,8 @@ def dft_pipeline():
     train_cfg = SynthConfig(duration_s=300.0, hr_bpm=72.0, snr_db=10.0, seed=40)
     test_cfg = dataclasses.replace(train_cfg, seed=41)
     train, test = generate(train_cfg), generate(test_cfg)
-    params = FumiParams()
-    per_channel = preprocess_recording(train.recording)
-    bags = build_bags(per_channel, train.recording.gt_beat_times)
-    fitres = fit(bags, params, seed=0)
-    model = background_covariance(bag_columns(bags, 0))
-    series = confidence_series(test.recording, fitres.dictionary, model, lam=params.lam)
-    return hr_from_confidence_dft(series)
+    model, _ = train_model([train.recording], FumiParams())
+    return detect_recording(test.recording, model, dft_band_hz=DEFAULT_DFT_BAND_HZ)[1]
 
 
 # --- criteria ------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgbeat import cli, kernels
+from bcgbeat import cli, detector, kernels
 from bcgbeat import io as bio
 from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
@@ -285,13 +285,13 @@ class TestTrain:
         recs = [workdir / "rec.csv", tmp_path / "rec2.csv"]
         assert main(["synth", "--config", str(synth_cfg), "--seed", "8", "--out", str(recs[1])]) == 0
         graded = []
-        real = cli.learn_detection_params_pooled
+        real = detector.learn_detection_params_pooled
 
         def spy(series_list, *args, **kwargs):
             graded.extend(series_list)
             return real(series_list, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "learn_detection_params_pooled", spy)
+        monkeypatch.setattr(detector, "learn_detection_params_pooled", spy)
         cfg = tmp_path / "run.conf"
         cfg.write_text(config)
         out = tmp_path / "m.csv"
@@ -338,7 +338,7 @@ class TestTrain:
         def never(*args, **kwargs):
             raise AssertionError("preprocessed a recording of mixed rate")
 
-        monkeypatch.setattr(cli, "candidate_peaks", never)
+        monkeypatch.setattr(detector, "candidate_peaks", never)
         argv = ["train", str(workdir / "rec.csv"), str(fast), "--mode", "batch",
                 "--out", str(tmp_path / "d.csv")]
         assert main(argv) == 2
@@ -489,10 +489,10 @@ class TestDetect:
         out = tmp_path / "d"
         argv = ["detect", str(flat), "--dict", str(workdir / "model.csv"), "--out", str(out)]
         capsys.readouterr()
-        with caplog.at_level("WARNING", logger="bcgbeat.cli"):
+        with caplog.at_level("WARNING", logger="bcgbeat.detector"):
             assert main(argv) == 0
         stdout = capsys.readouterr().out
-        messages = [r.getMessage() for r in caplog.records if r.name == "bcgbeat.cli"]
+        messages = [r.getMessage() for r in caplog.records if r.name == "bcgbeat.detector"]
         n_beats = bio.read_beats(str(out) + ".beats.csv")[0].size
         if warned:
             assert messages == ["only 1 of 4 channels have candidate peaks, fewer than "
@@ -990,8 +990,8 @@ class TestCodingSettingDomains:
         def refuse(*args, **kwargs):
             raise AssertionError("coding ran")
 
-        monkeypatch.setattr(cli, "confidence_series", refuse)
-        monkeypatch.setattr(cli, "fit", refuse)
+        monkeypatch.setattr(detector, "confidence_series", refuse)
+        monkeypatch.setattr(detector, "fit", refuse)
 
     @pytest.mark.parametrize(
         "setting, message",
