@@ -1,9 +1,16 @@
 """Command-line pipeline: synth | train | detect | eval.
 
-Exit codes: 0 success, 2 config or IO problem, 3 groundtruth missing where
-required, 4 model/data mismatch (`detector.ModelMismatch`: dimensions, or
-codes that fail the warm-start check; or a recording sampled at another
-rate than the model's training recordings), 5 evaluation impossible.
+`train` and `detect` run `detector.train_model` and
+`detector.detect_recording`; each command here only parses its settings,
+reads its inputs, maps errors to exit codes and writes its outputs.
+`train` writes the model's three files and `detect` reads them.
+
+Exit codes: 0 success, 2 config or IO problem (a model file that is
+malformed or does not fit the model's other files included), 3 groundtruth
+missing where required, 4 model/data mismatch (`detector.ModelMismatch`:
+dimensions, or codes that fail the warm-start check; or a recording sampled
+at another rate than the model's training recordings), 5 evaluation
+impossible.
 Runs are deterministic given the config file and --seed.
 
 `detect` resolves each setting as a CLI flag over a `--config` key over the
@@ -216,10 +223,14 @@ def _kwargs(settings: dict, keys) -> dict:
 
 def _read_params(path: str) -> dict:
     """Every setting train stored in its .params file (`_STORED_KEYS`, all
-    required), each checked against its domain."""
+    required), each checked against its domain, and `fs` positive and
+    finite (synth checks the `fs` it is given itself)."""
     stored = _load(bio.read_keyvalue, path, f"params {path}")
     with _fails(EXIT_CONFIG, f"malformed detection params {path}: ", (KeyError, ValueError)):
-        return _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS})
+        values = _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS})
+        if not _POSITIVE_FINITE[1](values["fs"]):
+            raise ValueError(f"fs={values['fs']!r} must be {_POSITIVE_FINITE[0]}")
+        return values
 
 
 def _sibling(path: str, new_tail: str) -> str:
@@ -325,11 +336,12 @@ def cmd_detect(args) -> int:
     background = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     stored = _read_params(_sibling(args.dict, ".params"))
     settings = {**stored, **given}
-    model = Model(
-        D, background, DetectionParams(**_kwargs(settings, _VOTING_KEYS)),
-        lam=settings["lambda"], code_iters=settings["code_iters"], fs=stored["fs"],
-        pre=Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS)),
-    )
+    with _fails(EXIT_CONFIG, f"bad model {args.dict}: "):
+        model = Model(
+            D, background, DetectionParams(**_kwargs(settings, _VOTING_KEYS)),
+            lam=settings["lambda"], code_iters=settings["code_iters"], fs=stored["fs"],
+            pre=Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS)),
+        )
     band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
                settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1])) if args.dft else None
     try:

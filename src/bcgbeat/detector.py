@@ -7,6 +7,8 @@ covariance.  Peaks that look like heartbeats reconstruct much better once
 the target atoms are allowed in, so their ratio is large.  Cross-channel
 voting turns per-channel confidences into beat decisions, and two HR
 estimators (beat-to-beat and spectral) turn those into windowed series.
+`train_model` and `detect_recording` run the whole pipeline on recordings
+in memory, and are what the CLI's `train` and `detect` run.
 """
 
 from __future__ import annotations
@@ -111,6 +113,11 @@ class Model:
     code_iters: int
     fs: float
     pre: Preprocessing
+
+    def __post_init__(self):
+        if self.background.d != self.dictionary.d:
+            raise ValueError(f"the covariance is {self.background.d}x{self.background.d} "
+                             f"but the atoms have {self.dictionary.d} samples")
 
 
 def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> BackgroundModel:

@@ -22,7 +22,8 @@ from bcgbeat import cli, detector, kernels
 from bcgbeat import io as bio
 from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
-from bcgbeat.detector import confidence_series
+from bcgbeat.detector import DEFAULT_DFT_BAND_HZ, confidence_series
+from bcgbeat.dlfumi import FumiParams
 from bcgbeat.metrics import HrSeries
 from bcgbeat.signals import Preprocessing, Recording, preprocess_recording
 from bcgbeat.synth import SynthConfig
@@ -647,6 +648,42 @@ class TestDetect:
         assert capsys.readouterr().err == f"error: cannot read {what} {path}: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["model"]
 
+    @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            ("model.params", "fs=nan", "malformed detection params {path}: fs=nan"),
+            ("model.params", "fs=inf", "malformed detection params {path}: fs=inf"),
+            ("model.params", "fs=0", "malformed detection params {path}: fs=0.0"),
+            ("model.params", "fs=-100", "malformed detection params {path}: fs=-100.0"),
+            ("model.cov.csv", "ridge=0.0\n1.0\n",
+             "bad model {dict}: the covariance is 1x1 but the atoms have 91 samples"),
+        ],
+        ids=["fs_nan", "fs_inf", "fs_zero", "fs_negative", "covariance_1x1"],
+    )
+    def test_model_files_that_do_not_hold_together_exit_2(
+        self, workdir, tmp_path, capsys, monkeypatch, name, damage, message
+    ):
+        """A fault in the model's own files is no mismatch with the
+        recording (exit 4): detect rejects it while it reads the model,
+        before anything is coded."""
+        dict_path = _copied_model(workdir, tmp_path)
+        path = dict_path.parent / name
+        if name == "model.params":
+            path.write_text(path.read_text().replace("fs=100.0", damage))
+        else:
+            path.write_text(damage)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coding ran")
+
+        monkeypatch.setattr(detector, "confidence_series", refuse)
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path, dict=dict_path))
+        if name == "model.params":
+            assert err.endswith(" must be positive and finite\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
     def test_missing_dictionary_exits_2(self, workdir, tmp_path):
         code = main(
             [
@@ -1151,3 +1188,44 @@ def test_train_preprocessing_setting_outside_its_domain_exits_2(
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+
+@pytest.mark.parametrize("config", ["", "zscore=true\n"], ids=["raw", "zscore"])
+def test_library_path_gives_the_cli_outputs_bit_for_bit(workdir, tmp_path, config):
+    """train_model and detect_recording, run on the Recordings the CLI reads,
+    give the model, beats and HR series that train and detect write."""
+    synth_cfg = tmp_path / "synth.conf"
+    synth_cfg.write_text("duration_s=60\nhr_bpm=80\nsnr_db=10\n")
+    paths = [workdir / "rec.csv", tmp_path / "rec2.csv"]
+    assert main(["synth", "--config", str(synth_cfg), "--seed", "8", "--out", str(paths[1])]) == 0
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(config)
+    out = tmp_path / "m.csv"
+    argv = ["train", *map(str, paths), "--max_em_iters", "2", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+
+    recs = [bio.read_recording(p) for p in paths]
+    model, _ = detector.train_model(recs, FumiParams(max_em_iters=2), Preprocessing(zscore=bool(config)))
+    equal = lambda got, want: np.testing.assert_array_equal(got, want, strict=True)  # noqa: E731
+    D, cov = bio.read_dictionary(out), bio.read_covariance(tmp_path / "m.cov.csv")
+    equal(model.dictionary.target_atoms, D.target_atoms)
+    equal(model.dictionary.background_atoms, D.background_atoms)
+    equal(model.background.covariance, cov.covariance)
+    equal(model.background.ridge, cov.ridge)
+    stored = cli._read_params(str(tmp_path / "m.params"))
+    want = {**dataclasses.asdict(model.detection), "lambda": model.lam,
+            "code_iters": model.code_iters, "fs": model.fs, **dataclasses.asdict(model.pre)}
+    assert sorted(stored) == sorted(want)
+    for key, value in want.items():
+        equal(stored[key], value)
+
+    for flags, band in (([], None), (["--dft"], DEFAULT_DFT_BAND_HZ)):
+        det = tmp_path / ("dft" if band else "det")
+        assert main(["detect", str(paths[1]), "--dict", str(out), *flags, "--out", str(det)]) == 0
+        beats, hr = detector.detect_recording(recs[1], model, dft_band_hz=band)
+        idx, _, conf = bio.read_beats(str(det) + ".beats.csv")
+        equal(np.asarray([b[0] for b in beats]), idx)
+        equal(np.asarray([b[1] for b in beats]), conf)
+        written = bio.read_hr(str(det) + ".hr.csv")
+        equal(hr.times, written.times)
+        equal(hr.bpm, written.bpm)

@@ -165,3 +165,27 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(p for p in (SRC / "bcgbeat").glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+# The pipeline's steps, which the CLI reaches only through
+# detector.train_model and detector.detect_recording.
+PIPELINE_STEPS = {
+    "fit", "build_bags", "candidate_peaks", "extract_instances", "confidence_series",
+    "background_covariance", "learn_detection_params_pooled", "vote_beats",
+    "hr_from_confidence_dft",
+}
+
+
+def test_the_cli_reaches_no_pipeline_step_itself():
+    """No second copy of the pipeline can grow back into the CLI: cli.py
+    neither imports a step nor reads one as a module attribute."""
+    tree = ast.parse((SRC / "bcgbeat" / "cli.py").read_text())
+    names = {
+        part
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for part in (alias.name.split(".")[-1], alias.asname)
+    }
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(names & PIPELINE_STEPS) == []
