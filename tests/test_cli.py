@@ -661,7 +661,7 @@ class TestDetect:
         ids=["fs_nan", "fs_inf", "fs_zero", "fs_negative", "covariance_1x1"],
     )
     def test_model_files_that_do_not_hold_together_exit_2(
-        self, workdir, tmp_path, capsys, monkeypatch, name, damage, message
+        self, workdir, tmp_path, capsys, no_coding, name, damage, message
     ):
         """A fault in the model's own files is no mismatch with the
         recording (exit 4): detect rejects it while it reads the model,
@@ -672,11 +672,6 @@ class TestDetect:
             path.write_text(path.read_text().replace("fs=100.0", damage))
         else:
             path.write_text(damage)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("coding ran")
-
-        monkeypatch.setattr(detector, "confidence_series", refuse)
         assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(path=path, dict=dict_path))
@@ -1016,19 +1011,20 @@ def test_step_of_one_sample_is_accepted(workdir, tmp_path):
     assert bio.read_hr(str(out) + ".hr.csv").n_windows == 3001
 
 
+@pytest.fixture
+def no_coding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coding ran")
+
+    monkeypatch.setattr(detector, "confidence_series", refuse)
+    monkeypatch.setattr(detector, "fit", refuse)
+
+
 class TestCodingSettingDomains:
     """A setting outside its domain exits 2 before anything is coded or
     written, whichever source gave it: its row of cli._CONFIG_PARSERS, or
     min_votes against the channel count and the DFT band against the
     sample rate, where the recording is read."""
-
-    @pytest.fixture
-    def no_coding(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("coding ran")
-
-        monkeypatch.setattr(detector, "confidence_series", refuse)
-        monkeypatch.setattr(detector, "fit", refuse)
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -1206,7 +1202,10 @@ def test_library_path_gives_the_cli_outputs_bit_for_bit(workdir, tmp_path, confi
 
     recs = [bio.read_recording(p) for p in paths]
     model, _ = detector.train_model(recs, FumiParams(max_em_iters=2), Preprocessing(zscore=bool(config)))
-    equal = lambda got, want: np.testing.assert_array_equal(got, want, strict=True)  # noqa: E731
+
+    def equal(got, want):
+        np.testing.assert_array_equal(got, want, strict=True)
+
     D, cov = bio.read_dictionary(out), bio.read_covariance(tmp_path / "m.cov.csv")
     equal(model.dictionary.target_atoms, D.target_atoms)
     equal(model.dictionary.background_atoms, D.background_atoms)
