@@ -230,11 +230,11 @@ def confidence_series(
     if candidates is None:
         candidates = candidate_peaks(rec, pre)
     peak_indices, confidences = [], []
-    for ch_id, filt, peaks in candidates:
+    for _, filt, peaks in candidates:
         conf = np.empty(peaks.size)
         for a in range(0, peaks.size, _CODE_CHUNK):
             b = min(a + _CODE_CHUNK, peaks.size)
-            X = extract_instances(filt, peaks[a:b], pre.half_len, ch_id, pre.zscore).features
+            X = extract_instances(filt, peaks[a:b], pre.half_len, pre.zscore)
             conf[a:b] = _confidence_batch(np.ascontiguousarray(X.T), *coding)
         peak_indices.append(peaks)
         confidences.append(conf)
@@ -493,10 +493,7 @@ def train_model(
     bags = [
         bag
         for rec, cands in zip(recordings, candidates)
-        for bag in build_bags(
-            [extract_instances(f, p, pre.half_len, ch, pre.zscore) for ch, f, p in cands],
-            rec.gt_beat_times, per_positive,
-        )
+        for bag in build_bags(cands, rec.gt_beat_times, per_positive, pre)
     ]
     try:
         result = fit(bags, params, seed)

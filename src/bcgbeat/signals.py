@@ -87,23 +87,6 @@ class Preprocessing:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelInstances:
-    """All instances of one channel: row i of `features` is the window
-    centered on sample `peak_indices[i]`.
-
-    features     : (n, d) C-contiguous float array, one window per row
-    peak_indices : (n,) int array
-    """
-
-    features: np.ndarray
-    peak_indices: np.ndarray
-    channel_id: int = 0
-
-    def __len__(self) -> int:
-        return self.peak_indices.size
-
-
-@dataclass(frozen=True, eq=False)
 class Bag:
     """A labeled block of instances: row i of `features` is the window
     centered on sample `peak_indices[i]` of channel `channel_ids[i]`.
@@ -377,38 +360,39 @@ def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> n
     return np.flatnonzero(np.frombuffer(kept, dtype=np.uint8))
 
 
-def _fitting(peaks: np.ndarray, half_len: int, n: int) -> np.ndarray:
-    """The peaks whose (2*half_len + 1)-sample window lies inside n samples."""
-    return peaks[(peaks >= half_len) & (peaks + half_len < n)]
-
-
 def extract_instances(
     x: np.ndarray,
     peaks: np.ndarray,
     half_len: int = DEFAULT_HALF_LEN,
-    channel_id: int = 0,
     zscore: bool = False,
-) -> ChannelInstances:
-    """Cut a (2*half_len + 1)-sample window around each peak.
+) -> np.ndarray:
+    """The (len(peaks), 2*half_len + 1) C-contiguous array whose row i is
+    the window centered on sample peaks[i].
 
-    Peaks whose window would cross a signal boundary are skipped; the rest
-    keep their order.  With `zscore` each window is standardized to zero
-    mean, unit variance (a constant window is only centered).
+    A window that would cross a signal boundary raises ValueError rather
+    than being skipped, which would misalign rows and peaks.  With `zscore`
+    each window is standardized to zero mean, unit variance (a constant
+    window is only centered).
     """
     x = np.asarray(x, dtype=float)
-    peaks = _fitting(np.asarray(peaks, dtype=int), half_len, x.size)
+    peaks = np.asarray(peaks, dtype=int)
     width = 2 * half_len + 1
-    if peaks.size:
-        W = sliding_window_view(x, width)[peaks - half_len]
-    else:
-        W = np.empty((0, width))
+    if peaks.size == 0:
+        return np.empty((0, width))
+    outside = (peaks < half_len) | (peaks + half_len >= x.size)
+    if np.any(outside):
+        raise ValueError(
+            f"the {width}-sample window around peak {int(peaks[np.argmax(outside)])} "
+            f"crosses the boundary of a {x.size}-sample signal"
+        )
+    W = sliding_window_view(x, width)[peaks - half_len]
     if zscore:
         # Row-wise reductions sum each window exactly as its own 1-D
         # std()/mean() would; reducing down columns would round differently.
         sd = W.std(axis=1, keepdims=True)
         W -= W.mean(axis=1, keepdims=True)
         W /= np.where(sd > 0, sd, 1.0)
-    return ChannelInstances(features=W, peak_indices=peaks, channel_id=channel_id)
+    return W
 
 
 def flat_channel(raw: np.ndarray, channel_id: int) -> bool:
@@ -423,12 +407,16 @@ def flat_channel(raw: np.ndarray, channel_id: int) -> bool:
 
 
 def build_bags(
-    blocks: list[ChannelInstances],
+    candidates,
     gt_beat_times: np.ndarray,
     per_positive: int = DEFAULT_PER_POSITIVE,
+    pre: Preprocessing = Preprocessing(),
 ) -> list[Bag]:
-    """Group instances into one positive bag per beat plus gap negative bags.
+    """Group the candidates' windows into one positive bag per beat plus
+    gap negative bags.
 
+    `candidates` holds what `candidate_peaks(rec, pre)` yields: per channel
+    (channel id, filtered channel, peaks whose windows fit inside it).
     Every instance is first assigned to its nearest groundtruth beat
     (ties -> earlier beat).  A beat's positive bag takes, per channel, the
     `per_positive` assigned instances closest in time (ties -> earlier peak
@@ -437,43 +425,50 @@ def build_bags(
     Every instance lands in exactly one bag; empty bags are not emitted.
     Positive bags come first in beat order, then negative bags in gap order;
     a bag lists its instances by channel id, then peak index.  Without
-    groundtruth beats all instances form one negative bag, in block order.
-    The bags are row slices of one array that gathers every window once.
+    groundtruth beats all instances form one negative bag, in candidate order.
+    Each window is cut once (`extract_instances` under `pre.half_len` and
+    `pre.zscore`) straight into its row of one array, which the bags slice.
     """
     beats = np.asarray(gt_beat_times, dtype=int)
-    # Per-instance arrays in block order.  lexsort is stable, so instances
-    # equal in every key keep this order below.
-    sizes = [len(b) for b in blocks]
+    candidates = list(candidates)  # read twice: peaks now, channels to cut below
+    # Per-instance arrays in candidate order.  lexsort is stable, so
+    # instances equal in every key keep this order below.
+    peaks = [np.asarray(p, dtype=int) for _, _, p in candidates]
+    sizes = [p.size for p in peaks]
     if not sum(sizes):
         return []
-    features = np.concatenate([b.features for b in blocks])
-    peak = np.concatenate([b.peak_indices for b in blocks])
-    channel = np.repeat([b.channel_id for b in blocks], sizes)
+    peak = np.concatenate(peaks)
+    channel = np.repeat([ch_id for ch_id, _, _ in candidates], sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
     if beats.size == 0:
-        return [Bag(features, channel, peak, label=0)]
-    block = np.repeat(np.arange(len(blocks)), sizes)
+        bag_id = np.zeros(peak.size, dtype=int)
+        order = np.arange(peak.size)
+    else:
+        # Nearest beat; an equidistant peak goes to the earlier beat.
+        gap = np.searchsorted(beats, peak)
+        left = beats[np.maximum(gap - 1, 0)]
+        right = beats[np.minimum(gap, beats.size - 1)]
+        earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
+        nearest = np.where(earlier, gap - 1, gap)
 
-    # Nearest beat; an equidistant peak goes to the earlier beat.
-    gap = np.searchsorted(beats, peak)
-    left = beats[np.maximum(gap - 1, 0)]
-    right = beats[np.minimum(gap, beats.size - 1)]
-    earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
-    nearest = np.where(earlier, gap - 1, gap)
+        # Within each (beat, channel) the instances closest in time, then
+        # earliest, fill the beat's positive bag up to per_positive.
+        order = np.lexsort((peak, np.abs(peak - beats[nearest]), block, nearest))
+        new_group = np.ones(order.size, dtype=bool)
+        new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(block[order]) != 0)
+        starts = np.flatnonzero(new_group)
+        rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+        positive = np.empty(order.size, dtype=bool)
+        positive[order] = rank < per_positive
 
-    # Within each (beat, block) the instances closest in time, then
-    # earliest, fill the beat's positive bag up to per_positive.
-    order = np.lexsort((peak, np.abs(peak - beats[nearest]), block, nearest))
-    new_group = np.ones(order.size, dtype=bool)
-    new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(block[order]) != 0)
-    starts = np.flatnonzero(new_group)
-    rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
-    positive = np.empty(order.size, dtype=bool)
-    positive[order] = rank < per_positive
-
-    # Beat b's positive bag has id b, gap g's negative bag n_beats + g.
-    bag_id = np.where(positive, nearest, beats.size + gap)
-    order = np.lexsort((peak, channel, bag_id))
-    bag_id, features, channel, peak = bag_id[order], features[order], channel[order], peak[order]
+        # Beat b's positive bag has id b, gap g's negative bag n_beats + g.
+        bag_id = np.where(positive, nearest, beats.size + gap)
+        order = np.lexsort((peak, channel, bag_id))
+    bag_id, channel, peak, block = bag_id[order], channel[order], peak[order], block[order]
+    features = np.empty((order.size, 2 * pre.half_len + 1))
+    for k, (_, filt, _) in enumerate(candidates):
+        rows = block == k
+        features[rows] = extract_instances(filt, peak[rows], pre.half_len, pre.zscore)
     bounds = np.flatnonzero(np.diff(bag_id)) + 1
     bags: list[Bag] = []
     for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), order.size]):
@@ -498,15 +493,5 @@ def candidate_peaks(rec: Recording, pre: Preprocessing = Preprocessing()):
             peaks = np.empty(0, dtype=int)
         else:
             peaks = find_peaks(filt, pre.min_separation)
-        yield ch_id, filt, _fitting(peaks, pre.half_len, filt.size)
-
-
-def preprocess_recording(
-    rec: Recording, pre: Preprocessing = Preprocessing()
-) -> list[ChannelInstances]:
-    """Every channel's candidate windows (`candidate_peaks`), cut as one
-    block per channel."""
-    return [
-        extract_instances(filt, peaks, pre.half_len, ch_id, pre.zscore)
-        for ch_id, filt, peaks in candidate_peaks(rec, pre)
-    ]
+        fits = (peaks >= pre.half_len) & (peaks + pre.half_len < filt.size)
+        yield ch_id, filt, peaks[fits]

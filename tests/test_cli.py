@@ -25,7 +25,7 @@ from bcgbeat.baselines import wppd_hr
 from bcgbeat.detector import DEFAULT_DFT_BAND_HZ, confidence_series
 from bcgbeat.dlfumi import FumiParams
 from bcgbeat.metrics import HrSeries
-from bcgbeat.signals import Preprocessing, Recording, preprocess_recording
+from bcgbeat.signals import Preprocessing, Recording, candidate_peaks
 from bcgbeat.synth import SynthConfig
 
 
@@ -317,7 +317,8 @@ class TestTrain:
         Keeping each recording's window blocks alive through fit, for the
         voting grid to code, took 4.5x."""
         rec = bio.read_recording(workdir / "rec.csv")
-        window_bytes = sum(b.features.nbytes for b in preprocess_recording(rec))
+        width = 2 * Preprocessing().half_len + 1
+        window_bytes = sum(8 * width * p.size for _, _, p in candidate_peaks(rec))
         del rec
         argv = ["train", str(workdir / "rec.csv"), "--max_em_iters", "2",
                 "--out", str(tmp_path / "m.csv")]

@@ -30,7 +30,6 @@ from bcgbeat.signals import (
     bag_columns,
     build_bags,
     candidate_peaks,
-    preprocess_recording,
 )
 from bcgbeat.synth import SynthConfig, generate
 
@@ -152,7 +151,7 @@ def trained_small():
     """A small trained model shared by the confidence tests."""
     cfg = SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=10.0, seed=7)
     res = generate(cfg)
-    bags = build_bags(preprocess_recording(res.recording), res.recording.gt_beat_times)
+    bags = build_bags(list(candidate_peaks(res.recording)), res.recording.gt_beat_times)
     result = fit(bags, FumiParams(T=1, M=2), seed=0)
     model = background_covariance(bag_columns(bags, 0))
     return cfg, res, result, model

@@ -29,7 +29,7 @@ from bcgbeat.dlfumi import (
 from bcgbeat.kernels import soft_threshold
 from bcgbeat.signals import Bag
 from bcgbeat.synth import SynthConfig, generate
-from bcgbeat.signals import build_bags, preprocess_recording
+from bcgbeat.signals import build_bags, candidate_peaks
 
 
 def make_bag(vectors, label):
@@ -513,8 +513,7 @@ class TestBatchedUpdatesMatchTheMatrixVectorForms:
 def planted_fit():
     cfg = SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=10.0, seed=7)
     res = generate(cfg)
-    per_channel = preprocess_recording(res.recording)
-    bags = build_bags(per_channel, res.recording.gt_beat_times)
+    bags = build_bags(list(candidate_peaks(res.recording)), res.recording.gt_beat_times)
     result = fit(bags, FumiParams(T=1, M=2), seed=0)
     return res, bags, result
 

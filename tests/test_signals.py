@@ -5,15 +5,16 @@ import pytest
 
 from bcgbeat.signals import (
     Bag,
+    Preprocessing,
     Recording,
     _compensated_band_edges,
     bag_columns,
     bandpass_filter,
     build_bags,
     butter_bandpass_sos,
+    candidate_peaks,
     extract_instances,
     find_peaks,
-    preprocess_recording,
 )
 
 FS = 100.0
@@ -214,59 +215,54 @@ class TestExtractInstances:
     def test_window_covering_whole_signal(self):
         x = np.random.default_rng(5).standard_normal(91)
         out = extract_instances(x, np.array([45]), half_len=45)
-        assert len(out) == 1
-        np.testing.assert_array_equal(out.features[0], x)
-        assert out.peak_indices.tolist() == [45]
+        assert out.shape == (1, 91)
+        np.testing.assert_array_equal(out[0], x)
 
-    def test_boundary_peak_is_skipped(self):
+    def test_boundary_peak_raises(self):
         x = np.zeros(91)
         for p in (10, 80):
-            out = extract_instances(x, np.array([p]), half_len=45)
-            assert len(out) == 0
-            assert out.features.shape == (0, 91)
+            with pytest.raises(ValueError, match=f"window around peak {p} crosses"):
+                extract_instances(x, np.array([45, p]), half_len=45)
+
+    def test_no_peaks_give_no_rows(self):
+        assert extract_instances(np.zeros(50), np.array([], dtype=int), half_len=45).shape == (0, 91)
 
     def test_interior_peaks_all_extracted(self):
         x = np.random.default_rng(6).standard_normal(1000)
         peaks = np.array([100, 220, 400, 610, 900])
-        out = extract_instances(x, peaks, half_len=45, channel_id=2)
-        assert len(out) == 5
-        assert out.features.shape == (5, 91)
-        assert out.features.flags.c_contiguous
-        assert out.channel_id == 2
-        assert out.peak_indices.tolist() == peaks.tolist()
-        for w, p in zip(out.features, peaks):
+        out = extract_instances(x, peaks, half_len=45)
+        assert out.shape == (5, 91)
+        assert out.flags.c_contiguous
+        for w, p in zip(out, peaks):
             np.testing.assert_array_equal(w, x[p - 45 : p + 46])
 
     def test_zscore_standardizes_each_window(self):
         x = np.random.default_rng(7).standard_normal(500) * 3.0 + 10.0
         out = extract_instances(x, np.array([100, 300]), half_len=45, zscore=True)
         assert len(out) == 2
-        for w in out.features:
+        for w in out:
             assert abs(w.mean()) < 1e-12
             assert abs(w.std() - 1.0) < 1e-12
 
 
-def _synthetic_instances(rng, n_channels, n_samples, n_per_channel):
-    per_channel = []
+def _synthetic_candidates(rng, n_channels, n_samples, n_per_channel):
+    """Per channel (channel id, noise signal, sorted peaks whose windows fit)."""
+    candidates = []
     for ch in range(n_channels):
         peaks = np.sort(
             rng.choice(np.arange(50, n_samples - 50), size=n_per_channel, replace=False)
         )
-        x = rng.standard_normal(n_samples)
-        per_channel.append(extract_instances(x, peaks, half_len=45, channel_id=ch))
-    return per_channel
+        candidates.append((ch, rng.standard_normal(n_samples), peaks))
+    return candidates
 
 
 class TestBuildBags:
     def test_single_beat_takes_three_per_channel(self):
         rng = np.random.default_rng(8)
         n = 2000
-        per_channel = []
-        for ch in range(4):
-            peaks = np.array([900, 960, 1000, 1040, 1100])
-            x = rng.standard_normal(n)
-            per_channel.append(extract_instances(x, peaks, half_len=45, channel_id=ch))
-        bags = build_bags(per_channel, np.array([1000]), per_positive=3)
+        peaks = np.array([900, 960, 1000, 1040, 1100])
+        candidates = [(ch, rng.standard_normal(n), peaks) for ch in range(4)]
+        bags = build_bags(candidates, np.array([1000]), per_positive=3)
         pos = [b for b in bags if b.label == 1]
         assert len(pos) == 1
         assert len(pos[0]) == 12
@@ -279,8 +275,8 @@ class TestBuildBags:
 
     def test_no_groundtruth_gives_one_negative_bag(self):
         rng = np.random.default_rng(9)
-        per_channel = _synthetic_instances(rng, 4, 2000, 5)
-        bags = build_bags(per_channel, np.array([], dtype=int))
+        candidates = _synthetic_candidates(rng, 4, 2000, 5)
+        bags = build_bags(candidates, np.array([], dtype=int))
         assert len(bags) == 1
         assert bags[0].label == 0
         assert len(bags[0]) == 20
@@ -289,13 +285,13 @@ class TestBuildBags:
         rng = np.random.default_rng(10)
         for _ in range(10):
             n_ch = int(rng.integers(1, 5))
-            per_channel = _synthetic_instances(rng, n_ch, 3000, 12)
+            candidates = _synthetic_candidates(rng, n_ch, 3000, 12)
             beats = np.sort(
                 rng.choice(np.arange(100, 2900), size=int(rng.integers(1, 6)), replace=False)
             )
             per_pos = int(rng.integers(1, 5))
-            bags = build_bags(per_channel, beats, per_positive=per_pos)
-            total_in = sum(len(ch) for ch in per_channel)
+            bags = build_bags(candidates, beats, per_positive=per_pos)
+            total_in = sum(p.size for _, _, p in candidates)
             total_out = sum(len(b) for b in bags)
             assert total_in == total_out
             seen = set()
@@ -311,20 +307,31 @@ class TestBuildBags:
 
     def test_positive_bags_precede_negative_and_follow_beat_order(self):
         rng = np.random.default_rng(11)
-        per_channel = _synthetic_instances(rng, 3, 3000, 15)
+        candidates = _synthetic_candidates(rng, 3, 3000, 15)
         beats = np.array([500, 1500, 2500])
-        bags = build_bags(per_channel, beats, per_positive=2)
+        bags = build_bags(candidates, beats, per_positive=2)
         labels = [b.label for b in bags]
         if 0 in labels:
             assert labels.index(0) >= sum(labels)
         anchors = [b.anchor_time for b in bags if b.label == 1]
         assert anchors == sorted(anchors)
 
+    def test_windows_follow_the_preprocessing_record(self):
+        rng = np.random.default_rng(15)
+        candidates = _synthetic_candidates(rng, 2, 1000, 6)
+        pre = Preprocessing(half_len=30, zscore=True)
+        bags = build_bags(candidates, np.array([500]), per_positive=2, pre=pre)
+        signals = {ch: x for ch, x, _ in candidates}
+        for b in bags:
+            for w, ch, p in zip(b.features, b.channel_ids, b.peak_indices):
+                want = extract_instances(signals[ch], np.array([p]), 30, zscore=True)[0]
+                assert w.tobytes() == want.tobytes()
+
 
 class TestBagColumns:
     def test_columns_are_c_contiguous_and_in_bag_order(self):
         rng = np.random.default_rng(14)
-        bags = build_bags(_synthetic_instances(rng, 3, 3000, 12), np.array([700, 1500, 2300]))
+        bags = build_bags(_synthetic_candidates(rng, 3, 3000, 12), np.array([700, 1500, 2300]))
         for label, chosen in ((None, bags), (0, [b for b in bags if b.label == 0])):
             X = bag_columns(bags, label)
             assert X.flags.c_contiguous
@@ -396,22 +403,21 @@ def test_flat_channel_gives_no_candidates_and_is_logged(caplog):
     noise = [rng.standard_normal(3000) for _ in range(3)]
     rec = Recording(channels=[*noise[:2], np.full(3000, 0.25), noise[2]], sample_rate_hz=FS)
     with caplog.at_level("WARNING", logger="bcgbeat.signals"):
-        blocks = preprocess_recording(rec)
-    assert len(blocks[2]) == 0
-    assert blocks[2].features.shape == (0, 91)
-    assert [len(b) > 0 for b in blocks] == [True, True, False, True]
+        candidates = list(candidate_peaks(rec))
+    assert [p.size > 0 for _, _, p in candidates] == [True, True, False, True]
+    _, filt, peaks = candidates[2]
+    assert extract_instances(filt, peaks).shape == (0, 91)
     flat = [r.getMessage() for r in caplog.records if "is flat" in r.getMessage()]
     assert len(flat) == 1 and flat[0].startswith("ch2 is flat")
 
 
-def test_preprocess_recording_shapes():
+def test_candidate_windows_shapes():
     rng = np.random.default_rng(12)
     rec = Recording(
         channels=[rng.standard_normal(3000) for _ in range(4)], sample_rate_hz=FS
     )
-    blocks = preprocess_recording(rec)
-    assert len(blocks) == 4
-    for ch_id, block in enumerate(blocks):
-        assert len(block) > 0, "filtered noise should still produce candidate peaks"
-        assert block.features.shape == (len(block), 91)
-        assert block.channel_id == ch_id
+    candidates = list(candidate_peaks(rec))
+    assert [ch_id for ch_id, _, _ in candidates] == [0, 1, 2, 3]
+    for _, filt, peaks in candidates:
+        assert peaks.size > 0, "filtered noise should still produce candidate peaks"
+        assert extract_instances(filt, peaks).shape == (peaks.size, 91)

@@ -5,13 +5,14 @@ The band-pass filter's buffered scan against the allocating one: bit for
 bit the same output."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signals_reference as ref
 from bcgbeat.signals import (
     _BLOCK,
-    ChannelInstances,
+    Preprocessing,
     bandpass_filter,
     build_bags,
     extract_instances,
@@ -76,57 +77,50 @@ def test_find_peaks_spacing_and_maximality(x, min_separation):
     st.one_of(st.integers(0, 6), st.integers(7, 50)),
     st.lists(st.integers(-60, 360), max_size=20),
     st.booleans(),
-    st.integers(0, 3),
 )
-def test_extract_instances_matches_loop(x, half_len, peaks, zscore, channel_id):
-    # peaks unsorted, repeated and at or beyond both edges
+def test_extract_instances_matches_loop(x, half_len, peaks, zscore):
+    # peaks unsorted, repeated and at or beyond both edges: any window
+    # across an edge raises, the ones that fit match the loop
     peaks = np.asarray(peaks, dtype=int)
-    block = extract_instances(x, peaks, half_len, channel_id=channel_id, zscore=zscore)
-    want = ref.extract_instances(x, peaks, half_len, channel_id=channel_id, zscore=zscore)
+    fits = (peaks >= half_len) & (peaks + half_len < x.size)
+    if not fits.all():
+        with pytest.raises(ValueError, match="crosses the boundary"):
+            extract_instances(x, peaks, half_len, zscore)
+    peaks = peaks[fits]
+    got = extract_instances(x, peaks, half_len, zscore)
+    want = ref.extract_instances(x, peaks, half_len, zscore=zscore)
     width = 2 * half_len + 1
-    assert len(block) == len(want)
-    assert block.channel_id == channel_id
-    assert block.features.shape == (len(want), width)
-    assert block.features.dtype == np.float64 and block.features.flags.c_contiguous
+    assert [i.peak_index for i in want] == peaks.tolist()
+    assert got.shape == (len(want), width)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
     want_rows = np.asarray([i.features for i in want], dtype=float).reshape(-1, width)
-    assert block.features.tobytes() == want_rows.tobytes()
-    assert block.peak_indices.dtype == np.asarray(peaks, dtype=int).dtype
-    assert block.peak_indices.tolist() == [i.peak_index for i in want]
+    assert got.tobytes() == want_rows.tobytes()
 
 
 @st.composite
-def blocks(draw, unique_peaks=False):
-    """Up to four channels of peaks in [0, 300]; feature rows name their
-    (channel, row) so misplaced instances show.  Without unique_peaks the
-    peaks are unsorted and may repeat."""
+def candidates(draw, unique_peaks=False):
+    """Up to four channels as `candidate_peaks` yields them, (channel id,
+    signal, peaks in [half_len, 300]), with the Preprocessing record their
+    windows are cut under.  Each signal is noise just long enough for its
+    peaks' windows, so misplaced instances show in the window bytes.
+    Without unique_peaks the peaks are unsorted and may repeat."""
+    pre = Preprocessing(half_len=draw(st.integers(0, 50)), zscore=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    peak = st.integers(pre.half_len, 300)
     out = []
     for ch in range(draw(st.integers(0, 4))):
         if unique_peaks:
-            peaks = sorted(draw(st.sets(st.integers(0, 300), max_size=25)))
+            peaks = sorted(draw(st.sets(peak, max_size=25)))
         else:
-            peaks = draw(st.lists(st.integers(0, 300), max_size=25))
-        n = len(peaks)
-        features = np.column_stack([np.full(n, float(ch)), np.arange(n, dtype=float)])
-        out.append(
-            ChannelInstances(
-                features=features.reshape(n, 2),
-                peak_indices=np.asarray(peaks, dtype=int),
-                channel_id=ch,
-            )
-        )
-    return out
+            peaks = draw(st.lists(peak, max_size=25))
+        x = rng.standard_normal(301 + pre.half_len)
+        out.append((ch, x, np.asarray(peaks, dtype=int)))
+    return out, pre
 
 
 beat_times = st.sets(st.integers(0, 300), max_size=8).map(
     lambda s: np.asarray(sorted(s), dtype=int)
 )
-
-
-def as_windows(block):
-    return [
-        ref.Window(features=w, channel_id=block.channel_id, peak_index=int(p))
-        for w, p in zip(block.features, block.peak_indices)
-    ]
 
 
 def rows(bag):
@@ -138,10 +132,12 @@ def rows(bag):
 
 
 @exact
-@given(blocks(), beat_times, st.integers(0, 5))
-def test_build_bags_matches_loop(chans, beats, per_positive):
-    got = build_bags(chans, beats, per_positive)
-    want = ref.build_bags([as_windows(b) for b in chans], beats, per_positive)
+@given(candidates(), beat_times, st.integers(0, 5))
+def test_build_bags_matches_loop(case, beats, per_positive):
+    chans, pre = case
+    got = build_bags(chans, beats, per_positive, pre)
+    windows = [ref.extract_instances(x, p, pre.half_len, ch, pre.zscore) for ch, x, p in chans]
+    want = ref.build_bags(windows, beats, per_positive)
     assert [(b.label, b.anchor_time, rows(b)) for b in got] == [
         (b.label, b.anchor_time, [(w.channel_id, w.peak_index, w.features.tobytes()) for w in b.windows])
         for b in want
@@ -152,11 +148,12 @@ def test_build_bags_matches_loop(chans, beats, per_positive):
 
 
 @exact
-@given(blocks(unique_peaks=True), beat_times, st.integers(1, 5))
-def test_build_bags_is_a_partition(chans, beats, per_positive):
-    bags = build_bags(chans, beats, per_positive)
+@given(candidates(unique_peaks=True), beat_times, st.integers(1, 5))
+def test_build_bags_is_a_partition(case, beats, per_positive):
+    chans, pre = case
+    bags = build_bags(chans, beats, per_positive, pre)
     placed = [(c, p) for b in bags for c, p, _ in rows(b)]
-    every = [(c.channel_id, p) for c in chans for p in c.peak_indices.tolist()]
+    every = [(ch, p) for ch, _, peaks in chans for p in peaks.tolist()]
     assert sorted(placed) == sorted(every)
     assert len(set(placed)) == len(placed)
     for b in bags:
