@@ -242,22 +242,43 @@ def write_beats(path, beats: list[tuple[int, float]], fs: float) -> None:
             fh.write(f"{int(idx)},{_f(idx / fs)},{_f(conf)}\n")
 
 
-def read_beats(path):
-    """Returns (beat_indices, beat_times_s, confidence_sums)."""
-    idx, times, conf = [], [], []
+def _read_timed_rows(path, header: str, what: str, width: int, time_col: int, parse) -> list:
+    """parse(fields) of each non-blank row after the header line, which
+    must be `header`.  Every row must hold `width` values, and the times
+    in column `time_col` must be finite and strictly increasing; a row that
+    breaks this, or that parse rejects, raises ValueError naming path:line."""
+    rows, last = [], -np.inf
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "beat_index,beat_time_s,confidence_sum":
-            raise ValueError(f"{path}: malformed beats header")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        if fh.readline().strip() != header:
+            raise ValueError(f"{path}: malformed {what} header")
+        for lineno, line in enumerate(fh, 2):
+            fields = line.strip().split(",")
+            if fields == [""]:
                 continue
-            a, b, c = line.split(",")
-            idx.append(int(a))
-            times.append(float(b))
-            conf.append(float(c))
-    return np.asarray(idx, dtype=int), np.asarray(times), np.asarray(conf)
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} values, got {len(fields)}")
+                t = float(fields[time_col])
+                if not np.isfinite(t):
+                    raise ValueError(f"time {t!r} s is not finite")
+                if not t > last:
+                    raise ValueError(f"time {t!r} s does not follow {last!r} s")
+                rows.append(parse(fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            last = t
+    return rows
+
+
+def read_beats(path):
+    """Returns (beat_indices, beat_times_s, confidence_sums); the times
+    must be finite and strictly increasing."""
+    rows = _read_timed_rows(
+        path, "beat_index,beat_time_s,confidence_sum", "beats", 3, 1,
+        lambda f: (int(f[0]), float(f[1]), float(f[2])),
+    )
+    idx, times, conf = zip(*rows) if rows else ((), (), ())
+    return np.asarray(idx, dtype=int), np.asarray(times, dtype=float), np.asarray(conf, dtype=float)
 
 
 # --- HR series CSV ----------------------------------------------------------
@@ -271,19 +292,14 @@ def write_hr(path, series: HrSeries) -> None:
 
 
 def read_hr(path) -> HrSeries:
-    times, bpm = [], []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "window_center_s,hr_bpm":
-            raise ValueError(f"{path}: malformed HR header")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            a, b = line.split(",")
-            times.append(float(a))
-            bpm.append(float(b) if b != "" else np.nan)
-    return HrSeries(times=np.asarray(times), bpm=np.asarray(bpm))
+    """The HR series of a file write_hr wrote: window centres finite and
+    strictly increasing, an empty HR field a gap (NaN)."""
+    rows = _read_timed_rows(
+        path, "window_center_s,hr_bpm", "HR", 2, 0,
+        lambda f: (float(f[0]), float(f[1]) if f[1] != "" else np.nan),
+    )
+    times, bpm = zip(*rows) if rows else ((), ())
+    return HrSeries(times=np.asarray(times, dtype=float), bpm=np.asarray(bpm, dtype=float))
 
 
 # --- key=value files (configs, detection params, reports, sidecars) ---------
@@ -304,8 +320,10 @@ def read_keyvalue(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k in out:
+                raise ValueError(f"{path}:{lineno}: key {k!r} given twice")
+            out[k] = v
     return out
 
 

@@ -137,7 +137,9 @@ class TestSynth:
     )
     def test_setting_outside_its_domain_exits_2(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "synth.conf"
-        cfg.write_text(f"duration_s=30\n{setting}\n")
+        # a config may set a key once, so only a case that leaves it unset gets duration_s=30
+        short = "" if setting.startswith("duration_s=") else "duration_s=30\n"
+        cfg.write_text(f"{short}{setting}\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err == f"error: bad synthesis config: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["synth.conf"]
@@ -694,6 +696,33 @@ class TestDetect:
         assert code == 2
 
 
+def _swap_rows_5_and_6(lines):
+    lines[5], lines[6] = lines[6], lines[5]
+
+
+def _nan_time_in_row_4(lines):
+    idx, _, conf = lines[4].split(",")
+    lines[4] = f"{idx},nan,{conf}"
+
+
+def _drop_last_field_of_row_4(lines):
+    lines[4] = lines[4].rsplit(",", 1)[0] + "\n"
+
+
+def _repeat_first_window(lines):
+    lines.insert(2, lines[1])
+
+
+# (id, estimate file kind, edit of its lines, the line and message its
+# reader gives).  Line 1 is the header, so row k of `lines` is line k + 1.
+UNORDERED_ESTIMATES = [
+    ("beats_out_of_order", "beats", _swap_rows_5_and_6, "7: time "),
+    ("beat_time_nan", "beats", _nan_time_in_row_4, "5: time nan s is not finite"),
+    ("short_beats_row", "beats", _drop_last_field_of_row_4, "5: expected 3 values, got 2"),
+    ("hr_window_repeated", "hr", _repeat_first_window, "3: time 30.0 s does not follow 30.0 s"),
+]
+
+
 class TestEval:
     def test_report_contents(self, workdir):
         report = bio.read_keyvalue(workdir / "report")
@@ -804,6 +833,26 @@ class TestEval:
             ]
         )
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [c[1:] for c in UNORDERED_ESTIMATES], ids=[c[0] for c in UNORDERED_ESTIMATES],
+    )
+    def test_estimate_with_times_it_cannot_order_exits_2(
+        self, workdir, tmp_path, capsys, kind, edit, message
+    ):
+        lines = Path(str(workdir / "det") + f".{kind}.csv").read_text().splitlines(keepends=True)
+        edit(lines)
+        bad = tmp_path / f"bad.{kind}.csv"
+        bad.write_text("".join(lines))
+        hr = bad if kind == "hr" else str(workdir / "det") + ".hr.csv"
+        argv = ["eval", str(workdir / "rec.csv"), "--est-hr", str(hr), "--out", str(tmp_path / "r")]
+        if kind == "beats":
+            argv += ["--est-beats", str(bad)]
+        assert main(argv) == 2
+        what = "beats" if kind == "beats" else "HR series"
+        assert f"cannot read {what}: {bad}:{message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_unreadable_estimate_exits_2(self, workdir, tmp_path):
         code = main(
@@ -940,6 +989,14 @@ class TestParser:
         argv = _detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_config_key_given_twice_exits_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("threshold=1.2\nthreshold=9\n")
+        argv = _detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert f"cannot read config: {cfg}:2: key 'threshold' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "d.beats.csv").exists()
 
 
 GRID_COMMANDS = {

@@ -381,6 +381,23 @@ class TestBeatsRoundtrip:
         with pytest.raises(ValueError, match="malformed beats header"):
             bio.read_beats(p)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("150,1.5,2.0\n100,1.0,2.0\n", "3: time 1.0 s does not follow 1.5 s"),
+         ("150,1.5,2.0\n150,1.5,2.0\n", "3: time 1.5 s does not follow 1.5 s"),
+         ("150,nan,2.0\n", "2: time nan s is not finite"),
+         ("150,1.5,2.0\n\n160,inf,2.0\n", "4: time inf s is not finite"),
+         ("150,1.5\n", "2: expected 3 values, got 2"),
+         ("150,1.5,2.0,7\n", "2: expected 3 values, got 4"),
+         ("x,1.5,2.0\n", "2: invalid literal for int()")],
+        ids=["earlier", "repeated", "nan", "inf_after_blank", "short", "long", "not_a_number"],
+    )
+    def test_rejects_a_row_and_names_its_line(self, tmp_path, rows, message):
+        p = tmp_path / "beats.csv"
+        p.write_text("beat_index,beat_time_s,confidence_sum\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{p}:{message}")):
+            bio.read_beats(p)
+
 
 class TestHrRoundtrip:
     def test_gaps_become_empty_fields_and_back(self, tmp_path):
@@ -402,6 +419,20 @@ class TestHrRoundtrip:
         with pytest.raises(ValueError, match="malformed HR header"):
             bio.read_hr(p)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("30.0,60.0\n30.0,61.0\n", "3: time 30.0 s does not follow 30.0 s"),
+         ("45.0,60.0\n30.0,61.0\n", "3: time 30.0 s does not follow 45.0 s"),
+         ("nan,60.0\n", "2: time nan s is not finite"),
+         ("30.0\n", "2: expected 2 values, got 1")],
+        ids=["repeated", "earlier", "nan", "short"],
+    )
+    def test_rejects_a_row_and_names_its_line(self, tmp_path, rows, message):
+        p = tmp_path / "hr.csv"
+        p.write_text("window_center_s,hr_bpm\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{p}:{message}")):
+            bio.read_hr(p)
+
 
 class TestKeyValue:
     def test_roundtrip_skips_comments_and_blanks(self, tmp_path):
@@ -414,6 +445,12 @@ class TestKeyValue:
         p = tmp_path / "conf"
         p.write_text("alpha=1\njust words\n")
         with pytest.raises(ValueError, match="expected key=value"):
+            bio.read_keyvalue(p)
+
+    def test_rejects_a_key_given_twice(self, tmp_path):
+        p = tmp_path / "conf"
+        p.write_text("threshold=1.2\n# again\n threshold = 9\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:3: key 'threshold' given twice")):
             bio.read_keyvalue(p)
 
 
