@@ -189,3 +189,49 @@ def test_the_cli_reaches_no_pipeline_step_itself():
     }
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert sorted(names & PIPELINE_STEPS) == []
+
+
+# Library entry points that only tests reach: the comparison algorithms
+# (c12), the synth sidecar's template (c06) and the DL-FUMI objective that
+# the c04 oracle evaluates.
+ENTRY_POINTS = (
+    "baselines.wppd_hr", "baselines.en_hr", "baselines.pick_best_channel",
+    "io.read_synth_sidecar_template", "dlfumi.objective",
+)
+
+
+def names_in(tree: ast.AST, strings: bool = False) -> set[str]:
+    """The names `tree` reads, as variables, attributes or imports; with
+    `strings` also the dotted parts of its string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_definition_has_a_caller():
+    """Each top-level function and class of the package is named by
+    another module of it, used in its own module or named by the benchmark
+    (perfbench/*.py, also by string); exactly the entry points are not."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in (SRC / "bcgbeat").glob("*.py")}
+    bench = set().union(*(
+        names_in(ast.parse(p.read_text()), strings=True)
+        for p in (SRC.parent / "perfbench").glob("*.py")
+    ))
+    uncalled = []
+    for module, tree in trees.items():
+        others = set().union(*(names_in(t) for m, t in trees.items() if m != module))
+        named = others | names_in(tree) | bench
+        uncalled += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+        ]
+    assert sorted(uncalled) == sorted(ENTRY_POINTS)
