@@ -415,8 +415,8 @@ def build_bags(
     """Group the candidates' windows into one positive bag per beat plus
     gap negative bags.
 
-    `candidates` holds what `candidate_peaks(rec, pre)` yields: per channel
-    (channel id, filtered channel, peaks whose windows fit inside it).
+    `candidates` is the list of what `candidate_peaks(rec, pre)` yields: per
+    channel (channel id, filtered channel, int peaks whose windows fit).
     Every instance is first assigned to its nearest groundtruth beat
     (ties -> earlier beat).  A beat's positive bag takes, per channel, the
     `per_positive` assigned instances closest in time (ties -> earlier peak
@@ -430,14 +430,12 @@ def build_bags(
     `pre.zscore`) straight into its row of one array, which the bags slice.
     """
     beats = np.asarray(gt_beat_times, dtype=int)
-    candidates = list(candidates)  # read twice: peaks now, channels to cut below
     # Per-instance arrays in candidate order.  lexsort is stable, so
     # instances equal in every key keep this order below.
-    peaks = [np.asarray(p, dtype=int) for _, _, p in candidates]
-    sizes = [p.size for p in peaks]
+    sizes = [p.size for _, _, p in candidates]
     if not sum(sizes):
         return []
-    peak = np.concatenate(peaks)
+    peak = np.concatenate([p for _, _, p in candidates])
     channel = np.repeat([ch_id for ch_id, _, _ in candidates], sizes)
     block = np.repeat(np.arange(len(sizes)), sizes)
     if beats.size == 0:
