@@ -51,6 +51,7 @@ from .metrics import (
     paired_t,
     pearson_r,
     per_window_errors,
+    window_errors,
 )
 from .signals import Preprocessing
 from .synth import SynthConfig, generate
@@ -403,14 +404,11 @@ def cmd_eval(args) -> int:
 
     if args.baseline_hr is not None:
         base_hr = _load(bio.read_hr, args.baseline_hr, "baseline HR")
-        est_rows = {r[0]: r[3] for r in rows}
-        base_rows = {r[0]: r[3] for r in per_window_errors(base_hr, gt_hr)}
-        common = sorted(set(est_rows) & set(base_rows))
-        est_errs = np.asarray([est_rows[t] for t in common])
-        base_errs = np.asarray([base_rows[t] for t in common])
         with _fails(EXIT_EVAL_IMPOSSIBLE, "paired comparison impossible: "):
-            report["paired_t_stat"] = repr(paired_t(est_errs, base_errs))
-        report["paired_t_df"] = len(common) - 1
+            errs = np.stack([window_errors(est_hr, gt_hr), window_errors(base_hr, gt_hr)])
+            errs = errs[:, ~np.isnan(errs).any(axis=0)]
+            report["paired_t_stat"] = repr(paired_t(*errs))
+        report["paired_t_df"] = errs.shape[1] - 1
 
     bio.write_keyvalue(args.out, report)
     with open(args.out + ".windows.csv", "w", encoding="utf-8", newline="\n") as fh:

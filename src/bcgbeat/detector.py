@@ -324,12 +324,11 @@ def learn_detection_params_pooled(
     neighborhoods=DEFAULT_NEIGHBORHOOD_GRID,
     min_votes: int = DetectionParams.min_votes,
     refractory_s: float = DetectionParams.refractory_s,
-    match_tol_s: float = 0.3,
 ) -> DetectionParams:
     """Grid-search the voting threshold and neighborhood for best F1
-    against groundtruth beats (matching within match_tol_s, one-to-one
-    greedy), with counts pooled over the given recordings.  Ties prefer
-    the smaller threshold, then the smaller neighborhood."""
+    against groundtruth beats (matched one-to-one by greedy_match), with
+    counts pooled over the given recordings.  Ties prefer the smaller
+    threshold, then the smaller neighborhood."""
     series_list = list(series_list)
     gt_list = [np.asarray(g) for g in gt_list]
     if not series_list or any(g.size == 0 for g in gt_list):
@@ -356,7 +355,7 @@ def learn_detection_params_pooled(
             for events, gt_s, fs, refractory in masked:
                 beats = _vote(*events, int(nb), min_votes, refractory)
                 est_s = np.asarray([b[0] for b in beats], dtype=float) / fs
-                m = len(greedy_match(est_s, gt_s, match_tol_s))
+                m = len(greedy_match(est_s, gt_s))
                 tp += m
                 fp += est_s.size - m
                 fn += gt_s.size - m

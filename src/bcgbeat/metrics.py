@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest distance (s) at which an estimated beat matches a groundtruth beat.
+BEAT_MATCH_TOL_S = 0.3
+
 
 @dataclass
 class HrSeries:
@@ -48,7 +51,7 @@ class AgreementStats:
 
 
 def greedy_match(
-    est_times: np.ndarray, gt_times: np.ndarray, tol_s: float = 0.3
+    est_times: np.ndarray, gt_times: np.ndarray, tol_s: float = BEAT_MATCH_TOL_S
 ) -> list[tuple[int, int]]:
     """One-to-one greedy matching of two event-time sequences.
 
@@ -78,20 +81,21 @@ def greedy_match(
     return pairs
 
 
+def window_errors(est: HrSeries, gt: HrSeries) -> np.ndarray:
+    """|est - gt| in each window, NaN where either series has a gap.
+    Raises ValueError unless both series hold the same window centres."""
+    if not np.array_equal(est.times, gt.times):
+        a, b = (f"{s.n_windows} windows centred from {s.times[:1].tolist()} s" for s in (est, gt))
+        raise ValueError(f"the series lie on different HR window grids: {a} vs {b}")
+    return np.abs(est.bpm - gt.bpm)
+
+
 def per_window_errors(est: HrSeries, gt: HrSeries):
-    """(time, est, gt, abs err) rows over the windows whose centers
-    coincide in both series, gaps in either dropped."""
-    j = np.searchsorted(gt.times, est.times)
-    j = np.clip(j, 0, max(gt.times.size - 1, 0))
-    rows = []
-    for i in range(est.times.size):
-        for jj in (j[i] - 1, j[i], j[i] + 1):
-            if 0 <= jj < gt.times.size and abs(gt.times[jj] - est.times[i]) < 1e-6:
-                e, g = est.bpm[i], gt.bpm[jj]
-                if not (np.isnan(e) or np.isnan(g)):
-                    rows.append((float(est.times[i]), float(e), float(g), abs(float(e - g))))
-                break
-    return rows
+    """(time, est, gt, abs err) rows over the windows of the one grid both
+    series lie on (see window_errors), gaps in either dropped."""
+    err = window_errors(est, gt)
+    keep = ~np.isnan(err)
+    return list(zip(*(a[keep].tolist() for a in (est.times, est.bpm, gt.bpm, err))))
 
 
 def mae(est: HrSeries, gt: HrSeries) -> float:
@@ -102,18 +106,16 @@ def mae(est: HrSeries, gt: HrSeries) -> float:
     return float(np.mean([r[3] for r in rows]))
 
 
-def matched_interval_pairs(
-    est_beats_s: np.ndarray, gt_beats_s: np.ndarray, tol_s: float = 0.3
-):
+def matched_interval_pairs(est_beats_s: np.ndarray, gt_beats_s: np.ndarray):
     """Beat-to-beat intervals over consecutively matched beat pairs.
 
-    Matches beats one-to-one (greedy, within tol_s) and keeps intervals
+    Matches beats one-to-one (greedy_match) and keeps intervals
     whose endpoints are matched consecutively in both sequences.  Returns
     (est_intervals, gt_intervals) in seconds.
     """
     est = np.asarray(est_beats_s, dtype=float)
     gt = np.asarray(gt_beats_s, dtype=float)
-    pairs = greedy_match(est, gt, tol_s)
+    pairs = greedy_match(est, gt)
     e_iv, g_iv = [], []
     for (i0, j0), (i1, j1) in zip(pairs, pairs[1:]):
         if i1 == i0 + 1 and j1 == j0 + 1:
@@ -122,11 +124,9 @@ def matched_interval_pairs(
     return np.asarray(e_iv), np.asarray(g_iv)
 
 
-def bbi_relative_error(
-    est_beats_s: np.ndarray, gt_beats_s: np.ndarray, tol_s: float = 0.3
-) -> float:
+def bbi_relative_error(est_beats_s: np.ndarray, gt_beats_s: np.ndarray) -> float:
     """Mean relative beat-to-beat-interval error in percent."""
-    e_iv, g_iv = matched_interval_pairs(est_beats_s, gt_beats_s, tol_s)
+    e_iv, g_iv = matched_interval_pairs(est_beats_s, gt_beats_s)
     if e_iv.size == 0:
         raise ValueError("no consecutively matched beat pairs")
     return float(np.mean(np.abs(e_iv - g_iv) / g_iv) * 100.0)

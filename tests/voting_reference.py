@@ -14,9 +14,10 @@ from bcgbeat.detector import (
     ConfidenceSeries,
     DetectionParams,
 )
+from bcgbeat.metrics import BEAT_MATCH_TOL_S
 
 
-def greedy_match(est_times, gt_times, tol_s=0.3):
+def greedy_match(est_times, gt_times, tol_s=BEAT_MATCH_TOL_S):
     est = np.asarray(est_times, dtype=float)
     gt = np.asarray(gt_times, dtype=float)
     cand = []
@@ -74,7 +75,6 @@ def learn_detection_params_pooled(
     neighborhoods=DEFAULT_NEIGHBORHOOD_GRID,
     min_votes=2,
     refractory_s=0.3,
-    match_tol_s=0.3,
 ):
     series_list = list(series_list)
     gt_list = [np.asarray(g) for g in gt_list]
@@ -95,7 +95,7 @@ def learn_detection_params_pooled(
                 gt_s = np.asarray(gt_beat_times, dtype=float) / series.fs
                 beats = vote_beats(series, params)
                 est_s = np.asarray([b[0] for b in beats], dtype=float) / series.fs
-                m = len(greedy_match(est_s, gt_s, match_tol_s))
+                m = len(greedy_match(est_s, gt_s))
                 tp += m
                 fp += est_s.size - m
                 fn += gt_s.size - m
