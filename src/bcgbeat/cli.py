@@ -382,11 +382,8 @@ def cmd_eval(args) -> int:
         report["mae_bpm"] = repr(mae(est_hr, gt_hr))
     rows = per_window_errors(est_hr, gt_hr)
     report["n_windows_compared"] = len(rows)
-    if len(rows) >= 2:
-        e = np.asarray([r[1] for r in rows])
-        g = np.asarray([r[2] for r in rows])
-        with suppress(ValueError):
-            report["pearson_r"] = repr(pearson_r(e, g))
+    with suppress(ValueError):  # fewer than two windows, or a constant series
+        report["pearson_r"] = repr(pearson_r(*np.asarray(rows)[:, 1:3].T))
 
     if args.est_beats is not None:
         _, est_times, _ = _load(bio.read_beats, args.est_beats, "beats")
@@ -413,8 +410,7 @@ def cmd_eval(args) -> int:
     bio.write_keyvalue(args.out, report)
     with open(args.out + ".windows.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("window_center_s,est_bpm,gt_bpm,abs_err_bpm\n")
-        for t, e, g, err in rows:
-            fh.write(f"{t!r},{e!r},{g!r},{err!r}\n")
+        fh.writelines(f"{t!r},{e!r},{g!r},{err!r}\n" for t, e, g, err in rows)
     for k, v in report.items():
         print(f"{k}={v}")
     return EXIT_OK

@@ -362,12 +362,7 @@ def learn_detection_params_pooled(
             f1 = 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
             if f1 > best_f1:
                 best_f1 = f1
-                best = DetectionParams(
-                    threshold=float(thr),
-                    neighborhood=int(nb),
-                    min_votes=min_votes,
-                    refractory_s=refractory_s,
-                )
+                best = DetectionParams(float(thr), int(nb), min_votes, refractory_s)
     return best
 
 

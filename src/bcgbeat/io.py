@@ -291,12 +291,20 @@ def write_hr(path, series: HrSeries) -> None:
             fh.write(f"{_f(t)},{'' if np.isnan(v) else _f(v)}\n")
 
 
+def _bpm(field: str) -> float:
+    """An HR field: empty for a gap (NaN), else a finite number > 0."""
+    v = float(field) if field else np.nan
+    if field and not 0.0 < v < np.inf:
+        raise ValueError(f"HR {v!r} bpm is not a finite number > 0")
+    return v
+
+
 def read_hr(path) -> HrSeries:
     """The HR series of a file write_hr wrote: window centres finite and
-    strictly increasing, an empty HR field a gap (NaN)."""
+    strictly increasing, an HR value empty for a gap (NaN) or finite and
+    > 0."""
     rows = _read_timed_rows(
-        path, "window_center_s,hr_bpm", "HR", 2, 0,
-        lambda f: (float(f[0]), float(f[1]) if f[1] != "" else np.nan),
+        path, "window_center_s,hr_bpm", "HR", 2, 0, lambda f: (float(f[0]), _bpm(f[1]))
     )
     times, bpm = zip(*rows) if rows else ((), ())
     return HrSeries(times=np.asarray(times, dtype=float), bpm=np.asarray(bpm, dtype=float))

@@ -2,7 +2,9 @@
 
 The estimators (detector and baselines) emit HrSeries objects on a common
 sliding-window grid; everything here compares two such series, or two beat
-sequences, without caring where they came from.
+sequences, without caring where they came from.  HR series compare only on
+one grid (equal window centres, else ValueError); beats match within
+BEAT_MATCH_TOL_S, the one tolerance of eval and the voting-parameter grid.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def window_errors(est: HrSeries, gt: HrSeries) -> np.ndarray:
     """|est - gt| in each window, NaN where either series has a gap.
     Raises ValueError unless both series hold the same window centres."""
     if not np.array_equal(est.times, gt.times):
-        a, b = (f"{s.n_windows} windows centred from {s.times[:1].tolist()} s" for s in (est, gt))
+        a, b = (f"{s.n_windows} windows, first centres {s.times[:2].tolist()} s" for s in (est, gt))
         raise ValueError(f"the series lie on different HR window grids: {a} vs {b}")
     return np.abs(est.bpm - gt.bpm)
 

@@ -713,14 +713,35 @@ def _repeat_first_window(lines):
     lines.insert(2, lines[1])
 
 
+def _hr_of_row_2(text):
+    def edit(lines):
+        lines[2] = lines[2].split(",")[0] + f",{text}\n"
+    return edit
+
+
 # (id, estimate file kind, edit of its lines, the line and message its
 # reader gives).  Line 1 is the header, so row k of `lines` is line k + 1.
-UNORDERED_ESTIMATES = [
+UNREADABLE_ESTIMATES = [
     ("beats_out_of_order", "beats", _swap_rows_5_and_6, "7: time "),
     ("beat_time_nan", "beats", _nan_time_in_row_4, "5: time nan s is not finite"),
     ("short_beats_row", "beats", _drop_last_field_of_row_4, "5: expected 3 values, got 2"),
     ("hr_window_repeated", "hr", _repeat_first_window, "3: time 30.0 s does not follow 30.0 s"),
+    ("hr_inf", "hr", _hr_of_row_2("inf"), "3: HR inf bpm is not a finite number > 0"),
+    ("hr_negative", "hr", _hr_of_row_2("-70"), "3: HR -70.0 bpm is not a finite number > 0"),
+    ("hr_nan_text", "hr", _hr_of_row_2("nan"), "3: HR nan bpm is not a finite number > 0"),
 ]
+
+
+@pytest.fixture(scope="module")
+def det30(workdir):
+    """The workdir recording's estimate on a 30-s HR window grid, and the
+    config that made it."""
+    cfg = workdir / "w30.conf"
+    cfg.write_text("window_s=30\n")
+    out = workdir / "det30"
+    argv = ["detect", str(workdir / "rec.csv"), "--dict", str(workdir / "model.csv")]
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    return Path(str(out) + ".hr.csv"), cfg
 
 
 class TestEval:
@@ -836,9 +857,9 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "kind, edit, message",
-        [c[1:] for c in UNORDERED_ESTIMATES], ids=[c[0] for c in UNORDERED_ESTIMATES],
+        [c[1:] for c in UNREADABLE_ESTIMATES], ids=[c[0] for c in UNREADABLE_ESTIMATES],
     )
-    def test_estimate_with_times_it_cannot_order_exits_2(
+    def test_estimate_with_a_row_it_rejects_exits_2(
         self, workdir, tmp_path, capsys, kind, edit, message
     ):
         lines = Path(str(workdir / "det") + f".{kind}.csv").read_text().splitlines(keepends=True)
@@ -853,6 +874,41 @@ class TestEval:
         what = "beats" if kind == "beats" else "HR series"
         assert f"cannot read {what}: {bad}:{message}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_estimate_on_another_window_grid_exits_5(self, workdir, det30, tmp_path, capsys):
+        est_hr, _ = det30
+        out = tmp_path / "r"
+        assert main(["eval", str(workdir / "rec.csv"), "--est-hr", str(est_hr), "--out", str(out)]) == 5
+        assert (
+            "HR comparison impossible: the series lie on different HR window grids: "
+            "5 windows, first centres [15.0, 30.0] s vs 3 windows, first centres [30.0, 45.0] s"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".windows.csv").exists()
+
+    def test_estimate_scored_on_its_own_window_grid(self, workdir, det30, tmp_path):
+        est_hr, cfg = det30
+        out = tmp_path / "r"
+        argv = ["eval", str(workdir / "rec.csv"), "--config", str(cfg), "--est-hr", str(est_hr)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert int(bio.read_keyvalue(out)["n_windows_compared"]) == 5
+        assert bio.read_hr(est_hr).n_windows == 5
+
+    def test_baseline_on_another_window_grid_exits_5(self, workdir, tmp_path, capsys):
+        rec = bio.read_recording(workdir / "rec.csv")
+        base_path = tmp_path / "base.hr.csv"
+        bio.write_hr(base_path, wppd_hr(rec.channels[0], rec.sample_rate_hz, step_s=10.0))
+        out = tmp_path / "r"
+        code = main(
+            ["eval", str(workdir / "rec.csv"), "--est-hr", str(workdir / "det") + ".hr.csv",
+             "--baseline-hr", str(base_path), "--out", str(out)]
+        )
+        assert code == 5
+        assert (
+            "paired comparison impossible: the series lie on different HR window grids: "
+            "4 windows, first centres [30.0, 40.0] s vs 3 windows"
+        ) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_estimate_exits_2(self, workdir, tmp_path):
         code = main(

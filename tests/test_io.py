@@ -424,8 +424,12 @@ class TestHrRoundtrip:
         [("30.0,60.0\n30.0,61.0\n", "3: time 30.0 s does not follow 30.0 s"),
          ("45.0,60.0\n30.0,61.0\n", "3: time 30.0 s does not follow 45.0 s"),
          ("nan,60.0\n", "2: time nan s is not finite"),
-         ("30.0\n", "2: expected 2 values, got 1")],
-        ids=["repeated", "earlier", "nan", "short"],
+         ("30.0\n", "2: expected 2 values, got 1"),
+         ("30.0,60.0\n45.0,inf\n", "3: HR inf bpm is not a finite number > 0"),
+         ("30.0,-70\n", "2: HR -70.0 bpm is not a finite number > 0"),
+         ("30.0,0\n", "2: HR 0.0 bpm is not a finite number > 0"),
+         ("30.0,nan\n", "2: HR nan bpm is not a finite number > 0")],
+        ids=["repeated", "earlier", "nan", "short", "hr_inf", "hr_negative", "hr_zero", "hr_nan_text"],
     )
     def test_rejects_a_row_and_names_its_line(self, tmp_path, rows, message):
         p = tmp_path / "hr.csv"

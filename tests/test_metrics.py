@@ -1,9 +1,14 @@
 """Evaluation statistics tests: MAE, BBI error, Bland-Altman, correlation."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bcgbeat.metrics import (
+    BEAT_MATCH_TOL_S,
     HrSeries,
     bbi_relative_error,
     bland_altman,
@@ -49,6 +54,42 @@ class TestMae:
             mae(a, b)
         with pytest.raises(ValueError):
             mae(series([30.0], [70.0]), series([999.0], [70.0]))
+
+
+class TestOneGrid:
+    GT = ([30, 45, 60], [70.0, 72.0, 71.0])
+
+    @pytest.mark.parametrize(
+        "times, est_grid",
+        [([31, 46, 61], "3 windows, first centres [31.0, 46.0] s"),
+         ([30, 40, 50], "3 windows, first centres [30.0, 40.0] s"),
+         ([30, 45], "2 windows, first centres [30.0, 45.0] s")],
+        ids=["shifted", "other_step", "one_window_fewer"],
+    )
+    def test_series_on_another_grid_are_an_error(self, times, est_grid):
+        est = series(times, [70.0] * len(times))
+        message = f"different HR window grids: {est_grid} vs 3 windows, first centres [30.0, 45.0] s"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            per_window_errors(est, series(*self.GT))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mae(est, series(*self.GT))
+
+    def test_empty_series_is_on_another_grid(self):
+        with pytest.raises(ValueError, match=re.escape("0 windows, first centres [] s vs 3 windows")):
+            mae(series([], []), series(*self.GT))
+
+
+def test_benchmark_matches_beats_under_the_same_tolerance():
+    """perfbench/run.py scores beat_f1 with its own MATCH_TOL_S; read it
+    without importing the benchmark, so its F1 and eval cannot drift."""
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    values = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(run_py.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "MATCH_TOL_S" for t in node.targets)
+    ]
+    assert values == [BEAT_MATCH_TOL_S]
 
 
 class TestGreedyMatch:
