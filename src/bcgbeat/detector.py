@@ -9,6 +9,13 @@ voting turns per-channel confidences into beat decisions, and two HR
 estimators (beat-to-beat and spectral) turn those into windowed series.
 `train_model` and `detect_recording` run the whole pipeline on recordings
 in memory, and are what the CLI's `train` and `detect` run.
+
+Training picks the voting threshold and neighborhood on a grid scored as
+one table (score_grid): matched and voted beats at every point.  The
+events above each threshold are one segment, and vote_segments votes the
+segments of many thresholds in one pass of array operations;
+metrics.match_segments matches them.  vote_beats and metrics.greedy_match
+are the one-segment calls of the same two cores.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .dlfumi import Dictionary, FitResult, FumiParams, fit, safe_step_length
-from .metrics import HrSeries, greedy_match
+from .metrics import BEAT_MATCH_TOL_S, HrSeries, match_segments
 from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, bag_columns, build_bags
 from .signals import candidate_peaks, extract_instances
 
@@ -256,47 +263,139 @@ def _sorted_events(series: ConfidenceSeries):
     return idx[order], ch[order], conf[order]
 
 
-def _vote(idx, ch, conf, neighborhood: int, min_votes: int, refractory: int):
-    """vote_beats on supra-threshold events already in _sorted_events order
-    (any subset of a sorted event list is still sorted)."""
-    n = idx.size
-    if n == 0:
-        return []
-    # Clusters tile the events: each runs from its anchor to the first event
-    # more than `neighborhood` samples later, which anchors the next one.
-    # A cluster always holds its anchor, even for a negative neighborhood.
-    nxt = np.searchsorted(idx, idx + neighborhood, side="right")
-    nxt = np.maximum(nxt, np.arange(1, n + 1)).tolist()
-    anchors = []
-    i = 0
-    while i < n:
-        anchors.append(i)
-        i = nxt[i]
-    starts = np.asarray(anchors)
-    sizes = np.diff(starts, append=n)
-    votes = np.zeros(starts.size, dtype=int)
-    for c in np.unique(ch):
-        votes += np.logical_or.reduceat(ch == c, starts)
-    keep = votes >= min_votes
-    starts, sizes = starts[keep], sizes[keep]
-    if starts.size == 0:
-        return []
-    # int(np.median(...)) of the cluster's (sorted) indices
-    med = ((idx[starts + (sizes - 1) // 2] + idx[starts + sizes // 2]) / 2).astype(int)
-    # Confidence sums added left to right, as sum() over the cluster does;
-    # a pairwise reduction would round differently on long clusters.
+# Below this many chains left, the cluster and refractory walks step them
+# one at a time.
+_FEW_CHAINS = 16
+
+
+def _cluster_starts(key, gap, neighborhood: int) -> np.ndarray:
+    """The first event of each cluster, over events whose (segment, index)
+    keys are `key` (sorted) with gaps gap = diff(key).
+
+    Clusters tile each segment: each runs from its anchor to the first
+    event more than `neighborhood` samples later, which anchors the next
+    one; a cluster always holds its anchor, even for a negative
+    neighborhood.  A segment's first event, and an event more than
+    `neighborhood` after the one before it, anchor a cluster for sure (a
+    head).  From every head a chain steps along the anchors that follow,
+    all chains at once, until it reaches the next head; the last few
+    chains, on long runs of close events, go on one at a time."""
+    n = key.size
+    nxt = np.searchsorted(key, key + neighborhood, side="right")
+    np.maximum(nxt, np.arange(1, n + 1), out=nxt)
+    head = np.ones(n + 1, dtype=bool)
+    np.greater(gap, neighborhood, out=head[1:n])
+    anchor = head[:n].copy()
+    chains = nxt[anchor]
+    chains = chains[~head[chains]]
+    while chains.size > _FEW_CHAINS:
+        anchor[chains] = True
+        chains = nxt[chains]
+        chains = chains[~head[chains]]
+    if chains.size:
+        heads = np.flatnonzero(head)
+        ends = heads[np.searchsorted(heads, chains, side="right")]
+        tail = []
+        for a, end in zip(chains.tolist(), ends.tolist()):
+            step = nxt[a:end].tolist()  # a chain's run of close events
+            first = a
+            while a < end:
+                tail.append(a)
+                a = step[a - first]
+        anchor[tail] = True
+    return np.flatnonzero(anchor)
+
+
+def _sums_left_to_right(conf, starts, sizes) -> np.ndarray:
+    """Each cluster's confidence sum, added left to right as sum() over the
+    cluster does; a pairwise reduction would round differently on long
+    clusters.  Clusters are stepped longest first, so the ones still
+    adding at step k are a prefix."""
+    order = np.argsort(-sizes, kind="stable")
+    first = starts[order]
+    longer = np.cumsum(np.bincount(sizes)[::-1])[::-1]  # longer[k]: clusters of size >= k
     sums = np.zeros(starts.size)
-    for k in range(int(sizes.max())):
-        live = sizes > k
-        sums[live] += conf[starts[live] + k]
-    beats: list[tuple[int, float]] = []
-    for b, s in zip(med.tolist(), sums.tolist()):
-        if beats and b - beats[-1][0] < refractory:
-            if s > beats[-1][1]:
-                beats[-1] = (b, s)
-        else:
-            beats.append((b, s))
-    return beats
+    for k in range(1, longer.size):
+        m = longer[k]
+        sums[:m] += conf[first[:m] + (k - 1)]
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
+def _refractory_beats(seg, med, sums, refractory: int) -> np.ndarray:
+    """Which voted clusters (in segment and time order) stay beats: one
+    closer than `refractory` to the beat before it replaces that beat if
+    its sum is larger, and is dropped otherwise.  A cluster at least
+    `refractory` after the cluster before it, or first in its segment,
+    always starts a new beat, so the rule runs on each run of close
+    clusters alone: all runs step at once, and the last few go on one at a
+    time."""
+    beat = np.ones(med.size, dtype=bool)  # first of its run, for now
+    beat[1:] = (seg[1:] != seg[:-1]) | (med[1:] - med[:-1] >= refractory)
+    run = np.flatnonzero(beat)
+    length = np.diff(run, append=med.size)
+    beat[run[length > 1]] = False
+    run, length = run[length > 1], length[length > 1]
+    last = run.copy()  # each run's beat so far
+    k = 1
+    while run.size > _FEW_CHAINS:
+        pos = run + k
+        close = med[pos] - med[last] < refractory
+        beat[last[~close]] = True
+        last = np.where(close & (sums[pos] <= sums[last]), last, pos)
+        k += 1
+        done = length == k
+        beat[last[done]] = True
+        run, length, last = run[~done], length[~done], last[~done]
+    final = []
+    for r, m, b in zip(run.tolist(), length.tolist(), last.tolist()):
+        run_med, run_sums = med[r : r + m].tolist(), sums[r : r + m].tolist()
+        b -= r
+        for pos in range(k, m):
+            if run_med[pos] - run_med[b] >= refractory:
+                final.append(r + b)
+                b = pos
+            elif run_sums[pos] > run_sums[b]:
+                b = pos
+        final.append(r + b)
+    beat[final] = True
+    return beat
+
+
+def vote_segments(idx, ch, conf, bounds, neighborhoods, min_votes: int, refractory: int):
+    """vote_beats on segments of supra-threshold events, for each of the
+    neighborhoods in turn: segment s holds events bounds[s] to
+    bounds[s+1] - 1 of (idx, ch, conf), in _sorted_events order (any
+    subset of a sorted event list is still sorted).  Every segment is
+    voted at once.  Yields, per neighborhood, the (segment, beat index,
+    confidence sum) arrays of the beats, in segment and time order.
+    """
+    n = idx.size
+    seg = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    if n == 0:
+        for _ in neighborhoods:
+            yield seg, np.empty(0, dtype=int), np.empty(0)
+        return
+    # (segment, index) keys, sorted; segments lie further apart than any
+    # neighborhood reaches.
+    off = idx - idx.min()
+    key = seg * (int(off.max()) + max([0, *neighborhoods]) + 1) + off
+    gap = np.diff(key)
+    channels = [ch == c for c in np.flatnonzero(np.bincount(ch))]
+    for nb in neighborhoods:
+        starts = _cluster_starts(key, gap, nb)
+        votes = np.zeros(starts.size, dtype=int)
+        for on in channels:
+            votes += np.logical_or.reduceat(on, starts)
+        keep = votes >= min_votes
+        sizes = np.diff(starts, append=n)[keep]
+        starts = starts[keep]
+        # int(np.median(...)) of the cluster's (sorted) indices
+        med = ((idx[starts + (sizes - 1) // 2] + idx[starts + sizes // 2]) / 2).astype(int)
+        sums = _sums_left_to_right(conf, starts, sizes)
+        beat = _refractory_beats(seg[starts], med, sums, refractory)
+        yield seg[starts[beat]], med[beat], sums[beat]
 
 
 def vote_beats(
@@ -309,12 +408,82 @@ def vote_beats(
     `neighborhood` samples of its first event.  Confirmed beats must stay
     at least the refractory apart; on a conflict the cluster with the
     higher summed confidence wins (earlier beat on an exact tie).
-    Returns (beat_index, confidence_sum) pairs in time order.
+    Returns (beat_index, confidence_sum) pairs in time order.  This is
+    vote_segments on one segment.
     """
     idx, ch, conf = _sorted_events(series)
     keep = conf > params.threshold
     refractory = int(round(params.refractory_s * series.fs))
-    return _vote(idx[keep], ch[keep], conf[keep], params.neighborhood, params.min_votes, refractory)
+    bounds = [0, int(np.count_nonzero(keep))]
+    ((_, beats, sums),) = vote_segments(
+        idx[keep], ch[keep], conf[keep], bounds, [params.neighborhood], params.min_votes, refractory
+    )
+    return list(zip(beats.tolist(), sums.tolist()))
+
+
+# Per recording, the grid holds the events above the thresholds of one
+# pass, at most this many times the recording's events (and at least one
+# threshold's).
+_GRID_PASS_EVENTS = 4
+
+
+def _threshold_passes(conf: np.ndarray, thresholds: np.ndarray):
+    """Consecutive slices of the thresholds, each holding at most
+    _GRID_PASS_EVENTS times conf.size events above them (or one threshold)."""
+    above = conf.size - np.searchsorted(np.sort(conf), thresholds, side="right")
+    cap = _GRID_PASS_EVENTS * conf.size
+    a, held = 0, 0
+    for b, m in enumerate(above.tolist()):
+        if b > a and held + m > cap:
+            yield slice(a, b)
+            a, held = b, 0
+        held += m
+    yield slice(a, thresholds.size)
+
+
+def score_grid(
+    series_list,
+    gt_list,
+    thresholds=DEFAULT_THRESHOLD_GRID,
+    neighborhoods=DEFAULT_NEIGHBORHOOD_GRID,
+    min_votes: int = DetectionParams.min_votes,
+    refractory_s: float = DetectionParams.refractory_s,
+):
+    """Matched and voted beat counts over the (threshold, neighborhood)
+    grid, pooled over the recordings: two int arrays shaped
+    (len(thresholds), len(neighborhoods)).  A point's beats are those
+    vote_beats gives, matched to the groundtruth beats as greedy_match
+    matches them, through the same cores (vote_segments, match_segments).
+
+    Per recording and neighborhood, the events above each threshold are
+    one segment, and the segments of several thresholds are voted and
+    matched in one pass; a pass holds a few times the recording's events
+    (_threshold_passes)."""
+    series_list = list(series_list)
+    gt_list = [np.asarray(g) for g in gt_list]
+    if not series_list or any(g.size == 0 for g in gt_list):
+        raise ValueError("groundtruth beats required to learn detection parameters")
+    thresholds = np.asarray(thresholds, dtype=float)
+    tp = np.zeros((thresholds.size, len(neighborhoods)), dtype=int)
+    n_est = np.zeros_like(tp)
+    for series, gt in zip(series_list, gt_list):
+        idx, ch, conf = _sorted_events(series)
+        gt_s = np.asarray(gt, dtype=float) / series.fs
+        refractory = int(round(refractory_s * series.fs))
+        for rows in _threshold_passes(conf, thresholds):
+            # (threshold, event) pairs in threshold-major order
+            t, e = np.nonzero(conf > thresholds[rows, None])
+            bounds = np.searchsorted(t, np.arange(rows.stop - rows.start + 1))
+            events = idx[e], ch[e], conf[e]
+            del t, e
+            nbs = [int(nb) for nb in neighborhoods]
+            for col, (seg, beats, _) in enumerate(
+                vote_segments(*events, bounds, nbs, min_votes, refractory)
+            ):
+                matched, _ = match_segments(beats / series.fs, seg, gt_s, BEAT_MATCH_TOL_S)
+                tp[rows, col] += np.bincount(seg[matched], minlength=bounds.size - 1)
+                n_est[rows, col] += np.bincount(seg, minlength=bounds.size - 1)
+    return tp, n_est
 
 
 def learn_detection_params_pooled(
@@ -326,40 +495,19 @@ def learn_detection_params_pooled(
     refractory_s: float = DetectionParams.refractory_s,
 ) -> DetectionParams:
     """Grid-search the voting threshold and neighborhood for best F1
-    against groundtruth beats (matched one-to-one by greedy_match), with
-    counts pooled over the given recordings.  Ties prefer the smaller
-    threshold, then the smaller neighborhood."""
-    series_list = list(series_list)
-    gt_list = [np.asarray(g) for g in gt_list]
-    if not series_list or any(g.size == 0 for g in gt_list):
-        raise ValueError("groundtruth beats required to learn detection parameters")
-    # Events are sorted once per recording; each threshold is a mask on them.
-    recordings = [
-        (
-            _sorted_events(series),
-            np.asarray(gt, dtype=float) / series.fs,
-            series.fs,
-            int(round(refractory_s * series.fs)),
-        )
-        for series, gt in zip(series_list, gt_list)
-    ]
+    against groundtruth beats, with counts pooled over the given
+    recordings (score_grid).  Ties prefer the smaller threshold, then the
+    smaller neighborhood: the first best point in threshold-major order."""
+    series_list, gt_list = list(series_list), [np.asarray(g) for g in gt_list]
+    tp, n_est = score_grid(series_list, gt_list, thresholds, neighborhoods, min_votes, refractory_s)
+    n_gt = sum(g.size for _, g in zip(series_list, gt_list))
     best = None
     best_f1 = -1.0
-    for thr in thresholds:
-        masked = []
-        for (idx, ch, conf), gt_s, fs, refractory in recordings:
-            keep = conf > float(thr)
-            masked.append(((idx[keep], ch[keep], conf[keep]), gt_s, fs, refractory))
-        for nb in neighborhoods:
-            tp = fp = fn = 0
-            for events, gt_s, fs, refractory in masked:
-                beats = _vote(*events, int(nb), min_votes, refractory)
-                est_s = np.asarray([b[0] for b in beats], dtype=float) / fs
-                m = len(greedy_match(est_s, gt_s))
-                tp += m
-                fp += est_s.size - m
-                fn += gt_s.size - m
-            f1 = 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+    for row, thr in enumerate(thresholds):
+        for col, nb in enumerate(neighborhoods):
+            m = int(tp[row, col])
+            fp, fn = int(n_est[row, col]) - m, n_gt - m
+            f1 = 2.0 * m / (2.0 * m + fp + fn) if (2 * m + fp + fn) else 0.0
             if f1 > best_f1:
                 best_f1 = f1
                 best = DetectionParams(float(thr), int(nb), min_votes, refractory_s)

@@ -205,20 +205,36 @@ def gamma_matrix(D: Dictionary, scale: float, target_atoms_old: np.ndarray | Non
     return scale * (bg.T @ tgt) / np.outer(bn, tn)
 
 
+def _gram(atoms: np.ndarray) -> np.ndarray:
+    """atoms^T atoms as fit() forms it: a general product of two operands.
+    NumPy runs `A.T @ A` on one array as a symmetric rank-k update, which
+    rounds differently at some shapes (T+M = 18 among them)."""
+    return atoms.T @ atoms.copy()
+
+
 def _column_sq_norms(R: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", R, R)
 
 
 def _residual_sq_norms(
-    x_sq: np.ndarray, A: np.ndarray, corr: np.ndarray, gram: np.ndarray
+    x_sq: np.ndarray,
+    A: np.ndarray,
+    corr: np.ndarray,
+    gram: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Column squared norms of X - B A without forming the residuals:
     ||x||^2 - 2 a^T (B^T x) + a^T (B^T B) a per column, clamped at 0.
 
     x_sq holds ||x||^2 per column of X, corr = B^T X and gram = B^T B must
-    be current for the atoms B the codes A (K, N) refer to.
+    be current for the atoms B the codes A (K, N) refer to.  work, when
+    given, is a pair of C-contiguous blocks shaped like A that receive
+    gram @ A - 2 corr, so a loop of calls allocates them once.
     """
-    r = x_sq + np.einsum("ij,ij->j", A, gram @ A - 2.0 * corr)
+    prod, twice = (None, None) if work is None else work
+    prod = np.matmul(gram, A, out=prod)
+    prod -= np.multiply(corr, 2.0, out=twice)
+    r = x_sq + np.einsum("ij,ij->j", A, prod)
     return np.maximum(r, 0.0, out=r)
 
 
@@ -344,42 +360,57 @@ def update_products(
     A_neg: np.ndarray,
     p_pos: np.ndarray,
     psi: float,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> UpdateProducts:
     """UpdateProducts of the positive-bag instances Xp (d, N_pos), their
     codes A_pos (T+M, N_pos) and posteriors p_pos, and the negative-bag
     instances Xn (d, N_neg) with their background codes A_neg (M, N_neg):
-    two data GEMMs and three code grams."""
+    two data GEMMs and three code grams.  work, when given, is a pair of
+    C-contiguous blocks shaped like A_pos that receive the weighted codes,
+    so a loop of iterations allocates them once."""
     T = A_pos.shape[0] - A_neg.shape[0]
     pc = _clamp_posteriors(p_pos)
     A_tgt, A_bg = A_pos[:T], A_pos[T:]
-    weighted = pc * A_pos
+    weighted, W = (np.empty_like(A_pos), np.empty_like(A_pos)) if work is None else work
+    np.multiply(A_pos, pc, out=weighted)
+    W[:T] = weighted[:T]
+    W[T:] = A_bg
+    xp = Xp @ W.T
+    # W's rows are free again: (1-pc) * A_bg, then p * A_tgt * A_tgt
+    rest, mass = W[T:], W[:T]
+    np.multiply(1.0 - pc, A_bg, out=rest)
+    np.multiply(p_pos, A_tgt, out=mass)
+    mass *= A_tgt
     return UpdateProducts(
-        xp=Xp @ np.vstack([weighted[:T], A_bg]).T,
+        xp=xp,
         xn=Xn @ A_neg.T,
         gram_pos=A_pos @ weighted.T,
-        gram_bg=A_bg @ ((1.0 - pc) * A_bg).T,
+        gram_bg=A_bg @ rest.T,
         gram_neg=A_neg @ A_neg.T,
-        target_mass=np.sum(p_pos * A_tgt * A_tgt, axis=1),
+        target_mass=np.sum(mass, axis=1),
         background_den=psi * np.einsum("ij,ij->i", A_bg, A_bg)
         + np.einsum("ij,ij->i", A_neg, A_neg),
         psi=float(psi),
     )
 
 
-def target_atom_update(P: UpdateProducts, D: Dictionary, t: int):
+def target_atom_update(P: UpdateProducts, D: Dictionary, t: int, atoms: np.ndarray | None = None):
     """Closed-form minimizer of the expected objective over target atom t,
     everything else held fixed, before renormalization.
 
     Reads column t of the iteration's products P.  Returns None (stale)
     when the update is undefined because sum_i P_i * a_it^2 is exactly
     zero.  The positive-bag weight psi cancels and does not appear.
+    atoms, when given, is D.atoms, which a caller updating atom after atom
+    keeps itself rather than stacking it anew for each.
     """
     if P.target_mass[t] == 0.0:
         return None
+    atoms = D.atoms if atoms is None else atoms
     g = P.gram_pos[:, t]
     den = g[t]
     # R_full_pos @ (pc a_t), with R_full_pos = Xp - D A_pos never formed
-    return (P.xp[:, t] - D.atoms @ g + den * D.target_atoms[:, t]) / den
+    return (P.xp[:, t] - atoms @ g + den * atoms[:, t]) / den
 
 
 def background_atom_update(
@@ -388,6 +419,7 @@ def background_atom_update(
     k: int,
     gamma: np.ndarray,
     target_atoms_old: np.ndarray,
+    atoms: np.ndarray | None = None,
 ):
     """Closed-form minimizer of the expected objective over background
     atom k, everything else held fixed, including the cross-coherence pull
@@ -395,17 +427,19 @@ def background_atom_update(
 
     Reads column k of the background blocks of the iteration's products
     P.  Returns the atom before renormalization, or None (stale) when
-    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.
+    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.  atoms, when
+    given, is D.atoms, as in target_atom_update.
     """
     den = P.background_den[k]
     if den == 0.0:
         return None
     T = D.n_target
     bg = D.background_atoms
+    atoms = D.atoms if atoms is None else atoms
     # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a) + R_bg_neg @ a_neg, with
     # the two Xp products folded into Xp @ a and the residuals never formed
     raw = (
-        P.psi * (P.xp[:, T + k] - D.atoms @ P.gram_pos[:, T + k] - bg @ P.gram_bg[:, k])
+        P.psi * (P.xp[:, T + k] - atoms @ P.gram_pos[:, T + k] - bg @ P.gram_bg[:, k])
         + P.xn[:, k]
         - bg @ P.gram_neg[:, k]
         + den * bg[:, k]
@@ -505,7 +539,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     A_pos_bg = kernels.ista_negative(
         G_bg, D_bg.T @ Xp, np.zeros((M, n_pos)), params.lam, eta_bg, _WARMUP_STEPS
     )
-    R_init = Xp - D_bg @ A_pos_bg
+    R_init = D_bg @ A_pos_bg
+    np.subtract(Xp, R_init, out=R_init)
     resid = _column_sq_norms(R_init)
     order = sorted(range(n_pos), key=lambda j: (-resid[j], j))
     D_tgt = np.empty((d, T))
@@ -514,23 +549,36 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         if j < len(order):
             a = _normalize_or_none(R_init[:, order[j]])
         D_tgt[:, j] = a if a is not None else _random_unit(d, rng)
+    del R_init  # a (d, N_pos) block that EM never reads
 
     D = Dictionary(D_tgt, D_bg)
-    eta = safe_step_length(D)
-    G = D.atoms.T @ D.atoms
+    # D.atoms stacks the blocks anew on each read; EM keeps its own copy,
+    # written beside the blocks.
+    atoms = D.atoms
+    eta = safe_step_length(atoms)
+    G = _gram(atoms)
     corr_pos = np.vstack([D.target_atoms.T @ Xp, D.background_atoms.T @ Xp])
     A_pos = kernels.ista_negative(
         G, corr_pos, np.vstack([np.zeros((T, n_pos)), A_pos_bg]), params.lam, eta, _WARMUP_STEPS
     )
+
+    # Work blocks by shape, allocated once: the update products' weighted
+    # codes and the residual norms' gram @ A - 2 corr.
+    blocks_by_shape = {}
+
+    def work(shape):
+        if shape not in blocks_by_shape:
+            blocks_by_shape[shape] = (np.empty(shape), np.empty(shape))
+        return blocks_by_shape[shape]
 
     def sq_norms():
         """Residual squared norms per column (full positive, background
         positive, background negative) for the current codes; G, G_bg,
         corr_pos and corr_neg belong to the atoms the codes were fit to."""
         return (
-            _residual_sq_norms(Xp_sq, A_pos, corr_pos, G),
-            _residual_sq_norms(Xp_sq, A_pos[T:], corr_pos[T:], G_bg),
-            _residual_sq_norms(Xn_sq, A_neg, corr_neg, G_bg),
+            _residual_sq_norms(Xp_sq, A_pos, corr_pos, G, work(A_pos.shape)),
+            _residual_sq_norms(Xp_sq, A_pos[T:], corr_pos[T:], G_bg, work((M, n_pos))),
+            _residual_sq_norms(Xn_sq, A_neg, corr_neg, G_bg, work(A_neg.shape)),
         )
 
     def reseed(Xc, R):
@@ -557,43 +605,43 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         p_pos = e_step(norms[1], params.beta)
 
         tgt_old = D.target_atoms.copy()
-        atoms_before = D.atoms.copy()
+        atoms_before = atoms.copy()
         gamma = gamma_matrix(D, params.gamma, tgt_old)
 
         # --- M-step: sequential closed-form atom updates ------------------
         # Targets first, then backgrounds; each update sees the atoms as
         # updated so far.  A stale atom is kept, and re-seeded after
         # _STALE_LIMIT stale iterations in a row.
-        products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
+        products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi, work(A_pos.shape))
         blocks = (
-            (D.target_atoms, stale[:T], Xp, lambda: D.atoms @ A_pos,
-             lambda j: target_atom_update(products, D, j)),
-            (D.background_atoms, stale[T:], Xn, lambda: D.background_atoms @ A_neg,
-             lambda j: background_atom_update(products, D, j, gamma, tgt_old)),
+            (D.target_atoms, 0, Xp, lambda: atoms @ A_pos,
+             lambda j: target_atom_update(products, D, j, atoms)),
+            (D.background_atoms, T, Xn, lambda: D.background_atoms @ A_neg,
+             lambda j: background_atom_update(products, D, j, gamma, tgt_old, atoms)),
         )
-        for atoms, stale_block, Xc, recon, update in blocks:
-            for j in range(atoms.shape[1]):
+        for block, first, Xc, recon, update in blocks:
+            for j in range(block.shape[1]):
                 raw = update(j)
                 new_atom = raw if raw is None else _normalize_or_none(raw)
                 if new_atom is not None:
-                    stale_block[j] = 0
+                    stale[first + j] = 0
                 else:
-                    stale_block[j] += 1
-                    if stale_block[j] < _STALE_LIMIT:
+                    stale[first + j] += 1
+                    if stale[first + j] < _STALE_LIMIT:
                         continue
                     new_atom = reseed(Xc, Xc - recon())
-                    stale_block[j] = 0
-                atoms[:, j] = new_atom
+                    stale[first + j] = 0
+                block[:, j] = atoms[:, first + j] = new_atom
 
         # --- code updates --------------------------------------------------
-        eta = safe_step_length(D)
+        eta = safe_step_length(atoms)
         eta_bg = safe_step_length(D.background_atoms)
-        G = D.atoms.T @ D.atoms
+        G = _gram(atoms)
         G_bg = D.background_atoms.T @ D.background_atoms
-        corr_pos = np.vstack(
-            [D.target_atoms.T @ Xp, D.background_atoms.T @ Xp]
-        )
-        corr_neg = D.background_atoms.T @ Xn
+        # the correlations are overwritten in place: nothing reads the old ones
+        np.matmul(D.target_atoms.T, Xp, out=corr_pos[:T])
+        np.matmul(D.background_atoms.T, Xp, out=corr_pos[T:])
+        np.matmul(D.background_atoms.T, Xn, out=corr_neg)
         # One call of inner_iters steps, or single steps each followed by
         # the objective when tracing.
         steps = [1] * params.inner_iters if inner_objective_trace else [params.inner_iters]
@@ -611,7 +659,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
 
         trace.append(objective_now(norms, gamma, tgt_old))
 
-        atom_change = np.linalg.norm(D.atoms - atoms_before, axis=0).max()
+        atom_change = np.linalg.norm(atoms - atoms_before, axis=0).max()
         if atom_change < params.tol:
             stop_reason = "tol"
             break

@@ -9,9 +9,20 @@ is a (K, N) array, correlations Dᵀ·X likewise.
 Each kernel call allocates its code and gradient blocks once and runs every
 step in them: `gram @ A` goes to a preallocated block through
 `matmul(out=)`, the gradient and the step are formed in place, and the prox
-writes the new codes back into A.  Every arithmetic operation, and its
-order, is that of the plain expressions in the docstrings, so the codes
-are bit for bit those of the unbuffered loops.
+writes the new codes back into A.  Every arithmetic operation of the
+gradient step, and its order, is that of the plain expressions in the
+docstrings, and the prox gives soft_threshold's bits, so the codes are bit
+for bit those of the unbuffered loops.  ista_positive forms 1 - post once
+per call.
+
+The prox, soft_threshold = sign(v) * max(|v| - thr, 0), is formed as
+v - clip(v, -thr, thr) given the sign of v + 0: four passes.  Before the
+last step a kernel runs only the first two.  Their value is
+soft_threshold's, but a negative v inside the threshold gives +0 where
+soft_threshold gives -0.  No later step can see that sign: a product or
+sum with a zero has the value it has with either zero, and the next prox
+output depends only on the value of its input.  So only the last step
+sets the sign bits.
 """
 
 import numpy as np
@@ -20,15 +31,35 @@ BACKEND = "numpy"
 
 
 def soft_threshold(v: np.ndarray, thr, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise sign(v) * max(|v| - thr, 0); thr broadcasts against v.
+    """Elementwise sign(v) * max(|v| - thr, 0) for thr >= 0, which
+    broadcasts against v.
 
     out, when given, has v's shape and receives the result; it may be v
     itself, which applies the prox in place."""
-    mag = np.abs(v)
-    mag -= thr
+    # v + 0 turns -0 into +0, so its sign bit is set exactly where
+    # sign(v) = -1, and it is the sign the result takes inside the band.
+    sign = np.add(v, 0.0)
+    res = np.clip(sign, -thr, thr, out=out)
     # a scalar v gives a NumPy scalar, which cannot be an out= buffer
-    mag = np.maximum(mag, 0.0, out=mag if np.ndim(mag) else None)
-    return np.multiply(np.sign(v, out=out), mag, out=out)
+    res = np.subtract(sign, res, out=res if np.ndim(res) else None)
+    return np.copysign(res, sign, out=res if np.ndim(res) else None)
+
+
+def _prox_step(v: np.ndarray, thr, neg_thr, out: np.ndarray, last: bool) -> None:
+    """soft_threshold(v, thr) into out; before the last step only its value
+    (see the module docstring), in two passes.  neg_thr is -thr."""
+    if last:
+        soft_threshold(v, thr, out=out)
+    else:
+        v.clip(neg_thr, thr, out=out)
+        np.subtract(v, out, out=out)
+
+
+def _check_threshold(lam: float, eta: float) -> float:
+    thr = eta * lam
+    if not thr >= 0.0:
+        raise ValueError(f"the prox threshold eta*lam must be >= 0, got {eta!r}*{lam!r}")
+    return thr
 
 
 def ista_negative(
@@ -44,18 +75,19 @@ def ista_negative(
 
     Minimizes 0.5*||x - B a||^2 + lam*||a||_1 per instance, where
     gram = BᵀB (K, K) and corr = BᵀX (K, N).  Each iteration is a full
-    gradient step of length eta followed by soft-thresholding at eta*lam:
+    gradient step of length eta followed by soft-thresholding at eta*lam
+    (which must be >= 0):
         A = soft_threshold(A - eta * (gram @ A - corr), eta * lam)
     """
     A = np.array(codes0, dtype=float, order="C")
     step = np.empty_like(A)
-    thr = eta * lam
-    for _ in range(n_iter):
+    thr = _check_threshold(lam, eta)
+    for it in range(n_iter):
         np.matmul(gram, A, out=step)
         step -= corr
         step *= eta
         np.subtract(A, step, out=step)
-        soft_threshold(step, thr, out=A)
+        _prox_step(step, thr, -thr, A, it == n_iter - 1)
     return A
 
 
@@ -67,6 +99,7 @@ def positive_gradient(
     A: np.ndarray,
     n_target: int,
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    one_minus_post: np.ndarray | None = None,
 ):
     """Gradient of the expected reconstruction cost at codes A.
 
@@ -80,16 +113,17 @@ def positive_gradient(
 
     out, when given, is a pair of C-contiguous work blocks shaped
     (K, N) and (M, N); the gradient is formed in the first, and the two
-    blocks returned are its row views.
+    blocks returned are its row views.  one_minus_post, when given, is
+    1 - post, so that a loop of gradients forms it once.
     """
     ga, gb = (None, None) if out is None else out
+    q = 1.0 - post if one_minus_post is None else one_minus_post
     ga = np.matmul(gram, A, out=ga)
     gb = np.matmul(gram_bg, A[n_target:], out=gb)
     grad_t, grad_b = ga[:n_target], ga[n_target:]
     grad_t -= corr[:n_target]
-    grad_t *= post
-    grad_b *= post
-    gb *= 1.0 - post
+    ga *= post  # both blocks: post * (... - corr) on top, post * (gram @ A) below
+    gb *= q
     grad_b += gb
     grad_b -= corr[n_target:]
     return grad_t, grad_b
@@ -110,21 +144,26 @@ def ista_positive(
 
     Each iteration is a full step of length eta along positive_gradient
     followed by the weighted-L1 prox: soft-thresholding at eta*lam*p on the
-    target block and eta*lam on the background block.  At post == 1 this
-    is plain lasso coding on the full dictionary; ista_negative with
-    gram = DᵀD gives the same codes without the background product and the
-    products with post.
+    target block and eta*lam (which must be >= 0) on the background block.
+    At post == 1 this is plain lasso coding on the full dictionary;
+    ista_negative with gram = DᵀD gives the same codes without the
+    background product and the products with post.
     """
     A = np.array(codes0, dtype=float, order="C")
     post = np.asarray(post, dtype=float)
     work = (np.empty_like(A), np.empty_like(A[n_target:]))
     step = work[0]
-    thr_t = eta * lam * post
-    thr_b = eta * lam
-    for _ in range(n_iter):
-        positive_gradient(gram, gram_bg, corr, post, A, n_target, out=work)
+    one_minus_post = 1.0 - post
+    thr_b = _check_threshold(lam, eta)
+    thr_t = thr_b * post
+    blocks = (
+        (step[:n_target], thr_t, -thr_t, A[:n_target]),
+        (step[n_target:], thr_b, -thr_b, A[n_target:]),
+    )
+    for it in range(n_iter):
+        positive_gradient(gram, gram_bg, corr, post, A, n_target, work, one_minus_post)
         step *= eta
         np.subtract(A, step, out=step)
-        soft_threshold(step[:n_target], thr_t, out=A[:n_target])
-        soft_threshold(step[n_target:], thr_b, out=A[n_target:])
+        for v, thr, neg_thr, out in blocks:
+            _prox_step(v, thr, neg_thr, out, it == n_iter - 1)
     return A

@@ -52,35 +52,64 @@ class AgreementStats:
     n: int
 
 
-def greedy_match(
-    est_times: np.ndarray, gt_times: np.ndarray, tol_s: float = BEAT_MATCH_TOL_S
-) -> list[tuple[int, int]]:
-    """One-to-one greedy matching of two event-time sequences.
+def match_segments(est: np.ndarray, seg: np.ndarray, gt: np.ndarray, tol_s: float):
+    """greedy_match of each segment's estimates against the one sorted
+    groundtruth gt: est holds the estimates of all segments, sorted within
+    each, and seg the segment of each (non-decreasing).  Returns the
+    (est index, gt index) arrays of the matched pairs, in no set order.
 
-    Candidate pairs within tol_s are taken closest-first (ties prefer the
-    earlier estimate index, then the earlier groundtruth index); each event
-    matches at most once.  Returns (est_index, gt_index) pairs sorted by
-    estimate index.
-    """
-    est = np.asarray(est_times, dtype=float)
-    gt = np.asarray(gt_times, dtype=float)
+    Candidate pairs within tol_s are ranked by (distance, est index, gt
+    index).  Each round takes every pair that ranks first among the pairs
+    left at both of its ends, and drops the pairs that share an end with
+    one taken.  Such a pair is one the closest-first pass would take when
+    it came to it, since no pair before it touches its ends, and every
+    dropped pair is one that pass would refuse; so the rounds take exactly
+    the pairs of that pass.  A groundtruth beat is matched once per
+    segment, and pairs of different segments never share an end."""
     lo = np.searchsorted(gt, est - tol_s, side="left")
     hi = np.searchsorted(gt, est + tol_s, side="right")
     counts = np.maximum(hi - lo, 0)
     # every (i, j) with lo[i] <= j < hi[i], ordered by (distance, i, j)
     i = np.repeat(np.arange(est.size), counts)
     j = np.arange(i.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    dist = np.abs(est[i] - gt[j])
-    order = np.lexsort((j, i, dist))
-    used_e = [False] * est.size
-    used_g = [False] * gt.size
-    pairs: list[tuple[int, int]] = []
-    for a, b in zip(i[order].tolist(), j[order].tolist()):
-        if not used_e[a] and not used_g[b]:
-            used_e[a] = used_g[b] = True
-            pairs.append((a, b))
-    pairs.sort()
-    return pairs
+    order = np.lexsort((j, i, np.abs(est[i] - gt[j])))
+    i, j = i[order], j[order]
+    g = seg[i] * gt.size + j  # the groundtruth end, one node per segment
+    free_e = np.ones(est.size, dtype=bool)
+    free_g = np.ones((int(seg[-1]) + 1 if seg.size else 0) * gt.size, dtype=bool)
+    taken_i, taken_j = [], []
+    while i.size:
+        rank = np.arange(i.size)
+        first_e = np.full(free_e.size, i.size)
+        np.minimum.at(first_e, i, rank)
+        first_g = np.full(free_g.size, i.size)
+        np.minimum.at(first_g, g, rank)
+        take = (first_e[i] == rank) & (first_g[g] == rank)
+        taken_i.append(i[take])
+        taken_j.append(j[take])
+        free_e[i[take]] = False
+        free_g[g[take]] = False
+        left = free_e[i] & free_g[g]
+        i, j, g = i[left], j[left], g[left]
+    empty = np.empty(0, dtype=int)
+    return np.concatenate([empty, *taken_i]), np.concatenate([empty, *taken_j])
+
+
+def greedy_match(
+    est_times: np.ndarray, gt_times: np.ndarray, tol_s: float = BEAT_MATCH_TOL_S
+) -> list[tuple[int, int]]:
+    """One-to-one greedy matching of two sorted event-time sequences.
+
+    Candidate pairs within tol_s are taken closest-first (ties prefer the
+    earlier estimate index, then the earlier groundtruth index); each event
+    matches at most once.  Returns (est_index, gt_index) pairs sorted by
+    estimate index.  This is match_segments on one segment.
+    """
+    est = np.asarray(est_times, dtype=float)
+    gt = np.asarray(gt_times, dtype=float)
+    i, j = match_segments(est, np.zeros(est.size, dtype=int), gt, tol_s)
+    order = np.argsort(i)
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def window_errors(est: HrSeries, gt: HrSeries) -> np.ndarray:

@@ -166,7 +166,9 @@ def generate(config: SynthConfig) -> SynthResult:
     base = np.sort(base)
     idx = np.round(base * cfg.fs).astype(int)
     keep = (idx >= 0) & (idx < n)
-    idx = np.unique(idx[keep])
+    # the sorted distinct indices (np.unique would import numpy.ma)
+    idx = np.sort(idx[keep])
+    idx = idx[np.diff(idx, prepend=idx[:1] - 1) != 0]
 
     def place(train: np.ndarray, center: int, gain: float):
         lo = center - h
