@@ -437,6 +437,33 @@ class TestLearnDetectionParams:
         pooled = learn_detection_params_pooled([series, series], [gt, gt])
         assert single == pooled
 
+    def test_peak_memory_is_a_few_times_the_events(self):
+        """A pass of the grid holds the events above a few thresholds of one
+        recording, at most four times its events, so with every confidence
+        above every threshold the search peaks at 5.8x the bytes of the
+        (index, channel, confidence) events of three recordings.  All 41
+        thresholds of a recording in one pass took about 50x."""
+        rng = np.random.default_rng(0)
+        n = 3000
+        series_list = [
+            ConfidenceSeries(
+                fs=FS,
+                n_samples=n,
+                peak_indices=[np.sort(rng.integers(0, n, 300)) for _ in range(4)],
+                confidences=[np.full(300, 9.0) for _ in range(4)],
+            )
+            for _ in range(3)
+        ]
+        gt_list = [np.arange(50, n, 85)] * 3
+        event_bytes = 3 * 4 * 300 * 24
+        tracemalloc.start()
+        try:
+            learn_detection_params_pooled(series_list, gt_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.0 * event_bytes
+
 
 class TestWindowStarts:
     def test_default_grid_over_three_minutes(self):

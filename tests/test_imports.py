@@ -1,6 +1,6 @@
-"""Import footprint: no command loads scipy, the package and the CLI
-load no module they do not use, and no module imports a name it does not
-use.
+"""Import footprint: no command loads scipy or numpy.ma, the package and
+the CLI load no module they do not use, and no module imports a name it
+does not use.
 
 Every check runs in a fresh interpreter, since this test process has
 long since imported scipy itself (the oracle tests use it).
@@ -120,6 +120,23 @@ def test_detect_loads_no_scipy(inputs, tmp_path, flags):
             "--out", tmp_path / "d"]
     assert modules_after(cli_code(argv), "scipy") == set()
     assert (tmp_path / "d.hr.csv").exists()
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique loads numpy.ma (for np.ma.is_masked) on its first call,
+    some 10 ms per command; synth, train, detect and detect --dft do
+    without it, as eval does."""
+    d = tmp_path
+    cfg = d / "synth.conf"
+    cfg.write_text("duration_s=70\nhr_bpm=66\nsnr_db=10\n")
+    chain = cli_code(
+        ["synth", "--config", cfg, "--seed", "3", "--out", d / "rec.csv"],
+        ["train", d / "rec.csv", "--max_em_iters", "2", "--out", d / "m.csv"],
+        ["detect", d / "rec.csv", "--dict", d / "m.csv", "--out", d / "det"],
+        ["detect", d / "rec.csv", "--dict", d / "m.csv", "--dft", "--out", d / "dft"],
+    )
+    assert modules_after(chain, "numpy.ma") == set()
+    assert (d / "dft.hr.csv").exists()
 
 
 def test_pipeline_runs_with_scipy_blocked(tmp_path):

@@ -3,7 +3,8 @@
 These are the straightforward per-event implementations that the array
 versions in bcgbeat.detector and bcgbeat.metrics replaced.  They are kept
 only as the reference that tests/test_voting_exact.py compares against:
-both must return identical beats, matches and chosen parameters.
+both must return identical beats, matches, grid counts and chosen
+parameters.
 """
 
 import numpy as np
@@ -66,6 +67,30 @@ def vote_beats(series: ConfidenceSeries, params: DetectionParams):
         else:
             beats.append((idx, s))
     return beats
+
+
+def score_grid(
+    series_list,
+    gt_list,
+    thresholds=DEFAULT_THRESHOLD_GRID,
+    neighborhoods=DEFAULT_NEIGHBORHOOD_GRID,
+    min_votes=2,
+    refractory_s=0.3,
+):
+    """Pooled (matched, voted) beat counts per (threshold, neighborhood),
+    one vote_beats and one greedy_match per point and recording."""
+    tp = np.zeros((len(thresholds), len(neighborhoods)), dtype=int)
+    n_est = np.zeros_like(tp)
+    for row, thr in enumerate(thresholds):
+        for col, nb in enumerate(neighborhoods):
+            params = DetectionParams(float(thr), int(nb), min_votes, refractory_s)
+            for series, gt_beat_times in zip(series_list, gt_list):
+                gt_s = np.asarray(gt_beat_times, dtype=float) / series.fs
+                beats = vote_beats(series, params)
+                est_s = np.asarray([b[0] for b in beats], dtype=float) / series.fs
+                tp[row, col] += len(greedy_match(est_s, gt_s))
+                n_est[row, col] += est_s.size
+    return tp, n_est
 
 
 def learn_detection_params_pooled(
