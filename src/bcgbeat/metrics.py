@@ -69,10 +69,11 @@ def match_segments(est: np.ndarray, seg: np.ndarray, gt: np.ndarray, tol_s: floa
     lo = np.searchsorted(gt, est - tol_s, side="left")
     hi = np.searchsorted(gt, est + tol_s, side="right")
     counts = np.maximum(hi - lo, 0)
-    # every (i, j) with lo[i] <= j < hi[i], ordered by (distance, i, j)
+    # every (i, j) with lo[i] <= j < hi[i], made in (i, j) order, so a
+    # stable sort on the distance orders them by (distance, i, j)
     i = np.repeat(np.arange(est.size), counts)
     j = np.arange(i.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    order = np.lexsort((j, i, np.abs(est[i] - gt[j])))
+    order = np.argsort(np.abs(est[i] - gt[j]), kind="stable")
     i, j = i[order], j[order]
     g = seg[i] * gt.size + j  # the groundtruth end, one node per segment
     free_e = np.ones(est.size, dtype=bool)
