@@ -499,6 +499,7 @@ def learn_detection_params_pooled(
     recordings (score_grid).  Ties prefer the smaller threshold, then the
     smaller neighborhood: the first best point in threshold-major order."""
     series_list, gt_list = list(series_list), [np.asarray(g) for g in gt_list]
+    thresholds, neighborhoods = list(thresholds), list(neighborhoods)
     tp, n_est = score_grid(series_list, gt_list, thresholds, neighborhoods, min_votes, refractory_s)
     n_gt = sum(g.size for _, g in zip(series_list, gt_list))
     best = None
