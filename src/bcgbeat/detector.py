@@ -464,7 +464,8 @@ def score_grid(
     if not series_list or any(g.size == 0 for g in gt_list):
         raise ValueError("groundtruth beats required to learn detection parameters")
     thresholds = np.asarray(thresholds, dtype=float)
-    tp = np.zeros((thresholds.size, len(neighborhoods)), dtype=int)
+    nbs = [int(nb) for nb in neighborhoods]
+    tp = np.zeros((thresholds.size, len(nbs)), dtype=int)
     n_est = np.zeros_like(tp)
     for series, gt in zip(series_list, gt_list):
         idx, ch, conf = _sorted_events(series)
@@ -476,7 +477,6 @@ def score_grid(
             bounds = np.searchsorted(t, np.arange(rows.stop - rows.start + 1))
             events = idx[e], ch[e], conf[e]
             del t, e
-            nbs = [int(nb) for nb in neighborhoods]
             for col, (seg, beats, _) in enumerate(
                 vote_segments(*events, bounds, nbs, min_votes, refractory)
             ):
