@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .dlfumi import Dictionary, FitResult, FumiParams, fit, safe_step_length
 from .metrics import BEAT_MATCH_TOL_S, HrSeries, match_segments
-from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, bag_columns, build_bags
+from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, build_bags
 from .signals import candidate_peaks, extract_instances
 
 log = logging.getLogger(__name__)
@@ -129,7 +129,8 @@ class Model:
 
 def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> BackgroundModel:
     """Sample covariance (n-1 normalization) of background instances, the
-    columns of a (d, n) array.
+    columns of a (d, n) float array that it centers in place: np.cov's
+    arithmetic, bit for bit, without np.cov's copy of the instances.
 
     The result must be positive definite; if `ridge` does not achieve
     that it is raised automatically (starting at 1e-6 * trace / d) and the
@@ -139,7 +140,8 @@ def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> Backgrou
     d, n = X.shape
     if n < 1:
         raise ValueError("need at least one instance")
-    S = np.zeros((d, d)) if n == 1 else np.cov(X, ddof=1)
+    X -= X.mean(axis=1)[:, None]
+    S = np.dot(X, X.T) * (1.0 / (n - 1)) if n > 1 else np.zeros((d, d))
     eff = float(ridge)
     for _ in range(60):
         try:
@@ -633,22 +635,18 @@ def train_model(
     # Each recording is filtered and peak-picked once, for its bags and
     # for the voting-parameter grid.
     candidates = [list(candidate_peaks(rec, pre)) for rec in recordings]
-    bags = [
-        bag
-        for rec, cands in zip(recordings, candidates)
-        for bag in build_bags(cands, rec.gt_beat_times, per_positive, pre)
-    ]
+    gt = [rec.gt_beat_times for rec in recordings]
+    blocks = build_bags(candidates, gt, per_positive, pre)
     try:
-        result = fit(bags, params, seed)
+        result = fit(blocks.Xp, blocks.Xn, params, seed)
     except ValueError as exc:
         raise ValueError(f"training failed: {exc}") from exc
-    background = background_covariance(bag_columns(bags, 0))
-    del bags  # the grid cuts its own windows, one chunk at a time
+    background = background_covariance(blocks.Xn)  # spends the negative block
+    del blocks  # the grid cuts its own windows, one chunk at a time
     series_list = [
         confidence_series(rec, result.dictionary, background, params.lam, code_iters, pre, cands)
         for rec, cands in zip(recordings, candidates)
     ]
-    gt = [rec.gt_beat_times for rec in recordings]
     detection = learn_detection_params_pooled(
         series_list, gt, min_votes=min_votes, refractory_s=refractory_s
     )

@@ -2,7 +2,9 @@
 
 Learns a concept dictionary D = [D_tgt | D_bg] from labeled bags of
 instances: positive bags are only guaranteed to contain at least one true
-target instance, negative bags contain none.  An EM loop alternates
+target instance, negative bags contain none.  Every step works per
+instance, so the learner reads two instance blocks, Xp (d, N_pos) of the
+positive bags and Xn (d, N_neg) of the negative ones.  An EM loop alternates
 
   E-step   (e_step) per-instance probability that a positive-bag
            instance is a true target, driven by how badly the background
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .signals import Bag, bag_columns
 
 log = logging.getLogger(__name__)
 
@@ -125,10 +126,10 @@ class Dictionary:
 class FitResult:
     """Everything fit() produces.
 
-    codes is a (T+M, N) matrix over the canonical flattening of the input
-    bags (bag order, instance order within each bag); target rows are zero
-    for negative-bag instances.  posteriors holds P(z=1) per instance and
-    is exactly 0 on negative bags.
+    codes is a (T+M, N_pos + N_neg) matrix whose columns are those of the
+    positive block, then those of the negative block; target rows are zero
+    for negative-bag instances.  posteriors holds P(z=1) per instance in
+    the same order and is exactly 0 on negative bags.
 
     stop_reason says why EM stopped: "tol" when no atom moved more than
     params.tol in the last iteration, "max_iter" when it ran
@@ -141,25 +142,16 @@ class FitResult:
     codes: np.ndarray
     posteriors: np.ndarray
     objective_trace: list[float]
-    is_positive: np.ndarray
-    psi: float
     n_iterations: int
     stop_reason: str
     last_objective_rel_change: float
     inner_objective_trace: list[np.ndarray] = field(default_factory=list)
 
 
-def _is_positive(bags: list[Bag]) -> np.ndarray:
-    """Per instance, in bag order: whether its bag is positive."""
-    return np.repeat([b.label == 1 for b in bags], [len(b) for b in bags])
-
-
-def resolve_psi(is_positive: np.ndarray, params: FumiParams) -> float:
+def resolve_psi(n_pos: int, n_neg: int, params: FumiParams) -> float:
     """params.psi, defaulting to the negative/positive instance count ratio."""
     if params.psi is not None:
         return float(params.psi)
-    n_pos = int(np.count_nonzero(is_positive))
-    n_neg = int(is_positive.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("psi default needs both positive and negative instances")
     return n_neg / n_pos
@@ -270,7 +262,8 @@ def _objective_from_sq_norms(
 
 
 def objective(
-    bags: list[Bag],
+    Xp: np.ndarray,
+    Xn: np.ndarray,
     D: Dictionary,
     codes: np.ndarray,
     posteriors: np.ndarray,
@@ -278,7 +271,8 @@ def objective(
     gamma: np.ndarray | None = None,
     target_atoms_old: np.ndarray | None = None,
 ) -> float:
-    """Expected objective value over all bag instances.
+    """Expected objective value over the instances of the positive block
+    Xp (d, N_pos) and the negative block Xn (d, N_neg).
 
     Sums, per instance with weight w (psi on positive bags, 1 otherwise),
 
@@ -286,18 +280,18 @@ def objective(
               + lam * (P(z=1)*||a_tgt||_1 + ||a_bg||_1) )
 
     plus the cross-coherence penalty sum_kt gamma[k,t] <d_bg_k, d_tgt_t_old>.
-    `codes` is a (T+M, N) matrix over the canonical bag flattening.  When
+    `codes` (T+M, N_pos + N_neg) and `posteriors` (N_pos + N_neg,) list
+    the columns of Xp, then those of Xn, as FitResult does.  When
     gamma / target_atoms_old are omitted they are taken from D itself
     (self-consistent evaluation); pass the frozen per-iteration values to
     reproduce the EM surrogate exactly.
     """
-    X, is_pos = bag_columns(bags), _is_positive(bags)
+    n_pos, n_neg = Xp.shape[1], Xn.shape[1]
     codes = np.asarray(codes, dtype=float)
     posteriors = np.asarray(posteriors, dtype=float)
-    if codes.shape != (D.n_target + D.n_background, X.shape[1]):
-        raise ValueError("codes matrix shape does not match bags and dictionary")
-    Xp, A_pos = X[:, is_pos], codes[:, is_pos]
-    Xn, A_neg = X[:, ~is_pos], codes[D.n_target:, ~is_pos]
+    if codes.shape != (D.n_target + D.n_background, n_pos + n_neg):
+        raise ValueError("codes matrix shape does not match the instances and dictionary")
+    A_pos, A_neg = codes[:, :n_pos], codes[D.n_target:, n_pos:]
     bg = D.background_atoms
     tgt_old = D.target_atoms if target_atoms_old is None else target_atoms_old
     if gamma is None:
@@ -308,8 +302,8 @@ def objective(
         _column_sq_norms(Xn - bg @ A_neg),
         A_pos,
         A_neg,
-        posteriors[is_pos],
-        resolve_psi(is_pos, params),
+        posteriors[:n_pos],
+        resolve_psi(n_pos, n_neg, params),
         params.lam,
         bg,
         gamma,
@@ -459,7 +453,8 @@ def _farthest_point_init(Xn: np.ndarray, m: int, rng: np.random.Generator) -> np
     d, n = Xn.shape
     norms = np.linalg.norm(Xn, axis=0)
     ok = norms > 0
-    U = np.where(ok, 1.0, 0.0) * Xn / np.where(ok, norms, 1.0)
+    U = np.multiply(np.where(ok, 1.0, 0.0), Xn)
+    U /= np.where(ok, norms, 1.0)
     atoms = np.empty((d, m))
     first = int(rng.integers(n))
     chosen = [first]
@@ -487,10 +482,12 @@ def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / n
 
 
-def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trace: bool = False) -> FitResult:
-    """Run the full EM learner on labeled bags.
+def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
+        inner_objective_trace: bool = False) -> FitResult:
+    """Run the full EM learner on the instance blocks Xp (d, N_pos) of the
+    positive bags and Xn (d, N_neg) of the negative ones, read in place.
 
-    Deterministic given (bags, params, seed).  Background atoms start from
+    Deterministic given (Xp, Xn, params, seed).  Background atoms start from
     farthest-point-sampled negative instances (cosine distance), target
     atoms from the positive instances the initial background dictionary
     reconstructs worst (their background-removed residuals, normalized);
@@ -513,15 +510,14 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     to be non-increasing.
     """
     params.validate()
-    if not any(b.label == 1 for b in bags):
+    Xp, Xn = np.ascontiguousarray(Xp, dtype=float), np.ascontiguousarray(Xn, dtype=float)
+    if Xp.shape[1] == 0:
         raise ValueError("cannot learn target concept: no positive bags")
-    if all(b.label == 1 for b in bags):
+    if Xn.shape[1] == 0:
         raise ValueError("cannot model background: no negative bags")
-    Xp, Xn = bag_columns(bags, 1), bag_columns(bags, 0)
-    is_pos = _is_positive(bags)
     d, n_pos = Xp.shape
     n_neg = Xn.shape[1]
-    psi = resolve_psi(is_pos, params)
+    psi = resolve_psi(n_pos, n_neg, params)
     T, M = params.T, params.M
     rng = np.random.default_rng(seed)
 
@@ -561,6 +557,7 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
     A_pos = kernels.ista_negative(
         G, corr_pos, np.vstack([np.zeros((T, n_pos)), A_pos_bg]), params.lam, eta, _WARMUP_STEPS
     )
+    del A_pos_bg  # A_pos starts from it
 
     # Work blocks by shape, allocated once: the update products' weighted
     # codes and the residual norms' gram @ A - 2 corr.
@@ -629,7 +626,8 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
                     stale[first + j] += 1
                     if stale[first + j] < _STALE_LIMIT:
                         continue
-                    new_atom = reseed(Xc, Xc - recon())
+                    R = recon()
+                    new_atom = reseed(Xc, np.subtract(Xc, R, out=R))
                     stale[first + j] = 0
                 block[:, j] = atoms[:, first + j] = new_atom
 
@@ -669,18 +667,16 @@ def fit(bags: list[Bag], params: FumiParams, seed: int = 0, inner_objective_trac
         "EM stopped: stop_reason=%s n_iterations=%d last_objective_rel_change=%r",
         stop_reason, n_iterations, last_change,
     )
-    codes = np.zeros((T + M, is_pos.size))
-    codes[:, is_pos] = A_pos
-    codes[T:, ~is_pos] = A_neg
-    posteriors = np.zeros(is_pos.size)
-    posteriors[is_pos] = p_pos
+    codes = np.zeros((T + M, n_pos + n_neg))
+    codes[:, :n_pos] = A_pos
+    codes[T:, n_pos:] = A_neg
+    posteriors = np.zeros(n_pos + n_neg)
+    posteriors[:n_pos] = p_pos
     return FitResult(
         dictionary=D,
         codes=codes,
         posteriors=posteriors,
         objective_trace=trace,
-        is_positive=is_pos,
-        psi=psi,
         n_iterations=n_iterations,
         stop_reason=stop_reason,
         last_objective_rel_change=last_change,

@@ -3,12 +3,15 @@
 Turns raw transducer signals into the unit objects the learner consumes:
 band-pass filtered channels, candidate peak locations, fixed-length
 peak-centered instances, and labeled bags built around groundtruth beats.
+The learner works per instance, so build_bags cuts each training window
+once into a positive or a negative instance block (InstanceBlocks).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,51 +89,47 @@ class Preprocessing:
     zscore: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class Bag:
-    """A labeled block of instances: row i of `features` is the window
-    centered on sample `peak_indices[i]` of channel `channel_ids[i]`.
+class Bag(NamedTuple):
+    """A bag's label (1 or 0) and its instances' range in InstanceBlocks."""
 
-    features     : (n, d) float array, one window per row
-    channel_ids  : (n,) int array
-    peak_indices : (n,) int array
-
-    label 1 marks a positive bag (at least one instance is a true heartbeat
-    window); label 0 marks a bag of pure-background instances.
-    anchor_time is the groundtruth beat sample for positive bags.
-    """
-
-    features: np.ndarray
-    channel_ids: np.ndarray
-    peak_indices: np.ndarray
     label: int
-    anchor_time: int | None = None
+    start: int
+    stop: int
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceBlocks:
+    """The training windows, one per column of two C-contiguous blocks: Xp
+    (d, n_pos) of the positive bags, Xn (d, n_neg) of the negative ones.
+    recording, channel, peak and bag give, over the columns of Xp, then of
+    Xn, each instance's recording (its place in build_bags' lists), channel
+    id, peak sample and bag id: beat b's positive bag is b, and the gap
+    before beat g (g = n_beats after the last) is n_beats + g.  A bag is a
+    run of one (recording, bag id); iterating yields one Bag per run,
+    positive bags first, and len() counts them."""
+
+    Xp: np.ndarray
+    Xn: np.ndarray
+    recording: np.ndarray
+    channel: np.ndarray
+    peak: np.ndarray
+    bag: np.ndarray
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError("bag label must be 0 or 1")
-        if self.features.ndim != 2 or not (
-            len(self.features) == self.channel_ids.size == self.peak_indices.size
-        ):
-            raise ValueError("bag needs one (channel, peak) per row of features")
-        if not len(self.features):
-            raise ValueError("bags must be non-empty")
+        if self.Xp.ndim != 2 or self.Xn.ndim != 2 or self.Xp.shape[0] != self.Xn.shape[0]:
+            raise ValueError("instance blocks must be 2-D, a window per column, of one feature dim")
+        n = self.Xp.shape[1] + self.Xn.shape[1]
+        if any(a.shape != (n,) for a in (self.recording, self.channel, self.peak, self.bag)):
+            raise ValueError("instance blocks need one (recording, channel, peak, bag) per column")
+
+    def __iter__(self):
+        ends = np.flatnonzero(np.diff(self.recording) | np.diff(self.bag)) + 1
+        bounds = [0, *ends.tolist(), self.bag.size] if self.bag.size else [0]
+        n_pos = self.Xp.shape[1]
+        return (Bag(int(a < n_pos), a, b) for a, b in zip(bounds, bounds[1:]))
 
     def __len__(self) -> int:
-        return self.peak_indices.size
-
-
-def bag_columns(bags: list[Bag], label: int | None = None) -> np.ndarray:
-    """The instances of the bags labeled `label` (of all bags when None) as
-    one C-contiguous (d, n) float array, one column per instance in bag
-    order."""
-    dims = {b.features.shape[1] for b in bags}
-    if len(dims) != 1:
-        raise ValueError("instances disagree on feature dimension" if dims else "no bags given")
-    cols = [b.features.T for b in bags if label in (None, b.label)]
-    # Without `out`, concatenate would keep the transposes' column-major layout.
-    out = np.empty((dims.pop(), sum(c.shape[1] for c in cols)))
-    return np.concatenate(cols, axis=1, out=out)
+        return sum(1 for _ in self)
 
 
 def _compensated_band_edges(low: float, high: float, half_order: int):
@@ -407,73 +406,72 @@ def flat_channel(raw: np.ndarray, channel_id: int) -> bool:
 
 
 def build_bags(
-    candidates,
-    gt_beat_times: np.ndarray,
+    candidates_list,
+    gt_list,
     per_positive: int = DEFAULT_PER_POSITIVE,
     pre: Preprocessing = Preprocessing(),
-) -> list[Bag]:
-    """Group the candidates' windows into one positive bag per beat plus
-    gap negative bags.
+) -> InstanceBlocks:
+    """Group each recording's candidates into one positive bag per beat
+    plus gap negative bags, and cut each window once into its column of
+    the positive or the negative block.
 
-    `candidates` is the list of what `candidate_peaks(rec, pre)` yields: per
-    channel (channel id, filtered channel, int peaks whose windows fit).
-    Every instance is first assigned to its nearest groundtruth beat
-    (ties -> earlier beat).  A beat's positive bag takes, per channel, the
-    `per_positive` assigned instances closest in time (ties -> earlier peak
-    index).  Instances left over fall into one negative bag per inter-beat
-    gap (including the gaps before the first and after the last beat).
-    Every instance lands in exactly one bag; empty bags are not emitted.
-    Positive bags come first in beat order, then negative bags in gap order;
-    a bag lists its instances by channel id, then peak index.  Without
-    groundtruth beats all instances form one negative bag, in candidate order.
-    Each window is cut once (`extract_instances` under `pre.half_len` and
-    `pre.zscore`) straight into its row of one array, which the bags slice.
+    `candidates_list` holds per recording the list `candidate_peaks(rec,
+    pre)` yields: per channel (channel id, filtered channel, int peaks
+    whose windows fit); `gt_list` their groundtruth beats.  Every instance
+    is first assigned to its nearest beat (ties -> earlier beat).  A beat's
+    positive bag takes, per channel, the `per_positive` assigned instances
+    closest in time (ties -> earlier peak index).  Instances left over fall
+    into one negative bag per inter-beat gap, and without beats all of a
+    recording's instances, in candidate order, into one.  Empty bags are
+    not emitted.  Positive bags come first, each kind by recording, then
+    beat or gap, and list their instances by channel id, then peak index.
+    Each channel's windows are cut in one `extract_instances` call (under
+    `pre.half_len` and `pre.zscore`) into blocks allocated once.
     """
-    beats = np.asarray(gt_beat_times, dtype=int)
-    # Per-instance arrays in candidate order.  lexsort is stable, so
-    # instances equal in every key keep this order below.
-    sizes = [p.size for _, _, p in candidates]
-    if not sum(sizes):
-        return []
-    peak = np.concatenate([p for _, _, p in candidates])
-    channel = np.repeat([ch_id for ch_id, _, _ in candidates], sizes)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    if beats.size == 0:
-        bag_id = np.zeros(peak.size, dtype=int)
-        order = np.arange(peak.size)
-    else:
-        # Nearest beat; an equidistant peak goes to the earlier beat.
-        gap = np.searchsorted(beats, peak)
-        left = beats[np.maximum(gap - 1, 0)]
-        right = beats[np.minimum(gap, beats.size - 1)]
-        earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
-        nearest = np.where(earlier, gap - 1, gap)
+    filtered, rows = [], []
+    for r, (candidates, beats) in enumerate(zip(candidates_list, gt_list)):
+        beats = np.asarray(beats, dtype=int)
+        sizes = [p.size for _, _, p in candidates]
+        peak = np.concatenate([np.empty(0, dtype=int), *(p for _, _, p in candidates)])
+        channel = np.repeat(np.asarray([ch_id for ch_id, _, _ in candidates], dtype=int), sizes)
+        filtered += [(r, ch_id, filt) for ch_id, filt, _ in candidates]
+        if beats.size == 0:
+            bag, positive = np.zeros_like(peak), np.zeros(peak.size, dtype=bool)
+            order = np.arange(peak.size)
+        else:
+            # Nearest beat; an equidistant peak goes to the earlier beat.
+            gap = np.searchsorted(beats, peak)
+            left = beats[np.maximum(gap - 1, 0)]
+            right = beats[np.minimum(gap, beats.size - 1)]
+            earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
+            nearest = np.where(earlier, gap - 1, gap)
 
-        # Within each (beat, channel) the instances closest in time, then
-        # earliest, fill the beat's positive bag up to per_positive.
-        order = np.lexsort((peak, np.abs(peak - beats[nearest]), block, nearest))
-        new_group = np.ones(order.size, dtype=bool)
-        new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(block[order]) != 0)
-        starts = np.flatnonzero(new_group)
-        rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
-        positive = np.empty(order.size, dtype=bool)
-        positive[order] = rank < per_positive
-
-        # Beat b's positive bag has id b, gap g's negative bag n_beats + g.
-        bag_id = np.where(positive, nearest, beats.size + gap)
-        order = np.lexsort((peak, channel, bag_id))
-    bag_id, channel, peak, block = bag_id[order], channel[order], peak[order], block[order]
-    features = np.empty((order.size, 2 * pre.half_len + 1))
-    for k, (_, filt, _) in enumerate(candidates):
-        rows = block == k
-        features[rows] = extract_instances(filt, peak[rows], pre.half_len, pre.zscore)
-    bounds = np.flatnonzero(np.diff(bag_id)) + 1
-    bags: list[Bag] = []
-    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), order.size]):
-        b = int(bag_id[lo])
-        label, anchor = (1, int(beats[b])) if b < beats.size else (0, None)
-        bags.append(Bag(features[lo:hi], channel[lo:hi], peak[lo:hi], label, anchor))
-    return bags
+            # Within each (beat, channel) the instances closest in time, then
+            # earliest, fill the beat's positive bag up to per_positive; the
+            # stable lexsort keeps candidate order among equal keys.
+            order = np.lexsort((peak, np.abs(peak - beats[nearest]), channel, nearest))
+            new_group = np.ones(order.size, dtype=bool)
+            new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(channel[order]) != 0)
+            starts = np.flatnonzero(new_group)
+            rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+            positive = np.empty(order.size, dtype=bool)
+            positive[order] = rank < per_positive
+            bag = np.where(positive, nearest, beats.size + gap)
+            order = np.lexsort((peak, channel, bag))
+        rows.append([a[order] for a in (np.full(peak.size, r), channel, peak, bag, positive)])
+    recording, channel, peak, bag, positive = map(np.concatenate, zip(*rows))
+    order = np.argsort(~positive, kind="stable")  # each recording's order is kept
+    recording, channel, peak, bag = (a[order] for a in (recording, channel, peak, bag))
+    n_pos = int(np.count_nonzero(positive))
+    width = 2 * pre.half_len + 1
+    Xp, Xn = np.empty((width, n_pos)), np.empty((width, peak.size - n_pos))
+    for r, ch_id, filt in filtered:
+        cols = np.flatnonzero((recording == r) & (channel == ch_id))
+        W = extract_instances(filt, peak[cols], pre.half_len, pre.zscore)
+        m = int(np.searchsorted(cols, n_pos))  # the channel's positive columns come first
+        Xp[:, cols[:m]] = W[:m].T
+        Xn[:, cols[m:] - n_pos] = W[m:].T
+    return InstanceBlocks(Xp, Xn, recording, channel, peak, bag)
 
 
 def candidate_peaks(rec: Recording, pre: Preprocessing = Preprocessing()):

@@ -35,7 +35,7 @@ from bcgbeat.dlfumi import (
 )
 from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
-from bcgbeat.signals import Bag, Preprocessing, bandpass_filter, build_bags, candidate_peaks
+from bcgbeat.signals import Preprocessing, bandpass_filter, build_bags, candidate_peaks
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
@@ -160,10 +160,8 @@ class TestCriteria:
         worst = 0.0
         for _ in range(20):
             X = rng.standard_normal((d, 5))
-            ids = np.zeros(5, dtype=int)
-            pos = Bag(X[:, :3].T, ids[:3], ids[:3], label=1)
-            neg = Bag(X[:, 3:].T, ids[3:], ids[3:], label=0)
-            bags = [pos, neg]
+            # the positive / negative instance blocks fit() updates atoms from
+            Xp, Xn = np.ascontiguousarray(X[:, :3]), np.ascontiguousarray(X[:, 3:])
             D = Dictionary(unit_columns(rng, d, T), unit_columns(rng, d, M))
             codes = rng.standard_normal((T + M, 5)) * 0.7
             codes[:T, 3:] = 0.0
@@ -179,7 +177,7 @@ class TestCriteria:
                 else:
                     D2.background_atoms[:, k] = atom
                 return objective(
-                    bags, D2, codes, posteriors, params,
+                    Xp, Xn, D2, codes, posteriors, params,
                     gamma=gamma, target_atoms_old=old_targets,
                 )
 
@@ -202,12 +200,9 @@ class TestCriteria:
                         break
                 return atom
 
-            # the positive / negative instance blocks fit() updates atoms from
-            is_pos = np.arange(5) < 3
-            Xp, Xn = X[:, is_pos], X[:, ~is_pos]
-            A_pos, A_neg = codes[:, is_pos], codes[T:, ~is_pos]
-            p_pos = posteriors[is_pos]
-            psi = resolve_psi(is_pos, params)
+            A_pos, A_neg = codes[:, :3], codes[T:, 3:]
+            p_pos = posteriors[:3]
+            psi = resolve_psi(3, 2, params)
             P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
             updates = [("target", 0, target_atom_update(P, D, 0))]
             for k in range(M):
@@ -225,9 +220,10 @@ class TestCriteria:
 
     def test_c04_em_behavior(self):
         res = generate(SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=8.0, seed=5))
-        bags = build_bags(list(candidate_peaks(res.recording)), res.recording.gt_beat_times)
+        blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
         fitres = fit(
-            bags,
+            blocks.Xp,
+            blocks.Xn,
             FumiParams(max_em_iters=50, tol=1e-300),
             seed=0,
             inner_objective_trace=True,

@@ -27,7 +27,6 @@ from bcgbeat.dlfumi import Dictionary, FumiParams, fit
 from bcgbeat.signals import (
     Preprocessing,
     Recording,
-    bag_columns,
     build_bags,
     candidate_peaks,
 )
@@ -57,7 +56,7 @@ class TestBackgroundCovariance:
     def test_ridge_lands_on_the_diagonal(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((6, 40))
-        plain = background_covariance(X, ridge=0.0)
+        plain = background_covariance(X.copy(), ridge=0.0)
         ridged = background_covariance(X, ridge=1e-3)
         np.testing.assert_allclose(
             np.diag(ridged.covariance) - np.diag(plain.covariance), 1e-3, atol=1e-15
@@ -65,6 +64,22 @@ class TestBackgroundCovariance:
         off = ridged.covariance - np.diag(np.diag(ridged.covariance))
         off_plain = plain.covariance - np.diag(np.diag(plain.covariance))
         np.testing.assert_allclose(off, off_plain, atol=1e-15)
+
+    def test_is_np_cov_bit_for_bit_without_a_copy(self):
+        """train spends its negative block on the covariance: it is
+        centered in place, and nothing of its size is allocated."""
+        X = np.random.default_rng(2).standard_normal((91, 3000)) * 3.0 + 1.0
+        want = np.cov(X, ddof=1)
+        tracemalloc.start()
+        try:
+            model = background_covariance(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.ridge == 0.0
+        assert model.covariance.tobytes() == want.tobytes()
+        np.testing.assert_allclose(X.mean(axis=1), 0.0, atol=1e-12)
+        assert peak < X.nbytes / 4  # the (d, d) products only
 
     def test_degenerate_sample_is_auto_regularized(self):
         # two identical instances: zero-variance directions need the ridge
@@ -151,9 +166,9 @@ def trained_small():
     """A small trained model shared by the confidence tests."""
     cfg = SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=10.0, seed=7)
     res = generate(cfg)
-    bags = build_bags(list(candidate_peaks(res.recording)), res.recording.gt_beat_times)
-    result = fit(bags, FumiParams(T=1, M=2), seed=0)
-    model = background_covariance(bag_columns(bags, 0))
+    blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+    result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2), seed=0)
+    model = background_covariance(blocks.Xn)
     return cfg, res, result, model
 
 

@@ -3,6 +3,7 @@ gradient and steps, atom updates, fit."""
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,22 +28,13 @@ from bcgbeat.dlfumi import (
     update_products,
 )
 from bcgbeat.kernels import soft_threshold
-from bcgbeat.signals import Bag
 from bcgbeat.synth import SynthConfig, generate
 from bcgbeat.signals import build_bags, candidate_peaks
 
 
-def make_bag(vectors, label):
-    n = len(vectors)
-    return Bag(np.array(vectors, dtype=float), np.zeros(n, dtype=int), np.arange(n), label=label)
-
-
-def flatten(bags):
-    """The bags' instances as (d, N) columns in bag order, and whether each
-    one's bag is positive."""
-    X = np.vstack([b.features for b in bags]).T
-    is_pos = np.concatenate([np.full(len(b), b.label == 1) for b in bags])
-    return X, is_pos
+def columns(vectors):
+    """The vectors as the columns of a C-contiguous (d, n) instance block."""
+    return np.ascontiguousarray(np.array(vectors, dtype=float).T)
 
 
 def random_dictionary(rng, d, T, M):
@@ -303,38 +295,33 @@ class TestObjective:
     def test_zero_data_zero_codes_scores_zero(self):
         rng = np.random.default_rng(14)
         D = random_dictionary(rng, 6, 1, 2)
-        bags = [
-            make_bag([np.zeros(6), np.zeros(6)], 1),
-            make_bag([np.zeros(6)], 0),
-        ]
+        Xp, Xn = np.zeros((6, 2)), np.zeros((6, 1))
         params = FumiParams(T=1, M=2, lam=5e-3, gamma=0.0)
-        val = objective(bags, D, np.zeros((3, 3)), np.zeros(3), params)
+        val = objective(Xp, Xn, D, np.zeros((3, 3)), np.zeros(3), params)
         assert val == 0.0
 
     def test_perfectly_coded_negative_instance_scores_zero(self):
         rng = np.random.default_rng(15)
         D = random_dictionary(rng, 6, 1, 2)
         x = D.background_atoms[:, 0].copy()
-        bags = [make_bag([rng.standard_normal(6)], 1), make_bag([x], 0)]
+        Xp, Xn = columns([rng.standard_normal(6)]), columns([x])
         codes = np.zeros((3, 2))
         codes[1, 1] = 1.0  # background atom 0 with weight 1 on the negative instance
         posteriors = np.zeros(2)
         params = FumiParams(T=1, M=2, lam=0.0, gamma=0.0)
         # positive instance with posterior 0 still pays its background residual
-        x_pos = bags[0].features[0]
+        x_pos = Xp[:, 0]
         expected = 0.5 * float(x_pos @ x_pos)
-        got = objective(bags, D, codes, posteriors, params)
+        got = objective(Xp, Xn, D, codes, posteriors, params)
         assert abs(got - expected * (1.0 / 1.0)) <= 1e-12
 
     def test_matches_term_by_term_reimplementation(self):
         rng = np.random.default_rng(16)
         d, T, M = 7, 2, 3
         D = random_dictionary(rng, d, T, M)
-        bags = [
-            make_bag([rng.standard_normal(d) for _ in range(3)], 1),
-            make_bag([rng.standard_normal(d) for _ in range(3)], 1),
-            make_bag([rng.standard_normal(d) for _ in range(4)], 0),
-        ]
+        # two positive bags of three instances, one negative bag of four
+        Xp = columns([rng.standard_normal(d) for _ in range(6)])
+        Xn = columns([rng.standard_normal(d) for _ in range(4)])
         codes = rng.standard_normal((T + M, 10))
         codes[:T, 6:] = 0.0
         posteriors = np.concatenate([rng.uniform(0, 1, 6), np.zeros(4)])
@@ -342,7 +329,7 @@ class TestObjective:
         old = rng.standard_normal((d, T))
         gamma = gamma_matrix(D, params.gamma, old)
 
-        X, is_pos = flatten(bags)
+        X, is_pos = np.hstack([Xp, Xn]), np.arange(10) < 6
         total = 0.0
         for i in range(10):
             x = X[:, i]
@@ -360,33 +347,25 @@ class TestObjective:
             for t in range(T):
                 total += gamma[k, t] * float(D.background_atoms[:, k] @ old[:, t])
 
-        got = objective(bags, D, codes, posteriors, params, gamma=gamma, target_atoms_old=old)
+        got = objective(Xp, Xn, D, codes, posteriors, params, gamma=gamma, target_atoms_old=old)
         assert abs(got - total) <= 1e-10 * max(1.0, abs(total))
 
 
-def update_blocks(bags, codes, posteriors, params):
-    """fit()'s (Xp, Xn, A_pos, A_neg, p_pos, psi) for the given codes."""
-    X, is_pos = flatten(bags)
+def products(Xp, Xn, codes, posteriors, params):
+    """The M-step products fit() forms for the given codes, which list the
+    columns of Xp, then those of Xn."""
+    n_pos = Xp.shape[1]
     p = np.asarray(posteriors, dtype=float)
-    return (
-        X[:, is_pos],
-        X[:, ~is_pos],
-        codes[:, is_pos],
-        codes[params.T:, ~is_pos],
-        p[is_pos],
-        resolve_psi(is_pos, params),
+    return update_products(
+        Xp, Xn, codes[:, :n_pos], codes[params.T:, n_pos:], p[:n_pos],
+        resolve_psi(n_pos, Xn.shape[1], params),
     )
 
 
-def products(bags, codes, posteriors, params):
-    """The M-step products fit() forms for the given codes."""
-    return update_products(*update_blocks(bags, codes, posteriors, params))
-
-
-def bg_update(bags, codes, posteriors, D, k, params, target_atoms_old):
+def bg_update(Xp, Xn, codes, posteriors, D, k, params, target_atoms_old):
     gamma = gamma_matrix(D, params.gamma, target_atoms_old)
     return background_atom_update(
-        products(bags, codes, posteriors, params), D, k, gamma, target_atoms_old
+        products(Xp, Xn, codes, posteriors, params), D, k, gamma, target_atoms_old
     )
 
 
@@ -395,30 +374,30 @@ class TestAtomUpdates:
         rng = np.random.default_rng(17)
         D = random_dictionary(rng, 6, 1, 2)
         x = rng.standard_normal(6)
-        bags = [make_bag([x], 1), make_bag([rng.standard_normal(6)], 0)]
+        Xp, Xn = columns([x]), columns([rng.standard_normal(6)])
         codes = np.zeros((3, 2))
         codes[0, 0] = 1.0
-        P = products(bags, codes, [1.0, 0.0], FumiParams(T=1, M=2))
+        P = products(Xp, Xn, codes, [1.0, 0.0], FumiParams(T=1, M=2))
         atom = target_atom_update(P, D, 0)
         np.testing.assert_allclose(atom, x, atol=1e-9)
 
     def test_target_update_is_stale_when_no_instance_is_believed(self):
         rng = np.random.default_rng(18)
         D = random_dictionary(rng, 6, 1, 2)
-        bags = [make_bag([rng.standard_normal(6)], 1), make_bag([rng.standard_normal(6)], 0)]
+        Xp, Xn = columns([rng.standard_normal(6)]), columns([rng.standard_normal(6)])
         codes = rng.standard_normal((3, 2))
-        P = products(bags, codes, np.zeros(2), FumiParams(T=1, M=2))
+        P = products(Xp, Xn, codes, np.zeros(2), FumiParams(T=1, M=2))
         assert target_atom_update(P, D, 0) is None
 
     def test_background_update_recovers_scaled_instance_direction(self):
         rng = np.random.default_rng(19)
         D = random_dictionary(rng, 4, 1, 2)
         x = np.array([2.0, 0.0, 0.0, 0.0])
-        bags = [make_bag([rng.standard_normal(4)], 1), make_bag([x], 0)]
+        Xp, Xn = columns([rng.standard_normal(4)]), columns([x])
         codes = np.zeros((3, 2))
         codes[1, 1] = 2.0  # background atom 0 coded with weight 2
         params = FumiParams(T=1, M=2, gamma=0.0, psi=1.0)
-        atom = bg_update(bags, codes, np.zeros(2), D, 0, params, D.target_atoms)
+        atom = bg_update(Xp, Xn, codes, np.zeros(2), D, 0, params, D.target_atoms)
         np.testing.assert_allclose(atom / np.linalg.norm(atom), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_coherence_penalty_pulls_background_away_from_target(self):
@@ -428,13 +407,13 @@ class TestAtomUpdates:
         tgt_old = e1.reshape(-1, 1)
         D = Dictionary(tgt_old.copy(), random_dictionary(rng, 4, 1, 2).background_atoms)
         x = 3.0 * e1 + 0.05 * rng.standard_normal(4)
-        bags = [make_bag([rng.standard_normal(4)], 1), make_bag([x], 0)]
+        Xp, Xn = columns([rng.standard_normal(4)]), columns([x])
         codes = np.zeros((3, 2))
         codes[1, 1] = 3.0
         free = FumiParams(T=1, M=2, gamma=0.0, psi=1.0)
         pulled = FumiParams(T=1, M=2, gamma=0.5, psi=1.0)
-        atom_free = bg_update(bags, codes, np.zeros(2), D, 0, free, tgt_old)
-        atom_pulled = bg_update(bags, codes, np.zeros(2), D, 0, pulled, tgt_old)
+        atom_free = bg_update(Xp, Xn, codes, np.zeros(2), D, 0, free, tgt_old)
+        atom_pulled = bg_update(Xp, Xn, codes, np.zeros(2), D, 0, pulled, tgt_old)
         n_free = atom_free / np.linalg.norm(atom_free)
         n_pulled = atom_pulled / np.linalg.norm(atom_pulled)
         assert abs(n_pulled[0]) < abs(n_free[0])
@@ -442,10 +421,10 @@ class TestAtomUpdates:
     def test_background_update_is_stale_without_support(self):
         rng = np.random.default_rng(21)
         D = random_dictionary(rng, 4, 1, 2)
-        bags = [make_bag([rng.standard_normal(4)], 1), make_bag([rng.standard_normal(4)], 0)]
+        Xp, Xn = columns([rng.standard_normal(4)]), columns([rng.standard_normal(4)])
         codes = np.zeros((3, 2))
         params = FumiParams(T=1, M=2)
-        assert bg_update(bags, codes, np.zeros(2), D, 1, params, D.target_atoms) is None
+        assert bg_update(Xp, Xn, codes, np.zeros(2), D, 1, params, D.target_atoms) is None
 
 
 @st.composite
@@ -513,9 +492,9 @@ class TestBatchedUpdatesMatchTheMatrixVectorForms:
 def planted_fit():
     cfg = SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=10.0, seed=7)
     res = generate(cfg)
-    bags = build_bags(list(candidate_peaks(res.recording)), res.recording.gt_beat_times)
-    result = fit(bags, FumiParams(T=1, M=2), seed=0)
-    return res, bags, result
+    blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+    result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2), seed=0)
+    return res, blocks, result
 
 
 @pytest.mark.parametrize(
@@ -532,15 +511,30 @@ def test_validate_rejects_non_finite_settings(field, value):
 class TestFit:
     def test_requires_positive_bags(self):
         rng = np.random.default_rng(22)
-        bags = [make_bag([rng.standard_normal(6) for _ in range(3)], 0)]
+        Xn = columns([rng.standard_normal(6) for _ in range(3)])
         with pytest.raises(ValueError, match="cannot learn target concept"):
-            fit(bags, FumiParams(T=1, M=1))
+            fit(np.empty((6, 0)), Xn, FumiParams(T=1, M=1))
 
     def test_requires_negative_bags(self):
         rng = np.random.default_rng(23)
-        bags = [make_bag([rng.standard_normal(6) for _ in range(3)], 1)]
-        with pytest.raises(ValueError):
-            fit(bags, FumiParams(T=1, M=1))
+        Xp = columns([rng.standard_normal(6) for _ in range(3)])
+        with pytest.raises(ValueError, match="cannot model background"):
+            fit(Xp, np.empty((6, 0)), FumiParams(T=1, M=1))
+
+    @pytest.mark.parametrize("n_atoms, bound", [(3, 0.9), (9, 1.5)])
+    def test_peak_memory_is_a_fraction_of_the_windows(self, planted_fit, n_atoms, bound):
+        """fit reads its blocks in place.  Its own allocations peak at 0.63x
+        (T = M = 3) and 1.21x (T = M = 9) the windows' bytes here, so a
+        copy of the windows would break the bound; 2.3x is the ceiling."""
+        _, blocks, _ = planted_fit
+        params = FumiParams(T=n_atoms, M=n_atoms, max_em_iters=2)
+        tracemalloc.start()
+        try:
+            fit(blocks.Xp, blocks.Xn, params, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * (blocks.Xp.nbytes + blocks.Xn.nbytes)
 
     def test_recovers_planted_template(self, planted_fit):
         res, _, result = planted_fit
@@ -557,33 +551,34 @@ class TestFit:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_posteriors_are_probabilities_and_zero_on_negatives(self, planted_fit):
-        _, _, result = planted_fit
+        _, blocks, result = planted_fit
+        assert result.posteriors.shape == (blocks.Xp.shape[1] + blocks.Xn.shape[1],)
         assert np.all(result.posteriors >= 0.0)
         assert np.all(result.posteriors <= 1.0)
-        assert np.all(result.posteriors[~result.is_positive] == 0.0)
+        assert np.all(result.posteriors[blocks.Xp.shape[1] :] == 0.0)
 
     def test_negative_instances_never_use_target_atoms(self, planted_fit):
-        _, _, result = planted_fit
+        _, blocks, result = planted_fit
         T = result.dictionary.n_target
-        assert np.all(result.codes[:T, ~result.is_positive] == 0.0)
+        assert np.all(result.codes[:T, blocks.Xp.shape[1] :] == 0.0)
 
     def test_same_seed_reproduces_the_dictionary(self, planted_fit):
-        _, bags, result = planted_fit
-        again = fit(bags, FumiParams(T=1, M=2), seed=0)
+        _, blocks, result = planted_fit
+        again = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2), seed=0)
         np.testing.assert_array_equal(result.dictionary.atoms, again.dictionary.atoms)
         np.testing.assert_array_equal(result.posteriors, again.posteriors)
 
     def test_iteration_cap_is_the_stop_reason(self, planted_fit):
-        _, bags, _ = planted_fit
-        result = fit(bags, FumiParams(T=1, M=2, max_em_iters=3, tol=1e-300), seed=0)
+        _, blocks, _ = planted_fit
+        result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2, max_em_iters=3, tol=1e-300), seed=0)
         assert result.n_iterations == 3
         assert result.stop_reason == "max_iter"
         prev, last = result.objective_trace[-2:]
         assert result.last_objective_rel_change == (last - prev) / abs(prev)
 
     def test_atom_tolerance_is_the_stop_reason(self, planted_fit):
-        _, bags, _ = planted_fit
-        result = fit(bags, FumiParams(T=1, M=2, tol=1e300), seed=0)
+        _, blocks, _ = planted_fit
+        result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2, tol=1e300), seed=0)
         assert result.n_iterations == 1
         assert result.stop_reason == "tol"
         assert np.isnan(result.last_objective_rel_change)
@@ -592,9 +587,9 @@ class TestFit:
         "kwargs, reason, n", [({"max_em_iters": 3, "tol": 1e-300}, "max_iter", 3), ({"tol": 1e300}, "tol", 1)]
     )
     def test_why_em_stopped_is_logged_once(self, planted_fit, caplog, kwargs, reason, n):
-        _, bags, _ = planted_fit
+        _, blocks, _ = planted_fit
         with caplog.at_level(logging.INFO, logger="bcgbeat.dlfumi"):
-            result = fit(bags, FumiParams(T=1, M=2, **kwargs), seed=0)
+            result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2, **kwargs), seed=0)
         (record,) = [r for r in caplog.records if r.name == "bcgbeat.dlfumi"]
         assert record.levelno == logging.INFO
         assert record.getMessage() == (
@@ -612,17 +607,18 @@ class TestFit:
     def test_objective_trace_matches_the_public_objective(self, planted_fit, k):
         # Iteration k+1 freezes gamma and the old targets at the dictionary
         # the k-iteration run returns; its trace entry, computed from fit's
-        # gram-form residual norms, must equal objective() over the flattened
-        # bags, which forms the residuals and passes their norms through the
+        # gram-form residual norms, must equal objective() over the instance
+        # blocks, which forms the residuals and passes their norms through the
         # same formula; so this checks fit's norms against explicit ones.
         # test_matches_term_by_term_reimplementation checks the formula.
-        _, bags, _ = planted_fit
+        _, blocks, _ = planted_fit
         params = FumiParams(T=2, M=3, max_em_iters=k, tol=1e-300)
-        D_k = fit(bags, params, seed=0).dictionary
-        nxt = fit(bags, dataclasses.replace(params, max_em_iters=k + 1), seed=0)
+        D_k = fit(blocks.Xp, blocks.Xn, params, seed=0).dictionary
+        nxt = fit(blocks.Xp, blocks.Xn, dataclasses.replace(params, max_em_iters=k + 1), seed=0)
         assert nxt.n_iterations == k + 1
         oracle = objective(
-            bags,
+            blocks.Xp,
+            blocks.Xn,
             nxt.dictionary,
             nxt.codes,
             nxt.posteriors,

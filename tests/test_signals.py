@@ -1,13 +1,13 @@
-"""Preprocessing tests: band-pass filter, peak picking, instance windows, bags."""
+"""Preprocessing tests: band-pass filter, peak picking, instance windows,
+bags and their instance blocks."""
 
 import numpy as np
 import pytest
 
 from bcgbeat.signals import (
-    Bag,
+    InstanceBlocks,
     Recording,
     _compensated_band_edges,
-    bag_columns,
     bandpass_filter,
     build_bags,
     butter_bandpass_sos,
@@ -252,30 +252,43 @@ def _synthetic_candidates(rng, n_channels, n_samples, n_per_channel):
     return candidates
 
 
+def _one(candidates, beats, **kwargs):
+    """build_bags on one recording."""
+    return build_bags([candidates], [np.asarray(beats, dtype=int)], **kwargs)
+
+
+def _column(blocks, i):
+    """The window of instance i of the blocks' [Xp | Xn] columns."""
+    n_pos = blocks.Xp.shape[1]
+    return blocks.Xp[:, i] if i < n_pos else blocks.Xn[:, i - n_pos]
+
+
 class TestBuildBags:
     def test_single_beat_takes_three_per_channel(self):
         rng = np.random.default_rng(8)
         n = 2000
         peaks = np.array([900, 960, 1000, 1040, 1100])
         candidates = [(ch, rng.standard_normal(n), peaks) for ch in range(4)]
-        bags = build_bags(candidates, np.array([1000]), per_positive=3)
-        pos = [b for b in bags if b.label == 1]
+        blocks = _one(candidates, [1000], per_positive=3)
+        pos = [b for b in blocks if b.label == 1]
         assert len(pos) == 1
-        assert len(pos[0]) == 12
-        assert pos[0].features.shape == (12, 91)
-        assert pos[0].anchor_time == 1000
+        assert (pos[0].start, pos[0].stop) == (0, 12)
+        assert blocks.Xp.shape == (91, 12)
+        assert blocks.bag[:12].tolist() == [0] * 12  # the bag of beat 0, at 1000
         # the three closest peaks per channel are 960, 1000, 1040
         for ch in range(4):
-            got = sorted(pos[0].peak_indices[pos[0].channel_ids == ch].tolist())
+            got = sorted(blocks.peak[:12][blocks.channel[:12] == ch].tolist())
             assert got == [960, 1000, 1040]
 
     def test_no_groundtruth_gives_one_negative_bag(self):
         rng = np.random.default_rng(9)
         candidates = _synthetic_candidates(rng, 4, 2000, 5)
-        bags = build_bags(candidates, np.array([], dtype=int))
-        assert len(bags) == 1
-        assert bags[0].label == 0
-        assert len(bags[0]) == 20
+        blocks = _one(candidates, [])
+        assert len(blocks) == 1
+        (bag,) = blocks
+        assert bag.label == 0
+        assert bag.stop - bag.start == 20
+        assert blocks.Xp.shape == (91, 0) and blocks.Xn.shape == (91, 20)
 
     def test_every_instance_lands_in_exactly_one_bag(self):
         rng = np.random.default_rng(10)
@@ -286,47 +299,63 @@ class TestBuildBags:
                 rng.choice(np.arange(100, 2900), size=int(rng.integers(1, 6)), replace=False)
             )
             per_pos = int(rng.integers(1, 5))
-            bags = build_bags(candidates, beats, per_positive=per_pos)
+            blocks = _one(candidates, beats, per_positive=per_pos)
             total_in = sum(p.size for _, _, p in candidates)
-            total_out = sum(len(b) for b in bags)
-            assert total_in == total_out
-            seen = set()
-            for b in bags:
-                assert len(b) > 0
-                for key in zip(b.channel_ids.tolist(), b.peak_indices.tolist()):
-                    assert key not in seen
-                    seen.add(key)
-            for b in bags:
+            assert blocks.Xp.shape[1] + blocks.Xn.shape[1] == total_in
+            assert sum(b.stop - b.start for b in blocks) == total_in
+            keys = list(zip(blocks.channel.tolist(), blocks.peak.tolist()))
+            assert len(set(keys)) == total_in
+            for b in blocks:
+                assert b.stop > b.start
                 if b.label == 1:
                     for ch in range(n_ch):
-                        assert np.count_nonzero(b.channel_ids == ch) <= per_pos
+                        assert np.count_nonzero(blocks.channel[b.start : b.stop] == ch) <= per_pos
 
     def test_positive_bags_precede_negative_and_follow_beat_order(self):
         rng = np.random.default_rng(11)
         candidates = _synthetic_candidates(rng, 3, 3000, 15)
         beats = np.array([500, 1500, 2500])
-        bags = build_bags(candidates, beats, per_positive=2)
-        labels = [b.label for b in bags]
-        if 0 in labels:
-            assert labels.index(0) >= sum(labels)
-        anchors = [b.anchor_time for b in bags if b.label == 1]
+        blocks = _one(candidates, beats, per_positive=2)
+        labels = [b.label for b in blocks]
+        assert labels == sorted(labels, reverse=True)
+        anchors = [int(beats[blocks.bag[b.start]]) for b in blocks if b.label == 1]
         assert anchors == sorted(anchors)
+
+    def test_pooled_blocks_are_each_recordings_blocks_in_turn(self):
+        rng = np.random.default_rng(15)
+        recs = [_synthetic_candidates(rng, 3, 3000, 12) for _ in range(4)]
+        # the two recordings without beats each make one bag, of id 0
+        beats = [np.array([700, 1500, 2300]), np.array([], dtype=int), np.array([], dtype=int),
+                 np.array([1200])]
+        pooled = build_bags(recs, beats)
+        alone = [_one(c, b) for c, b in zip(recs, beats)]
+        assert pooled.Xp.tobytes() == np.hstack([a.Xp for a in alone]).tobytes()
+        assert pooled.Xn.tobytes() == np.hstack([a.Xn for a in alone]).tobytes()
+        assert len(pooled) == sum(len(a) for a in alone)
+        for key in ("channel", "peak", "bag"):
+            want = [getattr(a, key)[: a.Xp.shape[1]] for a in alone]
+            want += [getattr(a, key)[a.Xp.shape[1] :] for a in alone]
+            assert getattr(pooled, key).tolist() == np.concatenate(want).tolist()
+        n_pos = [a.Xp.shape[1] for a in alone]
+        n_neg = [a.Xn.shape[1] for a in alone]
+        assert pooled.recording.tolist() == np.repeat([0, 1, 2, 3] * 2, n_pos + n_neg).tolist()
 
 
 class TestBagColumns:
     def test_columns_are_c_contiguous_and_in_bag_order(self):
         rng = np.random.default_rng(14)
-        bags = build_bags(_synthetic_candidates(rng, 3, 3000, 12), np.array([700, 1500, 2300]))
-        for label, chosen in ((None, bags), (0, [b for b in bags if b.label == 0])):
-            X = bag_columns(bags, label)
-            assert X.flags.c_contiguous
-            assert X.tobytes() == np.vstack([b.features for b in chosen]).T.tobytes()
+        candidates = _synthetic_candidates(rng, 3, 3000, 12)
+        blocks = _one(candidates, [700, 1500, 2300])
+        assert blocks.Xp.flags.c_contiguous and blocks.Xn.flags.c_contiguous
+        signals = {ch: x for ch, x, _ in candidates}
+        for i, (ch, p) in enumerate(zip(blocks.channel.tolist(), blocks.peak.tolist())):
+            want = extract_instances(signals[ch], np.array([p]))[0]
+            assert _column(blocks, i).tobytes() == want.tobytes()
 
     def test_rejects_mixed_feature_dimensions(self):
-        ids = np.zeros(1, dtype=int)
-        bags = [Bag(np.zeros((1, 91)), ids, ids, label=1), Bag(np.zeros((1, 61)), ids, ids, label=0)]
-        with pytest.raises(ValueError, match="feature dimension"):
-            bag_columns(bags, 1)
+        ids = np.zeros(2, dtype=int)
+        with pytest.raises(ValueError, match="one feature dim"):
+            InstanceBlocks(np.zeros((91, 1)), np.zeros((61, 1)), ids, ids, ids, ids)
 
 
 class TestRecording:
@@ -366,21 +395,17 @@ class TestRecording:
 
 
 class TestBagValidation:
-    def test_rejects_empty_bag_and_bad_label(self):
-        one = np.zeros(1, dtype=int)
-        with pytest.raises(ValueError, match="non-empty"):
-            Bag(np.zeros((0, 91)), one[:0], one[:0], label=0)
-        with pytest.raises(ValueError, match="label"):
-            Bag(np.zeros((1, 91)), one, one + 45, label=2)
-
     @pytest.mark.parametrize("rows, ids, peaks", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
     def test_rejects_rows_that_do_not_match_their_ids(self, rows, ids, peaks):
-        with pytest.raises(ValueError, match="one \\(channel, peak\\) per row"):
-            Bag(np.zeros((rows, 91)), np.zeros(ids, dtype=int), np.arange(peaks), label=1)
+        """One (recording, channel, peak, bag) per window, here a column."""
+        with pytest.raises(ValueError, match="one \\(recording, channel, peak, bag\\) per column"):
+            InstanceBlocks(np.zeros((91, rows - 1)), np.zeros((91, 1)), np.zeros(ids, dtype=int),
+                           np.zeros(ids, dtype=int), np.arange(peaks), np.zeros(3, dtype=int))
 
-    def test_rejects_features_that_are_not_rows(self):
-        with pytest.raises(ValueError, match="per row"):
-            Bag(np.zeros(91), np.zeros(1, dtype=int), np.zeros(1, dtype=int), label=0)
+    def test_rejects_blocks_that_are_not_2d(self):
+        ids = np.zeros(1, dtype=int)
+        with pytest.raises(ValueError, match="2-D, a window per column"):
+            InstanceBlocks(np.zeros(91), np.zeros((91, 0)), ids, ids, ids, ids)
 
 
 def test_flat_channel_gives_no_candidates_and_is_logged(caplog):

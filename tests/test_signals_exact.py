@@ -123,11 +123,18 @@ beat_times = st.sets(st.integers(0, 300), max_size=8).map(
 )
 
 
-def rows(bag):
-    """(channel, peak, feature bytes) per row of a bag."""
+def bags(blocks, beats):
+    """Per bag of the blocks: (label, anchor beat or None, its (channel,
+    peak, window bytes) rows)."""
+    X = np.hstack([blocks.Xp, blocks.Xn])
     return [
-        (c, p, w.tobytes())
-        for c, p, w in zip(bag.channel_ids.tolist(), bag.peak_indices.tolist(), bag.features)
+        (
+            b.label,
+            int(beats[blocks.bag[b.start]]) if b.label else None,
+            [(int(blocks.channel[i]), int(blocks.peak[i]), X[:, i].tobytes())
+             for i in range(b.start, b.stop)],
+        )
+        for b in blocks
     ]
 
 
@@ -135,35 +142,38 @@ def rows(bag):
 @given(candidates(), beat_times, st.integers(0, 5))
 def test_build_bags_matches_loop(case, beats, per_positive):
     chans, pre = case
-    got = build_bags(chans, beats, per_positive, pre)
+    got = build_bags([chans], [beats], per_positive, pre)
     windows = [ref.extract_instances(x, p, pre.half_len, ch, pre.zscore) for ch, x, p in chans]
     want = ref.build_bags(windows, beats, per_positive)
-    assert [(b.label, b.anchor_time, rows(b)) for b in got] == [
+    assert bags(got, beats) == [
         (b.label, b.anchor_time, [(w.channel_id, w.peak_index, w.features.tobytes()) for w in b.windows])
         for b in want
     ]
-    for b in got:
-        assert b.features.dtype == np.float64
-        assert b.channel_ids.dtype == b.peak_indices.dtype == np.asarray(0).dtype
+    assert got.Xp.dtype == got.Xn.dtype == np.float64
+    assert got.Xp.flags.c_contiguous and got.Xn.flags.c_contiguous
+    for ids in (got.recording, got.channel, got.peak, got.bag):
+        assert ids.dtype == np.asarray(0).dtype
 
 
 @exact
 @given(candidates(unique_peaks=True), beat_times, st.integers(1, 5))
 def test_build_bags_is_a_partition(case, beats, per_positive):
     chans, pre = case
-    bags = build_bags(chans, beats, per_positive, pre)
-    placed = [(c, p) for b in bags for c, p, _ in rows(b)]
+    blocks = build_bags([chans], [beats], per_positive, pre)
+    placed = list(zip(blocks.channel.tolist(), blocks.peak.tolist()))
     every = [(ch, p) for ch, _, peaks in chans for p in peaks.tolist()]
     assert sorted(placed) == sorted(every)
     assert len(set(placed)) == len(placed)
-    for b in bags:
+    for b in blocks:
+        ids = blocks.bag[b.start : b.stop]
+        assert np.all(ids == ids[0])
         if b.label == 1:
-            per_channel = b.channel_ids.tolist()
+            per_channel = blocks.channel[b.start : b.stop].tolist()
             assert max(per_channel.count(c) for c in set(per_channel)) <= per_positive
-            assert b.anchor_time in beats.tolist()
+            assert 0 <= ids[0] < beats.size
         else:
-            gaps = set(np.searchsorted(beats, b.peak_indices).tolist())
-            assert len(gaps) == 1
+            gaps = set(np.searchsorted(beats, blocks.peak[b.start : b.stop]).tolist())
+            assert gaps == {ids[0] - beats.size}
 
 
 @st.composite
