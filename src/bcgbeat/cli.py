@@ -224,10 +224,13 @@ def _kwargs(settings: dict, keys) -> dict:
 
 def _read_params(path: str) -> dict:
     """Every setting train stored in its .params file (`_STORED_KEYS`, all
-    required), each checked against its domain, and `fs` positive and
-    finite (synth checks the `fs` it is given itself)."""
+    required and no other key), each checked against its domain, and `fs`
+    positive and finite (synth checks the `fs` it is given itself)."""
     stored = _load(bio.read_keyvalue, path, f"params {path}")
     with _fails(EXIT_CONFIG, f"malformed detection params {path}: ", (KeyError, ValueError)):
+        unknown = sorted(stored.keys() - {_name(k) for k in _STORED_KEYS})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         values = _checked({k: _CONFIG_PARSERS[k].parse(stored[_name(k)]) for k in _STORED_KEYS})
         if not _POSITIVE_FINITE[1](values["fs"]):
             raise ValueError(f"fs={values['fs']!r} must be {_POSITIVE_FINITE[0]}")
@@ -387,6 +390,10 @@ def cmd_eval(args) -> int:
 
     if args.est_beats is not None:
         _, est_times, _ = _load(bio.read_beats, args.est_beats, "beats")
+        outside = est_times[(est_times < 0.0) | (est_times >= duration_s)]
+        if outside.size:
+            raise CliError(EXIT_EVAL_IMPOSSIBLE, f"{args.est_beats}: a beat at "
+                           f"{float(outside[0])!r} s lies outside {path}, which lasts {duration_s:g} s")
         gt_times = gt / fs
         with _fails(EXIT_EVAL_IMPOSSIBLE, "BBI comparison impossible: "):
             report["bbi_relative_error_pct"] = repr(bbi_relative_error(est_times, gt_times))
