@@ -416,7 +416,7 @@ def build_bags(
     the positive or the negative block.
 
     `candidates_list` holds per recording the list `candidate_peaks(rec,
-    pre)` yields: per channel (channel id, filtered channel, int peaks
+    pre)` yields: per channel (its unique id, filtered channel, int peaks
     whose windows fit); `gt_list` their groundtruth beats.  Every instance
     is first assigned to its nearest beat (ties -> earlier beat).  A beat's
     positive bag takes, per channel, the `per_positive` assigned instances
