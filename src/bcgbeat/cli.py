@@ -389,7 +389,11 @@ def cmd_eval(args) -> int:
         report["pearson_r"] = repr(pearson_r(*np.asarray(rows)[:, 1:3].T))
 
     if args.est_beats is not None:
-        _, est_times, _ = _load(bio.read_beats, args.est_beats, "beats")
+        est_idx, est_times, _ = _load(bio.read_beats, args.est_beats, "beats")
+        off = np.flatnonzero(np.abs(est_times - est_idx / fs) > 0.5 / fs)
+        if off.size:  # the first row whose time is not its index's
+            raise CliError(EXIT_EVAL_IMPOSSIBLE, f"{args.est_beats}: beat row {off[0] + 1}: beat_time_s "
+                           f"{float(est_times[off[0]])!r} is not beat_index {est_idx[off[0]]} / {fs:g} Hz")
         outside = est_times[(est_times < 0.0) | (est_times >= duration_s)]
         if outside.size:
             raise CliError(EXIT_EVAL_IMPOSSIBLE, f"{args.est_beats}: a beat at "

@@ -3,10 +3,11 @@
 Every candidate peak gets a GLRT-style confidence: the ratio of the
 background-only reconstruction error to the full-dictionary reconstruction
 error, both measured in the Mahalanobis metric of the training background
-covariance.  Peaks that look like heartbeats reconstruct much better once
-the target atoms are allowed in, so their ratio is large.  Cross-channel
-voting turns per-channel confidences into beat decisions, and two HR
-estimators (beat-to-beat and spectral) turn those into windowed series.
+covariance and, like dlfumi's residual norms, read in gram form.  Peaks
+that look like heartbeats reconstruct much better once the target atoms
+are allowed in, so their ratio is large.  Cross-channel voting turns
+per-channel confidences into beat decisions, and two HR estimators
+(beat-to-beat and spectral) turn those into windowed series.
 `train_model` and `detect_recording` run the whole pipeline on recordings
 in memory, and are what the CLI's `train` and `detect` run.
 
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dlfumi import Dictionary, FitResult, FumiParams, fit, safe_step_length
+from .dlfumi import Dictionary, FitResult, FumiParams, coding_operands, fit
+from .dlfumi import _column_sq_norms, _residual_sq_norms
 from .metrics import BEAT_MATCH_TOL_S, HrSeries, match_segments
 from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, build_bags
 from .signals import candidate_peaks, extract_instances
@@ -67,13 +69,12 @@ class BackgroundModel:
         return self.covariance.shape[0]
 
     def mahalanobis_sq(self, residuals: np.ndarray) -> np.ndarray:
-        """r^T Sigma^-1 r = ||L^-1 r||^2 for each column of the (d, n)
-        residuals."""
+        """r^T Sigma^-1 r = ||L^-1 r||^2 for each column r of a (d, n)
+        block: windows, or their residuals."""
         R = np.asarray(residuals, dtype=float)
         if R.ndim != 2 or R.shape[0] != self.d:
             raise ValueError(f"residuals must be ({self.d}, n), got shape {R.shape}")
-        W = self._whiten @ R
-        return np.einsum("ij,ij->j", W, W)
+        return _column_sq_norms(self._whiten @ R)
 
 
 @dataclass(frozen=True)
@@ -157,15 +158,18 @@ def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> Backgrou
 
 
 def _coding_operands(D: Dictionary, model: BackgroundModel, d: int):
-    """(D_bg, D_bg^T D_bg, its ISTA step, D, D^T D, its step), which every
+    """(G_bg, eta_bg, G, eta) from dlfumi.coding_operands, the stacked
+    [D, Sigma^-1 D]^T (2K, d) and D^T Sigma^-1 D (K, K), which every
     coding call against `D` shares.  Raises ModelMismatch unless the
     instance dimension `d` and the covariance's are the dictionary's."""
     if d != D.d:
         raise ModelMismatch("instance dimension does not match dictionary")
     if model.d != D.d:
         raise ModelMismatch("covariance dimension does not match dictionary")
-    Dbg, full = D.background_atoms, D.atoms
-    return Dbg, Dbg.T @ Dbg, safe_step_length(Dbg), full, full.T @ full, safe_step_length(full)
+    atoms = D.atoms
+    white = model._whiten @ atoms  # L^-1 D
+    return (*coding_operands(D.background_atoms, atoms),
+            np.vstack([atoms.T, white.T @ model._whiten]), white.T @ white)
 
 
 def _confidence_batch(
@@ -186,28 +190,22 @@ def _confidence_batch(
 
     The full coding warm-starts from the background-only codes (target
     block zero).  Raises ModelMismatch where its lasso objective
-    0.5*||x - D a||^2 + lam*||a||_1 is worse than its warm start's.  The
-    warm start's residual is the background one: each residual block is
-    formed once and gives both its objective and its Mahalanobis norm.
+    0.5*||x - D a||^2 + lam*||a||_1 is worse than its warm start's.
+    All four residual norms are read in gram form (_residual_sq_norms) from
+    x^T x, x^T Sigma^-1 x and [D, Sigma^-1 D]^T X, without residual blocks.
     """
-    Dbg, G_bg, eta_bg, full, G, eta = operands or _coding_operands(D, model, X.shape[0])
-    n = X.shape[1]
-    corr_bg = Dbg.T @ X
-    A_bg = kernels.ista_negative(G_bg, corr_bg, np.zeros((D.n_background, n)), lam, eta_bg, n_iter)
-    corr = np.vstack([D.target_atoms.T @ X, corr_bg])
-    A0 = np.vstack([np.zeros((D.n_target, n)), A_bg])
-    A_full = kernels.ista_negative(G, corr, A0, lam, eta, n_iter)
-
-    def scores(atoms, A):
-        R = atoms @ A
-        np.subtract(X, R, out=R)
-        lasso = 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.sum(np.abs(A), axis=0)
-        return model.mahalanobis_sq(R), lasso
-
-    num, obj_warm = scores(Dbg, A_bg)
-    den, obj_full = scores(full, A_full)
+    G_bg, eta_bg, G, eta, stacked, gram_m = operands or _coding_operands(D, model, X.shape[0])
+    T, K, n = D.n_target, G.shape[0], X.shape[1]
+    x_sq, xm_sq = _column_sq_norms(X), model.mahalanobis_sq(X)
+    corr = stacked @ X  # [D^T X ; (Sigma^-1 D)^T X]
+    A_bg = kernels.ista_negative(G_bg, corr[T:K], np.zeros((K - T, n)), lam, eta_bg, n_iter)
+    A = kernels.ista_negative(G, corr[:K], np.vstack([np.zeros((T, n)), A_bg]), lam, eta, n_iter)
+    obj_warm = 0.5 * _residual_sq_norms(x_sq, A_bg, corr[T:K], G_bg) + lam * np.abs(A_bg).sum(0)
+    obj_full = 0.5 * _residual_sq_norms(x_sq, A, corr[:K], G) + lam * np.abs(A).sum(0)
     if not np.all(obj_full <= obj_warm + 1e-9 * (1.0 + np.abs(obj_warm))):
         raise ModelMismatch("full-dictionary coding worsened its warm start")
+    num = _residual_sq_norms(xm_sq, A_bg, corr[K + T:], gram_m[T:, T:])
+    den = _residual_sq_norms(xm_sq, A, corr[K:], gram_m)
     return np.maximum(num, _RATIO_FLOOR) / np.maximum(den, _RATIO_FLOOR)
 
 

@@ -24,11 +24,11 @@ A cross-coherence penalty (gamma_matrix) pushes background atoms away
 from the previous iteration's target atoms so the target structure is not
 absorbed into the background model.
 
-The E-step and the objective need only the squared norms of the
-reconstruction residuals, never the residuals themselves.  fit() reads
-them as ||x||^2 - 2 a^T (D^T x) + a^T (D^T D) a (_residual_sq_norms) from
-the gram and correlations its code step already holds, so no (d, N)
-residual block is formed per iteration.
+The E-step, the objective and detection's GLRT need only the squared
+norms of the reconstruction residuals, never the residuals themselves.
+They read them as ||x||^2 - 2 a^T (D^T x) + a^T (D^T D) a
+(_residual_sq_norms) from the grams (coding_operands) and correlations the
+code steps already hold, so no (d, N) residual block is formed.
 """
 
 from __future__ import annotations
@@ -197,11 +197,14 @@ def gamma_matrix(D: Dictionary, scale: float, target_atoms_old: np.ndarray | Non
     return scale * (bg.T @ tgt) / np.outer(bn, tn)
 
 
-def _gram(atoms: np.ndarray) -> np.ndarray:
-    """atoms^T atoms as fit() forms it: a general product of two operands.
-    NumPy runs `A.T @ A` on one array as a symmetric rank-k update, which
-    rounds differently at some shapes (T+M = 18 among them)."""
-    return atoms.T @ atoms.copy()
+def coding_operands(background_atoms: np.ndarray, atoms: np.ndarray | None = None):
+    """(G_bg, eta_bg) of the contiguous background block D_bg, then, when
+    atoms = [D_tgt | D_bg] is given, (G, eta) of the whole dictionary: the
+    grams and ISTA step lengths fit() and detection code with.  G is a
+    product of two operands; NumPy runs `A.T @ A` on one array as a
+    symmetric rank-k update, which rounds differently at some shapes."""
+    ops = (background_atoms.T @ background_atoms, safe_step_length(background_atoms))
+    return ops if atoms is None else (*ops, atoms.T @ atoms.copy(), safe_step_length(atoms))
 
 
 def _column_sq_norms(R: np.ndarray) -> np.ndarray:
@@ -526,8 +529,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
 
     # --- initialization ---------------------------------------------------
     D_bg = _farthest_point_init(Xn, M, rng)
-    eta_bg = safe_step_length(D_bg)
-    G_bg = D_bg.T @ D_bg
+    G_bg, eta_bg = coding_operands(D_bg)
     corr_neg = D_bg.T @ Xn
     A_neg = kernels.ista_negative(
         G_bg, corr_neg, np.zeros((M, n_neg)), params.lam, eta_bg, _WARMUP_STEPS
@@ -551,8 +553,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     # D.atoms stacks the blocks anew on each read; EM keeps its own copy,
     # written beside the blocks.
     atoms = D.atoms
-    eta = safe_step_length(atoms)
-    G = _gram(atoms)
+    G_bg, eta_bg, G, eta = coding_operands(D_bg, atoms)
     corr_pos = np.vstack([D.target_atoms.T @ Xp, D.background_atoms.T @ Xp])
     A_pos = kernels.ista_negative(
         G, corr_pos, np.vstack([np.zeros((T, n_pos)), A_pos_bg]), params.lam, eta, _WARMUP_STEPS
@@ -632,10 +633,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
                 block[:, j] = atoms[:, first + j] = new_atom
 
         # --- code updates --------------------------------------------------
-        eta = safe_step_length(atoms)
-        eta_bg = safe_step_length(D.background_atoms)
-        G = _gram(atoms)
-        G_bg = D.background_atoms.T @ D.background_atoms
+        G_bg, eta_bg, G, eta = coding_operands(D.background_atoms, atoms)
         # the correlations are overwritten in place: nothing reads the old ones
         np.matmul(D.target_atoms.T, Xp, out=corr_pos[:T])
         np.matmul(D.background_atoms.T, Xp, out=corr_pos[T:])

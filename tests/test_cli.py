@@ -897,6 +897,34 @@ class TestEval:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("shift", [0.006, -0.006])
+    def test_beat_time_off_its_index_exits_5(self, workdir, tmp_path, capsys, shift):
+        """The beats file keeps one clock: a time more than half a sample
+        (5 ms at 100 Hz) off beat_index / fs names its row."""
+        lines = Path(str(workdir / "det") + ".beats.csv").read_text().splitlines(keepends=True)
+        idx, t, conf = lines[3].split(",")
+        lines[3] = f"{idx},{float(t) + shift!r},{conf}"
+        bad = tmp_path / "bad.beats.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "r"
+        code = main(["eval", str(workdir / "rec.csv"), "--est-hr", str(workdir / "det") + ".hr.csv",
+                     "--est-beats", str(bad), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"error: {bad}: beat row 3: beat_time_s {float(t) + shift!r} is not "
+            f"beat_index {idx} / 100 Hz\n"
+        )
+        assert not out.exists()
+
+    def test_beat_time_within_half_a_sample_is_scored(self, workdir, tmp_path):
+        lines = Path(str(workdir / "det") + ".beats.csv").read_text().splitlines(keepends=True)
+        idx, t, conf = lines[3].split(",")
+        lines[3] = f"{idx},{float(t) + 0.004!r},{conf}"
+        ok = tmp_path / "ok.beats.csv"
+        ok.write_text("".join(lines))
+        assert main(["eval", str(workdir / "rec.csv"), "--est-hr", str(workdir / "det") + ".hr.csv",
+                     "--est-beats", str(ok), "--out", str(tmp_path / "r")]) == 0
+
     def test_estimate_on_another_window_grid_exits_5(self, workdir, det30, tmp_path, capsys):
         est_hr, _ = det30
         out = tmp_path / "r"

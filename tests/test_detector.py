@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detector_reference as ref
-from bcgbeat import detector, kernels
+from bcgbeat import detector, dlfumi, kernels
+from bcgbeat import io as bio
 from bcgbeat.detector import (
     DEFAULT_CODE_ITERS,
     BackgroundModel,
@@ -29,6 +32,7 @@ from bcgbeat.signals import (
     Recording,
     build_bags,
     candidate_peaks,
+    extract_instances,
 )
 from bcgbeat.synth import SynthConfig, generate
 
@@ -161,6 +165,86 @@ class TestHsdConfidence:
             _confidence_batch(np.zeros(12)[:, None], D, bad_model, 0.0, DEFAULT_CODE_ITERS)
 
 
+@st.composite
+def scoring_problems(draw):
+    """(X, D, model, lam, n_iter, floor): unit atoms D (d, T+M), a
+    covariance ridged by a drawn share of its trace, and windows X (d, n)
+    that mix the target atoms with noise, at one of three scales.  With
+    `floor`, the atoms are orthonormal, lam is 0 and window 0 is a
+    background atom: the background reconstructs it exactly."""
+    T, M, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    d = draw(st.integers(3 * (T + M), 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.standard_normal((d, T + M))
+    atoms /= np.linalg.norm(atoms, axis=0)
+    floor = draw(st.booleans())
+    if floor:
+        atoms = np.linalg.qr(atoms)[0]
+    B = rng.standard_normal((d, draw(st.integers(1, 2 * d))))
+    S = B @ B.T / B.shape[1]
+    ridge = draw(st.sampled_from((1e-3, 1e-2, 0.1, 1.0))) * np.trace(S) / d
+    noise = draw(st.sampled_from((0.3, 1.0)))
+    X = atoms[:, :T] @ rng.standard_normal((T, n)) + noise * rng.standard_normal((d, n))
+    X *= draw(st.sampled_from((1e-2, 1.0, 1e2)))
+    lam = 0.0 if floor else draw(st.sampled_from((0.0, 1e-3, 5e-3, 5e-2)))
+    if floor:
+        X[:, 0] = atoms[:, T]
+    D = Dictionary(atoms[:, :T], atoms[:, T:])
+    model = BackgroundModel(S + ridge * np.eye(d), ridge)
+    return X, D, model, lam, draw(st.sampled_from((1, 5, 50))), floor
+
+
+class TestGramFormScores:
+    """The gram-form scorer against the explicit residual blocks of
+    tests/detector_reference.py."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scoring_problems())
+    def test_matches_the_explicit_residuals(self, case):
+        X, D, model, lam, n_iter, floor = case
+        got = _confidence_batch(X, D, model, lam, n_iter)
+        want = ref.confidence_batch(X, D, model, lam, n_iter)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if floor:
+            assert got[0] == want[0] == 1.0
+
+    def test_one_call_peaks_near_its_block(self, trained_small):
+        """No residual block or whitened copy of one is held: the coding
+        peak of a 1,000-column block stays within 1.5x its bytes."""
+        _, res, result, model = trained_small
+        _, filt, peaks = next(candidate_peaks(res.recording))
+        X = np.ascontiguousarray(extract_instances(filt, np.resize(peaks, 1000), 45, False).T)
+        tracemalloc.start()
+        try:
+            _confidence_batch(X, result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (91, 1000)
+        assert peak <= 1.5 * X.nbytes
+
+    def test_detect_codes_with_the_grams_fit_coded_with(self, trained_small, monkeypatch, tmp_path):
+        """At T + M = 18, where NumPy's symmetric and general products of
+        the atoms round apart, detect's coder holds fit's last grams and
+        step lengths bit for bit, after the model file round trip."""
+        _, res, _, model = trained_small
+        blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+        last = []
+        real = dlfumi.coding_operands
+
+        def spy(*atoms):
+            last[:] = real(*atoms)
+            return last
+
+        monkeypatch.setattr(dlfumi, "coding_operands", spy)
+        result = fit(blocks.Xp, blocks.Xn, FumiParams(T=9, M=9, max_em_iters=3), seed=0)
+        monkeypatch.undo()
+        bio.write_dictionary(tmp_path / "model.csv", result.dictionary)
+        D = bio.read_dictionary(tmp_path / "model.csv")
+        coder = detector._coding_operands(D, model, D.d)[:4]
+        assert [np.asarray(v).tobytes() for v in coder] == [np.asarray(v).tobytes() for v in last]
+
+
 @pytest.fixture(scope="module")
 def trained_small():
     """A small trained model shared by the confidence tests."""
@@ -232,8 +316,9 @@ class TestConfidenceSeries:
 
         monkeypatch.setattr(kernels, "ista_negative", worse)
         x = result.dictionary.target_atoms[:, 0]
-        with pytest.raises(ModelMismatch, match="worsened its warm start"):
-            _confidence_batch(x[:, None], result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
+        for score in (_confidence_batch, ref.confidence_batch):  # the explicit residuals agree
+            with pytest.raises(ModelMismatch, match="worsened its warm start"):
+                score(x[:, None], result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
 
     def test_all_confidences_are_positive(self, trained_small):
         _, res, result, model = trained_small
@@ -299,21 +384,21 @@ class TestChunkedCoding:
         assert_series_close(got, want)
 
     def test_coding_operands_are_formed_once_per_call(self, trained_small, monkeypatch):
-        """Two step lengths (background and full dictionary) per call, not
-        two per chunk."""
+        """The grams and step lengths (background and full dictionary) are
+        formed once per call, not once per chunk."""
         _, res, result, model = trained_small
         calls = []
-        real = detector.safe_step_length
+        real = detector.coding_operands
 
-        def spy(D):
-            calls.append(D)
-            return real(D)
+        def spy(*atoms):
+            calls.append(atoms)
+            return real(*atoms)
 
-        monkeypatch.setattr(detector, "safe_step_length", spy)
+        monkeypatch.setattr(detector, "coding_operands", spy)
         monkeypatch.setattr(detector, "_CODE_CHUNK", 7)
         assert channel0_count(res.recording) > 3 * 7
         confidence_series(res.recording, result.dictionary, model, lam=5e-3)
-        assert len(calls) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 2048])
     def test_calls_code_whole_chunks_then_the_remainder(self, trained_small, monkeypatch, chunk):
