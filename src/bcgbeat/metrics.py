@@ -23,12 +23,10 @@ class HrSeries:
 
     times holds window centers in seconds, bpm the estimates with NaN
     marking windows where no estimate was possible (gaps).
-    low_confidence is an estimator-set quality flag for the whole series.
     """
 
     times: np.ndarray
     bpm: np.ndarray
-    low_confidence: bool = False
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

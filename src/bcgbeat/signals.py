@@ -145,35 +145,40 @@ def _compensated_band_edges(low: float, high: float, half_order: int):
     return (s - width) / 2.0, (s + width) / 2.0
 
 
-def butter_bandpass_sos(half_order: int, low: float, high: float, fs: float) -> np.ndarray:
-    """Digital Butterworth band-pass with -3 dB points at low and high, as
-    (half_order, 6) second-order sections [b0, b1, b2, 1, a1, a2].
+def butter_sos(n: int, fs: float, high: float, low: float | None = None) -> np.ndarray:
+    """Digital Butterworth of order n (even) as (n/2, 6) second-order
+    sections [b0, b1, b2, 1, a1, a2]: a low-pass with its -3 dB point at
+    high, or, given low, a band-pass with -3 dB points at low and high.
 
     The design of scipy.signal.butter(..., output="sos"): analog prototype
-    poles, the low-pass to band-pass transform, the bilinear transform, and
-    one section per conjugate pole pair (or per pair of real poles).  The
-    section with the poles nearest the unit circle comes last and chooses
-    its zeros (+1 or -1, whichever is nearer) first; the gain sits in the
-    first section.
+    poles (of order n, or n/2 for the band-pass), the low-pass to low-pass
+    or band-pass transform, the bilinear transform, and one section per
+    conjugate pole pair (or per pair of real poles).  The section with the
+    poles nearest the unit circle comes last and chooses its zeros (+1 or
+    -1, whichever is nearer) first; the gain sits in the first section.
     """
-    n = half_order
-    p = -np.exp(1j * np.pi * np.arange(1 - n, n, 2) / (2 * n))
+    m = n if low is None else n // 2
+    p = -np.exp(1j * np.pi * np.arange(1 - m, m, 2) / (2 * m))
     # Edges pre-warped for a bilinear transform at 2 samples per unit time.
-    w_lo, w_hi = 4.0 * np.tan(np.pi * np.array([low, high]) / fs)
-    bw, w0 = w_hi - w_lo, np.sqrt(w_lo * w_hi)
-    p = p * (bw / 2.0)
-    split = np.sqrt(p * p - w0 * w0)
-    p = np.concatenate([p + split, p - split])
-    # n analog zeros at s = 0 map to z = 1, the n at infinity to z = -1.
-    gain = bw**n * np.real(4.0**n / np.prod(4.0 - p))
+    if low is None:
+        w = 4.0 * np.tan(np.pi * high / fs)
+        p, zeros_at_dc = p * w, 0
+    else:
+        w_lo, w_hi = 4.0 * np.tan(np.pi * np.array([low, high]) / fs)
+        w, w0 = w_hi - w_lo, np.sqrt(w_lo * w_hi)
+        p = p * (w / 2.0)
+        split = np.sqrt(p * p - w0 * w0)
+        p, zeros_at_dc = np.concatenate([p + split, p - split]), m
+    # Analog zeros at s = 0 map to z = 1, the m at infinity to z = -1.
+    gain = w**m * np.real(4.0**zeros_at_dc / np.prod(4.0 - p))
     p = (4.0 + p) / (4.0 - p)
     pairs = [np.array([q, q.conjugate()]) for q in p[p.imag > 0]]
     if np.any(p.imag == 0):  # the odd prototype pole split into two real ones
         pairs.append(p[p.imag == 0])
     pairs.sort(key=lambda q: np.abs(q).max())
-    free = {1.0: n, -1.0: n}
-    sos = np.empty((n, 6))
-    for i in reversed(range(n)):
+    free = {1.0: zeros_at_dc, -1.0: m}
+    sos = np.empty((len(pairs), 6))
+    for i in reversed(range(len(pairs))):
         zeros = []
         for q in sorted(pairs[i], key=abs, reverse=True):
             z = 1.0 if (q.real > 0 and free[1.0]) or not free[-1.0] else -1.0
@@ -246,24 +251,14 @@ def _sosfilt(operators, src: np.ndarray, dst: np.ndarray, c: int, zi: np.ndarray
     return src, dst
 
 
-def bandpass_filter(
-    x,
-    fs: float,
-    low: float = DEFAULT_BAND_HZ[0],
-    high: float = DEFAULT_BAND_HZ[1],
-    order: int = DEFAULT_FILTER_ORDER,
-) -> np.ndarray:
-    """Zero-phase Butterworth band-pass with -3 dB points at low and high.
-
-    `order` is the analog prototype order of the band-pass (must be even,
-    >= 2); the forward-backward application doubles the effective rolloff
-    but the -3 dB contract refers to the full zero-phase result.  `x` is
-    one signal, a (channels, n) array or a list of equal-length channels,
+def zero_phase_filter(x, sos: np.ndarray) -> np.ndarray:
+    """The cascade of second-order sections `sos` applied forward and
+    backward: scipy's sosfiltfilt, with odd extension by 3 (2 sections + 1)
+    samples at each end and both passes started from the steady state of
+    their first sample (Gustafsson, IEEE TSP 44(4), 1996).  `x` is one
+    signal, a (channels, n) array or a list of equal-length channels,
     filtered row by row; the output is 1-D for one signal and (channels, n)
-    otherwise.  The result is scipy's sosfiltfilt: odd extension by
-    3 (2 sections + 1) samples at each end, a forward and a backward pass
-    started from the steady state of the first sample (Gustafsson, IEEE
-    TSP 44(4), 1996).
+    otherwise.
 
     Both passes run in two (channels * blocks, _BLOCK + 2) buffers that
     each section writes alternately, and the output is a view of one of
@@ -280,19 +275,10 @@ def bandpass_filter(
         if x.ndim not in (1, 2):
             raise ValueError("expected a 1-D signal or a (channels, n) array")
         rows, shape = np.atleast_2d(x), x.shape
-    if order % 2 != 0 or order < 2:
-        raise ValueError("filter order must be even and >= 2")
-    if not (0.0 < low < high < fs / 2.0):
-        raise ValueError("need 0 < low < high < Nyquist")
-    half_order = order // 2
-    lo, hi = _compensated_band_edges(low, high, half_order)
-    if hi >= fs / 2.0:
-        raise ValueError("compensated upper edge reaches Nyquist; raise fs")
-    pad = 3 * (2 * half_order + 1)
+    pad = 3 * (2 * len(sos) + 1)
     n = shape[-1]
     if n <= pad:
         raise ValueError("signal too short for zero-phase filtering")
-    sos = butter_bandpass_sos(half_order, lo, hi, fs)
     operators = [_block_operators(s, _BLOCK) for s in sos]
     zi = _steady_states(sos)[:, None, :]
 
@@ -332,6 +318,30 @@ def bandpass_filter(
     for r in range(c):
         y[r] = reversed_row(src, r)[pad : pad + n]
     return y.reshape(shape)
+
+
+def bandpass_filter(
+    x,
+    fs: float,
+    low: float = DEFAULT_BAND_HZ[0],
+    high: float = DEFAULT_BAND_HZ[1],
+    order: int = DEFAULT_FILTER_ORDER,
+) -> np.ndarray:
+    """Zero-phase Butterworth band-pass with -3 dB points at low and high,
+    over `x` as zero_phase_filter takes it.
+
+    `order` is the analog prototype order of the band-pass (must be even,
+    >= 2); the forward-backward application doubles the effective rolloff
+    but the -3 dB contract refers to the full zero-phase result.
+    """
+    if order % 2 != 0 or order < 2:
+        raise ValueError("filter order must be even and >= 2")
+    if not (0.0 < low < high < fs / 2.0):
+        raise ValueError("need 0 < low < high < Nyquist")
+    lo, hi = _compensated_band_edges(low, high, order // 2)
+    if hi >= fs / 2.0:
+        raise ValueError("compensated upper edge reaches Nyquist; raise fs")
+    return zero_phase_filter(x, butter_sos(order, fs, hi, lo))
 
 
 def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> np.ndarray:

@@ -19,7 +19,7 @@ from bcgbeat.signals import (
     _block_operators,
     _compensated_band_edges,
     _steady_states,
-    butter_bandpass_sos,
+    butter_sos,
 )
 
 
@@ -148,7 +148,7 @@ def bandpass_filter(x, fs, low=0.4, high=10.0, order=6):
     half_order = order // 2
     lo, hi = _compensated_band_edges(low, high, half_order)
     pad = 3 * (2 * half_order + 1)
-    sos = butter_bandpass_sos(half_order, lo, hi, fs)
+    sos = butter_sos(order, fs, hi, lo)
     rows = np.atleast_2d(x)
     ext = np.concatenate(
         [2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]],

@@ -10,10 +10,11 @@ from bcgbeat.signals import (
     _compensated_band_edges,
     bandpass_filter,
     build_bags,
-    butter_bandpass_sos,
+    butter_sos,
     candidate_peaks,
     extract_instances,
     find_peaks,
+    zero_phase_filter,
 )
 
 FS = 100.0
@@ -156,7 +157,7 @@ class TestBandpassMatchesScipy:
     def test_design_has_butters_frequency_response(self, half_order, band, fs):
         signal = pytest.importorskip("scipy.signal")
         want = signal.butter(half_order, band, btype="bandpass", fs=fs, output="sos")
-        got = butter_bandpass_sos(half_order, *band, fs)
+        got = butter_sos(2 * half_order, fs, band[1], band[0])
         z = np.exp(-1j * np.linspace(0.0, np.pi, 4096))  # z^-1 on the unit circle
 
         def response(sos):
@@ -166,6 +167,37 @@ class TestBandpassMatchesScipy:
 
         assert got.shape == want.shape
         assert np.max(np.abs(response(got) - response(want))) <= 1e-10
+
+
+class TestLowpassMatchesScipy:
+    """The low-pass design and the zero-phase filter that wppd_hr smooths
+    with, against scipy.signal."""
+
+    @pytest.mark.parametrize("fs", [50.0, 100.0, 250.0])
+    @pytest.mark.parametrize("fc", [1.0, 4.0, 10.0])
+    def test_design_is_butters(self, fs, fc):
+        signal = pytest.importorskip("scipy.signal")
+        want = signal.butter(2, fc, "lowpass", fs=fs, output="sos")
+        got = butter_sos(2, fs, fc)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 2.2e-16
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["noise", "step", "constant"])
+    @pytest.mark.parametrize("n", [10, 128, 5000])
+    def test_zero_phase_filter_is_sosfiltfilt(self, order, kind, n):
+        signal = pytest.importorskip("scipy.signal")
+        sos = butter_sos(order, FS, 4.0)
+        x = probe_signal(kind, n)
+        if n <= 3 * (order + 1):
+            with pytest.raises(ValueError, match="too short"):
+                zero_phase_filter(x, sos)
+            with pytest.raises(ValueError):
+                signal.sosfiltfilt(sos, x)
+            return
+        got, want = zero_phase_filter(x, sos), signal.sosfiltfilt(sos, x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
 
 
 class TestFindPeaks:
