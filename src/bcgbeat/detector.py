@@ -501,18 +501,10 @@ def learn_detection_params_pooled(
     series_list, gt_list = list(series_list), [np.asarray(g) for g in gt_list]
     thresholds, neighborhoods = list(thresholds), list(neighborhoods)
     tp, n_est = score_grid(series_list, gt_list, thresholds, neighborhoods, min_votes, refractory_s)
+    # 2 tp + fp + fn = n_est + n_gt, and score_grid requires n_gt >= 1
     n_gt = sum(g.size for _, g in zip(series_list, gt_list))
-    best = None
-    best_f1 = -1.0
-    for row, thr in enumerate(thresholds):
-        for col, nb in enumerate(neighborhoods):
-            m = int(tp[row, col])
-            fp, fn = int(n_est[row, col]) - m, n_gt - m
-            f1 = 2.0 * m / (2.0 * m + fp + fn) if (2 * m + fp + fn) else 0.0
-            if f1 > best_f1:
-                best_f1 = f1
-                best = DetectionParams(float(thr), int(nb), min_votes, refractory_s)
-    return best
+    row, col = np.unravel_index(np.argmax(2.0 * tp / (n_est + n_gt)), tp.shape)
+    return DetectionParams(float(thresholds[row]), int(neighborhoods[col]), min_votes, refractory_s)
 
 
 def window_starts(duration_s: float, window_s: float, step_s: float) -> np.ndarray:
