@@ -310,8 +310,8 @@ def cmd_train(args) -> int:
     pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
     keys = ["code_iters", "seed", "per_positive", "min_votes", "refractory_s"]
     with _fails(EXIT_CONFIG):
-        model, result = train_model(recs, params, pre, **_kwargs(settings, keys))
-    for i, v in enumerate(result.objective_trace, 1):
+        model, trace = train_model(recs, params, pre, **_kwargs(settings, keys))
+    for i, v in enumerate(trace, 1):
         print(f"em_iter={i} objective={v!r}")
 
     bio.write_dictionary(args.out, model.dictionary)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dlfumi import Dictionary, FitResult, FumiParams, coding_operands, fit
+from .dlfumi import Dictionary, FumiParams, coding_operands, fit
 from .dlfumi import _column_sq_norms, _residual_sq_norms
 from .metrics import BEAT_MATCH_TOL_S, HrSeries, match_segments
 from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, build_bags
@@ -616,11 +616,12 @@ def train_model(
     per_positive: int = DEFAULT_PER_POSITIVE,
     min_votes: int = DetectionParams.min_votes,
     refractory_s: float = DetectionParams.refractory_s,
-) -> tuple[Model, FitResult]:
+) -> tuple[Model, list[float]]:
     """Fit a dictionary on the bags of `recordings` (one sample rate, with
     groundtruth beats), then grid-search the voting parameters on the
-    confidences `detect_recording` gives them.  A learner error is raised
-    as a ValueError prefixed `training failed: `."""
+    confidences `detect_recording` gives them.  Returns the model and fit's
+    objective trace.  A learner error is raised as a ValueError prefixed
+    `training failed: `."""
     _check_min_votes(min_votes, min(len(rec.channels) for rec in recordings))
     # Each recording is filtered and peak-picked once, for its bags and
     # for the voting-parameter grid.
@@ -631,17 +632,21 @@ def train_model(
         result = fit(blocks.Xp, blocks.Xn, params, seed)
     except ValueError as exc:
         raise ValueError(f"training failed: {exc}") from exc
+    # Only the dictionary and the trace outlive fit: its codes and
+    # posteriors are freed before the grid.
+    dictionary, trace = result.dictionary, result.objective_trace
+    del result
     background = background_covariance(blocks.Xn)  # spends the negative block
     del blocks  # the grid cuts its own windows, one chunk at a time
     series_list = [
-        confidence_series(rec, result.dictionary, background, params.lam, code_iters, pre, cands)
+        confidence_series(rec, dictionary, background, params.lam, code_iters, pre, cands)
         for rec, cands in zip(recordings, candidates)
     ]
     detection = learn_detection_params_pooled(
         series_list, gt, min_votes=min_votes, refractory_s=refractory_s
     )
     fs = recordings[0].sample_rate_hz
-    return Model(result.dictionary, background, detection, params.lam, code_iters, fs, pre), result
+    return Model(dictionary, background, detection, params.lam, code_iters, fs, pre), trace
 
 
 def detect_recording(

@@ -60,9 +60,9 @@ def template_recovery():
     voting-parameter grid included."""
     res = generate(SynthConfig(duration_s=300.0, snr_db=10.0, seed=0))
     t0 = time.perf_counter()
-    _, fitres = train_model([res.recording], FumiParams())
+    model, _ = train_model([res.recording], FumiParams())
     elapsed = time.perf_counter() - t0
-    return res, fitres, elapsed
+    return res, model, elapsed
 
 
 @pytest.fixture(scope="session")
@@ -264,11 +264,11 @@ class TestCriteria:
         )
 
     def test_c06_template_recovery(self, template_recovery):
-        res, fitres, elapsed = template_recovery
+        res, model, elapsed = template_recovery
         tpl = res.template
         best = 0.0
-        for j in range(fitres.dictionary.n_target):
-            atom = fitres.dictionary.target_atoms[:, j]
+        for j in range(model.dictionary.n_target):
+            atom = model.dictionary.target_atoms[:, j]
             for shift in range(-5, 6):
                 c = abs(float(np.dot(atom, np.roll(tpl, shift))))
                 c /= np.linalg.norm(atom) * np.linalg.norm(tpl)
