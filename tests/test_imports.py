@@ -1,6 +1,6 @@
-"""Import footprint: no command loads scipy or numpy.ma, the package and
-the CLI load no module they do not use, and no module imports a name it
-does not use.
+"""Import footprint: no module of the package imports scipy and no
+command loads it or numpy.ma, the package and the CLI load no module they
+do not use, and no module imports a name it does not use.
 
 Every check runs in a fresh interpreter, since this test process has
 long since imported scipy itself (the oracle tests use it).
@@ -157,8 +157,34 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
          "--out", d / "report"],
         ["eval", d / "b.csv", "--est-hr", d / "dft.hr.csv", "--out", d / "dft.report"],
     )
-    run_fresh(BLOCK_SCIPY + chain)
+    baselines = f"""
+from bcgbeat import io as bio
+from bcgbeat.baselines import en_hr, pick_best_channel, wppd_hr
+rec = bio.read_recording({str(d / "b.csv")!r})
+for estimator in (wppd_hr, en_hr):
+    ch = pick_best_channel(rec, estimator)
+    print(estimator.__name__, ch, estimator(rec.channels[ch], rec.sample_rate_hz).bpm.tolist())
+"""
+    out = run_fresh(BLOCK_SCIPY + chain + baselines).splitlines()
     assert "mae_bpm" in bio.read_keyvalue(d / "report")
+    assert [line.split()[0] for line in out[-2:]] == ["wppd_hr", "en_hr"]
+
+
+def test_no_module_imports_scipy():
+    """Not at module level and not inside a function: scipy is the tests'
+    oracle, never a dependency of the package."""
+    found = []
+    for path in sorted((SRC / "bcgbeat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n == "scipy" or n.startswith("scipy.")]
+    assert found == []
 
 
 def unused_imports(path: Path) -> list[str]:
