@@ -632,10 +632,8 @@ def train_model(
         result = fit(blocks.Xp, blocks.Xn, params, seed)
     except ValueError as exc:
         raise ValueError(f"training failed: {exc}") from exc
-    # Only the dictionary and the trace outlive fit: its codes and
-    # posteriors are freed before the grid.
     dictionary, trace = result.dictionary, result.objective_trace
-    del result
+    del result  # fit's codes and posteriors are not held through the grid
     background = background_covariance(blocks.Xn)  # spends the negative block
     del blocks  # the grid cuts its own windows, one chunk at a time
     series_list = [

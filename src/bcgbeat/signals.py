@@ -177,8 +177,8 @@ def butter_sos(n: int, fs: float, high: float, low: float | None = None) -> np.n
         pairs.append(p[p.imag == 0])
     pairs.sort(key=lambda q: np.abs(q).max())
     free = {1.0: zeros_at_dc, -1.0: m}
-    sos = np.empty((len(pairs), 6))
-    for i in reversed(range(len(pairs))):
+    sos = np.empty((n // 2, 6))
+    for i in reversed(range(n // 2)):
         zeros = []
         for q in sorted(pairs[i], key=abs, reverse=True):
             z = 1.0 if (q.real > 0 and free[1.0]) or not free[-1.0] else -1.0
