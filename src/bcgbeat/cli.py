@@ -1,8 +1,8 @@
 """Command-line pipeline: synth | train | detect | eval.
 
-`train` and `detect` run `detector.train_model` and
-`detector.detect_recording`; each command here only parses its settings,
-reads its inputs, maps errors to exit codes and writes its outputs.
+`train`, `detect` and `eval` run `detector.train_model`,
+`detector.detect_recording` and `metrics.evaluate`; each command here only
+parses its settings, reads its inputs, maps errors to exit codes and writes.
 `train` writes the model's three files and `detect` reads them.
 
 Exit codes: 0 success, 2 config or IO problem (a model file that is
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from typing import Callable, NamedTuple
 
@@ -43,16 +43,7 @@ from .detector import (
     window_starts,
 )
 from .dlfumi import FumiParams
-from .metrics import (
-    bbi_relative_error,
-    bland_altman,
-    mae,
-    matched_interval_pairs,
-    paired_t,
-    pearson_r,
-    per_window_errors,
-    window_errors,
-)
+from .metrics import evaluate
 from .signals import Preprocessing
 from .synth import SynthConfig, generate
 
@@ -102,8 +93,8 @@ def _parse_bool(v: str) -> bool:
 
 
 def _parse_tuple(kind):
-    """A parser of comma-separated `kind` values."""
-    return lambda v: tuple(kind(x) for x in v.split(",") if x.strip() != "")
+    """A parser of comma-separated `kind` values, none empty (`kind` rejects '')."""
+    return lambda v: tuple(kind(x) for x in v.split(","))
 
 
 class _Setting(NamedTuple):
@@ -380,14 +371,7 @@ def cmd_eval(args) -> int:
     gt_hr = hr_from_beats(gt, fs, window_s=window_s, step_s=step_s, duration_s=duration_s)
     est_hr = _load(bio.read_hr, args.est_hr, "HR series")
 
-    report: dict = {}
-    with _fails(EXIT_EVAL_IMPOSSIBLE, "HR comparison impossible: "):
-        report["mae_bpm"] = repr(mae(est_hr, gt_hr))
-    rows = per_window_errors(est_hr, gt_hr)
-    report["n_windows_compared"] = len(rows)
-    with suppress(ValueError):  # fewer than two windows, or a constant series
-        report["pearson_r"] = repr(pearson_r(*np.asarray(rows)[:, 1:3].T))
-
+    est_times = None
     if args.est_beats is not None:
         est_idx, est_times, _ = _load(bio.read_beats, args.est_beats, "beats")
         off = np.flatnonzero(np.abs(est_times - est_idx / fs) > 0.5 / fs)
@@ -398,25 +382,9 @@ def cmd_eval(args) -> int:
         if outside.size:
             raise CliError(EXIT_EVAL_IMPOSSIBLE, f"{args.est_beats}: a beat at "
                            f"{float(outside[0])!r} s lies outside {path}, which lasts {duration_s:g} s")
-        gt_times = gt / fs
-        with _fails(EXIT_EVAL_IMPOSSIBLE, "BBI comparison impossible: "):
-            report["bbi_relative_error_pct"] = repr(bbi_relative_error(est_times, gt_times))
-        e_iv, g_iv = matched_interval_pairs(est_times, gt_times)
-        if e_iv.size >= 2:
-            stats = bland_altman(60.0 / e_iv, 60.0 / g_iv)
-            report["bland_altman_bias_bpm"] = repr(stats.bias)
-            report["bland_altman_sd_bpm"] = repr(stats.sd)
-            report["bland_altman_loa_low_bpm"] = repr(stats.loa_low)
-            report["bland_altman_loa_high_bpm"] = repr(stats.loa_high)
-            report["n_beat_pairs"] = stats.n
-
-    if args.baseline_hr is not None:
-        base_hr = _load(bio.read_hr, args.baseline_hr, "baseline HR")
-        with _fails(EXIT_EVAL_IMPOSSIBLE, "paired comparison impossible: "):
-            errs = np.stack([window_errors(est_hr, gt_hr), window_errors(base_hr, gt_hr)])
-            errs = errs[:, ~np.isnan(errs).any(axis=0)]
-            report["paired_t_stat"] = repr(paired_t(*errs))
-        report["paired_t_df"] = errs.shape[1] - 1
+    base_hr = None if args.baseline_hr is None else _load(bio.read_hr, args.baseline_hr, "baseline HR")
+    with _fails(EXIT_EVAL_IMPOSSIBLE):
+        report, rows = evaluate(gt_hr, est_hr, est_times, gt / fs, base_hr)
 
     bio.write_keyvalue(args.out, report)
     with open(args.out + ".windows.csv", "w", encoding="utf-8", newline="\n") as fh:

@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .dlfumi import Dictionary, FumiParams, coding_operands, fit
 from .dlfumi import _column_sq_norms, _residual_sq_norms
-from .metrics import BEAT_MATCH_TOL_S, HrSeries, match_segments
+from .metrics import BEAT_MATCH_TOL_S, HrSeries, beat_f1, match_segments
 from .signals import DEFAULT_PER_POSITIVE, Preprocessing, Recording, build_bags
 from .signals import candidate_peaks, extract_instances
 
@@ -501,9 +501,9 @@ def learn_detection_params_pooled(
     series_list, gt_list = list(series_list), [np.asarray(g) for g in gt_list]
     thresholds, neighborhoods = list(thresholds), list(neighborhoods)
     tp, n_est = score_grid(series_list, gt_list, thresholds, neighborhoods, min_votes, refractory_s)
-    # 2 tp + fp + fn = n_est + n_gt, and score_grid requires n_gt >= 1
+    # score_grid requires n_gt >= 1
     n_gt = sum(g.size for _, g in zip(series_list, gt_list))
-    row, col = np.unravel_index(np.argmax(2.0 * tp / (n_est + n_gt)), tp.shape)
+    row, col = np.unravel_index(np.argmax(beat_f1(tp, n_est, n_gt)), tp.shape)
     return DetectionParams(float(thresholds[row]), int(neighborhoods[col]), min_votes, refractory_s)
 
 

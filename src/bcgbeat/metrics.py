@@ -5,10 +5,12 @@ sliding-window grid; everything here compares two such series, or two beat
 sequences, without caring where they came from.  HR series compare only on
 one grid (equal window centres, else ValueError); beats match within
 BEAT_MATCH_TOL_S, the one tolerance of eval and the voting-parameter grid.
+`evaluate` composes eval's report from them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,32 +138,6 @@ def mae(est: HrSeries, gt: HrSeries) -> float:
     return float(np.mean([r[3] for r in rows]))
 
 
-def matched_interval_pairs(est_beats_s: np.ndarray, gt_beats_s: np.ndarray):
-    """Beat-to-beat intervals over consecutively matched beat pairs.
-
-    Matches beats one-to-one (greedy_match) and keeps intervals
-    whose endpoints are matched consecutively in both sequences.  Returns
-    (est_intervals, gt_intervals) in seconds.
-    """
-    est = np.asarray(est_beats_s, dtype=float)
-    gt = np.asarray(gt_beats_s, dtype=float)
-    pairs = greedy_match(est, gt)
-    e_iv, g_iv = [], []
-    for (i0, j0), (i1, j1) in zip(pairs, pairs[1:]):
-        if i1 == i0 + 1 and j1 == j0 + 1:
-            e_iv.append(est[i1] - est[i0])
-            g_iv.append(gt[j1] - gt[j0])
-    return np.asarray(e_iv), np.asarray(g_iv)
-
-
-def bbi_relative_error(est_beats_s: np.ndarray, gt_beats_s: np.ndarray) -> float:
-    """Mean relative beat-to-beat-interval error in percent."""
-    e_iv, g_iv = matched_interval_pairs(est_beats_s, gt_beats_s)
-    if e_iv.size == 0:
-        raise ValueError("no consecutively matched beat pairs")
-    return float(np.mean(np.abs(e_iv - g_iv) / g_iv) * 100.0)
-
-
 def bland_altman(est: np.ndarray, gt: np.ndarray) -> AgreementStats:
     """Bias and 1.96-sd limits of agreement of est - gt."""
     est = np.asarray(est, dtype=float)
@@ -206,3 +182,59 @@ def paired_t(a: np.ndarray, b: np.ndarray) -> float:
     if sd == 0.0:
         raise ValueError("zero-variance differences")
     return float(np.mean(d) / (sd / np.sqrt(d.size)))
+
+
+def beat_f1(tp, n_est, n_gt):
+    """Beat F1 of tp matches among n_est estimated and n_gt groundtruth
+    beats (counts or arrays): 2 tp / (2 tp + fp + fn)."""
+    return 2.0 * tp / (n_est + n_gt)
+
+
+@contextmanager
+def _impossible(what: str):
+    """Prefix a ValueError in the block with `<what> comparison impossible: `."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{what} comparison impossible: {exc}") from exc
+
+
+def evaluate(gt_hr: HrSeries, est_hr: HrSeries, est_beats_s=None, gt_beats_s=None,
+             baseline_hr: HrSeries | None = None):
+    """eval's (report, per_window_errors rows) of est_hr against gt_hr.
+    The report maps eval's keys to floats and ints, in eval's order; the
+    beat keys need both beat trains (s), matched once by greedy_match, and
+    the paired t baseline_hr.  Pearson r needs two windows and a varying
+    series, Bland-Altman two consecutively matched intervals.  Raises
+    ValueError when a comparison is impossible."""
+    with _impossible("HR"):
+        report = {"mae_bpm": mae(est_hr, gt_hr)}
+    rows = per_window_errors(est_hr, gt_hr)
+    report["n_windows_compared"] = len(rows)
+    with suppress(ValueError):  # fewer than two windows, or a constant series
+        report["pearson_r"] = pearson_r(*np.asarray(rows)[:, 1:3].T)
+
+    if est_beats_s is not None:
+        est, gt = (np.asarray(b, dtype=float) for b in (est_beats_s, gt_beats_s))
+        i, j = np.asarray(greedy_match(est, gt), dtype=int).reshape(-1, 2).T
+        report["beat_f1"] = beat_f1(i.size, est.size, gt.size)
+        report.update(n_beats_matched=i.size, n_beats_est=est.size, n_beats_gt=gt.size)
+        # intervals whose two ends are matched consecutively in both trains
+        run = (np.diff(i) == 1) & (np.diff(j) == 1)
+        e_iv, g_iv = np.diff(est[i])[run], np.diff(gt[j])[run]
+        if e_iv.size == 0:
+            raise ValueError("BBI comparison impossible: no consecutively matched beat pairs")
+        report["bbi_relative_error_pct"] = float(np.mean(np.abs(e_iv - g_iv) / g_iv) * 100.0)
+        if e_iv.size >= 2:
+            stats = bland_altman(60.0 / e_iv, 60.0 / g_iv)
+            for k in ("bias", "sd", "loa_low", "loa_high"):
+                report[f"bland_altman_{k}_bpm"] = getattr(stats, k)
+            report["n_beat_pairs"] = stats.n
+
+    if baseline_hr is not None:
+        with _impossible("paired"):
+            errs = np.stack([window_errors(est_hr, gt_hr), window_errors(baseline_hr, gt_hr)])
+            errs = errs[:, ~np.isnan(errs).any(axis=0)]
+            report["paired_t_stat"] = paired_t(*errs)
+        report["paired_t_df"] = errs.shape[1] - 1
+    return report, rows

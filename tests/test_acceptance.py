@@ -34,7 +34,7 @@ from bcgbeat.dlfumi import (
     update_products,
 )
 from bcgbeat.kernels import positive_gradient, soft_threshold
-from bcgbeat.metrics import bbi_relative_error, bland_altman, mae, paired_t, pearson_r
+from bcgbeat.metrics import bland_altman, evaluate, paired_t, pearson_r
 from bcgbeat.signals import Preprocessing, bandpass_filter, build_bags, candidate_peaks
 from bcgbeat.synth import SynthConfig, generate
 
@@ -68,8 +68,8 @@ def template_recovery():
 @pytest.fixture(scope="session")
 def hrv_pipeline():
     """Train on one 5-minute recording, detect on a held-out one with
-    sinusoidal heart-rate variability, plus baseline runs on the same
-    held-out data."""
+    sinusoidal heart-rate variability, and score the estimate with eval's
+    metrics.evaluate."""
     train_cfg = SynthConfig(
         duration_s=300.0,
         hr_bpm=70.0,
@@ -82,11 +82,10 @@ def hrv_pipeline():
     train, test = generate(train_cfg), generate(test_cfg)
     model, _ = train_model([train.recording], FumiParams(), Preprocessing(zscore=True))
     beats, est_hr = detect_recording(test.recording, model)
-    beat_idx = np.asarray([b[0] for b in beats])
-    gt_hr = hr_from_beats(
-        test.recording.gt_beat_times, FS, duration_s=test.recording.duration_s
-    )
-    return dict(test=test, beat_idx=beat_idx, est_hr=est_hr, gt_hr=gt_hr)
+    gt = test.recording.gt_beat_times
+    gt_hr = hr_from_beats(gt, FS, duration_s=test.recording.duration_s)
+    report, _ = evaluate(gt_hr, est_hr, np.asarray([b[0] for b in beats]) / FS, gt / FS)
+    return dict(test=test, gt_hr=gt_hr, report=report)
 
 
 @pytest.fixture(scope="session")
@@ -281,13 +280,11 @@ class TestCriteria:
         )
 
     def test_c07_hr_accuracy(self, hrv_pipeline):
-        err = mae(hrv_pipeline["est_hr"], hrv_pipeline["gt_hr"])
+        err = hrv_pipeline["report"]["mae_bpm"]
         check(7, "held-out HR MAE within 1 bpm", err <= 1.0, f"MAE {err:.3f} bpm")
 
     def test_c08_bbi_accuracy(self, hrv_pipeline):
-        est_times = hrv_pipeline["beat_idx"] / FS
-        gt_times = hrv_pipeline["test"].recording.gt_beat_times / FS
-        err = bbi_relative_error(est_times, gt_times)
+        err = hrv_pipeline["report"]["bbi_relative_error_pct"]
         check(8, "beat-to-beat interval error within 5%", err <= 5.0, f"BBI {err:.2f}%")
 
     def test_c09_dft_batch_mode(self, dft_pipeline):
@@ -381,11 +378,11 @@ class TestCriteria:
 
         test_rec = hrv_pipeline["test"].recording
         gt_hr = hrv_pipeline["gt_hr"]
-        dl_mae = mae(hrv_pipeline["est_hr"], gt_hr)
+        dl_mae = hrv_pipeline["report"]["mae_bpm"]
         base_maes = {}
         for name, estimator in (("wppd", wppd_hr), ("en", en_hr)):
             ch = pick_best_channel(test_rec, estimator)
-            base_maes[name] = mae(estimator(test_rec.channels[ch], FS), gt_hr)
+            base_maes[name] = evaluate(gt_hr, estimator(test_rec.channels[ch], FS))[0]["mae_bpm"]
         beats_ok = all(dl_mae <= m for m in base_maes.values())
         check(
             12,

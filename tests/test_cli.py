@@ -18,52 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgbeat import cli, detector, kernels
+from bcgbeat import cli, detector, kernels, metrics
 from bcgbeat import io as bio
 from bcgbeat.cli import main
 from bcgbeat.baselines import wppd_hr
 from bcgbeat.detector import DEFAULT_DFT_BAND_HZ, confidence_series
 from bcgbeat.dlfumi import FumiParams
-from bcgbeat.metrics import HrSeries
+from bcgbeat.metrics import HrSeries, greedy_match
 from bcgbeat.signals import Preprocessing, Recording, candidate_peaks
 from bcgbeat.synth import SynthConfig
-
-
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    """One full pipeline run on a 90 s recording, shared by the tests."""
-    root = tmp_path_factory.mktemp("cli")
-    cfg = root / "synth.conf"
-    cfg.write_text("duration_s=90\nhr_bpm=66\nsnr_db=10\n")
-    rec = root / "rec.csv"
-    assert main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(rec)]) == 0
-
-    dict_path = root / "model.csv"
-    assert main(["train", str(rec), "--out", str(dict_path)]) == 0
-
-    out_prefix = root / "det"
-    assert (
-        main(["detect", str(rec), "--dict", str(dict_path), "--out", str(out_prefix)])
-        == 0
-    )
-
-    report = root / "report"
-    assert (
-        main(
-            [
-                "eval",
-                str(rec),
-                "--est-hr",
-                str(out_prefix) + ".hr.csv",
-                "--est-beats",
-                str(out_prefix) + ".beats.csv",
-                "--out",
-                str(report),
-            ]
-        )
-        == 0
-    )
-    return root
 
 
 class TestSynth:
@@ -133,6 +96,12 @@ class TestSynth:
              "artifact_width_s must be an increasing positive (low, high) pair"),
             ("artifact_width_s=0.4",
              "artifact_width_s must be an increasing positive (low, high) pair"),
+            # an empty item of a tuple setting fails its parser
+            ("delays=0,3,,6,9", "bad value for 'delays': invalid literal for int() with base 10: ''"),
+            ("gains=1,,1,1,1", "bad value for 'gains': could not convert string to float: ''"),
+            ("gains=1,1,1,1,", "bad value for 'gains': could not convert string to float: ''"),
+            ("artifact_width_s= ,1.2",
+             "bad value for 'artifact_width_s': could not convert string to float: ''"),
         ],
     )
     def test_setting_outside_its_domain_exits_2(self, tmp_path, capsys, setting, message):
@@ -141,7 +110,9 @@ class TestSynth:
         short = "" if setting.startswith("duration_s=") else "duration_s=30\n"
         cfg.write_text(f"{short}{setting}\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
-        assert capsys.readouterr().err == f"error: bad synthesis config: {message}\n"
+        if not message.startswith("bad value for "):
+            message = "bad synthesis config: " + message
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["synth.conf"]
 
     def test_two_samples_and_a_beat_every_two_samples_are_accepted(self, tmp_path):
@@ -757,6 +728,19 @@ class TestEval:
         assert "bland_altman_bias_bpm" in report
         assert "bland_altman_sd_bpm" in report
         assert int(report["n_windows_compared"]) > 0
+
+    def test_report_scores_beats_after_one_matching(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "greedy_match", lambda *a: calls.append(a) or greedy_match(*a))
+        argv = ["eval", str(workdir / "rec.csv"), "--est-hr", str(workdir / "det") + ".hr.csv",
+                "--est-beats", str(workdir / "det") + ".beats.csv", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "r").read_bytes() == (workdir / "report").read_bytes()
+        report = bio.read_keyvalue(workdir / "report")
+        assert 0.0 < float(report["beat_f1"]) <= 1.0
+        assert int(report["n_beats_matched"]) <= min(int(report["n_beats_est"]),
+                                                     int(report["n_beats_gt"]))
 
     def test_windows_csv(self, workdir):
         lines = (workdir / "report.windows.csv").read_text().splitlines()

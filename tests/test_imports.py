@@ -211,17 +211,21 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 # The pipeline's steps, which the CLI reaches only through
-# detector.train_model and detector.detect_recording.
+# detector.train_model and detector.detect_recording, and the scores, which
+# it reaches only through metrics.evaluate.
 PIPELINE_STEPS = {
     "fit", "build_bags", "candidate_peaks", "extract_instances", "confidence_series",
     "background_covariance", "learn_detection_params_pooled", "vote_beats",
     "hr_from_confidence_dft",
+    "window_errors", "per_window_errors", "mae", "greedy_match", "match_segments",
+    "bland_altman", "pearson_r", "paired_t", "beat_f1",
 }
 
 
 def test_the_cli_reaches_no_pipeline_step_itself():
-    """No second copy of the pipeline can grow back into the CLI: cli.py
-    neither imports a step nor reads one as a module attribute."""
+    """No second copy of the pipeline or of eval's scores can grow back
+    into the CLI: cli.py neither imports a step nor reads one as a module
+    attribute."""
     tree = ast.parse((SRC / "bcgbeat" / "cli.py").read_text())
     names = {
         part

@@ -1,4 +1,5 @@
-"""Evaluation statistics tests: MAE, BBI error, Bland-Altman, correlation."""
+"""Evaluation statistics tests: MAE, BBI error, Bland-Altman, correlation,
+and evaluate, which composes eval's report from them."""
 
 import ast
 import re
@@ -7,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bcgbeat import io as bio
 from bcgbeat.metrics import (
     BEAT_MATCH_TOL_S,
     HrSeries,
-    bbi_relative_error,
     bland_altman,
+    evaluate,
     greedy_match,
     mae,
-    matched_interval_pairs,
     paired_t,
     pearson_r,
     per_window_errors,
@@ -25,35 +26,39 @@ def series(times, bpm):
     return HrSeries(times=np.asarray(times, dtype=float), bpm=np.asarray(bpm, dtype=float))
 
 
+def mae_of(est, gt):
+    return evaluate(gt, est)[0]["mae_bpm"]
+
+
 class TestMae:
     def test_identical_series_score_zero(self):
         s = series([30, 45, 60], [70, 72, 71])
-        assert mae(s, s) == 0.0
+        assert mae_of(s, s) == 0.0
 
     def test_constant_offset(self):
         gt = series([30, 45, 60], [70.0, 72.0, 71.0])
         est = series([30, 45, 60], [71.0, 73.0, 72.0])
-        assert mae(est, gt) == 1.0
+        assert mae_of(est, gt) == 1.0
 
     def test_is_symmetric(self):
         rng = np.random.default_rng(0)
         t = np.arange(10) * 15.0 + 30.0
         a = series(t, rng.uniform(60, 90, 10))
         b = series(t, rng.uniform(60, 90, 10))
-        assert mae(a, b) == mae(b, a)
+        assert mae_of(a, b) == mae_of(b, a)
 
     def test_gaps_are_excluded_pairwise(self):
         gt = series([30, 45, 60], [70.0, np.nan, 71.0])
         est = series([30, 45, 60], [np.nan, 72.0, 73.0])
-        assert mae(est, gt) == 2.0
+        assert mae_of(est, gt) == 2.0
 
     def test_no_overlap_is_an_error(self):
         a = series([30.0], [np.nan])
         b = series([30.0], [70.0])
         with pytest.raises(ValueError):
-            mae(a, b)
+            mae_of(a, b)
         with pytest.raises(ValueError):
-            mae(series([30.0], [70.0]), series([999.0], [70.0]))
+            mae_of(series([30.0], [70.0]), series([999.0], [70.0]))
 
 
 class TestOneGrid:
@@ -79,9 +84,10 @@ class TestOneGrid:
             mae(series([], []), series(*self.GT))
 
 
-def test_benchmark_matches_beats_under_the_same_tolerance():
+def test_benchmark_matches_beats_under_the_same_tolerance(workdir):
     """perfbench/run.py scores beat_f1 with its own MATCH_TOL_S; read it
-    without importing the benchmark, so its F1 and eval cannot drift."""
+    without importing the benchmark, so its F1 and eval cannot drift.  On
+    the CLI fixture, eval's beat_f1 is the benchmark's formula to the bit."""
     run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
     values = [
         ast.literal_eval(node.value)
@@ -90,6 +96,14 @@ def test_benchmark_matches_beats_under_the_same_tolerance():
         and any(isinstance(t, ast.Name) and t.id == "MATCH_TOL_S" for t in node.targets)
     ]
     assert values == [BEAT_MATCH_TOL_S]
+
+    rec = bio.read_recording(workdir / "rec.csv")
+    gt_s = rec.gt_beat_times / rec.sample_rate_hz
+    _, est_s, _ = bio.read_beats(workdir / "det.beats.csv")
+    f1 = 2.0 * len(greedy_match(est_s, gt_s, BEAT_MATCH_TOL_S)) / (est_s.size + gt_s.size)
+    report = bio.read_keyvalue(workdir / "report")
+    assert report["beat_f1"] == repr(f1)
+    assert (int(report["n_beats_est"]), int(report["n_beats_gt"])) == (est_s.size, gt_s.size)
 
 
 class TestGreedyMatch:
@@ -116,26 +130,37 @@ class TestGreedyMatch:
         assert len({j for _, j in pairs}) == 2
 
 
+def beat_report(est, gt):
+    """evaluate's report for two beat trains (s), on a one-window HR series."""
+    hr = series([30.0], [70.0])
+    return evaluate(hr, hr, est, gt)[0]
+
+
 class TestBbiRelativeError:
     def test_identical_trains_score_zero(self):
         beats = np.arange(0.0, 30.0, 1.0)
-        assert bbi_relative_error(beats, beats) == 0.0
+        assert beat_report(beats, beats)["bbi_relative_error_pct"] == 0.0
 
     def test_five_percent_period_stretch(self):
         gt = np.arange(6, dtype=float)
         est = gt * 1.05
-        assert abs(bbi_relative_error(est, gt) - 5.0) <= 1e-12
+        assert abs(beat_report(est, gt)["bbi_relative_error_pct"] - 5.0) <= 1e-12
 
     def test_only_consecutively_matched_intervals_count(self):
         gt = np.array([0.0, 1.0, 2.0, 3.0])
         est = np.array([0.0, 1.0, 2.5, 3.0])  # 2.5 matches nothing
-        e_iv, g_iv = matched_interval_pairs(est, gt)
-        np.testing.assert_array_equal(e_iv, [1.0])
-        np.testing.assert_array_equal(g_iv, [1.0])
+        report = beat_report(est, gt)
+        # one interval, 0 -> 1 in both: 1 -> 3 skips a beat, and one
+        # interval is too few for Bland-Altman
+        assert report["n_beats_matched"] == 3
+        assert report["bbi_relative_error_pct"] == 0.0
+        assert "n_beat_pairs" not in report
+        stretched = beat_report(np.array([0.0, 1.1, 2.5, 3.0]), gt)
+        assert abs(stretched["bbi_relative_error_pct"] - 10.0) <= 1e-12
 
     def test_too_few_matches_is_an_error(self):
-        with pytest.raises(ValueError):
-            bbi_relative_error(np.array([0.0, 10.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="^BBI comparison impossible: no consecutively"):
+            beat_report(np.array([0.0, 10.0]), np.array([1.0, 2.0]))
 
 
 class TestBlandAltman:
@@ -239,6 +264,68 @@ class TestPerWindowErrors:
     def test_rows_carry_absolute_errors(self):
         gt = series([30, 45, 60], [70.0, 72.0, np.nan])
         est = series([30, 45, 60], [71.0, 70.0, 75.0])
-        rows = per_window_errors(est, gt)
+        rows = evaluate(gt, est)[1]
         assert [r[0] for r in rows] == [30.0, 45.0]
         assert [r[3] for r in rows] == [1.0, 2.0]
+
+
+class TestEvaluate:
+    GT = series([30, 45, 60, 75], [70.0, 72.0, 71.0, 74.0])
+    EST = series([30, 45, 60, 75], [71.0, 70.0, np.nan, 75.0])
+    BASE = series([30, 45, 60, 75], [75.0, 60.0, 70.0, 71.0])
+    GT_BEATS = np.arange(0.0, 20.0, 0.8)
+    EST_BEATS = np.r_[GT_BEATS[:10] + 0.02, GT_BEATS[12:] - 0.05, 30.0]
+
+    def test_report_keys_in_eval_order(self):
+        report, rows = evaluate(self.GT, self.EST, self.EST_BEATS, self.GT_BEATS, self.BASE)
+        assert list(report) == [
+            "mae_bpm", "n_windows_compared", "pearson_r", "beat_f1", "n_beats_matched",
+            "n_beats_est", "n_beats_gt", "bbi_relative_error_pct", "bland_altman_bias_bpm",
+            "bland_altman_sd_bpm", "bland_altman_loa_low_bpm", "bland_altman_loa_high_bpm",
+            "n_beat_pairs", "paired_t_stat", "paired_t_df",
+        ]
+        assert all(type(v) in (float, int) for v in report.values())
+        assert rows == per_window_errors(self.EST, self.GT)
+        assert report["n_windows_compared"] == 3 and report["paired_t_df"] == 2
+
+    def test_scores_are_the_statistics_of_one_matching(self):
+        est, gt = self.EST_BEATS, self.GT_BEATS
+        report, rows = evaluate(self.GT, self.EST, est, gt, self.BASE)
+        assert report["mae_bpm"] == mae(self.EST, self.GT)
+        assert report["pearson_r"] == pearson_r(*np.asarray(rows)[:, 1:3].T)
+        pairs = greedy_match(est, gt)
+        assert (report["n_beats_matched"], report["n_beats_est"], report["n_beats_gt"]) == (
+            len(pairs), est.size, gt.size)
+        assert report["beat_f1"] == 2.0 * len(pairs) / (est.size + gt.size)
+        consecutive = [(p, q) for p, q in zip(pairs, pairs[1:])
+                       if q[0] == p[0] + 1 and q[1] == p[1] + 1]
+        e_iv = np.array([est[q[0]] - est[p[0]] for p, q in consecutive])
+        g_iv = np.array([gt[q[1]] - gt[p[1]] for p, q in consecutive])
+        assert report["bbi_relative_error_pct"] == float(np.mean(np.abs(e_iv - g_iv) / g_iv) * 100.0)
+        stats = bland_altman(60.0 / e_iv, 60.0 / g_iv)
+        assert (report["bland_altman_bias_bpm"], report["bland_altman_loa_high_bpm"]) == (
+            stats.bias, stats.loa_high)
+        assert report["n_beat_pairs"] == stats.n == e_iv.size
+        both = [0, 1, 3]
+        t = paired_t(np.abs(self.EST.bpm - self.GT.bpm)[both], np.abs(self.BASE.bpm - self.GT.bpm)[both])
+        assert report["paired_t_stat"] == t
+
+    def test_one_window_or_one_interval_leaves_its_statistic_out(self):
+        report, _ = evaluate(self.GT, series(self.GT.times, [np.nan, 70.0, np.nan, np.nan]),
+                             np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert "pearson_r" not in report and "n_beat_pairs" not in report
+        assert report["beat_f1"] == 1.0
+        two = evaluate(self.GT, self.EST, np.array([0.0, 1.0, 2.1]), np.array([0.0, 1.0, 2.0]))[0]
+        assert "pearson_r" in two and two["n_beat_pairs"] == 2
+
+    @pytest.mark.parametrize(
+        "est, base, message",
+        [(series([30.0], [70.0]), None, "HR comparison impossible: the series lie on different"),
+         (series(GT.times, [np.nan] * 4), None, "HR comparison impossible: no overlapping"),
+         (EST, series([30.0], [70.0]), "paired comparison impossible: the series lie on"),
+         (EST, EST, "paired comparison impossible: zero-variance differences")],
+        ids=["other_grid", "all_gaps", "baseline_other_grid", "baseline_equal"],
+    )
+    def test_impossible_comparisons_name_their_part(self, est, base, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            evaluate(self.GT, est, baseline_hr=base)
