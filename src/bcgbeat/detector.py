@@ -178,10 +178,10 @@ def _confidence_batch(
     model: BackgroundModel,
     lam: float,
     n_iter: int,
-    operands=None,
+    operands,
 ) -> np.ndarray:
     """Confidence ratio for each column x of the (d, n) instance matrix X,
-    coded with `operands` (`_coding_operands`, formed here if not given).
+    coded with `operands` (`_coding_operands`).
 
     Lambda = (x - D_bg a_bg)^T Sigma^-1 (x - D_bg a_bg)
            / (x - D a)^T Sigma^-1 (x - D a),
@@ -194,7 +194,7 @@ def _confidence_batch(
     All four residual norms are read in gram form (_residual_sq_norms) from
     x^T x, x^T Sigma^-1 x and [D, Sigma^-1 D]^T X, without residual blocks.
     """
-    G_bg, eta_bg, G, eta, stacked, gram_m = operands or _coding_operands(D, model, X.shape[0])
+    G_bg, eta_bg, G, eta, stacked, gram_m = operands
     T, K, n = D.n_target, G.shape[0], X.shape[1]
     x_sq, xm_sq = _column_sq_norms(X), model.mahalanobis_sq(X)
     corr = stacked @ X  # [D^T X ; (Sigma^-1 D)^T X]
@@ -218,24 +218,20 @@ def confidence_series(
     D: Dictionary,
     model: BackgroundModel,
     lam: float,
-    n_iter: int = DEFAULT_CODE_ITERS,
-    pre: Preprocessing = Preprocessing(),
-    candidates=None,
+    n_iter: int,
+    pre: Preprocessing,
+    candidates: list,
 ) -> ConfidenceSeries:
     """Per-channel candidate peaks with their confidence ratios.
 
-    `pre` must be the record the dictionary was trained under.  The
-    channels are filtered once: `candidates` holds what
-    `signals.candidate_peaks(rec, pre)` yields, which is called when it
-    is None.  Then each channel's windows are cut and coded one chunk of
-    columns at a time, and only its peak indices and confidences are kept.
-    At its peak this holds the recording, the filtered channels and one
-    chunk's windows and coding blocks, never a channel's whole candidate
-    block.  A chunk is `_CODE_CHUNK` (2,048) columns, and the last one
-    takes the remainder."""
+    `pre` must be the record the dictionary was trained under, and
+    `candidates` what `signals.candidate_peaks(rec, pre)` returns.  Each
+    channel's windows are cut and coded one chunk of columns at a time,
+    and only its peak indices and confidences are kept.  At its peak this
+    holds the recording, the filtered channels and one chunk's windows and
+    coding blocks, never a channel's whole candidate block.  A chunk is
+    `_CODE_CHUNK` (2,048) columns, and the last one takes the remainder."""
     coding = (D, model, lam, n_iter, _coding_operands(D, model, 2 * pre.half_len + 1))
-    if candidates is None:
-        candidates = candidate_peaks(rec, pre)
     peak_indices, confidences = [], []
     for _, filt, peaks in candidates:
         conf = np.empty(peaks.size)
@@ -534,19 +530,17 @@ def check_dft_band(band_hz: tuple[float, float], fs: float) -> None:
 def hr_from_beats(
     beat_indices: np.ndarray,
     fs: float,
-    window_s: float = DEFAULT_WINDOW_S,
-    step_s: float = DEFAULT_STEP_S,
-    duration_s: float | None = None,
+    window_s: float,
+    step_s: float,
+    duration_s: float,
 ) -> HrSeries:
     """Sliding-window heart rate from beat locations (sorted first).
 
     Each window averages 60/interval over the beat-to-beat intervals that
     lie fully inside it; windows with fewer than two beats are gaps (NaN).
-    Window centers step every step_s; duration defaults to the last beat.
+    Window centers step every step_s over a recording of duration_s.
     """
     beats = np.sort(np.asarray(beat_indices, dtype=float) / fs)
-    if duration_s is None:
-        duration_s = float(beats[-1]) if beats.size else 0.0
     starts = window_starts(duration_s, window_s, step_s)
     lo = np.searchsorted(beats, starts - 1e-9, side="left")
     hi = np.searchsorted(beats, starts + window_s + 1e-9, side="right")
@@ -625,7 +619,7 @@ def train_model(
     _check_min_votes(min_votes, min(len(rec.channels) for rec in recordings))
     # Each recording is filtered and peak-picked once, for its bags and
     # for the voting-parameter grid.
-    candidates = [list(candidate_peaks(rec, pre)) for rec in recordings]
+    candidates = [candidate_peaks(rec, pre) for rec in recordings]
     gt = [rec.gt_beat_times for rec in recordings]
     blocks = build_bags(candidates, gt, per_positive, pre)
     try:
@@ -664,9 +658,11 @@ def detect_recording(
     _check_min_votes(model.detection.min_votes, len(rec.channels))
     if dft_band_hz is not None:
         check_dft_band(dft_band_hz, rec.sample_rate_hz)
+    candidates = candidate_peaks(rec, model.pre)
     series = confidence_series(
-        rec, model.dictionary, model.background, model.lam, model.code_iters, model.pre
+        rec, model.dictionary, model.background, model.lam, model.code_iters, model.pre, candidates
     )
+    del candidates  # the filtered channels are not held beside the DFT's embedded array
     live = sum(p.size > 0 for p in series.peak_indices)
     if live < model.detection.min_votes:
         log.warning("only %d of %d channels have candidate peaks, fewer than min_votes=%d: "

@@ -157,16 +157,14 @@ def resolve_psi(n_pos: int, n_neg: int, params: FumiParams) -> float:
     return n_neg / n_pos
 
 
-def safe_step_length(D) -> float:
-    """The ISTA step length fit() and detection use: 1 / lambda_max(D^T D),
-    from the exact symmetric eigensolver.
+def safe_step_length(atoms: np.ndarray) -> float:
+    """The ISTA step length fit() and detection use: 1 / lambda_max(D^T D)
+    of the (d, K) atoms D, from the exact symmetric eigensolver.
 
-    Accepts a Dictionary or a (d, K) array.  The gram is at most
-    (T+M) x (T+M), so the dense solve is cheap; raises ValueError on an
-    all-zero dictionary.
+    The gram is at most (T+M) x (T+M), so the dense solve is cheap; raises
+    ValueError on an all-zero dictionary.
     """
-    A = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=float)
-    G = A.T @ A
+    G = atoms.T @ atoms
     if not np.any(G):
         raise ValueError("dictionary gram matrix is zero")
     return 1.0 / float(np.linalg.eigvalsh(G)[-1])
@@ -182,13 +180,12 @@ def e_step(sq_norms: np.ndarray, beta: float) -> np.ndarray:
     return p
 
 
-def gamma_matrix(D: Dictionary, scale: float, target_atoms_old: np.ndarray | None = None) -> np.ndarray:
+def gamma_matrix(D: Dictionary, scale: float, target_atoms_old: np.ndarray) -> np.ndarray:
     """Cross-coherence penalty coefficients, shape (M, T): scale * cos(angle
     between background atom k and previous-iteration target atom t), so
     each penalty term gamma[k, t] * <d_bg_k, d_tgt_t_old> is never
-    negative.  Targets default to the dictionary's own (i.e., treat the
-    current iteration's atoms as the previous ones)."""
-    tgt = D.target_atoms if target_atoms_old is None else np.asarray(target_atoms_old, dtype=float)
+    negative."""
+    tgt = target_atoms_old
     bg = D.background_atoms
     bn = np.linalg.norm(bg, axis=0)
     tn = np.linalg.norm(tgt, axis=0)
@@ -357,18 +354,18 @@ def update_products(
     A_neg: np.ndarray,
     p_pos: np.ndarray,
     psi: float,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> UpdateProducts:
     """UpdateProducts of the positive-bag instances Xp (d, N_pos), their
     codes A_pos (T+M, N_pos) and posteriors p_pos, and the negative-bag
     instances Xn (d, N_neg) with their background codes A_neg (M, N_neg):
-    two data GEMMs and three code grams.  work, when given, is a pair of
-    C-contiguous blocks shaped like A_pos that receive the weighted codes,
-    so a loop of iterations allocates them once."""
+    two data GEMMs and three code grams.  work is a pair of C-contiguous
+    blocks shaped like A_pos that receive the weighted codes, so a loop of
+    iterations allocates them once."""
     T = A_pos.shape[0] - A_neg.shape[0]
     pc = _clamp_posteriors(p_pos)
     A_tgt, A_bg = A_pos[:T], A_pos[T:]
-    weighted, W = (np.empty_like(A_pos), np.empty_like(A_pos)) if work is None else work
+    weighted, W = work
     np.multiply(A_pos, pc, out=weighted)
     W[:T] = weighted[:T]
     W[T:] = A_bg
@@ -391,19 +388,19 @@ def update_products(
     )
 
 
-def target_atom_update(P: UpdateProducts, D: Dictionary, t: int, atoms: np.ndarray | None = None):
-    """Closed-form minimizer of the expected objective over target atom t,
-    everything else held fixed, before renormalization.
+def target_atom_update(P: UpdateProducts, t: int, atoms: np.ndarray):
+    """Closed-form minimizer of the expected objective over target atom t
+    of the dictionary's atoms [D_tgt | D_bg], everything else held fixed,
+    before renormalization.
 
     Reads column t of the iteration's products P.  Returns None (stale)
     when the update is undefined because sum_i P_i * a_it^2 is exactly
     zero.  The positive-bag weight psi cancels and does not appear.
-    atoms, when given, is D.atoms, which a caller updating atom after atom
-    keeps itself rather than stacking it anew for each.
+    atoms is D.atoms, which a caller updating atom after atom keeps itself
+    rather than stacking it anew for each.
     """
     if P.target_mass[t] == 0.0:
         return None
-    atoms = D.atoms if atoms is None else atoms
     g = P.gram_pos[:, t]
     den = g[t]
     # R_full_pos @ (pc a_t), with R_full_pos = Xp - D A_pos never formed
@@ -416,7 +413,7 @@ def background_atom_update(
     k: int,
     gamma: np.ndarray,
     target_atoms_old: np.ndarray,
-    atoms: np.ndarray | None = None,
+    atoms: np.ndarray,
 ):
     """Closed-form minimizer of the expected objective over background
     atom k, everything else held fixed, including the cross-coherence pull
@@ -424,15 +421,14 @@ def background_atom_update(
 
     Reads column k of the background blocks of the iteration's products
     P.  Returns the atom before renormalization, or None (stale) when
-    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.  atoms, when
-    given, is D.atoms, as in target_atom_update.
+    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.  atoms is
+    D.atoms, as in target_atom_update.
     """
     den = P.background_den[k]
     if den == 0.0:
         return None
     T = D.n_target
     bg = D.background_atoms
-    atoms = D.atoms if atoms is None else atoms
     # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a) + R_bg_neg @ a_neg, with
     # the two Xp products folded into Xp @ a and the residuals never formed
     raw = (
@@ -613,7 +609,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
         products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi, work(A_pos.shape))
         blocks = (
             (D.target_atoms, 0, Xp, lambda: atoms @ A_pos,
-             lambda j: target_atom_update(products, D, j, atoms)),
+             lambda j: target_atom_update(products, j, atoms)),
             (D.background_atoms, T, Xn, lambda: D.background_atoms @ A_neg,
              lambda j: background_atom_update(products, D, j, gamma, tgt_old, atoms)),
         )

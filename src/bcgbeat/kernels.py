@@ -30,19 +30,16 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def soft_threshold(v: np.ndarray, thr, out: np.ndarray | None = None) -> np.ndarray:
+def soft_threshold(v: np.ndarray, thr, out: np.ndarray) -> np.ndarray:
     """Elementwise sign(v) * max(|v| - thr, 0) for thr >= 0, which
-    broadcasts against v.
-
-    out, when given, has v's shape and receives the result; it may be v
-    itself, which applies the prox in place."""
+    broadcasts against v, written into and returned as out: an array of
+    v's shape, which may be v itself (the prox in place)."""
     # v + 0 turns -0 into +0, so its sign bit is set exactly where
     # sign(v) = -1, and it is the sign the result takes inside the band.
     sign = np.add(v, 0.0)
-    res = np.clip(sign, -thr, thr, out=out)
-    # a scalar v gives a NumPy scalar, which cannot be an out= buffer
-    res = np.subtract(sign, res, out=res if np.ndim(res) else None)
-    return np.copysign(res, sign, out=res if np.ndim(res) else None)
+    np.clip(sign, -thr, thr, out=out)
+    np.subtract(sign, out, out=out)
+    return np.copysign(out, sign, out=out)
 
 
 def _prox_step(v: np.ndarray, thr, neg_thr, out: np.ndarray, last: bool) -> None:
@@ -98,8 +95,8 @@ def positive_gradient(
     post: np.ndarray,
     A: np.ndarray,
     n_target: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-    one_minus_post: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray],
+    one_minus_post: np.ndarray,
 ):
     """Gradient of the expected reconstruction cost at codes A.
 
@@ -111,19 +108,18 @@ def positive_gradient(
         post * (gram @ A - corr)[:n_target]
         post * (gram @ A)[n_target:] + (1 - post) * (gram_bg @ A_bg) - corr[n_target:]
 
-    out, when given, is a pair of C-contiguous work blocks shaped
-    (K, N) and (M, N); the gradient is formed in the first, and the two
-    blocks returned are its row views.  one_minus_post, when given, is
-    1 - post, so that a loop of gradients forms it once.
+    out is a pair of C-contiguous work blocks shaped (K, N) and (M, N);
+    the gradient is formed in the first, and the two blocks returned are
+    its row views.  one_minus_post is 1 - post, so that a loop of
+    gradients forms it once.
     """
-    ga, gb = (None, None) if out is None else out
-    q = 1.0 - post if one_minus_post is None else one_minus_post
-    ga = np.matmul(gram, A, out=ga)
-    gb = np.matmul(gram_bg, A[n_target:], out=gb)
+    ga, gb = out
+    np.matmul(gram, A, out=ga)
+    np.matmul(gram_bg, A[n_target:], out=gb)
     grad_t, grad_b = ga[:n_target], ga[n_target:]
     grad_t -= corr[:n_target]
     ga *= post  # both blocks: post * (... - corr) on top, post * (gram @ A) below
-    gb *= q
+    gb *= one_minus_post
     grad_b += gb
     grad_b -= corr[n_target:]
     return grad_t, grad_b

@@ -425,8 +425,8 @@ def build_bags(
     plus gap negative bags, and cut each window once into its column of
     the positive or the negative block.
 
-    `candidates_list` holds per recording the list `candidate_peaks(rec,
-    pre)` yields: per channel (its unique id, filtered channel, int peaks
+    `candidates_list` holds per recording what `candidate_peaks(rec, pre)`
+    returns: per channel (its unique id, filtered channel, int peaks
     whose windows fit); `gt_list` their groundtruth beats.  Every instance
     is first assigned to its nearest beat (ties -> earlier beat).  A beat's
     positive bag takes, per channel, the `per_positive` assigned instances
@@ -484,20 +484,20 @@ def build_bags(
     return InstanceBlocks(Xp, Xn, recording, channel, peak, bag)
 
 
-def candidate_peaks(rec: Recording, pre: Preprocessing = Preprocessing()):
-    """Filter every channel in one call, then yield per channel
-    (channel id, filtered channel, candidate peaks): the peaks whose
-    window fits inside the recording, none on a flat channel (see
-    `flat_channel`).  The filtered channels are rows of one (channels, n)
-    array, which lives as long as the generator or as long as its caller
-    holds any of the yielded arrays."""
+def candidate_peaks(rec: Recording, pre: Preprocessing = Preprocessing()) -> list:
+    """Filter every channel in one call, then per channel (channel id,
+    filtered channel, candidate peaks): the peaks whose window fits inside
+    the recording, none on a flat channel (see `flat_channel`).  The
+    filtered channels are rows of one (channels, n) array."""
     filtered = bandpass_filter(
         rec.channels, rec.sample_rate_hz, pre.band_low, pre.band_high, pre.filter_order
     )
+    candidates = []
     for ch_id, (raw, filt) in enumerate(zip(rec.channels, filtered)):
         if flat_channel(raw, ch_id):
             peaks = np.empty(0, dtype=int)
         else:
             peaks = find_peaks(filt, pre.min_separation)
         fits = (peaks >= pre.half_len) & (peaks + pre.half_len < filt.size)
-        yield ch_id, filt, peaks[fits]
+        candidates.append((ch_id, filt, peaks[fits]))
+    return candidates

@@ -76,21 +76,8 @@ class SynthResult:
 
     recording: Recording
     template: np.ndarray
-    beat_times_s: np.ndarray
     noise_sd: float
     config: SynthConfig
-
-    def hr_at(self, t) -> np.ndarray:
-        """Analytic instantaneous heart-rate profile in bpm."""
-        c = self.config
-        t = np.asarray(t, dtype=float)
-        return c.hr_bpm + c.hrv_amp_bpm * np.sin(2.0 * np.pi * t / c.hrv_period_s)
-
-    def windowed_mean_hr(self, start_s: float, window_s: float, n_grid: int = 2001) -> float:
-        """Mean of the analytic profile over a window (trapezoid rule)."""
-        t = np.linspace(start_s, start_s + window_s, n_grid)
-        hr = self.hr_at(t)
-        return float(np.sum(np.diff(t) * (hr[1:] + hr[:-1])) / 2.0 / window_s)
 
 
 def make_template(
@@ -230,7 +217,6 @@ def generate(config: SynthConfig) -> SynthResult:
     return SynthResult(
         recording=rec,
         template=tpl,
-        beat_times_s=idx / cfg.fs,
         noise_sd=sd,
         config=cfg,
     )

@@ -11,10 +11,8 @@ window centres and heart rates, gaps included.
 import numpy as np
 
 
-def hr_from_beats(beat_indices, fs, window_s=60.0, step_s=15.0, duration_s=None):
+def hr_from_beats(beat_indices, fs, window_s, step_s, duration_s):
     beats = np.asarray(beat_indices, dtype=float) / fs
-    if duration_s is None:
-        duration_s = float(beats[-1]) if beats.size else 0.0
     times, bpm = [], []
     start = 0.0
     while start + window_s <= duration_s + 1e-9:

@@ -83,7 +83,7 @@ def hrv_pipeline():
     model, _ = train_model([train.recording], FumiParams(), Preprocessing(zscore=True))
     beats, est_hr = detect_recording(test.recording, model)
     gt = test.recording.gt_beat_times
-    gt_hr = hr_from_beats(gt, FS, duration_s=test.recording.duration_s)
+    gt_hr = hr_from_beats(gt, FS, 60.0, 15.0, test.recording.duration_s)
     report, _ = evaluate(gt_hr, est_hr, np.asarray([b[0] for b in beats]) / FS, gt / FS)
     return dict(test=test, gt_hr=gt_hr, report=report)
 
@@ -120,8 +120,10 @@ class TestCriteria:
             a = rng.standard_normal(T + M)
             p = float(rng.uniform(0.0, 1.0))
             B = D.background_atoms
+            work = (np.empty((T + M, 1)), np.empty((M, 1)))
             grad_t, grad_b = positive_gradient(
-                D.atoms.T @ D.atoms, B.T @ B, (D.atoms.T @ x)[:, None], np.array([p]), a[:, None], T
+                D.atoms.T @ D.atoms, B.T @ B, (D.atoms.T @ x)[:, None], np.array([p]), a[:, None], T,
+                work, np.array([1.0 - p]),
             )
             g = np.concatenate([grad_t[:, 0], grad_b[:, 0]])
             g_fd = np.empty(T + M)
@@ -149,7 +151,7 @@ class TestCriteria:
             lam = float(rng.uniform(0.0, 1.0))
             obj = 0.5 * (grid - v) ** 2 + lam * np.abs(grid)
             best = grid[np.argmin(obj)]
-            worst = max(worst, abs(float(soft_threshold(v, lam)) - best))
+            worst = max(worst, abs(float(soft_threshold(v, lam, np.empty(()))) - best))
         check(2, "soft threshold vs grid prox", worst < 2e-4, f"worst err {worst:.3e}")
 
     def test_c03_atom_update_oracle(self):
@@ -202,11 +204,12 @@ class TestCriteria:
             A_pos, A_neg = codes[:, :3], codes[T:, 3:]
             p_pos = posteriors[:3]
             psi = resolve_psi(3, 2, params)
-            P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
-            updates = [("target", 0, target_atom_update(P, D, 0))]
+            work = (np.empty(A_pos.shape), np.empty(A_pos.shape))
+            P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi, work)
+            updates = [("target", 0, target_atom_update(P, 0, D.atoms))]
             for k in range(M):
                 updates.append(
-                    ("background", k, background_atom_update(P, D, k, gamma, old_targets))
+                    ("background", k, background_atom_update(P, D, k, gamma, old_targets, D.atoms))
                 )
             for which, k, closed in updates:
                 assert closed is not None
@@ -219,7 +222,7 @@ class TestCriteria:
 
     def test_c04_em_behavior(self):
         res = generate(SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=8.0, seed=5))
-        blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+        blocks = build_bags([candidate_peaks(res.recording)], [res.recording.gt_beat_times])
         fitres = fit(
             blocks.Xp,
             blocks.Xn,

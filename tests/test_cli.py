@@ -278,7 +278,8 @@ class TestTrain:
         D, model = bio.read_dictionary(out), bio.read_covariance(tmp_path / "m.cov.csv")
         for path, got in zip(recs, graded, strict=True):
             rec = bio.read_recording(path)
-            want = confidence_series(rec, D, model, stored["lambda"], stored["code_iters"], pre)
+            want = confidence_series(rec, D, model, stored["lambda"], stored["code_iters"], pre,
+                                     candidate_peaks(rec, pre))
             assert (got.fs, got.n_samples) == (want.fs, want.n_samples)
             for g, w in zip(got.peak_indices, want.peak_indices, strict=True):
                 np.testing.assert_array_equal(g, w, strict=True)

@@ -18,6 +18,7 @@ from bcgbeat.detector import (
     DetectionParams,
     ModelMismatch,
     background_covariance,
+    _coding_operands,
     _confidence_batch,
     confidence_series,
     hr_from_beats,
@@ -37,6 +38,17 @@ from bcgbeat.signals import (
 from bcgbeat.synth import SynthConfig, generate
 
 FS = 100.0
+
+
+def confidence_batch(X, D, model, lam, n_iter):
+    """_confidence_batch with the coding operands detect forms for D."""
+    return _confidence_batch(X, D, model, lam, n_iter, _coding_operands(D, model, X.shape[0]))
+
+
+def series_of(rec, D, model, pre=Preprocessing()):
+    """confidence_series as detect runs it: on the candidate peaks of rec
+    under pre, at lam 5e-3 and the default code iterations."""
+    return confidence_series(rec, D, model, 5e-3, DEFAULT_CODE_ITERS, pre, candidate_peaks(rec, pre))
 
 
 class TestBackgroundCovariance:
@@ -140,7 +152,7 @@ class TestHsdConfidence:
         d1, d2, _ = orthonormal_triplet(np.random.default_rng(2))
         D = Dictionary(d1.reshape(-1, 1), d2.reshape(-1, 1))
         model = BackgroundModel(covariance=np.eye(12), ridge=0.0)
-        conf = _confidence_batch(d2[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
+        conf = confidence_batch(d2[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
         assert conf.tolist() == [1.0]
 
     def test_residual_ratio_is_exact_for_orthonormal_atoms(self):
@@ -150,7 +162,7 @@ class TestHsdConfidence:
         D = Dictionary(d1.reshape(-1, 1), d2.reshape(-1, 1))
         model = BackgroundModel(covariance=np.eye(12), ridge=0.0)
         x = np.sqrt(3.0) * d1 + d3
-        conf = _confidence_batch(x[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
+        conf = confidence_batch(x[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
         assert abs(conf[0] - 4.0) <= 1e-9
 
     def test_dimension_mismatch_is_rejected(self):
@@ -159,10 +171,10 @@ class TestHsdConfidence:
         D = Dictionary(d1.reshape(-1, 1), d2.reshape(-1, 1))
         model = BackgroundModel(covariance=np.eye(12), ridge=0.0)
         with pytest.raises(ValueError, match="does not match"):
-            _confidence_batch(np.zeros(7)[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
+            confidence_batch(np.zeros(7)[:, None], D, model, 0.0, DEFAULT_CODE_ITERS)
         bad_model = BackgroundModel(covariance=np.eye(5), ridge=0.0)
         with pytest.raises(ValueError, match="does not match"):
-            _confidence_batch(np.zeros(12)[:, None], D, bad_model, 0.0, DEFAULT_CODE_ITERS)
+            confidence_batch(np.zeros(12)[:, None], D, bad_model, 0.0, DEFAULT_CODE_ITERS)
 
 
 @st.composite
@@ -202,7 +214,7 @@ class TestGramFormScores:
     @given(scoring_problems())
     def test_matches_the_explicit_residuals(self, case):
         X, D, model, lam, n_iter, floor = case
-        got = _confidence_batch(X, D, model, lam, n_iter)
+        got = confidence_batch(X, D, model, lam, n_iter)
         want = ref.confidence_batch(X, D, model, lam, n_iter)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         if floor:
@@ -212,11 +224,11 @@ class TestGramFormScores:
         """No residual block or whitened copy of one is held: the coding
         peak of a 1,000-column block stays within 1.5x its bytes."""
         _, res, result, model = trained_small
-        _, filt, peaks = next(candidate_peaks(res.recording))
+        _, filt, peaks = candidate_peaks(res.recording)[0]
         X = np.ascontiguousarray(extract_instances(filt, np.resize(peaks, 1000), 45, False).T)
         tracemalloc.start()
         try:
-            _confidence_batch(X, result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
+            confidence_batch(X, result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,7 +240,7 @@ class TestGramFormScores:
         the atoms round apart, detect's coder holds fit's last grams and
         step lengths bit for bit, after the model file round trip."""
         _, res, _, model = trained_small
-        blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+        blocks = build_bags([candidate_peaks(res.recording)], [res.recording.gt_beat_times])
         last = []
         real = dlfumi.coding_operands
 
@@ -250,7 +262,7 @@ def trained_small():
     """A small trained model shared by the confidence tests."""
     cfg = SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=10.0, seed=7)
     res = generate(cfg)
-    blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+    blocks = build_bags([candidate_peaks(res.recording)], [res.recording.gt_beat_times])
     result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2), seed=0)
     model = background_covariance(blocks.Xn)
     return cfg, res, result, model
@@ -260,7 +272,7 @@ class TestConfidenceSeries:
     def test_all_zero_recording_has_no_candidates(self, trained_small):
         _, _, result, model = trained_small
         rec = Recording(channels=[np.zeros(2000) for _ in range(2)], sample_rate_hz=FS)
-        series = confidence_series(rec, result.dictionary, model, lam=5e-3)
+        series = series_of(rec, result.dictionary, model)
         assert series.n_channels == 2
         for idx, conf in zip(series.peak_indices, series.confidences):
             assert idx.size == 0 and conf.size == 0
@@ -271,7 +283,7 @@ class TestConfidenceSeries:
         channels[1] = np.full(res.recording.n_samples, -3.5)
         rec = Recording(channels=channels, sample_rate_hz=FS)
         with caplog.at_level("WARNING", logger="bcgbeat.signals"):
-            series = confidence_series(rec, result.dictionary, model, lam=5e-3)
+            series = series_of(rec, result.dictionary, model)
         assert series.peak_indices[1].size == 0 and series.confidences[1].size == 0
         assert all(series.peak_indices[ch].size > 0 for ch in (0, 2, 3))
         assert [r.getMessage().split(" (")[0] for r in caplog.records] == ["ch1 is flat"]
@@ -287,7 +299,7 @@ class TestConfidenceSeries:
             sig[c - 45 : c + 46] += gain * res.template
             channels.append(sig)
         rec = Recording(channels=channels, sample_rate_hz=FS)
-        series = confidence_series(rec, result.dictionary, model, lam=5e-3)
+        series = series_of(rec, result.dictionary, model)
         for ch, (idx, conf) in enumerate(zip(series.peak_indices, series.confidences)):
             confident = idx[conf >= 6.0]
             assert confident.size == 1
@@ -295,7 +307,7 @@ class TestConfidenceSeries:
 
     def test_heartbeats_separate_from_background(self, trained_small):
         cfg, res, result, model = trained_small
-        series = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        series = series_of(res.recording, result.dictionary, model)
         gt = res.recording.gt_beat_times
         beat_conf, bg_conf = [], []
         for idx, conf in zip(series.peak_indices, series.confidences):
@@ -316,19 +328,19 @@ class TestConfidenceSeries:
 
         monkeypatch.setattr(kernels, "ista_negative", worse)
         x = result.dictionary.target_atoms[:, 0]
-        for score in (_confidence_batch, ref.confidence_batch):  # the explicit residuals agree
+        for score in (confidence_batch, ref.confidence_batch):  # the explicit residuals agree
             with pytest.raises(ModelMismatch, match="worsened its warm start"):
                 score(x[:, None], result.dictionary, model, 5e-3, DEFAULT_CODE_ITERS)
 
     def test_all_confidences_are_positive(self, trained_small):
         _, res, result, model = trained_small
-        series = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        series = series_of(res.recording, result.dictionary, model)
         for conf in series.confidences:
             assert np.all(conf > 0.0)
 
 
 def channel0_count(rec):
-    return next(candidate_peaks(rec))[2].size
+    return candidate_peaks(rec)[0][2].size
 
 
 def truncated_to_count(rec, k, r):
@@ -365,7 +377,7 @@ class TestChunkedCoding:
         rec, chunk = truncated_to_count(res.recording, k, r)
         monkeypatch.setattr(detector, "_CODE_CHUNK", chunk)
         pre = Preprocessing(zscore=True)
-        got = confidence_series(rec, result.dictionary, model, lam=5e-3, pre=pre)
+        got = series_of(rec, result.dictionary, model, pre)
         want = ref.confidence_series(rec, result.dictionary, model, lam=5e-3, pre=pre)
         assert got.peak_indices[0].size == k * chunk + r
         assert_series_close(got, want)
@@ -379,7 +391,7 @@ class TestChunkedCoding:
     def test_channel_shorter_than_one_chunk_is_one_call(self, trained_small, monkeypatch):
         _, res, result, model = trained_small
         monkeypatch.setattr(detector, "_CODE_CHUNK", channel0_count(res.recording) + 1)
-        got = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        got = series_of(res.recording, result.dictionary, model)
         want = ref.confidence_series(res.recording, result.dictionary, model, lam=5e-3)
         assert_series_close(got, want)
 
@@ -397,7 +409,7 @@ class TestChunkedCoding:
         monkeypatch.setattr(detector, "coding_operands", spy)
         monkeypatch.setattr(detector, "_CODE_CHUNK", 7)
         assert channel0_count(res.recording) > 3 * 7
-        confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        series_of(res.recording, result.dictionary, model)
         assert len(calls) == 1 and len(calls[0]) == 2
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 2048])
@@ -412,7 +424,7 @@ class TestChunkedCoding:
 
         monkeypatch.setattr(detector, "_confidence_batch", spy)
         monkeypatch.setattr(detector, "_CODE_CHUNK", chunk)
-        series = confidence_series(res.recording, result.dictionary, model, lam=5e-3)
+        series = series_of(res.recording, result.dictionary, model)
         assert max(widths) <= chunk
         calls = iter(widths)
         for p in series.peak_indices:
@@ -431,7 +443,7 @@ class TestChunkedCoding:
         channel_bytes = sum(c.nbytes for c in rec.channels)
         tracemalloc.start()
         try:
-            confidence_series(rec, result.dictionary, model, lam=5e-3)
+            series_of(rec, result.dictionary, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -587,37 +599,38 @@ class TestWindowStarts:
 class TestHrFromBeats:
     def test_one_second_period_is_sixty_bpm(self):
         beats = np.arange(0, 30001, 100)
-        hr = hr_from_beats(beats, FS, window_s=60.0, step_s=15.0)
+        hr = hr_from_beats(beats, FS, 60.0, 15.0, 300.0)
         assert hr.n_windows > 0
         np.testing.assert_allclose(hr.bpm, 60.0, atol=1e-12)
 
     def test_three_quarter_second_period_is_eighty_bpm(self):
         beats = np.arange(0, 30001, 75)
-        hr = hr_from_beats(beats, FS)
+        hr = hr_from_beats(beats, FS, 60.0, 15.0, 300.0)
         np.testing.assert_allclose(hr.bpm, 80.0, atol=1e-12)
 
     def test_periodic_train_is_exact_for_any_period(self):
         for period in (80, 120, 150):
             beats = np.arange(0, 24000, period)
-            hr = hr_from_beats(beats, FS)
+            hr = hr_from_beats(beats, FS, 60.0, 15.0, beats[-1] / FS)
             np.testing.assert_allclose(hr.bpm, 6000.0 / period, atol=1e-12)
 
     def test_sparse_windows_are_gaps(self):
         beats = np.array([0, 100, 10000])
-        hr = hr_from_beats(beats, FS, duration_s=100.0)
+        hr = hr_from_beats(beats, FS, 60.0, 15.0, 100.0)
         assert np.isnan(hr.bpm[-1])
         assert not np.isnan(hr.bpm[0])
 
     def test_beats_in_any_order_give_the_same_series(self):
         beats = np.cumsum(np.random.default_rng(3).integers(60, 120, 200))
-        hr = hr_from_beats(beats, FS)
-        shuffled = hr_from_beats(np.random.default_rng(4).permutation(beats), FS)
+        duration = beats[-1] / FS
+        hr = hr_from_beats(beats, FS, 60.0, 15.0, duration)
+        shuffled = hr_from_beats(np.random.default_rng(4).permutation(beats), FS, 60.0, 15.0, duration)
         np.testing.assert_array_equal(shuffled.times, hr.times)
         np.testing.assert_array_equal(shuffled.bpm, hr.bpm)
 
     def test_window_centers_follow_the_step(self):
         beats = np.arange(0, 20000, 100)
-        hr = hr_from_beats(beats, FS)
+        hr = hr_from_beats(beats, FS, 60.0, 15.0, 199.0)
         np.testing.assert_allclose(np.diff(hr.times), 15.0)
         assert hr.times[0] == 30.0
 

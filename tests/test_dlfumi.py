@@ -54,21 +54,27 @@ def column_sq_norms(R):
     return np.sum(R * R, axis=0)
 
 
+def prox(v, thr):
+    """soft_threshold of v (a number or an array) into a fresh array."""
+    v = np.asarray(v, dtype=float)
+    return soft_threshold(v, thr, np.empty_like(v))
+
+
 class TestSoftThreshold:
     def test_basic_values(self):
-        assert soft_threshold(2.0, 0.5) == 1.5
-        assert soft_threshold(-2.0, 0.5) == -1.5
-        assert soft_threshold(0.3, 0.5) == 0.0
-        assert soft_threshold(-0.3, 0.5) == 0.0
+        assert prox(2.0, 0.5) == 1.5
+        assert prox(-2.0, 0.5) == -1.5
+        assert prox(0.3, 0.5) == 0.0
+        assert prox(-0.3, 0.5) == 0.0
 
     def test_zero_threshold_is_identity(self):
         v = np.array([-1.5, 0.0, 2.25])
-        np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
+        np.testing.assert_array_equal(prox(v, 0.0), v)
 
     def test_threshold_broadcasts_per_row(self):
         v = np.array([[3.0], [3.0]])
         thr = np.array([[1.0], [2.0]])
-        np.testing.assert_array_equal(soft_threshold(v, thr), [[2.0], [1.0]])
+        np.testing.assert_array_equal(prox(v, thr), [[2.0], [1.0]])
 
     def test_is_the_scalar_lasso_prox(self):
         # minimizer of 0.5*(u - v)^2 + lam*|u| over a fine grid
@@ -79,13 +85,13 @@ class TestSoftThreshold:
             lam = float(rng.uniform(0, 1.5))
             costs = 0.5 * (grid - v) ** 2 + lam * np.abs(grid)
             u_star = grid[np.argmin(costs)]
-            assert abs(soft_threshold(v, lam) - u_star) < 2e-4
+            assert abs(prox(v, lam) - u_star) < 2e-4
 
 
 class TestStepLength:
     def test_orthonormal_atoms_give_unit_step(self):
         D = orthonormal_dictionary(np.random.default_rng(1), 10, 2, 2)
-        assert abs(safe_step_length(D) - 1.0) <= 1e-9
+        assert abs(safe_step_length(D.atoms) - 1.0) <= 1e-9
 
     def test_scaled_identity(self):
         assert abs(safe_step_length(2.0 * np.eye(2)) - 0.25) <= 1e-12
@@ -177,21 +183,21 @@ class TestResidualSqNorms:
 class TestAdaptiveGamma:
     def test_orthogonal_atoms_feel_no_penalty(self):
         D = Dictionary(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]))
-        assert gamma_matrix(D, 5e-3)[0, 0] == 0.0
+        assert gamma_matrix(D, 5e-3, D.target_atoms)[0, 0] == 0.0
 
     def test_identical_unit_atoms_get_full_scale(self):
         d = np.array([[0.6], [0.8]])
-        assert abs(gamma_matrix(Dictionary(d, d), 5e-3)[0, 0] - 5e-3) <= 1e-15
+        assert abs(gamma_matrix(Dictionary(d, d), 5e-3, d)[0, 0] - 5e-3) <= 1e-15
 
     def test_45_degree_pair(self):
         D = Dictionary(np.array([[1.0], [1.0]]) / np.sqrt(2.0), np.array([[1.0], [0.0]]))
-        assert abs(gamma_matrix(D, 1.0)[0, 0] - 0.7071067811865476) <= 1e-12
+        assert abs(gamma_matrix(D, 1.0, D.target_atoms)[0, 0] - 0.7071067811865476) <= 1e-12
 
     def test_zero_norm_atom_is_rejected(self):
         with pytest.raises(ValueError):
-            gamma_matrix(Dictionary(np.ones((3, 1)), np.zeros((3, 1))), 1.0)
+            gamma_matrix(Dictionary(np.ones((3, 1)), np.zeros((3, 1))), 1.0, np.ones((3, 1)))
         with pytest.raises(ValueError):
-            gamma_matrix(Dictionary(np.zeros((3, 1)), np.ones((3, 1))), 1.0)
+            gamma_matrix(Dictionary(np.zeros((3, 1)), np.ones((3, 1))), 1.0, np.zeros((3, 1)))
         with pytest.raises(ValueError):
             gamma_matrix(Dictionary(np.ones((3, 1)), np.ones((3, 1))), 1.0, np.zeros((3, 1)))
 
@@ -229,7 +235,8 @@ class TestAlphaGradient:
         X = rng.standard_normal((12, 20))
         A = rng.standard_normal((5, 20))
         post = rng.uniform(0, 1, 20)
-        grad_t, grad_b = kernels.positive_gradient(G, G_bg, D.atoms.T @ X, post, A, 2)
+        work = (np.empty((5, 20)), np.empty((3, 20)))
+        grad_t, grad_b = kernels.positive_gradient(G, G_bg, D.atoms.T @ X, post, A, 2, work, 1.0 - post)
         g = np.vstack([grad_t, grad_b])
         h = 1e-6
         for j in range(20):
@@ -263,7 +270,7 @@ class TestCodeSteps:
         rng = np.random.default_rng(9)
         D = orthonormal_dictionary(rng, 10, 2, 3)
         x = D.target_atoms[:, 0].copy()
-        new = positive_step(D, x, 1.0, 0.0, safe_step_length(D))
+        new = positive_step(D, x, 1.0, 0.0, safe_step_length(D.atoms))
         np.testing.assert_allclose(new[:2], [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(new[2:], 0.0, atol=1e-12)
 
@@ -272,7 +279,7 @@ class TestCodeSteps:
         D = random_dictionary(rng, 10, 2, 3)
         x = rng.standard_normal(10)
         lam = float(np.max(np.abs(D.atoms.T @ x))) + 0.1
-        new = positive_step(D, x, 1.0, lam, safe_step_length(D))
+        new = positive_step(D, x, 1.0, lam, safe_step_length(D.atoms))
         assert np.all(new == 0.0)
 
     def test_negative_step_recovers_background_atom(self):
@@ -356,16 +363,17 @@ def products(Xp, Xn, codes, posteriors, params):
     columns of Xp, then those of Xn."""
     n_pos = Xp.shape[1]
     p = np.asarray(posteriors, dtype=float)
+    A_pos = codes[:, :n_pos]
     return update_products(
-        Xp, Xn, codes[:, :n_pos], codes[params.T:, n_pos:], p[:n_pos],
-        resolve_psi(n_pos, Xn.shape[1], params),
+        Xp, Xn, A_pos, codes[params.T:, n_pos:], p[:n_pos],
+        resolve_psi(n_pos, Xn.shape[1], params), (np.empty(A_pos.shape), np.empty(A_pos.shape)),
     )
 
 
 def bg_update(Xp, Xn, codes, posteriors, D, k, params, target_atoms_old):
     gamma = gamma_matrix(D, params.gamma, target_atoms_old)
     return background_atom_update(
-        products(Xp, Xn, codes, posteriors, params), D, k, gamma, target_atoms_old
+        products(Xp, Xn, codes, posteriors, params), D, k, gamma, target_atoms_old, D.atoms
     )
 
 
@@ -378,7 +386,7 @@ class TestAtomUpdates:
         codes = np.zeros((3, 2))
         codes[0, 0] = 1.0
         P = products(Xp, Xn, codes, [1.0, 0.0], FumiParams(T=1, M=2))
-        atom = target_atom_update(P, D, 0)
+        atom = target_atom_update(P, 0, D.atoms)
         np.testing.assert_allclose(atom, x, atol=1e-9)
 
     def test_target_update_is_stale_when_no_instance_is_believed(self):
@@ -387,7 +395,7 @@ class TestAtomUpdates:
         Xp, Xn = columns([rng.standard_normal(6)]), columns([rng.standard_normal(6)])
         codes = rng.standard_normal((3, 2))
         P = products(Xp, Xn, codes, np.zeros(2), FumiParams(T=1, M=2))
-        assert target_atom_update(P, D, 0) is None
+        assert target_atom_update(P, 0, D.atoms) is None
 
     def test_background_update_recovers_scaled_instance_direction(self):
         rng = np.random.default_rng(19)
@@ -472,14 +480,15 @@ class TestBatchedUpdatesMatchTheMatrixVectorForms:
         # The atoms update one after another and each update sees the ones
         # before it, as in fit(); both forms read the same dictionary.
         Xp, Xn, A_pos, A_neg, p_pos, psi, D, gamma, tgt_old = problem
-        P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi)
+        work = (np.empty(A_pos.shape), np.empty(A_pos.shape))
+        P = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi, work)
         for t in range(D.n_target):
-            got = target_atom_update(P, D, t)
+            got = target_atom_update(P, t, D.atoms)
             assert_same_update(got, ref.target_atom_update(Xp, A_pos, p_pos, D, t))
             if got is not None:
                 D.target_atoms[:, t] = got / np.linalg.norm(got)
         for k in range(D.n_background):
-            got = background_atom_update(P, D, k, gamma, tgt_old)
+            got = background_atom_update(P, D, k, gamma, tgt_old, D.atoms)
             want = ref.background_atom_update(
                 Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, tgt_old
             )
@@ -492,7 +501,7 @@ class TestBatchedUpdatesMatchTheMatrixVectorForms:
 def planted_fit():
     cfg = SynthConfig(duration_s=90.0, hr_bpm=66.0, snr_db=10.0, seed=7)
     res = generate(cfg)
-    blocks = build_bags([list(candidate_peaks(res.recording))], [res.recording.gt_beat_times])
+    blocks = build_bags([candidate_peaks(res.recording)], [res.recording.gt_beat_times])
     result = fit(blocks.Xp, blocks.Xn, FumiParams(T=1, M=2), seed=0)
     return res, blocks, result
 
@@ -623,7 +632,7 @@ class TestFit:
             nxt.codes,
             nxt.posteriors,
             params,
-            gamma=gamma_matrix(D_k, params.gamma),
+            gamma=gamma_matrix(D_k, params.gamma, D_k.target_atoms),
             target_atoms_old=D_k.target_atoms,
         )
         assert nxt.objective_trace[k] == pytest.approx(oracle, rel=1e-9)

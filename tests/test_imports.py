@@ -73,7 +73,7 @@ def inputs(tmp_path_factory):
                  "--out", str(root / "model.csv")]) == 0
     rec = bio.read_recording(root / "rec.csv")
     gt = rec.gt_beat_times
-    hr = hr_from_beats(gt, rec.sample_rate_hz, duration_s=rec.duration_s)
+    hr = hr_from_beats(gt, rec.sample_rate_hz, 60.0, 15.0, rec.duration_s)
     bio.write_hr(root / "est.hr.csv", hr)
     bio.write_beats(root / "est.beats.csv", [(int(b), 1.0) for b in gt], rec.sample_rate_hz)
     return root

@@ -445,7 +445,7 @@ def test_flat_channel_gives_no_candidates_and_is_logged(caplog):
     noise = [rng.standard_normal(3000) for _ in range(3)]
     rec = Recording(channels=[*noise[:2], np.full(3000, 0.25), noise[2]], sample_rate_hz=FS)
     with caplog.at_level("WARNING", logger="bcgbeat.signals"):
-        candidates = list(candidate_peaks(rec))
+        candidates = candidate_peaks(rec)
     assert [p.size > 0 for _, _, p in candidates] == [True, True, False, True]
     _, filt, peaks = candidates[2]
     assert extract_instances(filt, peaks).shape == (0, 91)
@@ -458,7 +458,7 @@ def test_candidate_windows_shapes():
     rec = Recording(
         channels=[rng.standard_normal(3000) for _ in range(4)], sample_rate_hz=FS
     )
-    candidates = list(candidate_peaks(rec))
+    candidates = candidate_peaks(rec)
     assert [ch_id for ch_id, _, _ in candidates] == [0, 1, 2, 3]
     for _, filt, peaks in candidates:
         assert peaks.size > 0, "filtered noise should still produce candidate peaks"

@@ -31,10 +31,9 @@ class TestTemplate:
 class TestConstantRate:
     def test_sixty_bpm_sixty_seconds(self):
         cfg = SynthConfig(duration_s=60.0, hr_bpm=60.0, jitter_sd_samples=0.0, seed=0)
-        res = generate(cfg)
-        n = res.beat_times_s.size
-        assert n in (60, 61)
-        np.testing.assert_allclose(np.diff(res.beat_times_s), 1.0, atol=1e-9)
+        times = generate(cfg).recording.gt_beat_times / cfg.fs
+        assert times.size in (60, 61)
+        np.testing.assert_allclose(np.diff(times), 1.0, atol=1e-9)
 
     def test_groundtruth_indices_are_exactly_periodic(self):
         cfg = SynthConfig(duration_s=60.0, hr_bpm=60.0, jitter_sd_samples=0.0, seed=0)
@@ -109,6 +108,13 @@ class TestCleanConstruction:
         np.testing.assert_array_equal(b[3:], a[:-3])
 
 
+def profile_mean(cfg: SynthConfig, start_s: float, window_s: float) -> float:
+    """The configured heart-rate profile's mean over a window, in closed form."""
+    w = 2.0 * np.pi / cfg.hrv_period_s
+    return cfg.hr_bpm + cfg.hrv_amp_bpm / (w * window_s) * (
+        np.cos(w * start_s) - np.cos(w * (start_s + window_s)))
+
+
 class TestHrvProfile:
     def test_windowed_mean_tracks_analytic_profile(self):
         cfg = SynthConfig(
@@ -119,22 +125,12 @@ class TestHrvProfile:
             jitter_sd_samples=0.0,
             seed=2,
         )
-        res = generate(cfg)
-        times = res.beat_times_s
+        times = generate(cfg).recording.gt_beat_times / cfg.fs
         for start in np.arange(0.0, 300.0 - 60.0 + 1e-9, 15.0):
             inside = times[(times >= start) & (times <= start + 60.0)]
             ivs = np.diff(inside)
             measured = float(np.mean(60.0 / ivs))
-            analytic = res.windowed_mean_hr(start, 60.0)
-            assert abs(measured - analytic) <= 0.5
-
-    def test_windowed_mean_is_the_profiles_integral(self):
-        cfg = SynthConfig(duration_s=300.0, hr_bpm=70.0, hrv_amp_bpm=5.0, hrv_period_s=47.0)
-        res = generate(cfg)
-        w = 2.0 * np.pi / cfg.hrv_period_s
-        for start in (0.0, 13.0, 200.0):
-            exact = 70.0 + 5.0 / (w * 60.0) * (np.cos(w * start) - np.cos(w * (start + 60.0)))
-            assert res.windowed_mean_hr(start, 60.0) == pytest.approx(exact, abs=1e-4)
+            assert abs(measured - profile_mean(cfg, start, 60.0)) <= 0.5
 
     @pytest.mark.parametrize(
         "duration_s, hr_bpm, hrv_amp_bpm, hrv_period_s",
@@ -167,15 +163,6 @@ class TestHrvProfile:
         got = _beat_phase_times(cfg)
         assert got.shape == (len(want),)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-
-    def test_hr_at_matches_configured_profile(self):
-        cfg = SynthConfig(
-            duration_s=2.0, hr_bpm=70.0, hrv_amp_bpm=5.0, hrv_period_s=60.0, seed=0
-        )
-        res = generate(cfg)
-        assert res.hr_at(0.0) == pytest.approx(70.0)
-        assert res.hr_at(15.0) == pytest.approx(75.0)
-        assert res.hr_at(45.0) == pytest.approx(65.0)
 
 
 class TestDeterminism:
