@@ -288,16 +288,6 @@ def cmd_train(args) -> int:
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise CliError(EXIT_NO_GROUNDTRUTH, f"{path} has no groundtruth beats")
         recs.append(rec)
-    # A window of 2*half_len+1 samples spans a different time at another
-    # rate, so windows of mixed rates are not one heartbeat concept.
-    for path, rec in zip(args.recordings, recs):
-        if rec.sample_rate_hz != recs[0].sample_rate_hz:
-            raise CliError(
-                EXIT_CONFIG,
-                f"{path} is sampled at {rec.sample_rate_hz:g} Hz but "
-                f"{args.recordings[0]} at {recs[0].sample_rate_hz:g} Hz; "
-                "train on recordings of one sample rate",
-            )
     pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
     keys = ["code_iters", "seed", "per_positive", "min_votes", "refractory_s"]
     with _fails(EXIT_CONFIG):
@@ -384,7 +374,9 @@ def cmd_eval(args) -> int:
                            f"{float(outside[0])!r} s lies outside {path}, which lasts {duration_s:g} s")
     base_hr = None if args.baseline_hr is None else _load(bio.read_hr, args.baseline_hr, "baseline HR")
     with _fails(EXIT_EVAL_IMPOSSIBLE):
-        report, rows = evaluate(gt_hr, est_hr, est_times, gt / fs, base_hr)
+        report, rows, bbi_impossible = evaluate(gt_hr, est_hr, est_times, gt / fs, base_hr)
+    if bbi_impossible:
+        raise CliError(EXIT_EVAL_IMPOSSIBLE, bbi_impossible)
 
     bio.write_keyvalue(args.out, report)
     with open(args.out + ".windows.csv", "w", encoding="utf-8", newline="\n") as fh:

@@ -614,8 +614,18 @@ def train_model(
     """Fit a dictionary on the bags of `recordings` (one sample rate, with
     groundtruth beats), then grid-search the voting parameters on the
     confidences `detect_recording` gives them.  Returns the model and fit's
-    objective trace.  A learner error is raised as a ValueError prefixed
-    `training failed: `."""
+    objective trace.  Recordings of mixed rates or without groundtruth
+    beats raise ValueError before any is filtered, and a learner error is
+    raised as a ValueError prefixed `training failed: `."""
+    fs = recordings[0].sample_rate_hz
+    for i, rec in enumerate(recordings, 1):
+        # A window of 2*half_len+1 samples spans a different time at another
+        # rate, so windows of mixed rates are not one heartbeat concept.
+        if rec.sample_rate_hz != fs:
+            raise ValueError(f"training recording {i} is sampled at {rec.sample_rate_hz:g} Hz "
+                             f"but the first at {fs:g} Hz; train on recordings of one sample rate")
+        if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
+            raise ValueError("groundtruth beats required to learn detection parameters")
     _check_min_votes(min_votes, min(len(rec.channels) for rec in recordings))
     # Each recording is filtered and peak-picked once, for its bags and
     # for the voting-parameter grid.
@@ -637,7 +647,6 @@ def train_model(
     detection = learn_detection_params_pooled(
         series_list, gt, min_votes=min_votes, refractory_s=refractory_s
     )
-    fs = recordings[0].sample_rate_hz
     return Model(dictionary, background, detection, params.lam, code_iters, fs, pre), trace
 
 

@@ -201,12 +201,15 @@ def _impossible(what: str):
 
 def evaluate(gt_hr: HrSeries, est_hr: HrSeries, est_beats_s=None, gt_beats_s=None,
              baseline_hr: HrSeries | None = None):
-    """eval's (report, per_window_errors rows) of est_hr against gt_hr.
-    The report maps eval's keys to floats and ints, in eval's order; the
-    beat keys need both beat trains (s), matched once by greedy_match, and
-    the paired t baseline_hr.  Pearson r needs two windows and a varying
-    series, Bland-Altman two consecutively matched intervals.  Raises
-    ValueError when a comparison is impossible."""
+    """eval's (report, per_window_errors rows, bbi_impossible) of est_hr
+    against gt_hr.  The report maps eval's keys to floats and ints, in
+    eval's order; the beat keys need both beat trains (s), matched once by
+    greedy_match, and the paired t baseline_hr.  Pearson r needs two
+    windows and a varying series, the BBI error one consecutively matched
+    interval and Bland-Altman two.  Without that interval the report keeps
+    the scores it has, and bbi_impossible says why; it is None otherwise.
+    Raises ValueError when the HR or the paired comparison is impossible."""
+    bbi_impossible = None
     with _impossible("HR"):
         report = {"mae_bpm": mae(est_hr, gt_hr)}
     rows = per_window_errors(est_hr, gt_hr)
@@ -222,9 +225,10 @@ def evaluate(gt_hr: HrSeries, est_hr: HrSeries, est_beats_s=None, gt_beats_s=Non
         # intervals whose two ends are matched consecutively in both trains
         run = (np.diff(i) == 1) & (np.diff(j) == 1)
         e_iv, g_iv = np.diff(est[i])[run], np.diff(gt[j])[run]
-        if e_iv.size == 0:
-            raise ValueError("BBI comparison impossible: no consecutively matched beat pairs")
-        report["bbi_relative_error_pct"] = float(np.mean(np.abs(e_iv - g_iv) / g_iv) * 100.0)
+        if e_iv.size:
+            report["bbi_relative_error_pct"] = float(np.mean(np.abs(e_iv - g_iv) / g_iv) * 100.0)
+        else:
+            bbi_impossible = "BBI comparison impossible: no consecutively matched beat pairs"
         if e_iv.size >= 2:
             stats = bland_altman(60.0 / e_iv, 60.0 / g_iv)
             for k in ("bias", "sd", "loa_low", "loa_high"):
@@ -237,4 +241,4 @@ def evaluate(gt_hr: HrSeries, est_hr: HrSeries, est_beats_s=None, gt_beats_s=Non
             errs = errs[:, ~np.isnan(errs).any(axis=0)]
             report["paired_t_stat"] = paired_t(*errs)
         report["paired_t_df"] = errs.shape[1] - 1
-    return report, rows
+    return report, rows, bbi_impossible

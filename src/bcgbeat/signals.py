@@ -32,8 +32,9 @@ class Recording:
     channels       : list of equal-length 1-D arrays of finite floats
     sample_rate_hz : sampling rate shared by all channels, stored as a
                      float; 0 < sample_rate_hz < inf must hold
-    gt_beat_times  : optional strictly increasing int sample indices of
-                     groundtruth beats (reference-sensor role)
+    gt_beat_times  : optional strictly increasing sample indices of
+                     groundtruth beats (reference-sensor role), integers
+                     of any dtype, stored as ints
     """
 
     channels: list[np.ndarray]
@@ -56,7 +57,12 @@ class Recording:
                 f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz!r}"
             )
         if self.gt_beat_times is not None:
-            gt = np.asarray(self.gt_beat_times, dtype=int)
+            given = np.asarray(self.gt_beat_times)
+            gt = given.astype(int)
+            off = np.flatnonzero(gt != given)
+            if off.size:  # seconds passed as sample indices would be truncated
+                raise ValueError(f"gt_beat_times must be sample indices, "
+                                 f"but {given[off[0]].item()!r} is not an integer")
             if gt.size and (np.any(np.diff(gt) <= 0) or gt[0] < 0 or gt[-1] >= n):
                 raise ValueError(
                     "gt_beat_times must be strictly increasing and in range"
@@ -427,13 +433,12 @@ def build_bags(
 
     `candidates_list` holds per recording what `candidate_peaks(rec, pre)`
     returns: per channel (its unique id, filtered channel, int peaks
-    whose windows fit); `gt_list` their groundtruth beats.  Every instance
-    is first assigned to its nearest beat (ties -> earlier beat).  A beat's
-    positive bag takes, per channel, the `per_positive` assigned instances
-    closest in time (ties -> earlier peak index).  Instances left over fall
-    into one negative bag per inter-beat gap, and without beats all of a
-    recording's instances, in candidate order, into one.  Empty bags are
-    not emitted.  Positive bags come first, each kind by recording, then
+    whose windows fit); `gt_list` their groundtruth beats, at least one
+    per recording.  Every instance is first assigned to its nearest beat
+    (ties -> earlier beat).  A beat's positive bag takes, per channel, the
+    `per_positive` assigned instances closest in time (ties -> earlier
+    peak index).  Instances left over fall into one negative bag per
+    inter-beat gap.  Empty bags are not emitted.  Positive bags come first, each kind by recording, then
     beat or gap, and list their instances by channel id, then peak index.
     Each channel's windows are cut in one `extract_instances` call (under
     `pre.half_len` and `pre.zscore`) into blocks allocated once.
@@ -445,29 +450,25 @@ def build_bags(
         peak = np.concatenate([np.empty(0, dtype=int), *(p for _, _, p in candidates)])
         channel = np.repeat(np.asarray([ch_id for ch_id, _, _ in candidates], dtype=int), sizes)
         filtered += [(r, ch_id, filt) for ch_id, filt, _ in candidates]
-        if beats.size == 0:
-            bag, positive = np.zeros_like(peak), np.zeros(peak.size, dtype=bool)
-            order = np.arange(peak.size)
-        else:
-            # Nearest beat; an equidistant peak goes to the earlier beat.
-            gap = np.searchsorted(beats, peak)
-            left = beats[np.maximum(gap - 1, 0)]
-            right = beats[np.minimum(gap, beats.size - 1)]
-            earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
-            nearest = np.where(earlier, gap - 1, gap)
+        # Nearest beat; an equidistant peak goes to the earlier beat.
+        gap = np.searchsorted(beats, peak)
+        left = beats[np.maximum(gap - 1, 0)]
+        right = beats[np.minimum(gap, beats.size - 1)]
+        earlier = (gap == beats.size) | ((gap > 0) & (peak - left <= right - peak))
+        nearest = np.where(earlier, gap - 1, gap)
 
-            # Within each (beat, channel) the instances closest in time, then
-            # earliest, fill the beat's positive bag up to per_positive; the
-            # stable lexsort keeps candidate order among equal keys.
-            order = np.lexsort((peak, np.abs(peak - beats[nearest]), channel, nearest))
-            new_group = np.ones(order.size, dtype=bool)
-            new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(channel[order]) != 0)
-            starts = np.flatnonzero(new_group)
-            rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
-            positive = np.empty(order.size, dtype=bool)
-            positive[order] = rank < per_positive
-            bag = np.where(positive, nearest, beats.size + gap)
-            order = np.lexsort((peak, channel, bag))
+        # Within each (beat, channel) the instances closest in time, then
+        # earliest, fill the beat's positive bag up to per_positive; the
+        # stable lexsort keeps candidate order among equal keys.
+        order = np.lexsort((peak, np.abs(peak - beats[nearest]), channel, nearest))
+        new_group = np.ones(order.size, dtype=bool)
+        new_group[1:] = (np.diff(nearest[order]) != 0) | (np.diff(channel[order]) != 0)
+        starts = np.flatnonzero(new_group)
+        rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+        positive = np.empty(order.size, dtype=bool)
+        positive[order] = rank < per_positive
+        bag = np.where(positive, nearest, beats.size + gap)
+        order = np.lexsort((peak, channel, bag))
         rows.append([a[order] for a in (np.full(peak.size, r), channel, peak, bag, positive)])
     recording, channel, peak, bag, positive = map(np.concatenate, zip(*rows))
     order = np.argsort(~positive, kind="stable")  # each recording's order is kept

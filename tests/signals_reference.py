@@ -91,11 +91,6 @@ def _nearest_beat(peak, beats):
 def build_bags(per_channel_instances, gt_beat_times, per_positive=3):
     """build_bags over per-channel lists of Window records."""
     beats = np.asarray(gt_beat_times, dtype=int)
-    all_instances = [inst for ch in per_channel_instances for inst in ch]
-    if beats.size == 0:
-        if not all_instances:
-            return []
-        return [RefBag(windows=tuple(all_instances), label=0)]
 
     assigned = {}
     for ch_id, ch_instances in enumerate(per_channel_instances):

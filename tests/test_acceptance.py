@@ -84,7 +84,7 @@ def hrv_pipeline():
     beats, est_hr = detect_recording(test.recording, model)
     gt = test.recording.gt_beat_times
     gt_hr = hr_from_beats(gt, FS, 60.0, 15.0, test.recording.duration_s)
-    report, _ = evaluate(gt_hr, est_hr, np.asarray([b[0] for b in beats]) / FS, gt / FS)
+    report, _, _ = evaluate(gt_hr, est_hr, np.asarray([b[0] for b in beats]) / FS, gt / FS)
     return dict(test=test, gt_hr=gt_hr, report=report)
 
 

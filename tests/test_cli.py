@@ -844,6 +844,17 @@ class TestEval:
         )
         assert code == 5
 
+    def test_beats_without_a_consecutive_match_exit_5(self, workdir, tmp_path, capsys):
+        beats = tmp_path / "none.beats.csv"
+        bio.write_beats(beats, [], 100.0)
+        out = tmp_path / "r"
+        code = main(["eval", str(workdir / "rec.csv"), "--est-hr", str(workdir / "det") + ".hr.csv",
+                     "--est-beats", str(beats), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            "error: BBI comparison impossible: no consecutively matched beat pairs\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind, edit, message",
         [c[1:] for c in UNREADABLE_ESTIMATES], ids=[c[0] for c in UNREADABLE_ESTIMATES],

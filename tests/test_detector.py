@@ -24,6 +24,7 @@ from bcgbeat.detector import (
     hr_from_beats,
     hr_from_confidence_dft,
     learn_detection_params_pooled,
+    train_model,
     vote_beats,
     window_starts,
 )
@@ -575,6 +576,30 @@ class TestLearnDetectionParams:
         finally:
             tracemalloc.stop()
         assert peak < 12.0 * event_bytes
+
+
+class TestTrainModel:
+    """train_model rejects recordings it cannot learn one concept from
+    before it filters any of them."""
+
+    @pytest.fixture(autouse=True)
+    def no_filtering(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("filtered a recording train_model should reject")
+
+        monkeypatch.setattr(detector, "candidate_peaks", never)
+
+    def test_mixed_sample_rates_are_rejected(self):
+        recs = [Recording([np.zeros(3000)], fs, gt_beat_times=[500, 1500]) for fs in (100.0, 200.0)]
+        with pytest.raises(ValueError, match="recording 2 is sampled at 200 Hz but the first at 100 Hz"):
+            train_model(recs, FumiParams())
+
+    @pytest.mark.parametrize("gt", [None, []], ids=["none", "empty"])
+    def test_a_recording_without_groundtruth_is_rejected(self, gt):
+        recs = [Recording([np.zeros(3000)], FS, gt_beat_times=[500, 1500]),
+                Recording([np.zeros(3000)], FS, gt_beat_times=gt)]
+        with pytest.raises(ValueError, match="^groundtruth beats required to learn detection"):
+            train_model(recs, FumiParams())
 
 
 class TestWindowStarts:

@@ -264,8 +264,9 @@ def names_in(tree: ast.AST, strings: bool = False) -> set[str]:
 
 
 def test_every_definition_has_a_caller():
-    """Each top-level function and class of the package is named by
-    another module of it, used in its own module or named by the benchmark
+    """Each top-level function and class of the package, and each method
+    and property of its classes but the dunders, is named by another
+    module of it, used in its own module or named by the benchmark
     (perfbench/*.py, also by string); exactly the entry points are not."""
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in (SRC / "bcgbeat").glob("*.py")}
     bench = set().union(*(
@@ -280,5 +281,14 @@ def test_every_definition_has_a_caller():
             f"{module}.{node.name}"
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+        ]
+        uncalled += [
+            f"{module}.{cls.name}.{node.name}"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in named
         ]
     assert sorted(uncalled) == sorted(ENTRY_POINTS)

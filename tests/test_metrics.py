@@ -158,9 +158,12 @@ class TestBbiRelativeError:
         stretched = beat_report(np.array([0.0, 1.1, 2.5, 3.0]), gt)
         assert abs(stretched["bbi_relative_error_pct"] - 10.0) <= 1e-12
 
-    def test_too_few_matches_is_an_error(self):
-        with pytest.raises(ValueError, match="^BBI comparison impossible: no consecutively"):
-            beat_report(np.array([0.0, 10.0]), np.array([1.0, 2.0]))
+    def test_too_few_matches_leave_the_bbi_keys_out_and_say_why(self):
+        hr = series([30.0], [70.0])
+        report, _, why = evaluate(hr, hr, np.array([0.0, 10.0]), np.array([0.0, 2.0]))
+        assert why == "BBI comparison impossible: no consecutively matched beat pairs"
+        assert report["n_beats_matched"] == 1
+        assert not any(k.startswith(("bbi_", "bland_altman_")) or k == "n_beat_pairs" for k in report)
 
 
 class TestBlandAltman:
@@ -277,7 +280,8 @@ class TestEvaluate:
     EST_BEATS = np.r_[GT_BEATS[:10] + 0.02, GT_BEATS[12:] - 0.05, 30.0]
 
     def test_report_keys_in_eval_order(self):
-        report, rows = evaluate(self.GT, self.EST, self.EST_BEATS, self.GT_BEATS, self.BASE)
+        report, rows, why = evaluate(self.GT, self.EST, self.EST_BEATS, self.GT_BEATS, self.BASE)
+        assert why is None
         assert list(report) == [
             "mae_bpm", "n_windows_compared", "pearson_r", "beat_f1", "n_beats_matched",
             "n_beats_est", "n_beats_gt", "bbi_relative_error_pct", "bland_altman_bias_bpm",
@@ -290,7 +294,7 @@ class TestEvaluate:
 
     def test_scores_are_the_statistics_of_one_matching(self):
         est, gt = self.EST_BEATS, self.GT_BEATS
-        report, rows = evaluate(self.GT, self.EST, est, gt, self.BASE)
+        report, rows, _ = evaluate(self.GT, self.EST, est, gt, self.BASE)
         assert report["mae_bpm"] == mae(self.EST, self.GT)
         assert report["pearson_r"] == pearson_r(*np.asarray(rows)[:, 1:3].T)
         pairs = greedy_match(est, gt)
@@ -311,12 +315,24 @@ class TestEvaluate:
         assert report["paired_t_stat"] == t
 
     def test_one_window_or_one_interval_leaves_its_statistic_out(self):
-        report, _ = evaluate(self.GT, series(self.GT.times, [np.nan, 70.0, np.nan, np.nan]),
+        report, _, _ = evaluate(self.GT, series(self.GT.times, [np.nan, 70.0, np.nan, np.nan]),
                              np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert "pearson_r" not in report and "n_beat_pairs" not in report
         assert report["beat_f1"] == 1.0
         two = evaluate(self.GT, self.EST, np.array([0.0, 1.0, 2.1]), np.array([0.0, 1.0, 2.0]))[0]
         assert "pearson_r" in two and two["n_beat_pairs"] == 2
+
+    def test_a_header_only_beats_file_keeps_the_hr_and_beat_scores(self, tmp_path):
+        path = tmp_path / "none.beats.csv"
+        bio.write_beats(path, [], 100.0)
+        _, est, _ = bio.read_beats(path)
+        report, _, why = evaluate(self.GT, self.EST, est, self.GT_BEATS)
+        assert report == {
+            "mae_bpm": mae(self.EST, self.GT), "n_windows_compared": 3,
+            "pearson_r": report["pearson_r"], "beat_f1": 0.0, "n_beats_matched": 0,
+            "n_beats_est": 0, "n_beats_gt": self.GT_BEATS.size,
+        }
+        assert why.startswith("BBI comparison impossible")
 
     @pytest.mark.parametrize(
         "est, base, message",

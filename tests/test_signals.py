@@ -312,16 +312,6 @@ class TestBuildBags:
             got = sorted(blocks.peak[:12][blocks.channel[:12] == ch].tolist())
             assert got == [960, 1000, 1040]
 
-    def test_no_groundtruth_gives_one_negative_bag(self):
-        rng = np.random.default_rng(9)
-        candidates = _synthetic_candidates(rng, 4, 2000, 5)
-        blocks = _one(candidates, [])
-        assert len(blocks) == 1
-        (bag,) = blocks
-        assert bag.label == 0
-        assert bag.stop - bag.start == 20
-        assert blocks.Xp.shape == (91, 0) and blocks.Xn.shape == (91, 20)
-
     def test_every_instance_lands_in_exactly_one_bag(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -356,8 +346,7 @@ class TestBuildBags:
     def test_pooled_blocks_are_each_recordings_blocks_in_turn(self):
         rng = np.random.default_rng(15)
         recs = [_synthetic_candidates(rng, 3, 3000, 12) for _ in range(4)]
-        # the two recordings without beats each make one bag, of id 0
-        beats = [np.array([700, 1500, 2300]), np.array([], dtype=int), np.array([], dtype=int),
+        beats = [np.array([700, 1500, 2300]), np.array([400]), np.array([1000, 2600]),
                  np.array([1200])]
         pooled = build_bags(recs, beats)
         alone = [_one(c, b) for c, b in zip(recs, beats)]
@@ -400,6 +389,12 @@ class TestRecording:
             Recording(
                 channels=[np.zeros(10)], sample_rate_hz=FS, gt_beat_times=np.array([99])
             )
+
+    def test_rejects_non_integral_groundtruth_and_names_it(self):
+        with pytest.raises(ValueError, match=r"but 0\.5 is not an integer"):
+            Recording([np.zeros(400)], FS, gt_beat_times=np.array([0.5, 1.7, 2.9]))
+        rec = Recording([np.zeros(400)], FS, gt_beat_times=np.array([5.0, 170.0]))
+        assert rec.gt_beat_times.tolist() == [5, 170]
 
     def test_rejects_nonincreasing_groundtruth(self):
         with pytest.raises(ValueError):

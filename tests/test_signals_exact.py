@@ -118,7 +118,7 @@ def candidates(draw, unique_peaks=False):
     return out, pre
 
 
-beat_times = st.sets(st.integers(0, 300), max_size=8).map(
+beat_times = st.sets(st.integers(0, 300), min_size=1, max_size=8).map(
     lambda s: np.asarray(sorted(s), dtype=int)
 )
 
