@@ -185,13 +185,12 @@ def gamma_matrix(D: Dictionary, scale: float, target_atoms_old: np.ndarray) -> n
     between background atom k and previous-iteration target atom t), so
     each penalty term gamma[k, t] * <d_bg_k, d_tgt_t_old> is never
     negative."""
-    tgt = target_atoms_old
     bg = D.background_atoms
     bn = np.linalg.norm(bg, axis=0)
-    tn = np.linalg.norm(tgt, axis=0)
+    tn = np.linalg.norm(target_atoms_old, axis=0)
     if np.any(bn == 0.0) or np.any(tn == 0.0):
         raise ValueError("gamma_matrix needs nonzero atoms")
-    return scale * (bg.T @ tgt) / np.outer(bn, tn)
+    return scale * (bg.T @ target_atoms_old) / np.outer(bn, tn)
 
 
 def coding_operands(background_atoms: np.ndarray, atoms: np.ndarray | None = None):
