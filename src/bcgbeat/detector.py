@@ -259,11 +259,6 @@ def _sorted_events(series: ConfidenceSeries):
     return idx[order], ch[order], conf[order]
 
 
-# Below this many chains left, the cluster and refractory walks step them
-# one at a time.
-_FEW_CHAINS = 16
-
-
 def _cluster_starts(key, gap, neighborhood: int) -> np.ndarray:
     """The first event of each cluster, over events whose (segment, index)
     keys are `key` (sorted) with gaps gap = diff(key).
@@ -274,8 +269,7 @@ def _cluster_starts(key, gap, neighborhood: int) -> np.ndarray:
     neighborhood.  A segment's first event, and an event more than
     `neighborhood` after the one before it, anchor a cluster for sure (a
     head).  From every head a chain steps along the anchors that follow,
-    all chains at once, until it reaches the next head; the last few
-    chains, on long runs of close events, go on one at a time."""
+    all chains at once, until it reaches the next head."""
     n = key.size
     nxt = np.searchsorted(key, key + neighborhood, side="right")
     np.maximum(nxt, np.arange(1, n + 1), out=nxt)
@@ -284,21 +278,10 @@ def _cluster_starts(key, gap, neighborhood: int) -> np.ndarray:
     anchor = head[:n].copy()
     chains = nxt[anchor]
     chains = chains[~head[chains]]
-    while chains.size > _FEW_CHAINS:
+    while chains.size:
         anchor[chains] = True
         chains = nxt[chains]
         chains = chains[~head[chains]]
-    if chains.size:
-        heads = np.flatnonzero(head)
-        ends = heads[np.searchsorted(heads, chains, side="right")]
-        tail = []
-        for a, end in zip(chains.tolist(), ends.tolist()):
-            step = nxt[a:end].tolist()  # a chain's run of close events
-            first = a
-            while a < end:
-                tail.append(a)
-                a = step[a - first]
-        anchor[tail] = True
     return np.flatnonzero(anchor)
 
 
@@ -325,8 +308,7 @@ def _refractory_beats(seg, med, sums, refractory: int) -> np.ndarray:
     its sum is larger, and is dropped otherwise.  A cluster at least
     `refractory` after the cluster before it, or first in its segment,
     always starts a new beat, so the rule runs on each run of close
-    clusters alone: all runs step at once, and the last few go on one at a
-    time."""
+    clusters alone, and all runs step at once."""
     beat = np.ones(med.size, dtype=bool)  # first of its run, for now
     beat[1:] = (seg[1:] != seg[:-1]) | (med[1:] - med[:-1] >= refractory)
     run = np.flatnonzero(beat)
@@ -335,7 +317,7 @@ def _refractory_beats(seg, med, sums, refractory: int) -> np.ndarray:
     run, length = run[length > 1], length[length > 1]
     last = run.copy()  # each run's beat so far
     k = 1
-    while run.size > _FEW_CHAINS:
+    while run.size:
         pos = run + k
         close = med[pos] - med[last] < refractory
         beat[last[~close]] = True
@@ -344,18 +326,6 @@ def _refractory_beats(seg, med, sums, refractory: int) -> np.ndarray:
         done = length == k
         beat[last[done]] = True
         run, length, last = run[~done], length[~done], last[~done]
-    final = []
-    for r, m, b in zip(run.tolist(), length.tolist(), last.tolist()):
-        run_med, run_sums = med[r : r + m].tolist(), sums[r : r + m].tolist()
-        b -= r
-        for pos in range(k, m):
-            if run_med[pos] - run_med[b] >= refractory:
-                final.append(r + b)
-                b = pos
-            elif run_sums[pos] > run_sums[b]:
-                b = pos
-        final.append(r + b)
-    beat[final] = True
     return beat
 
 

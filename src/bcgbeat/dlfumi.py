@@ -90,36 +90,35 @@ class FumiParams:
             raise ValueError("tol must be finite and > 0")
 
 
-@dataclass
 class Dictionary:
-    """Column-atom dictionary split into target and background blocks."""
+    """Column-atom dictionary D = [D_tgt | D_bg], held as one (d, T+M)
+    array `atoms` whose first n_target columns are the target block.
+    target_atoms and background_atoms are column views of it.  The
+    constructor copies the two blocks it is given into a new array."""
 
-    target_atoms: np.ndarray
-    background_atoms: np.ndarray
-
-    def __post_init__(self):
-        self.target_atoms = np.atleast_2d(np.asarray(self.target_atoms, dtype=float))
-        self.background_atoms = np.atleast_2d(
-            np.asarray(self.background_atoms, dtype=float)
-        )
-        if self.target_atoms.shape[0] != self.background_atoms.shape[0]:
+    def __init__(self, target_atoms, background_atoms):
+        tgt = np.atleast_2d(np.asarray(target_atoms, dtype=float))
+        bg = np.atleast_2d(np.asarray(background_atoms, dtype=float))
+        if tgt.shape[0] != bg.shape[0]:
             raise ValueError("target and background atoms must share a dimension")
+        self.atoms = np.hstack([tgt, bg])
+        self.n_target = tgt.shape[1]
 
     @property
     def d(self) -> int:
-        return self.target_atoms.shape[0]
-
-    @property
-    def n_target(self) -> int:
-        return self.target_atoms.shape[1]
+        return self.atoms.shape[0]
 
     @property
     def n_background(self) -> int:
-        return self.background_atoms.shape[1]
+        return self.atoms.shape[1] - self.n_target
 
     @property
-    def atoms(self) -> np.ndarray:
-        return np.hstack([self.target_atoms, self.background_atoms])
+    def target_atoms(self) -> np.ndarray:
+        return self.atoms[:, : self.n_target]
+
+    @property
+    def background_atoms(self) -> np.ndarray:
+        return self.atoms[:, self.n_target :]
 
 
 @dataclass
@@ -395,8 +394,6 @@ def target_atom_update(P: UpdateProducts, t: int, atoms: np.ndarray):
     Reads column t of the iteration's products P.  Returns None (stale)
     when the update is undefined because sum_i P_i * a_it^2 is exactly
     zero.  The positive-bag weight psi cancels and does not appear.
-    atoms is D.atoms, which a caller updating atom after atom keeps itself
-    rather than stacking it anew for each.
     """
     if P.target_mass[t] == 0.0:
         return None
@@ -412,7 +409,6 @@ def background_atom_update(
     k: int,
     gamma: np.ndarray,
     target_atoms_old: np.ndarray,
-    atoms: np.ndarray,
 ):
     """Closed-form minimizer of the expected objective over background
     atom k, everything else held fixed, including the cross-coherence pull
@@ -420,14 +416,12 @@ def background_atom_update(
 
     Reads column k of the background blocks of the iteration's products
     P.  Returns the atom before renormalization, or None (stale) when
-    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.  atoms is
-    D.atoms, as in target_atom_update.
+    psi*sum_pos a_ik^2 + sum_neg a_ik^2 is exactly zero.
     """
     den = P.background_den[k]
     if den == 0.0:
         return None
-    T = D.n_target
-    bg = D.background_atoms
+    T, atoms, bg = D.n_target, D.atoms, D.background_atoms
     # R_full_pos @ (pc a) + R_bg_pos @ ((1-pc) a) + R_bg_neg @ a_neg, with
     # the two Xp products folded into Xp @ a and the residuals never formed
     raw = (
@@ -545,10 +539,8 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     del R_init  # a (d, N_pos) block that EM never reads
 
     D = Dictionary(D_tgt, D_bg)
-    # D.atoms stacks the blocks anew on each read; EM keeps its own copy,
-    # written beside the blocks.
     atoms = D.atoms
-    G_bg, eta_bg, G, eta = coding_operands(D_bg, atoms)
+    G_bg, eta_bg, G, eta = coding_operands(D.background_atoms, atoms)
     corr_pos = np.vstack([D.target_atoms.T @ Xp, D.background_atoms.T @ Xp])
     A_pos = kernels.ista_negative(
         G, corr_pos, np.vstack([np.zeros((T, n_pos)), A_pos_bg]), params.lam, eta, _WARMUP_STEPS
@@ -606,26 +598,22 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
         # updated so far.  A stale atom is kept, and re-seeded after
         # _STALE_LIMIT stale iterations in a row.
         products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi, work(A_pos.shape))
-        blocks = (
-            (D.target_atoms, 0, Xp, lambda: atoms @ A_pos,
-             lambda j: target_atom_update(products, j, atoms)),
-            (D.background_atoms, T, Xn, lambda: D.background_atoms @ A_neg,
-             lambda j: background_atom_update(products, D, j, gamma, tgt_old, atoms)),
-        )
-        for block, first, Xc, recon, update in blocks:
-            for j in range(block.shape[1]):
-                raw = update(j)
-                new_atom = raw if raw is None else _normalize_or_none(raw)
-                if new_atom is not None:
-                    stale[first + j] = 0
-                else:
-                    stale[first + j] += 1
-                    if stale[first + j] < _STALE_LIMIT:
-                        continue
-                    R = recon()
-                    new_atom = reseed(Xc, np.subtract(Xc, R, out=R))
-                    stale[first + j] = 0
-                block[:, j] = atoms[:, first + j] = new_atom
+        for j in range(T + M):
+            if j < T:
+                raw = target_atom_update(products, j, atoms)
+            else:
+                raw = background_atom_update(products, D, j - T, gamma, tgt_old)
+            new_atom = raw if raw is None else _normalize_or_none(raw)
+            if new_atom is not None:
+                stale[j] = 0
+            else:
+                stale[j] += 1
+                if stale[j] < _STALE_LIMIT:
+                    continue
+                Xc, R = (Xp, atoms @ A_pos) if j < T else (Xn, D.background_atoms @ A_neg)
+                new_atom = reseed(Xc, np.subtract(Xc, R, out=R))
+                stale[j] = 0
+            atoms[:, j] = new_atom
 
         # --- code updates --------------------------------------------------
         G_bg, eta_bg, G, eta = coding_operands(D.background_atoms, atoms)

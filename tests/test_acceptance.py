@@ -209,7 +209,7 @@ class TestCriteria:
             updates = [("target", 0, target_atom_update(P, 0, D.atoms))]
             for k in range(M):
                 updates.append(
-                    ("background", k, background_atom_update(P, D, k, gamma, old_targets, D.atoms))
+                    ("background", k, background_atom_update(P, D, k, gamma, old_targets))
                 )
             for which, k, closed in updates:
                 assert closed is not None

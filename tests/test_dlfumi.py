@@ -60,6 +60,35 @@ def prox(v, thr):
     return soft_threshold(v, thr, np.empty_like(v))
 
 
+class TestDictionary:
+    """One (d, T+M) atom array; the two blocks are column views of it."""
+
+    def test_blocks_are_views_of_the_one_atom_array(self):
+        D = random_dictionary(np.random.default_rng(40), 5, 2, 3)
+        assert D.atoms is D.atoms
+        assert D.atoms.shape == (5, 5) and D.n_target == 2 and D.n_background == 3
+        assert np.shares_memory(D.target_atoms, D.atoms)
+        assert np.shares_memory(D.background_atoms, D.atoms)
+
+    def test_a_column_written_through_atoms_shows_in_its_block(self):
+        D = random_dictionary(np.random.default_rng(41), 5, 2, 3)
+        D.atoms[:, 1] = 7.0
+        D.atoms[:, 4] = -2.0
+        np.testing.assert_array_equal(D.target_atoms[:, 1], 7.0)
+        np.testing.assert_array_equal(D.background_atoms[:, 2], -2.0)
+
+    def test_does_not_alias_the_blocks_it_is_given(self):
+        tgt, bg = np.ones((4, 1)), np.zeros((4, 2))
+        D = Dictionary(tgt, bg)
+        assert not np.shares_memory(D.atoms, tgt) and not np.shares_memory(D.atoms, bg)
+        D.atoms[:] = 5.0
+        assert np.all(tgt == 1.0) and np.all(bg == 0.0)
+
+    def test_rejects_blocks_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            Dictionary(np.ones((4, 1)), np.ones((5, 1)))
+
+
 class TestSoftThreshold:
     def test_basic_values(self):
         assert prox(2.0, 0.5) == 1.5
@@ -373,7 +402,7 @@ def products(Xp, Xn, codes, posteriors, params):
 def bg_update(Xp, Xn, codes, posteriors, D, k, params, target_atoms_old):
     gamma = gamma_matrix(D, params.gamma, target_atoms_old)
     return background_atom_update(
-        products(Xp, Xn, codes, posteriors, params), D, k, gamma, target_atoms_old, D.atoms
+        products(Xp, Xn, codes, posteriors, params), D, k, gamma, target_atoms_old
     )
 
 
@@ -488,7 +517,7 @@ class TestBatchedUpdatesMatchTheMatrixVectorForms:
             if got is not None:
                 D.target_atoms[:, t] = got / np.linalg.norm(got)
         for k in range(D.n_background):
-            got = background_atom_update(P, D, k, gamma, tgt_old, D.atoms)
+            got = background_atom_update(P, D, k, gamma, tgt_old)
             want = ref.background_atom_update(
                 Xp, Xn, A_pos, A_neg, p_pos, psi, D, k, gamma, tgt_old
             )
@@ -553,6 +582,12 @@ class TestFit:
             for s in range(-5, 6):
                 best = max(best, abs(float(np.roll(atom, s) @ res.template)))
         assert best >= 0.95
+
+    def test_returned_blocks_are_views_of_the_atoms(self, planted_fit):
+        D = planted_fit[2].dictionary
+        assert D.atoms is D.atoms
+        assert np.shares_memory(D.target_atoms, D.atoms)
+        assert np.shares_memory(D.background_atoms, D.atoms)
 
     def test_atoms_stay_unit_norm(self, planted_fit):
         _, _, result = planted_fit

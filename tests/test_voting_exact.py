@@ -142,9 +142,9 @@ def bursty_channel(draw):
     """Events in bursts about 50 samples apart, each a few samples wide or
     up to 30: with neighborhoods under 20 a burst is several clusters, and
     with a refractory of 30 or 100 samples the clusters of neighboring
-    bursts form long runs.  The grid's walks then step many chains at once
-    and the last few one at a time.  Confidences are tied values only, so
-    that close clusters tie on their sums."""
+    bursts form long runs, which the grid's walks step as many chains at
+    once.  Confidences are tied values only, so that close clusters tie on
+    their sums."""
     centres = draw(st.lists(st.integers(0, 11), max_size=12, unique=True))
     idx, conf = [], []
     for c in centres:
@@ -224,10 +224,9 @@ def test_score_grid_matches_the_loop_reference_on_the_default_grid():
 
 
 def test_close_clusters_with_tied_sums_keep_the_earlier_beat_in_many_runs():
-    """40 runs of three clusters 10 samples apart, enough runs that the
-    refractory rule steps them all at once rather than one at a time.  A
-    tie keeps the earlier beat; a larger sum, if only by one ulp, replaces
-    it."""
+    """40 runs of three clusters 10 samples apart, which the refractory
+    rule steps all at once.  A tie keeps the earlier beat; a larger sum, if
+    only by one ulp, replaces it."""
     idx = np.concatenate([[100 * r, 100 * r + 10, 100 * r + 20] for r in range(1, 41)])
     p = DetectionParams(threshold=1.0, neighborhood=5, min_votes=2, refractory_s=0.3)
     for last, kept in ((1.5, 0), (np.nextafter(1.5, 2.0), 20)):
