@@ -7,6 +7,8 @@ two identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .detector import BackgroundModel
@@ -94,11 +96,16 @@ def _read_table(path, channels: bool):
         width = len(header)
         # loadtxt rejects a row whose width differs from the first row's;
         # the usecols parse always includes the last column, so there every
-        # shorter row fails, but a longer one passes
-        data = np.loadtxt(
-            fh, delimiter=",", ndmin=2, usecols=None if channels else (0, width - 1)
-        )
+        # shorter row fails, but a longer one passes.  A file without rows
+        # fails the sample count below, not with loadtxt's warning.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(
+                fh, delimiter=",", ndmin=2, usecols=None if channels else (0, width - 1)
+            )
     n = data.shape[0]
+    if n < 2:
+        raise ValueError(f"{path}: need at least two samples")
     if channels:
         wrong_width = data.shape[1] != width
     else:
@@ -107,8 +114,6 @@ def _read_table(path, channels: bool):
         wrong_width = _commas(path) != (n + 1) * (width - 1)
     if wrong_width:
         raise ValueError(f"{path}: row width disagrees with header")
-    if n < 2:
-        raise ValueError(f"{path}: need at least two samples")
     t = data[:, 0]
     dt = np.diff(t)  # dt[k] is the step into sample k + 1
     not_up = ~(dt > 0)  # NaN steps too

@@ -336,6 +336,13 @@ class TestTrain:
         p.write_text("t,ch0,gt\n0.0,1.0,0\n")
         assert main(["train", str(p), "--out", str(tmp_path / "d.csv")]) == 2
 
+    @pytest.mark.parametrize("rows", ["", "\n\n"], ids=["header_only", "blank_lines"])
+    def test_recording_without_rows_exits_2_with_one_line(self, tmp_path, capsys, rows):
+        p = tmp_path / "empty.csv"
+        p.write_text("t,ch0,ch1,gt\n" + rows)
+        assert main(["train", str(p), "--out", str(tmp_path / "d.csv")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read recording {p}: {p}: need at least two samples\n"
+
 
 class TestDetect:
     def test_outputs_parse_and_track_heart_rate(self, workdir):
@@ -425,6 +432,13 @@ class TestDetect:
         assert code == 2
         assert "channel ch1 has non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "d.hr.csv").exists()
+
+    def test_recording_without_rows_exits_2_with_one_line(self, workdir, tmp_path, capsys):
+        p = tmp_path / "empty.csv"
+        p.write_text("t,ch0,ch1,gt\n\n")
+        code = main(["detect", str(p), "--dict", str(workdir / "model.csv"), "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot read recording {p}: {p}: need at least two samples\n"
 
     def test_flat_channel_is_reported_on_stderr(self, workdir, tmp_path, capsys):
         rec = bio.read_recording(workdir / "rec.csv")

@@ -181,6 +181,9 @@ MALFORMED = [
      "not a recording CSV (missing 't' column)"),
     ("non_channel_column", _edit_field(0, 2, lambda _: "volts"), "malformed recording header"),
     ("single_sample", lambda lines: lines.__delitem__(slice(2, None)), "need at least two samples"),
+    ("header_only", lambda lines: lines.__delitem__(slice(1, None)), "need at least two samples"),
+    ("header_and_blank_lines", lambda lines: lines.__setitem__(slice(1, None), ["\n", "\n"]),
+     "need at least two samples"),
     ("shifted_timestamp", _edit_field(201, 0, lambda v: repr(float(v) + 0.5)),
      "time column does not increase at sample 201"),
     ("swapped_rows", _swap_rows, "time column does not increase at sample 101"),
