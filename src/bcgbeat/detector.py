@@ -128,14 +128,15 @@ class Model:
                              f"but the atoms have {self.dictionary.d} samples")
 
 
-def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> BackgroundModel:
+def background_covariance(instances: np.ndarray) -> BackgroundModel:
     """Sample covariance (n-1 normalization) of background instances, the
     columns of a (d, n) float array that it centers in place: np.cov's
     arithmetic, bit for bit, without np.cov's copy of the instances.
 
-    The result must be positive definite; if `ridge` does not achieve
-    that it is raised automatically (starting at 1e-6 * trace / d) and the
-    effective value is reported on the returned model and the log.
+    The result must be positive definite; if it is not, a ridge is added
+    to its diagonal, starting at 1e-6 * trace / d (1e-6 on a zero trace)
+    and raised tenfold until it is, and the ridge is reported on the
+    returned model (0 when none was needed) and the log.
     """
     X = np.atleast_2d(np.asarray(instances, dtype=float))
     d, n = X.shape
@@ -143,17 +144,15 @@ def background_covariance(instances: np.ndarray, ridge: float = 0.0) -> Backgrou
         raise ValueError("need at least one instance")
     X -= X.mean(axis=1)[:, None]
     S = np.dot(X, X.T) * (1.0 / (n - 1)) if n > 1 else np.zeros((d, d))
-    eff = float(ridge)
+    floor = 1e-6 * np.trace(S) / d
+    ridge = 0.0
     for _ in range(60):
         try:
-            return BackgroundModel(covariance=S + eff * np.eye(d), ridge=eff)
+            return BackgroundModel(covariance=S + ridge * np.eye(d), ridge=ridge)
         except np.linalg.LinAlgError:
             pass
-        floor = 1e-6 * np.trace(S) / d
-        if floor <= 0:
-            floor = 1e-6
-        eff = max(eff * 10.0, floor) if eff > 0 else floor
-        log.info("background covariance not PD; raising ridge to %g", eff)
+        ridge = ridge * 10.0 if ridge > 0 else (floor if floor > 0 else 1e-6)
+        log.info("background covariance not PD; raising ridge to %g", ridge)
     raise np.linalg.LinAlgError("could not make covariance positive definite")
 
 

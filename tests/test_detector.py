@@ -55,8 +55,9 @@ def series_of(rec, D, model, pre=Preprocessing()):
 class TestBackgroundCovariance:
     def test_single_instance_gives_ridge_identity(self):
         x = np.random.default_rng(0).standard_normal(5)
-        model = background_covariance(x.reshape(-1, 1), ridge=0.1)
-        np.testing.assert_allclose(model.covariance, 0.1 * np.eye(5), atol=1e-15)
+        model = background_covariance(x.reshape(-1, 1))
+        assert model.ridge == 1e-6
+        np.testing.assert_array_equal(model.covariance, 1e-6 * np.eye(5))
 
     def test_matches_textbook_double_loop(self):
         d, n = 4, 4
@@ -67,20 +68,20 @@ class TestBackgroundCovariance:
             r = X[:, i] - mean
             S += np.outer(r, r)
         S /= n - 1
-        model = background_covariance(X, ridge=1e-6)
+        model = background_covariance(X)
         np.testing.assert_allclose(model.covariance - model.ridge * np.eye(d), S, atol=1e-12)
 
     def test_ridge_lands_on_the_diagonal(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((6, 40))
-        plain = background_covariance(X.copy(), ridge=0.0)
-        ridged = background_covariance(X, ridge=1e-3)
-        np.testing.assert_allclose(
-            np.diag(ridged.covariance) - np.diag(plain.covariance), 1e-3, atol=1e-15
-        )
+        # three instances in six dimensions: the sample covariance is
+        # singular, so the ridge is raised from zero
+        X = np.random.default_rng(1).standard_normal((6, 3))
+        plain = np.cov(X, ddof=1)
+        ridged = background_covariance(X)
+        assert ridged.ridge > 0.0
+        np.testing.assert_allclose(np.diag(ridged.covariance) - np.diag(plain), ridged.ridge,
+                                   rtol=1e-9)
         off = ridged.covariance - np.diag(np.diag(ridged.covariance))
-        off_plain = plain.covariance - np.diag(np.diag(plain.covariance))
-        np.testing.assert_allclose(off, off_plain, atol=1e-15)
+        np.testing.assert_array_equal(off, plain - np.diag(np.diag(plain)))
 
     def test_is_np_cov_bit_for_bit_without_a_copy(self):
         """train spends its negative block on the covariance: it is
@@ -101,7 +102,7 @@ class TestBackgroundCovariance:
     def test_degenerate_sample_is_auto_regularized(self):
         # two identical instances: zero-variance directions need the ridge
         x = np.ones((4, 2))
-        model = background_covariance(x, ridge=0.0)
+        model = background_covariance(x)
         assert model.ridge > 0.0
         np.testing.assert_allclose(model.mahalanobis_sq(np.ones((4, 1))), 4.0 / model.ridge)
 
