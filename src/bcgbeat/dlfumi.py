@@ -529,11 +529,11 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     R_init = D_bg @ A_pos_bg
     np.subtract(Xp, R_init, out=R_init)
     resid = _column_sq_norms(R_init)
-    order = sorted(range(n_pos), key=lambda j: (-resid[j], j))
+    order = np.argsort(-resid, kind="stable")
     D_tgt = np.empty((d, T))
     for j in range(T):
         a = None
-        if j < len(order):
+        if j < order.size:
             a = _normalize_or_none(R_init[:, order[j]])
         D_tgt[:, j] = a if a is not None else _random_unit(d, rng)
     del R_init  # a (d, N_pos) block that EM never reads
