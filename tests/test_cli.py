@@ -336,13 +336,6 @@ class TestTrain:
         p.write_text("t,ch0,gt\n0.0,1.0,0\n")
         assert main(["train", str(p), "--out", str(tmp_path / "d.csv")]) == 2
 
-    @pytest.mark.parametrize("rows", ["", "\n\n"], ids=["header_only", "blank_lines"])
-    def test_recording_without_rows_exits_2_with_one_line(self, tmp_path, capsys, rows):
-        p = tmp_path / "empty.csv"
-        p.write_text("t,ch0,ch1,gt\n" + rows)
-        assert main(["train", str(p), "--out", str(tmp_path / "d.csv")]) == 2
-        assert capsys.readouterr().err == f"error: cannot read recording {p}: {p}: need at least two samples\n"
-
 
 class TestDetect:
     def test_outputs_parse_and_track_heart_rate(self, workdir):

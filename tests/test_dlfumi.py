@@ -80,7 +80,8 @@ class TestDictionary:
     def test_does_not_alias_the_blocks_it_is_given(self):
         tgt, bg = np.ones((4, 1)), np.zeros((4, 2))
         D = Dictionary(tgt, bg)
-        assert not np.shares_memory(D.atoms, tgt) and not np.shares_memory(D.atoms, bg)
+        assert not np.shares_memory(D.target_atoms, tgt)
+        assert not np.shares_memory(D.background_atoms, bg)
         D.atoms[:] = 5.0
         assert np.all(tgt == 1.0) and np.all(bg == 0.0)
 
