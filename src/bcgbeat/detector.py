@@ -145,13 +145,15 @@ def background_covariance(instances: np.ndarray) -> BackgroundModel:
     X -= X.mean(axis=1)[:, None]
     S = np.dot(X, X.T) * (1.0 / (n - 1)) if n > 1 else np.zeros((d, d))
     floor = 1e-6 * np.trace(S) / d
+    if floor <= 0:
+        floor = 1e-6
     ridge = 0.0
     for _ in range(60):
         try:
             return BackgroundModel(covariance=S + ridge * np.eye(d), ridge=ridge)
         except np.linalg.LinAlgError:
             pass
-        ridge = ridge * 10.0 if ridge > 0 else (floor if floor > 0 else 1e-6)
+        ridge = ridge * 10.0 if ridge > 0 else floor
         log.info("background covariance not PD; raising ridge to %g", ridge)
     raise np.linalg.LinAlgError("could not make covariance positive definite")
 
