@@ -439,39 +439,24 @@ def _normalize_or_none(v: np.ndarray):
     return None if n == 0.0 else v / n
 
 
-def _farthest_point_init(Xn: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Pick m negative instances by farthest-point sampling on cosine
-    distance and return them normalized as initial background atoms."""
-    d, n = Xn.shape
-    norms = np.linalg.norm(Xn, axis=0)
-    ok = norms > 0
-    U = np.multiply(np.where(ok, 1.0, 0.0), Xn)
-    U /= np.where(ok, norms, 1.0)
-    atoms = np.empty((d, m))
-    first = int(rng.integers(n))
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _farthest_point_init(Xn: np.ndarray, m: int, first: int) -> np.ndarray:
+    """Pick m of the columns of Xn, none of them zero, by farthest-point
+    sampling on cosine distance from column `first`, and return them
+    normalized as initial background atoms."""
+    U = Xn / np.linalg.norm(Xn, axis=0)
     chosen = [first]
     min_dist = 1.0 - U.T @ U[:, first]
     min_dist[first] = -np.inf
-    for j in range(1, min(m, n)):
+    for _ in range(1, m):
         nxt = int(np.argmax(min_dist))
         chosen.append(nxt)
         min_dist = np.minimum(min_dist, 1.0 - U.T @ U[:, nxt])
         min_dist[nxt] = -np.inf
-    for j, idx in enumerate(chosen):
-        a = _normalize_or_none(Xn[:, idx])
-        atoms[:, j] = a if a is not None else _random_unit(d, rng)
-    for j in range(len(chosen), m):
-        atoms[:, j] = _random_unit(d, rng)
-    return atoms
-
-
-def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(d)
-    n = np.linalg.norm(v)
-    while n == 0.0:
-        v = rng.standard_normal(d)
-        n = np.linalg.norm(v)
-    return v / n
+    return np.column_stack([_unit(Xn[:, i]) for i in chosen])
 
 
 def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
@@ -480,10 +465,14 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     positive bags and Xn (d, N_neg) of the negative ones, read in place.
 
     Deterministic given (Xp, Xn, params, seed).  Background atoms start from
-    farthest-point-sampled negative instances (cosine distance), target
-    atoms from the positive instances the initial background dictionary
+    farthest-point-sampled negative instances (cosine distance) and the
+    one random draw, seeded by `seed`, picks the first; target atoms start
+    from the positive instances the initial background dictionary
     reconstructs worst (their background-removed residuals, normalized);
-    codes get a short ISTA warm-up before the first E-step.
+    codes get a short ISTA warm-up before the first E-step.  A block with
+    fewer instances than its atoms, or with an instance of zero norm, is a
+    ValueError (`cannot learn target concept:` for Xp, `cannot model
+    background:` for Xn).
 
     Per EM iteration: E-step posteriors from the current background
     reconstruction; per-atom closed-form updates applied sequentially,
@@ -503,21 +492,22 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     """
     params.validate()
     Xp, Xn = np.ascontiguousarray(Xp, dtype=float), np.ascontiguousarray(Xn, dtype=float)
-    if Xp.shape[1] == 0:
-        raise ValueError("cannot learn target concept: no positive bags")
-    if Xn.shape[1] == 0:
-        raise ValueError("cannot model background: no negative bags")
     d, n_pos = Xp.shape
     n_neg = Xn.shape[1]
-    psi = resolve_psi(n_pos, n_neg, params)
     T, M = params.T, params.M
-    rng = np.random.default_rng(seed)
-
     Xp_sq = _column_sq_norms(Xp)
     Xn_sq = _column_sq_norms(Xn)
+    for sq, n_atoms, why, kind in ((Xp_sq, T, "cannot learn target concept", "positive"),
+                                   (Xn_sq, M, "cannot model background", "negative")):
+        if sq.size < n_atoms:
+            raise ValueError(f"{why}: {sq.size} {kind} windows for {n_atoms} atoms")
+        if not sq.all():
+            raise ValueError(f"{why}: {kind} window {np.flatnonzero(sq == 0.0)[0]} has zero norm")
+    psi = resolve_psi(n_pos, n_neg, params)
 
     # --- initialization ---------------------------------------------------
-    D_bg = _farthest_point_init(Xn, M, rng)
+    first = int(np.random.default_rng(seed).integers(n_neg))
+    D_bg = _farthest_point_init(Xn, M, first)
     G_bg, eta_bg = coding_operands(D_bg)
     corr_neg = D_bg.T @ Xn
     A_neg = kernels.ista_negative(
@@ -532,10 +522,11 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     order = np.argsort(-resid, kind="stable")
     D_tgt = np.empty((d, T))
     for j in range(T):
-        a = None
-        if j < order.size:
-            a = _normalize_or_none(R_init[:, order[j]])
-        D_tgt[:, j] = a if a is not None else _random_unit(d, rng)
+        a = _normalize_or_none(R_init[:, order[j]])
+        if a is None:
+            raise ValueError("cannot learn target concept: the background atoms "
+                             f"reconstruct positive window {order[j]} exactly")
+        D_tgt[:, j] = a
     del R_init  # a (d, N_pos) block that EM never reads
 
     D = Dictionary(D_tgt, D_bg)
@@ -568,8 +559,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
 
     def reseed(Xc, R):
         """The instance of Xc with the largest residual in R, as a unit atom."""
-        atom = _normalize_or_none(Xc[:, int(np.argmax(_column_sq_norms(R)))])
-        return atom if atom is not None else _random_unit(d, rng)
+        return _unit(Xc[:, int(np.argmax(_column_sq_norms(R)))])
 
     def objective_now(norms, gamma, tgt_old):
         return _objective_from_sq_norms(

@@ -336,6 +336,21 @@ class TestTrain:
         p.write_text("t,ch0,gt\n0.0,1.0,0\n")
         assert main(["train", str(p), "--out", str(tmp_path / "d.csv")]) == 2
 
+    def test_fewer_windows_than_atoms_exits_2(self, tmp_path, capsys):
+        """1.5 s at 70 bpm cuts 5 negative windows: too few for batch mode's
+        9 background atoms, and no atom is filled with noise instead."""
+        cfg = tmp_path / "synth.conf"
+        cfg.write_text("duration_s=1.5\nhr_bpm=70\n")
+        rec = tmp_path / "rec.csv"
+        assert main(["synth", "--config", str(cfg), "--seed", "1", "--out", str(rec)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "model.csv"
+        assert main(["train", str(rec), "--mode", "batch", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: training failed: cannot model background: 5 negative windows for 9 atoms\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.csv", "rec.sidecar", "synth.conf"]
+
 
 class TestDetect:
     def test_outputs_parse_and_track_heart_rate(self, workdir):

@@ -549,16 +549,53 @@ def test_validate_rejects_non_finite_settings(field, value):
 
 class TestFit:
     def test_requires_positive_bags(self):
+        """No target atom is made up: fewer positive windows than target
+        atoms, or a window of zero norm, fails."""
         rng = np.random.default_rng(22)
         Xn = columns([rng.standard_normal(6) for _ in range(3)])
-        with pytest.raises(ValueError, match="cannot learn target concept"):
-            fit(np.empty((6, 0)), Xn, FumiParams(T=1, M=1))
+        Xp = columns([rng.standard_normal(6) for _ in range(3)])
+        with_zero = Xp.copy()
+        with_zero[:, 1] = 0.0
+        for block, T, message in [
+            (np.empty((6, 0)), 1, "0 positive windows for 1 atoms"),
+            (Xp[:, :2], 3, "2 positive windows for 3 atoms"),
+            (with_zero, 1, "positive window 1 has zero norm"),
+        ]:
+            with pytest.raises(ValueError, match=f"^cannot learn target concept: {message}$"):
+                fit(block, Xn, FumiParams(T=T, M=1))
 
     def test_requires_negative_bags(self):
+        """No background atom is made up: fewer negative windows than
+        background atoms, or a window of zero norm, fails."""
         rng = np.random.default_rng(23)
         Xp = columns([rng.standard_normal(6) for _ in range(3)])
-        with pytest.raises(ValueError, match="cannot model background"):
-            fit(Xp, np.empty((6, 0)), FumiParams(T=1, M=1))
+        Xn = columns([rng.standard_normal(6) for _ in range(3)])
+        with_zero = Xn.copy()
+        with_zero[:, 2] = 0.0
+        for block, M, message in [
+            (np.empty((6, 0)), 1, "0 negative windows for 1 atoms"),
+            (Xn[:, :2], 3, "2 negative windows for 3 atoms"),
+            (with_zero, 1, "negative window 2 has zero norm"),
+        ]:
+            with pytest.raises(ValueError, match=f"^cannot model background: {message}$"):
+                fit(Xp, block, FumiParams(T=1, M=M))
+
+    def test_stale_atom_is_reseeded_from_the_worst_reconstructed_window(self):
+        """Farthest-point sampling picks the tiny window orthogonal to the
+        others.  Its atom never gets a code, is kept through two stale
+        iterations, and in the third is re-seeded from the negative window
+        the background reconstructs worst: the one off the common
+        direction."""
+        e = np.eye(6)
+        Xn = columns([e[0], 2.0 * e[0], 3.0 * e[0], e[0] + 0.5 * e[3], 1e-4 * e[1]])
+        Xp = columns([e[2] + c * e[0] for c in (1.0, 2.0, 3.0)])
+
+        def stale_atom(n_iters):
+            result = fit(Xp, Xn, FumiParams(T=1, M=2, max_em_iters=n_iters), seed=1)
+            return result.dictionary.background_atoms[:, 1]
+
+        np.testing.assert_array_equal(stale_atom(2), e[1])
+        np.testing.assert_array_equal(stale_atom(3), Xn[:, 3] / np.linalg.norm(Xn[:, 3]))
 
     @pytest.mark.parametrize("n_atoms, bound", [(3, 0.9), (9, 1.5)])
     def test_peak_memory_is_a_fraction_of_the_windows(self, planted_fit, n_atoms, bound):
