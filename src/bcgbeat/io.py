@@ -115,12 +115,16 @@ def _read_table(path, channels: bool):
     if wrong_width:
         raise ValueError(f"{path}: row width disagrees with header")
     t = data[:, 0]
-    dt = np.diff(t)  # dt[k] is the step into sample k + 1
+    # The checks below report a step or span that overflows to inf, or a
+    # step inf - inf, without numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = np.diff(t)  # dt[k] is the step into sample k + 1
     not_up = ~(dt > 0)  # NaN steps too
     if np.any(not_up):
         k = int(np.argmax(not_up))
         raise ValueError(f"{path}: time column does not increase at sample {k + 1}")
-    span = t[-1] - t[0]
+    with np.errstate(over="ignore"):
+        span = t[-1] - t[0]
     fs = float(round((n - 1) / span, 9))
     if not 0 < fs < np.inf:  # an infinite `t`, or a span that overflows
         raise ValueError(
@@ -164,6 +168,22 @@ def read_groundtruth(path) -> tuple[float, int, np.ndarray | None]:
     return fs, data.shape[0], gt
 
 
+def _parse_rows(path, fh, parse) -> list:
+    """parse(fields) of each non-blank line left in fh, split at commas,
+    once fh has read the header line; a ValueError from parse is raised
+    again naming path:line."""
+    rows = []
+    for lineno, line in enumerate(fh, 2):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        try:
+            rows.append(parse(fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
 # --- dictionary CSV: kind,s0..s{d-1} ---------------------------------------
 
 
@@ -180,7 +200,8 @@ def write_dictionary(path, D: Dictionary) -> None:
 
 
 def read_dictionary(path) -> Dictionary:
-    tgt, bg = [], []
+    """The dictionary of a file write_dictionary wrote; a row it rejects
+    raises ValueError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:1] != ["kind"] or any(
@@ -188,22 +209,21 @@ def read_dictionary(path) -> Dictionary:
         ):
             raise ValueError(f"{path}: malformed dictionary header")
         d = len(header) - 1
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            kind, *vals = line.split(",")
+
+        def atom(fields):
+            kind, *vals = fields
             if len(vals) != d:
-                raise ValueError(f"{path}: atom row width disagrees with header")
-            atom = np.asarray([float(v) for v in vals])
-            if not np.isfinite(atom).all():
-                raise ValueError(f"{path}: atoms must be finite")
-            if kind == "target":
-                tgt.append(atom)
-            elif kind == "background":
-                bg.append(atom)
-            else:
-                raise ValueError(f"{path}: unknown atom kind {kind!r}")
+                raise ValueError("atom row width disagrees with header")
+            values = np.asarray([float(v) for v in vals])
+            if not np.isfinite(values).all():
+                raise ValueError("atoms must be finite")
+            if kind not in ("target", "background"):
+                raise ValueError(f"unknown atom kind {kind!r}")
+            return kind, values
+
+        rows = _parse_rows(path, fh, atom)
+    tgt = [a for kind, a in rows if kind == "target"]
+    bg = [a for kind, a in rows if kind == "background"]
     if not tgt or not bg:
         raise ValueError(f"{path}: dictionary needs target and background atoms")
     return Dictionary(np.column_stack(tgt), np.column_stack(bg))
@@ -225,10 +245,16 @@ def read_covariance(path) -> BackgroundModel:
         if not first.startswith("ridge="):
             raise ValueError(f"{path}: malformed covariance file")
         ridge = float(first.split("=", 1)[1])
-        rows = [
-            [float(v) for v in line.strip().split(",")] for line in fh if line.strip()
-        ]
-    cov = np.asarray(rows)
+        width = 0
+
+        def row(fields):
+            nonlocal width
+            width = width or len(fields)
+            if len(fields) != width:
+                raise ValueError(f"expected {width} values, got {len(fields)}")
+            return [float(v) for v in fields]
+
+        cov = np.asarray(_parse_rows(path, fh, row))
     # cholesky reads only the lower triangle and lets NaN through
     if not (np.isfinite(cov).all() and np.array_equal(cov, cov.T)):
         raise ValueError(f"{path}: covariance must be finite and symmetric")
@@ -252,27 +278,25 @@ def _read_timed_rows(path, header: str, what: str, width: int, time_col: int, pa
     must be `header`.  Every row must hold `width` values, and the times
     in column `time_col` must be finite and strictly increasing; a row that
     breaks this, or that parse rejects, raises ValueError naming path:line."""
-    rows, last = [], -np.inf
+    last = -np.inf
+
+    def row(fields):
+        nonlocal last
+        if len(fields) != width:
+            raise ValueError(f"expected {width} values, got {len(fields)}")
+        t = float(fields[time_col])
+        if not np.isfinite(t):
+            raise ValueError(f"time {t!r} s is not finite")
+        if not t > last:
+            raise ValueError(f"time {t!r} s does not follow {last!r} s")
+        parsed = parse(fields)
+        last = t
+        return parsed
+
     with open(path, encoding="utf-8") as fh:
         if fh.readline().strip() != header:
             raise ValueError(f"{path}: malformed {what} header")
-        for lineno, line in enumerate(fh, 2):
-            fields = line.strip().split(",")
-            if fields == [""]:
-                continue
-            try:
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} values, got {len(fields)}")
-                t = float(fields[time_col])
-                if not np.isfinite(t):
-                    raise ValueError(f"time {t!r} s is not finite")
-                if not t > last:
-                    raise ValueError(f"time {t!r} s does not follow {last!r} s")
-                rows.append(parse(fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            last = t
-    return rows
+        return _parse_rows(path, fh, row)
 
 
 def read_beats(path):

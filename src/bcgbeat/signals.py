@@ -58,16 +58,17 @@ class Recording:
             )
         if self.gt_beat_times is not None:
             given = np.asarray(self.gt_beat_times)
-            gt = given.astype(int)
-            off = np.flatnonzero(gt != given)
+            # checked before the int cast, which warns on NaN, inf and values
+            # past its range
+            off = np.flatnonzero(~np.isfinite(given) | (given != np.trunc(given)))
             if off.size:  # seconds passed as sample indices would be truncated
                 raise ValueError(f"gt_beat_times must be sample indices, "
                                  f"but {given[off[0]].item()!r} is not an integer")
-            if gt.size and (np.any(np.diff(gt) <= 0) or gt[0] < 0 or gt[-1] >= n):
+            if np.any((given < 0) | (given >= n)) or np.any(np.diff(given) <= 0):
                 raise ValueError(
                     "gt_beat_times must be strictly increasing and in range"
                 )
-            self.gt_beat_times = gt
+            self.gt_beat_times = given.astype(int)
 
     @property
     def n_samples(self) -> int:

@@ -645,8 +645,10 @@ class TestDetect:
         lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
+        # the dictionary reader names the line of the atom it rejects
         what = "dictionary:" if name == "model.csv" else f"covariance {path}:"
-        assert capsys.readouterr().err == f"error: cannot read {what} {path}: {message}\n"
+        where = f"{path}:{row + 1}" if name == "model.csv" else path
+        assert capsys.readouterr().err == f"error: cannot read {what} {where}: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["model"]
 
     @pytest.mark.parametrize(

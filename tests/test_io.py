@@ -5,6 +5,7 @@ bit-exact, and repeated writes of the same object byte-identical.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,12 @@ def _two_samples_span_overflows(lines):
     _edit_field(2, 0, lambda _: "1e308")(lines)
 
 
+def _last_two_t_inf(lines):
+    # the step between them is inf - inf
+    for row in (499, 500):
+        _edit_field(row, 0, lambda _: "inf")(lines)
+
+
 def _missing_and_extra_field(lines):
     # the delimiter count balances, so only the short first row gives it away
     _missing_field(lines, 1)
@@ -203,6 +210,7 @@ MALFORMED = [
      "time column spans inf s, no positive finite sample rate"),
     ("t_span_overflows", _two_samples_span_overflows,
      "time column spans inf s, no positive finite sample rate"),
+    ("last_two_t_inf", _last_two_t_inf, "time column does not increase at sample 499"),
     ("gt_2", _edit_field(40, -1, lambda _: "2"), "gt is 2.0 at sample 39, not 0 or 1"),
     ("gt_half", _edit_field(41, -1, lambda _: "0.5"), "gt is 0.5 at sample 40, not 0 or 1"),
 ]
@@ -266,14 +274,21 @@ class TestGroundtruthReader:
         with pytest.raises(ValueError, match=None if msg is None else re.escape(f"{p}: {msg}")):
             read(p)
 
-    @pytest.mark.parametrize("edit", [m[1] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
-    def test_eval_exits_2(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit,msg", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+    def test_eval_exits_2(self, tmp_path, capsys, edit, msg):
+        """The error line is all the user sees: no numpy warning before it."""
         p = _malformed(tmp_path, edit)
         hr = tmp_path / "est.hr.csv"
         hr.write_text("window_center_s,hr_bpm\n30.0,60.0\n")
-        code = main(["eval", str(p), "--est-hr", str(hr), "--out", str(tmp_path / "r")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", str(p), "--est-hr", str(hr), "--out", str(tmp_path / "r")])
         assert code == 2
-        assert f"cannot read recording {p}" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        reason = "" if msg is None else f"{p}: {msg}"
+        assert err.startswith(f"error: cannot read recording {p}: {reason}")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_comments_are_skipped_alike(self, tmp_path):
         # np.loadtxt drops '#' comments, so the comma count must drop them too
@@ -337,6 +352,13 @@ class TestDictionaryRoundtrip:
         with pytest.raises(ValueError, match="unknown atom kind"):
             bio.read_dictionary(p)
 
+    def test_rejects_non_numeric_value_and_names_its_line(self, tmp_path):
+        p = tmp_path / "dict.csv"
+        p.write_text("kind,s0,s1\ntarget,1.0,0.0\n\nbackground,x,1.0\n")
+        message = f"{p}:4: could not convert string to float: 'x'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bio.read_dictionary(p)
+
     def test_rejects_missing_background(self, tmp_path):
         p = tmp_path / "dict.csv"
         p.write_text("kind,s0,s1\ntarget,1.0,0.0\n")
@@ -354,6 +376,13 @@ class TestCovarianceRoundtrip:
         back = bio.read_covariance(p)
         np.testing.assert_array_equal(back.covariance, model.covariance)
         assert back.ridge == model.ridge
+
+    def test_rejects_ragged_row_and_names_its_line(self, tmp_path):
+        p = tmp_path / "cov.csv"
+        p.write_text("ridge=0.001\n1.0,0.0\n0.0\n")
+        message = f"{p}:3: expected 2 values, got 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bio.read_covariance(p)
 
     def test_rejects_missing_ridge_line(self, tmp_path):
         p = tmp_path / "cov.csv"

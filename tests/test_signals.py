@@ -1,6 +1,8 @@
 """Preprocessing tests: band-pass filter, peak picking, instance windows,
 bags and their instance blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,17 @@ class TestRecording:
             Recording([np.zeros(400)], FS, gt_beat_times=np.array([0.5, 1.7, 2.9]))
         rec = Recording([np.zeros(400)], FS, gt_beat_times=np.array([5.0, 170.0]))
         assert rec.gt_beat_times.tolist() == [5, 170]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "but nan is not an integer"), (np.inf, "but inf is not an integer"),
+         (-np.inf, "but -inf is not an integer"), (1e30, "strictly increasing and in range")],
+    )
+    def test_rejects_groundtruth_an_int_cannot_hold_without_a_warning(self, bad, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Recording([np.zeros(400)], FS, gt_beat_times=np.array([1.0, bad]))
 
     def test_rejects_nonincreasing_groundtruth(self):
         with pytest.raises(ValueError):
