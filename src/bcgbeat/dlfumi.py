@@ -242,8 +242,8 @@ def _objective_from_sq_norms(
     target_atoms_old: np.ndarray,
 ) -> float:
     """The expected objective over positive / negative instance blocks, from
-    their residual squared norms: fit() passes its gram-form norms,
-    objective() explicit ones.
+    their residual squared norms: fit() passes its gram-form norms, and the
+    objective() of tests/dlfumi_reference.py explicit ones.
 
     The residual squared norms must be current for the atoms and codes
     given (sq_full_pos of Xp - D A_pos, sq_bg_pos of Xp - D_bg A_pos_bg,
@@ -257,56 +257,6 @@ def _objective_from_sq_norms(
     l1 = lam * (psi * np.sum(l1_pos) + np.sum(np.abs(A_neg)))
     disc = float(np.sum(gamma * (background_atoms.T @ target_atoms_old)))
     return float(recon + l1 + disc)
-
-
-def objective(
-    Xp: np.ndarray,
-    Xn: np.ndarray,
-    D: Dictionary,
-    codes: np.ndarray,
-    posteriors: np.ndarray,
-    params: FumiParams,
-    gamma: np.ndarray | None = None,
-    target_atoms_old: np.ndarray | None = None,
-) -> float:
-    """Expected objective value over the instances of the positive block
-    Xp (d, N_pos) and the negative block Xn (d, N_neg).
-
-    Sums, per instance with weight w (psi on positive bags, 1 otherwise),
-
-        w * ( P(z=1)/2 * ||x - D a||^2 + P(z=0)/2 * ||x - D_bg a_bg||^2
-              + lam * (P(z=1)*||a_tgt||_1 + ||a_bg||_1) )
-
-    plus the cross-coherence penalty sum_kt gamma[k,t] <d_bg_k, d_tgt_t_old>.
-    `codes` (T+M, N_pos + N_neg) and `posteriors` (N_pos + N_neg,) list
-    the columns of Xp, then those of Xn, as FitResult does.  When
-    gamma / target_atoms_old are omitted they are taken from D itself
-    (self-consistent evaluation); pass the frozen per-iteration values to
-    reproduce the EM surrogate exactly.
-    """
-    n_pos, n_neg = Xp.shape[1], Xn.shape[1]
-    codes = np.asarray(codes, dtype=float)
-    posteriors = np.asarray(posteriors, dtype=float)
-    if codes.shape != (D.n_target + D.n_background, n_pos + n_neg):
-        raise ValueError("codes matrix shape does not match the instances and dictionary")
-    A_pos, A_neg = codes[:, :n_pos], codes[D.n_target:, n_pos:]
-    bg = D.background_atoms
-    tgt_old = D.target_atoms if target_atoms_old is None else target_atoms_old
-    if gamma is None:
-        gamma = gamma_matrix(D, params.gamma, tgt_old)
-    return _objective_from_sq_norms(
-        _column_sq_norms(Xp - D.atoms @ A_pos),
-        _column_sq_norms(Xp - bg @ A_pos[D.n_target:]),
-        _column_sq_norms(Xn - bg @ A_neg),
-        A_pos,
-        A_neg,
-        posteriors[:n_pos],
-        resolve_psi(n_pos, n_neg, params),
-        params.lam,
-        bg,
-        gamma,
-        tgt_old,
-    )
 
 
 def _clamp_posteriors(p: np.ndarray) -> np.ndarray:

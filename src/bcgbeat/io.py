@@ -389,10 +389,3 @@ def write_synth_sidecar(path, result: SynthResult) -> None:
         "template": ",".join(_f(v) for v in result.template),
     }
     write_keyvalue(path, entries)
-
-
-def read_synth_sidecar_template(path) -> np.ndarray:
-    kv = read_keyvalue(path)
-    if "template" not in kv:
-        raise ValueError(f"{path}: sidecar has no template entry")
-    return np.asarray([float(v) for v in kv["template"].split(",")])

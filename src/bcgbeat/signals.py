@@ -152,40 +152,35 @@ def _compensated_band_edges(low: float, high: float, half_order: int):
     return (s - width) / 2.0, (s + width) / 2.0
 
 
-def butter_sos(n: int, fs: float, high: float, low: float | None = None) -> np.ndarray:
-    """Digital Butterworth of order n (even) as (n/2, 6) second-order
-    sections [b0, b1, b2, 1, a1, a2]: a low-pass with its -3 dB point at
-    high, or, given low, a band-pass with -3 dB points at low and high.
+def butter_sos(n: int, fs: float, low: float, high: float) -> np.ndarray:
+    """Digital Butterworth band-pass of order n (even) with -3 dB points at
+    low and high, as (n/2, 6) second-order sections [b0, b1, b2, 1, a1, a2].
 
     The design of scipy.signal.butter(..., output="sos"): analog prototype
-    poles (of order n, or n/2 for the band-pass), the low-pass to low-pass
-    or band-pass transform, the bilinear transform, and one section per
-    conjugate pole pair (or per pair of real poles).  The section with the
-    poles nearest the unit circle comes last and chooses its zeros (+1 or
-    -1, whichever is nearer) first; the gain sits in the first section.
+    poles of order n/2, the low-pass to band-pass transform, the bilinear
+    transform, and one section per conjugate pole pair (or per pair of real
+    poles).  The section with the poles nearest the unit circle comes last
+    and chooses its zeros (+1 or -1, whichever is nearer) first; the gain
+    sits in the first section.
     """
-    m = n if low is None else n // 2
+    m = n // 2
     p = -np.exp(1j * np.pi * np.arange(1 - m, m, 2) / (2 * m))
     # Edges pre-warped for a bilinear transform at 2 samples per unit time.
-    if low is None:
-        w = 4.0 * np.tan(np.pi * high / fs)
-        p, zeros_at_dc = p * w, 0
-    else:
-        w_lo, w_hi = 4.0 * np.tan(np.pi * np.array([low, high]) / fs)
-        w, w0 = w_hi - w_lo, np.sqrt(w_lo * w_hi)
-        p = p * (w / 2.0)
-        split = np.sqrt(p * p - w0 * w0)
-        p, zeros_at_dc = np.concatenate([p + split, p - split]), m
+    w_lo, w_hi = 4.0 * np.tan(np.pi * np.array([low, high]) / fs)
+    w, w0 = w_hi - w_lo, np.sqrt(w_lo * w_hi)
+    p = p * (w / 2.0)
+    split = np.sqrt(p * p - w0 * w0)
+    p = np.concatenate([p + split, p - split])
     # Analog zeros at s = 0 map to z = 1, the m at infinity to z = -1.
-    gain = w**m * np.real(4.0**zeros_at_dc / np.prod(4.0 - p))
+    gain = w**m * np.real(4.0**m / np.prod(4.0 - p))
     p = (4.0 + p) / (4.0 - p)
     pairs = [np.array([q, q.conjugate()]) for q in p[p.imag > 0]]
     if np.any(p.imag == 0):  # the odd prototype pole split into two real ones
         pairs.append(p[p.imag == 0])
     pairs.sort(key=lambda q: np.abs(q).max())
-    free = {1.0: zeros_at_dc, -1.0: m}
-    sos = np.empty((n // 2, 6))
-    for i in reversed(range(n // 2)):
+    free = {1.0: m, -1.0: m}
+    sos = np.empty((m, 6))
+    for i in reversed(range(m)):
         zeros = []
         for q in sorted(pairs[i], key=abs, reverse=True):
             z = 1.0 if (q.real > 0 and free[1.0]) or not free[-1.0] else -1.0
@@ -348,7 +343,7 @@ def bandpass_filter(
     lo, hi = _compensated_band_edges(low, high, order // 2)
     if hi >= fs / 2.0:
         raise ValueError("compensated upper edge reaches Nyquist; raise fs")
-    return zero_phase_filter(x, butter_sos(order, fs, hi, lo))
+    return zero_phase_filter(x, butter_sos(order, fs, lo, hi))
 
 
 def find_peaks(x: np.ndarray, min_separation: int = DEFAULT_MIN_SEPARATION) -> np.ndarray:

@@ -143,7 +143,7 @@ def bandpass_filter(x, fs, low=0.4, high=10.0, order=6):
     half_order = order // 2
     lo, hi = _compensated_band_edges(low, high, half_order)
     pad = 3 * (2 * half_order + 1)
-    sos = butter_sos(order, fs, hi, lo)
+    sos = butter_sos(order, fs, lo, hi)
     rows = np.atleast_2d(x)
     ext = np.concatenate(
         [2 * rows[:, :1] - rows[:, pad:0:-1], rows, 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1]],

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from bcgbeat.baselines import en_hr, pick_best_channel, wppd_hr
+from baselines_reference import en_hr, pick_best_channel, wppd_hr
 from bcgbeat.detector import (
     DEFAULT_DFT_BAND_HZ,
     ConfidenceSeries,
@@ -28,7 +28,6 @@ from bcgbeat.dlfumi import (
     background_atom_update,
     fit,
     gamma_matrix,
-    objective,
     resolve_psi,
     target_atom_update,
     update_products,
@@ -37,6 +36,7 @@ from bcgbeat.kernels import positive_gradient, soft_threshold
 from bcgbeat.metrics import bland_altman, evaluate, paired_t, pearson_r
 from bcgbeat.signals import Preprocessing, bandpass_filter, build_bags, candidate_peaks
 from bcgbeat.synth import SynthConfig, generate
+from dlfumi_reference import objective
 
 FS = 100.0
 

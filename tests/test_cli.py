@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baselines_reference import wppd_hr
 from bcgbeat import cli, detector, kernels, metrics
 from bcgbeat import io as bio
 from bcgbeat.cli import main
-from bcgbeat.baselines import wppd_hr
 from bcgbeat.detector import DEFAULT_DFT_BAND_HZ, confidence_series
 from bcgbeat.dlfumi import FumiParams
 from bcgbeat.metrics import HrSeries, greedy_match
@@ -35,8 +35,8 @@ class TestSynth:
         assert rec.sample_rate_hz == 100.0
         assert len(rec.channels) == 4
         assert rec.gt_beat_times.size > 80
-        tpl = bio.read_synth_sidecar_template(workdir / "rec.sidecar")
-        assert tpl.shape == (91,)
+        tpl = bio.read_keyvalue(workdir / "rec.sidecar")["template"].split(",")
+        assert np.array(tpl, dtype=float).shape == (91,)
 
     def test_same_seed_byte_identical(self, workdir, tmp_path):
         cfg = workdir / "synth.conf"

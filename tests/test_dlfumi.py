@@ -21,7 +21,6 @@ from bcgbeat.dlfumi import (
     e_step,
     fit,
     gamma_matrix,
-    objective,
     resolve_psi,
     safe_step_length,
     target_atom_update,
@@ -334,7 +333,7 @@ class TestObjective:
         D = random_dictionary(rng, 6, 1, 2)
         Xp, Xn = np.zeros((6, 2)), np.zeros((6, 1))
         params = FumiParams(T=1, M=2, lam=5e-3, gamma=0.0)
-        val = objective(Xp, Xn, D, np.zeros((3, 3)), np.zeros(3), params)
+        val = ref.objective(Xp, Xn, D, np.zeros((3, 3)), np.zeros(3), params)
         assert val == 0.0
 
     def test_perfectly_coded_negative_instance_scores_zero(self):
@@ -349,7 +348,7 @@ class TestObjective:
         # positive instance with posterior 0 still pays its background residual
         x_pos = Xp[:, 0]
         expected = 0.5 * float(x_pos @ x_pos)
-        got = objective(Xp, Xn, D, codes, posteriors, params)
+        got = ref.objective(Xp, Xn, D, codes, posteriors, params)
         assert abs(got - expected * (1.0 / 1.0)) <= 1e-12
 
     def test_matches_term_by_term_reimplementation(self):
@@ -384,7 +383,9 @@ class TestObjective:
             for t in range(T):
                 total += gamma[k, t] * float(D.background_atoms[:, k] @ old[:, t])
 
-        got = objective(Xp, Xn, D, codes, posteriors, params, gamma=gamma, target_atoms_old=old)
+        got = ref.objective(
+            Xp, Xn, D, codes, posteriors, params, gamma=gamma, target_atoms_old=old
+        )
         assert abs(got - total) <= 1e-10 * max(1.0, abs(total))
 
 
@@ -689,16 +690,17 @@ class TestFit:
     def test_objective_trace_matches_the_public_objective(self, planted_fit, k):
         # Iteration k+1 freezes gamma and the old targets at the dictionary
         # the k-iteration run returns; its trace entry, computed from fit's
-        # gram-form residual norms, must equal objective() over the instance
-        # blocks, which forms the residuals and passes their norms through the
-        # same formula; so this checks fit's norms against explicit ones.
+        # gram-form residual norms, must equal ref.objective() over the
+        # instance blocks, which forms the residuals and passes their norms
+        # through the same formula; so this checks fit's norms against
+        # explicit ones.
         # test_matches_term_by_term_reimplementation checks the formula.
         _, blocks, _ = planted_fit
         params = FumiParams(T=2, M=3, max_em_iters=k, tol=1e-300)
         D_k = fit(blocks.Xp, blocks.Xn, params, seed=0).dictionary
         nxt = fit(blocks.Xp, blocks.Xn, dataclasses.replace(params, max_em_iters=k + 1), seed=0)
         assert nxt.n_iterations == k + 1
-        oracle = objective(
+        oracle = ref.objective(
             blocks.Xp,
             blocks.Xn,
             nxt.dictionary,

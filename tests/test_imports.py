@@ -87,10 +87,6 @@ def test_importing_the_package_loads_no_submodule():
     assert modules_after("import bcgbeat", "bcgbeat") == {"bcgbeat"}
 
 
-def test_importing_the_cli_loads_no_baseline():
-    assert "bcgbeat.baselines" not in modules_after("import bcgbeat.cli", "bcgbeat")
-
-
 def test_eval_loads_no_scipy(inputs):
     d = inputs
     argv = ["eval", d / "rec.csv", "--est-hr", d / "est.hr.csv",
@@ -157,17 +153,8 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
          "--out", d / "report"],
         ["eval", d / "b.csv", "--est-hr", d / "dft.hr.csv", "--out", d / "dft.report"],
     )
-    baselines = f"""
-from bcgbeat import io as bio
-from bcgbeat.baselines import en_hr, pick_best_channel, wppd_hr
-rec = bio.read_recording({str(d / "b.csv")!r})
-for estimator in (wppd_hr, en_hr):
-    ch = pick_best_channel(rec, estimator)
-    print(estimator.__name__, ch, estimator(rec.channels[ch], rec.sample_rate_hz).bpm.tolist())
-"""
-    out = run_fresh(BLOCK_SCIPY + chain + baselines).splitlines()
+    run_fresh(BLOCK_SCIPY + chain)
     assert "mae_bpm" in bio.read_keyvalue(d / "report")
-    assert [line.split()[0] for line in out[-2:]] == ["wppd_hr", "en_hr"]
 
 
 def test_no_module_imports_scipy():
@@ -238,15 +225,6 @@ def test_the_cli_reaches_no_pipeline_step_itself():
     assert sorted(names & PIPELINE_STEPS) == []
 
 
-# Library entry points that only tests reach: the comparison algorithms
-# (c12), the synth sidecar's template (c06) and the DL-FUMI objective that
-# the c04 oracle evaluates.
-ENTRY_POINTS = (
-    "baselines.wppd_hr", "baselines.en_hr", "baselines.pick_best_channel",
-    "io.read_synth_sidecar_template", "dlfumi.objective",
-)
-
-
 def names_in(tree: ast.AST, strings: bool = False) -> set[str]:
     """The names `tree` reads, as variables, attributes or imports; with
     `strings` also the dotted parts of its string constants."""
@@ -267,7 +245,7 @@ def test_every_definition_has_a_caller():
     """Each top-level function and class of the package, and each method
     and property of its classes but the dunders, is named by another
     module of it, used in its own module or named by the benchmark
-    (perfbench/*.py, also by string); exactly the entry points are not."""
+    (perfbench/*.py, also by string)."""
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in (SRC / "bcgbeat").glob("*.py")}
     bench = set().union(*(
         names_in(ast.parse(p.read_text()), strings=True)
@@ -291,4 +269,4 @@ def test_every_definition_has_a_caller():
             and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in named
         ]
-    assert sorted(uncalled) == sorted(ENTRY_POINTS)
+    assert uncalled == []

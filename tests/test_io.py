@@ -495,14 +495,8 @@ class TestSynthSidecar:
         res = generate(SynthConfig(duration_s=5.0, seed=4))
         p = tmp_path / "rec.sidecar"
         bio.write_synth_sidecar(p, res)
-        tpl = bio.read_synth_sidecar_template(p)
-        np.testing.assert_array_equal(tpl, res.template)
         kv = bio.read_keyvalue(p)
+        tpl = np.array(kv["template"].split(","), dtype=float)
+        np.testing.assert_array_equal(tpl, res.template)
         assert kv["seed"] == "4"
         assert float(kv["noise_sd_effective"]) == res.noise_sd
-
-    def test_rejects_sidecar_without_template(self, tmp_path):
-        p = tmp_path / "rec.sidecar"
-        p.write_text("seed=4\n")
-        with pytest.raises(ValueError, match="no template entry"):
-            bio.read_synth_sidecar_template(p)
