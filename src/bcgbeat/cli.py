@@ -320,12 +320,16 @@ def cmd_detect(args) -> int:
     cov_path = _sibling(args.dict, ".cov.csv")
     background = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     stored = _read_params(_sibling(args.dict, ".params"))
+    for key in _PREPROCESS_KEYS:  # the model's windows were cut under these
+        if key in given and given[key] != stored[key]:
+            raise CliError(EXIT_CONFIG, f"{key}={given[key]!r} differs from the model's "
+                           f"{key}={stored[key]!r}; retrain to change it")
     settings = {**stored, **given}
     with _fails(EXIT_CONFIG, f"bad model {args.dict}: "):
         model = Model(
             D, background, DetectionParams(**_kwargs(settings, _VOTING_KEYS)),
             lam=settings["lambda"], code_iters=settings["code_iters"], fs=stored["fs"],
-            pre=Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS)),
+            pre=Preprocessing(**_kwargs(stored, _PREPROCESS_KEYS)),
         )
     band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
                settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1])) if args.dft else None
@@ -425,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("groundtruth", help="recording CSV with gt column")
     pe.add_argument("--est-hr", required=True, help="estimated HR CSV")
     pe.add_argument("--est-beats", default=None, help="estimated beats CSV")
-    pe.add_argument("--baseline-hr", default=None, help="baseline HR CSV for a paired test")
+    pe.add_argument("--baseline-hr", default=None,
+                    help="any other estimator's HR CSV, on the same windows, for a paired t test")
     pe.add_argument("--config", help="key=value config file")
     pe.add_argument("--out", required=True, help="metrics report path")
     pe.set_defaults(func=cmd_eval)

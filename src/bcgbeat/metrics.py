@@ -1,7 +1,7 @@
 """Heart-rate series containers and agreement statistics.
 
-The estimators (detector and baselines) emit HrSeries objects on a common
-sliding-window grid; everything here compares two such series, or two beat
+An HR estimator (the detector, or any other on the same windows) emits
+HrSeries objects on a common sliding-window grid; everything here compares two such series, or two beat
 sequences, without caring where they came from.  HR series compare only on
 one grid (equal window centres, else ValueError); beats match within
 BEAT_MATCH_TOL_S, the one tolerance of eval and the voting-parameter grid.
@@ -154,12 +154,20 @@ def bland_altman(est: np.ndarray, gt: np.ndarray) -> AgreementStats:
     )
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings its largest magnitude into
+    [0.5, 1).  Exact wherever the values stay normal, so a scale-free
+    statistic keeps its bits, and its squares cannot overflow."""
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+
+
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     """Sample correlation coefficient."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D arrays of size >= 2")
+    x, y = _unit_scaled(x), _unit_scaled(y)
     xc = x - x.mean()
     yc = y - y.mean()
     den = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
@@ -177,7 +185,7 @@ def paired_t(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length samples of size >= 2")
-    d = a - b
+    d = _unit_scaled(a - b)
     sd = float(np.std(d, ddof=1))
     if sd == 0.0:
         raise ValueError("zero-variance differences")

@@ -383,7 +383,8 @@ def extract_instances(
     A window that would cross a signal boundary raises ValueError rather
     than being skipped, which would misalign rows and peaks.  With `zscore`
     each window is standardized to zero mean, unit variance (a constant
-    window is only centered).
+    window is only centered); one whose mean or sd overflows raises
+    ValueError.
     """
     x = np.asarray(x, dtype=float)
     peaks = np.asarray(peaks, dtype=int)
@@ -400,8 +401,13 @@ def extract_instances(
     if zscore:
         # Row-wise reductions sum each window exactly as its own 1-D
         # std()/mean() would; reducing down columns would round differently.
-        sd = W.std(axis=1, keepdims=True)
-        W -= W.mean(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, sd = W.mean(axis=1, keepdims=True), W.std(axis=1, keepdims=True)
+        bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
+        if np.any(bad):
+            raise ValueError(f"the window around peak {int(peaks[np.argmax(bad)])} is too large "
+                             "to z-score: its mean or sd overflows")
+        W -= mean
         W /= np.where(sd > 0, sd, 1.0)
     return W
 

@@ -383,33 +383,18 @@ class TestDetect:
         assert np.all(np.abs(est - 66.0) <= 2.0)
 
     def test_dimension_mismatch_exits_4(self, workdir, tmp_path):
-        cfg = tmp_path / "short.conf"
-        cfg.write_text("half_len=30\n")
-        code = main(
-            [
-                "detect",
-                str(workdir / "rec.csv"),
-                "--dict",
-                str(workdir / "model.csv"),
-                "--config",
-                str(cfg),
-                "--out",
-                str(tmp_path / "d"),
-            ]
-        )
-        assert code == 4
+        dict_path = _edited_model(workdir, tmp_path, "half_len=45", "half_len=30")
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 4
 
     def test_instance_dimension_is_checked_before_any_candidate(self, workdir, tmp_path, capsys):
         """No candidate's 10,001-sample window fits the 90-s recording, so
         the dimension check must not wait for one."""
-        cfg = tmp_path / "wide.conf"
-        cfg.write_text("half_len=5000\n")
-        argv = _detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]
-        assert main(argv) == 4
+        dict_path = _edited_model(workdir, tmp_path, "half_len=45", "half_len=5000")
+        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 4
         assert "error: instance dimension does not match dictionary; the model does not fit" in (
             capsys.readouterr().err
         )
-        assert [p.name for p in tmp_path.iterdir()] == ["wide.conf"]
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
 
     def test_codes_worse_than_their_warm_start_exit_4(self, workdir, tmp_path, capsys, monkeypatch):
         real = kernels.ista_negative
@@ -500,6 +485,25 @@ class TestDetect:
         else:
             assert messages == [] and n_beats > 80
         assert stdout.startswith(f"wrote {out}.beats.csv ({n_beats} beats) and ")
+
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_a_z_scored_window_that_overflows_exits_2(self, command, workdir, tmp_path, capsys):
+        rec = bio.read_recording(workdir / "rec.csv")
+        huge = tmp_path / "huge.csv"
+        bio.write_recording(huge, dataclasses.replace(rec, channels=[1e160 * c for c in rec.channels]))
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("zscore=true\n")
+        if command == "train":
+            argv = ["train", str(huge), "--config", str(cfg), "--out", str(tmp_path / "m.csv")]
+        else:
+            model = _edited_model(workdir, tmp_path, "zscore=False", "zscore=True")
+            argv = ["detect", str(huge), "--dict", str(model), "--out", str(tmp_path / "d")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "is too large to z-score: its mean or sd overflows" in err
+        assert not list(tmp_path.glob("m.*")) + list(tmp_path.glob("d.*"))
 
     def test_model_reproduces_its_preprocessing_without_the_config(self, workdir, tmp_path):
         """train stores the preprocessing it cut its windows with in .params,
@@ -795,6 +799,26 @@ class TestEval:
         assert "paired_t_stat" in report
         assert int(report["paired_t_df"]) >= 1
 
+    def test_a_huge_finite_hr_value_is_scored(self, workdir, tmp_path, capsys):
+        """An HR value of 1e308 is finite, so eval scores it: as an estimate
+        in r, as a baseline in the paired t, without overflow."""
+        est = str(workdir / "det") + ".hr.csv"
+        hr = bio.read_hr(est)
+        hr.bpm[np.flatnonzero(np.isfinite(hr.bpm))[0]] = 1e308
+        huge = tmp_path / "huge.hr.csv"
+        bio.write_hr(huge, hr)
+        eval_argv = ["eval", str(workdir / "rec.csv"), "--out", str(tmp_path / "r")]
+
+        assert main(eval_argv + ["--est-hr", str(huge)]) == 0
+        _, est_bpm, gt_bpm, _ = np.loadtxt(tmp_path / "r.windows.csv", delimiter=",", skiprows=1).T
+        r = float(bio.read_keyvalue(tmp_path / "r")["pearson_r"])
+        assert abs(r - np.corrcoef(np.ldexp(est_bpm, -1000), gt_bpm)[0, 1]) <= 1e-12
+
+        assert main(eval_argv + ["--est-hr", est, "--baseline-hr", str(huge)]) == 0
+        # one difference near -1e308 among n: mean -1e308 / n, sd 1e308 / sqrt(n)
+        assert abs(float(bio.read_keyvalue(tmp_path / "r")["paired_t_stat"]) + 1.0) <= 1e-12
+        assert capsys.readouterr().err == ""
+
     def test_groundtruth_missing_exits_3(self, workdir, tmp_path):
         rng = np.random.default_rng(0)
         rec = Recording(channels=[rng.standard_normal(9000)], sample_rate_hz=100.0)
@@ -1030,38 +1054,45 @@ def _atoms(out):
     return D.n_target, D.n_background
 
 
+def _edited_model(workdir, root, old, new):
+    """A copy of the trained model under root/model/ whose .params has
+    `old` replaced by `new`; the path of its dictionary."""
+    dict_path = _copied_model(workdir, root)
+    params = dict_path.with_suffix(".params")
+    params.write_text(params.read_text().replace(old, new))
+    return dict_path
+
+
 def _stored_zscore_argv(workdir, out):
     """detect with a copy of the model whose .params says zscore=True."""
-    dict_path = _copied_model(workdir, out.parent)
-    params = dict_path.with_suffix(".params")
-    params.write_text(params.read_text().replace("zscore=False", "zscore=True"))
+    dict_path = _edited_model(workdir, out.parent, "zscore=False", "zscore=True")
     return _detect_argv(workdir, out, dict_path)
 
 
-# (argv, extra flags, config file, check of (workdir, out prefix, stdout))
+# (argv, extra flags, config file, exit code, check of (workdir, out prefix, stdout))
 PRECEDENCE = {
     "config_code_iters_over_params": (
-        _detect_argv, [], "code_iters=3\n",
+        _detect_argv, [], "code_iters=3\n", 0,
         lambda w, out, stdout: _beats(out) != _beats(w / "det"),
     ),
     "config_zscore_over_params": (
-        _stored_zscore_argv, [], "zscore=false\n",
-        lambda w, out, stdout: _beats(out) == _beats(w / "det"),
+        _stored_zscore_argv, [], "zscore=false\n", 2,
+        lambda w, out, stdout: not Path(str(out) + ".beats.csv").exists(),
     ),
     "config_threshold_over_params": (
-        _detect_argv, [], "threshold=1000\n",
+        _detect_argv, [], "threshold=1000\n", 0,
         lambda w, out, stdout: bio.read_beats(str(out) + ".beats.csv")[0].size == 0,
     ),
     "config_voting_rule_reaches_the_train_grid": (
-        _train_argv, [], "min_votes=3\nrefractory_s=0.4\n",
+        _train_argv, [], "min_votes=3\nrefractory_s=0.4\n", 0,
         lambda w, out, stdout: _stored(out, "min_votes", "refractory_s") == ("3", "0.4"),
     ),
     "flag_over_config": (
-        _train_argv, [], "max_em_iters=3\n",
+        _train_argv, [], "max_em_iters=3\n", 0,
         lambda w, out, stdout: stdout.count("em_iter=") == 2,
     ),
     "config_over_mode_preset": (
-        _train_argv, ["--mode", "batch"], "T=2\n",
+        _train_argv, ["--mode", "batch"], "T=2\n", 0,
         lambda w, out, stdout: _atoms(out) == (2, 9),
     ),
 }
@@ -1069,15 +1100,47 @@ PRECEDENCE = {
 
 @pytest.mark.parametrize("case", sorted(PRECEDENCE))
 def test_setting_precedence(case, workdir, tmp_path, capsys):
-    """detect: CLI flag > --config > .params; train: CLI flag > --config >
-    --mode preset > built-in default."""
-    argv, flags, config, check = PRECEDENCE[case]
+    """detect: CLI flag > --config > .params, except that a preprocessing
+    key must keep the model's value; train: CLI flag > --config > --mode
+    preset > built-in default."""
+    argv, flags, config, code, check = PRECEDENCE[case]
     cfg = tmp_path / "run.conf"
     cfg.write_text(config)
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main(argv(workdir, out) + flags + ["--config", str(cfg)]) == 0
+    assert main(argv(workdir, out) + flags + ["--config", str(cfg)]) == code
     assert check(workdir, out, capsys.readouterr().out)
+
+
+# A value of each preprocessing key other than the one the workdir model stores.
+_OTHER_PREPROCESSING = {"band_low": "1.0", "band_high": "12.0", "filter_order": "4",
+                        "min_separation": "5", "half_len": "30", "zscore": "true"}
+
+
+class TestDetectKeepsTheModelsPreprocessing:
+    """A model's windows were cut under its stored preprocessing, so detect
+    accepts a preprocessing key only at the stored value."""
+
+    def test_table_covers_every_preprocessing_key(self):
+        assert sorted(_OTHER_PREPROCESSING) == sorted(f.name for f in dataclasses.fields(Preprocessing))
+
+    @pytest.mark.parametrize("key", sorted(_OTHER_PREPROCESSING))
+    def test_a_different_value_exits_2(self, key, workdir, tmp_path, capsys):
+        stored = bio.read_keyvalue(workdir / "model.params")[key]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{key}={_OTHER_PREPROCESSING[key]}\n")
+        assert main(_detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {key}=")
+        assert f"differs from the model's {key}={stored}; retrain to change it" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+    def test_the_stored_values_pass_unchanged(self, workdir, tmp_path):
+        stored = bio.read_keyvalue(workdir / "model.params")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("".join(f"{k}={stored[k]}\n" for k in _OTHER_PREPROCESSING))
+        assert main(_detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]) == 0
+        assert _beats(tmp_path / "d") == _beats(workdir / "det")
 
 
 class TestParser:

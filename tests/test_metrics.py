@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bcgbeat import io as bio
 from bcgbeat.metrics import (
@@ -28,6 +30,12 @@ def series(times, bpm):
 
 def mae_of(est, gt):
     return evaluate(gt, est)[0]["mae_bpm"]
+
+
+# Paired HR-like values in bpm: every power-of-two scale by at most 2^±900
+# keeps them normal numbers.
+_HR_PAIRS = st.lists(st.tuples(st.floats(20.0, 250.0), st.floats(20.0, 250.0)),
+                     min_size=2, max_size=40)
 
 
 class TestMae:
@@ -237,6 +245,19 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_r(np.ones(5), np.arange(5.0))
 
+    def test_a_huge_finite_value_does_not_overflow(self):
+        x = np.array([70.0, 71.0, 1e308, 69.0])
+        y = np.array([70.0, 71.5, 72.0, 68.0])
+        r = pearson_r(x, y)
+        assert r == pearson_r(np.ldexp(x, -900), y)
+        assert abs(r - 0.603) <= 1e-3
+
+    @given(_HR_PAIRS, st.integers(-900, 900), st.integers(-900, 900))
+    def test_scaling_by_powers_of_two_keeps_the_bits(self, pairs, k, j):
+        x, y = np.array(pairs).T
+        assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+        assert pearson_r(np.ldexp(x, k), np.ldexp(y, j)) == pearson_r(x, y)
+
 
 class TestPairedT:
     def test_equal_samples_are_an_error(self):
@@ -261,6 +282,16 @@ class TestPairedT:
             a = rng.standard_normal(10)
             b = rng.standard_normal(10)
             assert paired_t(a, b) == -paired_t(b, a)
+
+    @given(_HR_PAIRS, st.integers(-900, 900))
+    def test_scaling_by_a_power_of_two_keeps_the_bits(self, pairs, k):
+        a, b = np.array(pairs).T
+        assume(np.ptp(a - b) > 0)
+        assert paired_t(np.ldexp(a, k), np.ldexp(b, k)) == paired_t(a, b)
+
+    def test_a_huge_finite_difference_does_not_overflow(self):
+        a = np.array([1.0, 2.0, 1e308, 1.5])
+        assert abs(paired_t(a, np.zeros(4)) - 1.0) <= 1e-12
 
 
 class TestPerWindowErrors:

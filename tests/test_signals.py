@@ -265,6 +265,15 @@ class TestExtractInstances:
             assert abs(w.mean()) < 1e-12
             assert abs(w.std() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("scale, noise", [(1e160, 1.0), (1e306, 1.0), (1e308, 0.0)],
+                             ids=["sd_1e160", "sd_1e306", "mean_1e308"])
+    def test_a_window_whose_mean_or_sd_overflows_is_rejected(self, scale, noise):
+        x = np.random.default_rng(8).standard_normal(500)
+        x[255:346] = scale * (1.5 + noise * x[255:346])
+        with pytest.raises(ValueError, match="window around peak 300 is too large to z-score"):
+            extract_instances(x, np.array([100, 300]), half_len=45, zscore=True)
+        assert np.array_equal(extract_instances(x, np.array([300]), half_len=45), x[None, 255:346])
+
 
 def _synthetic_candidates(rng, n_channels, n_samples, n_per_channel):
     """Per channel (channel id, noise signal, sorted peaks whose windows fit)."""
