@@ -1121,10 +1121,7 @@ class TestDetectKeepsTheModelsPreprocessing:
     """A model's windows were cut under its stored preprocessing, so detect
     accepts a preprocessing key only at the stored value."""
 
-    def test_table_covers_every_preprocessing_key(self):
-        assert sorted(_OTHER_PREPROCESSING) == sorted(f.name for f in dataclasses.fields(Preprocessing))
-
-    @pytest.mark.parametrize("key", sorted(_OTHER_PREPROCESSING))
+    @pytest.mark.parametrize("key", sorted(f.name for f in dataclasses.fields(Preprocessing)))
     def test_a_different_value_exits_2(self, key, workdir, tmp_path, capsys):
         stored = bio.read_keyvalue(workdir / "model.params")[key]
         cfg = tmp_path / "run.conf"
