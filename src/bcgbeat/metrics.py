@@ -1,11 +1,12 @@
 """Heart-rate series containers and agreement statistics.
 
 An HR estimator (the detector, or any other on the same windows) emits
-HrSeries objects on a common sliding-window grid; everything here compares two such series, or two beat
-sequences, without caring where they came from.  HR series compare only on
-one grid (equal window centres, else ValueError); beats match within
-BEAT_MATCH_TOL_S, the one tolerance of eval and the voting-parameter grid.
-`evaluate` composes eval's report from them.
+HrSeries objects on a common sliding-window grid; everything here compares
+two such series, or two beat sequences, without caring where they came
+from.  HR series compare only on one grid (equal window centres, else
+ValueError); beats match within BEAT_MATCH_TOL_S, the one tolerance of
+eval and the voting-parameter grid.  `evaluate` composes eval's report
+from them.
 """
 
 from __future__ import annotations

@@ -403,10 +403,10 @@ def extract_instances(
         # std()/mean() would; reducing down columns would round differently.
         with np.errstate(over="ignore", invalid="ignore"):
             mean, sd = W.mean(axis=1, keepdims=True), W.std(axis=1, keepdims=True)
-        bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
-        if np.any(bad):
-            raise ValueError(f"the window around peak {int(peaks[np.argmax(bad)])} is too large "
-                             "to z-score: its mean or sd overflows")
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+        if bad.size:
+            raise ValueError(f"the window around peak {peaks[bad[0]]} is too large to z-score: "
+                             "its mean or sd overflows")
         W -= mean
         W /= np.where(sd > 0, sd, 1.0)
     return W
