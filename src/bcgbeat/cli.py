@@ -13,10 +13,11 @@ at another rate than the model's training recordings), 5 evaluation
 impossible.
 Runs are deterministic given the config file and --seed.
 
-`detect` resolves each setting as a CLI flag over a `--config` key over the
-model's `.params`; `train` as a flag over a `--config` key over the `--mode`
-preset.  A setting that none of them gives is not passed on, so the
-function or dataclass it configures applies its own default.
+`detect` builds its model from `.params` alone (a `--config` may restate a
+stored setting, not change it); `train` resolves each setting as a flag over
+a `--config` key over the `--mode` preset.  A setting that none of them gives
+is not passed on, so the function or dataclass it configures applies its
+own default.
 """
 
 from __future__ import annotations
@@ -320,19 +321,18 @@ def cmd_detect(args) -> int:
     cov_path = _sibling(args.dict, ".cov.csv")
     background = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     stored = _read_params(_sibling(args.dict, ".params"))
-    for key in _PREPROCESS_KEYS:  # the model's windows were cut under these
-        if key in given and given[key] != stored[key]:
+    for key in _STORED_KEYS:  # the model was learned under these; fs is the recording's
+        if key != "fs" and key in given and given[key] != stored[key]:
             raise CliError(EXIT_CONFIG, f"{key}={given[key]!r} differs from the model's "
                            f"{key}={stored[key]!r}; retrain to change it")
-    settings = {**stored, **given}
     with _fails(EXIT_CONFIG, f"bad model {args.dict}: "):
         model = Model(
-            D, background, DetectionParams(**_kwargs(settings, _VOTING_KEYS)),
-            lam=settings["lambda"], code_iters=settings["code_iters"], fs=stored["fs"],
+            D, background, DetectionParams(**_kwargs(stored, _VOTING_KEYS)),
+            lam=stored["lambda"], code_iters=stored["code_iters"], fs=stored["fs"],
             pre=Preprocessing(**_kwargs(stored, _PREPROCESS_KEYS)),
         )
-    band_hz = (settings.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
-               settings.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1])) if args.dft else None
+    band_hz = (given.get("dft_band_low", DEFAULT_DFT_BAND_HZ[0]),
+               given.get("dft_band_high", DEFAULT_DFT_BAND_HZ[1])) if args.dft else None
     try:
         beats, hr = detect_recording(rec, model, window_s, step_s, band_hz)
     except ModelMismatch as exc:

@@ -1026,7 +1026,7 @@ def _detect_argv(workdir, out, dict_path=None):
 def _copied_model(workdir, root):
     """A copy of the trained model's three files under root/model/, for a
     test to edit; the path of its dictionary."""
-    (root / "model").mkdir()
+    (root / "model").mkdir(parents=True)
     for name in ("model.csv", "model.cov.csv", "model.params"):
         shutil.copy(workdir / name, root / "model" / name)
     return root / "model" / "model.csv"
@@ -1072,16 +1072,16 @@ def _stored_zscore_argv(workdir, out):
 # (argv, extra flags, config file, exit code, check of (workdir, out prefix, stdout))
 PRECEDENCE = {
     "config_code_iters_over_params": (
-        _detect_argv, [], "code_iters=3\n", 0,
-        lambda w, out, stdout: _beats(out) != _beats(w / "det"),
+        _detect_argv, [], "code_iters=3\n", 2,
+        lambda w, out, stdout: not Path(str(out) + ".beats.csv").exists(),
     ),
     "config_zscore_over_params": (
         _stored_zscore_argv, [], "zscore=false\n", 2,
         lambda w, out, stdout: not Path(str(out) + ".beats.csv").exists(),
     ),
     "config_threshold_over_params": (
-        _detect_argv, [], "threshold=1000\n", 0,
-        lambda w, out, stdout: bio.read_beats(str(out) + ".beats.csv")[0].size == 0,
+        _detect_argv, [], "threshold=1000\n", 2,
+        lambda w, out, stdout: not Path(str(out) + ".beats.csv").exists(),
     ),
     "config_voting_rule_reaches_the_train_grid": (
         _train_argv, [], "min_votes=3\nrefractory_s=0.4\n", 0,
@@ -1100,9 +1100,8 @@ PRECEDENCE = {
 
 @pytest.mark.parametrize("case", sorted(PRECEDENCE))
 def test_setting_precedence(case, workdir, tmp_path, capsys):
-    """detect: CLI flag > --config > .params, except that a preprocessing
-    key must keep the model's value; train: CLI flag > --config > --mode
-    preset > built-in default."""
+    """detect: a --config key may only restate the model's .params value;
+    train: CLI flag > --config > --mode preset > built-in default."""
     argv, flags, config, code, check = PRECEDENCE[case]
     cfg = tmp_path / "run.conf"
     cfg.write_text(config)
@@ -1112,20 +1111,25 @@ def test_setting_precedence(case, workdir, tmp_path, capsys):
     assert check(workdir, out, capsys.readouterr().out)
 
 
-# A value of each preprocessing key other than the one the workdir model stores.
-_OTHER_PREPROCESSING = {"band_low": "1.0", "band_high": "12.0", "filter_order": "4",
-                        "min_separation": "5", "half_len": "30", "zscore": "true"}
+# A value of each stored setting but fs other than the one the workdir model
+# stores.
+_OTHER_STORED = {"threshold": "1000", "neighborhood": "5", "min_votes": "3", "refractory_s": "0.1",
+                 "lambda": "0.05", "code_iters": "3", "band_low": "1.0", "band_high": "12.0",
+                 "filter_order": "4", "min_separation": "5", "half_len": "30", "zscore": "true"}
 
 
 class TestDetectKeepsTheModelsPreprocessing:
-    """A model's windows were cut under its stored preprocessing, so detect
-    accepts a preprocessing key only at the stored value."""
+    """A model is what training learned under its stored settings: its
+    windows were cut under the preprocessing, coded under lambda and
+    code_iters, and its threshold and neighborhood picked under the voting
+    rule.  So detect accepts each stored setting but fs (the recording's
+    own) only at the stored value."""
 
-    @pytest.mark.parametrize("key", sorted(f.name for f in dataclasses.fields(Preprocessing)))
+    @pytest.mark.parametrize("key", sorted(k for k in cli._STORED_KEYS if k != "fs"))
     def test_a_different_value_exits_2(self, key, workdir, tmp_path, capsys):
-        stored = bio.read_keyvalue(workdir / "model.params")[key]
+        stored = bio.read_keyvalue(workdir / "model.params")[cli._name(key)]
         cfg = tmp_path / "run.conf"
-        cfg.write_text(f"{key}={_OTHER_PREPROCESSING[key]}\n")
+        cfg.write_text(f"{key}={_OTHER_STORED[key]}\n")
         assert main(_detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {key}=")
@@ -1135,7 +1139,7 @@ class TestDetectKeepsTheModelsPreprocessing:
     def test_the_stored_values_pass_unchanged(self, workdir, tmp_path):
         stored = bio.read_keyvalue(workdir / "model.params")
         cfg = tmp_path / "run.conf"
-        cfg.write_text("".join(f"{k}={stored[k]}\n" for k in _OTHER_PREPROCESSING))
+        cfg.write_text("".join(f"{k}={stored[cli._name(k)]}\n" for k in _OTHER_STORED))
         assert main(_detect_argv(workdir, tmp_path / "d") + ["--config", str(cfg)]) == 0
         assert _beats(tmp_path / "d") == _beats(workdir / "det")
 
@@ -1277,8 +1281,6 @@ class TestCodingSettingDomains:
             ("lambda=-1", "lambda=-1.0: must be finite and >= 0"),
             ("lambda=inf", "lambda=inf: must be finite and >= 0"),
             ("threshold=nan", "threshold=nan: must be finite"),
-            ("min_votes=0", "min_votes=0: must be from 1 to the 4 channels"),
-            ("min_votes=9", "min_votes=9: must be from 1 to the 4 channels"),
             ("neighborhood=-5", "neighborhood=-5: must be >= 0"),
             ("refractory_s=nan", "refractory_s=nan: must be finite and >= 0"),
             ("refractory_s=-1", "refractory_s=-1.0: must be finite and >= 0"),
@@ -1303,11 +1305,13 @@ class TestCodingSettingDomains:
     def test_detect_params_file_outside_its_domain_exits_2(
         self, workdir, tmp_path, capsys, no_coding
     ):
-        dict_path = _copied_model(workdir, tmp_path)
-        params = dict_path.with_suffix(".params")
-        params.write_text(params.read_text().replace("min_votes=2", "min_votes=5"))
-        assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
-        assert "bad setting min_votes=5" in capsys.readouterr().err
+        for min_votes in (0, 5, 9):
+            dict_path = _edited_model(workdir, tmp_path / str(min_votes), "min_votes=2",
+                                      f"min_votes={min_votes}")
+            assert main(_detect_argv(workdir, tmp_path / "d", dict_path)) == 2
+            assert capsys.readouterr().err == (f"error: bad setting min_votes={min_votes}: "
+                                               "must be from 1 to the 4 channels\n")
+            assert not (tmp_path / "d.beats.csv").exists()
 
     @pytest.mark.parametrize(
         "flags, message",
