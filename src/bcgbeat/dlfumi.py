@@ -43,7 +43,6 @@ from . import kernels
 log = logging.getLogger(__name__)
 
 _POSTERIOR_CLAMP = 1e-12
-_STALE_LIMIT = 3
 _WARMUP_STEPS = 5
 
 
@@ -427,12 +426,11 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
     Per EM iteration: E-step posteriors from the current background
     reconstruction; per-atom closed-form updates applied sequentially,
     each renormalized to unit norm immediately; an atom whose update is
-    undefined (stale) is kept, and after 3 consecutive stale iterations is
-    re-seeded from the highest-residual instance of its class; then
-    inner_iters ISTA code steps.  Stops when no atom moves more than
-    params.tol or after max_em_iters iterations; the result's stop_reason
-    says which, and so does one INFO record on this module's logger, with
-    the iteration count and the last relative objective change.
+    undefined or zero (stale) is kept as it is; then inner_iters ISTA code
+    steps.  Stops when no atom moves more than params.tol or after
+    max_em_iters iterations; the result's stop_reason says which, and so
+    does one INFO record on this module's logger, with the iteration count
+    and the last relative objective change.
 
     With inner_objective_trace=True the result also carries, per EM
     iteration, the objective value before the code updates and after each
@@ -507,17 +505,12 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
             _residual_sq_norms(Xn_sq, A_neg, corr_neg, G_bg, work(A_neg.shape)),
         )
 
-    def reseed(Xc, R):
-        """The instance of Xc with the largest residual in R, as a unit atom."""
-        return _unit(Xc[:, int(np.argmax(_column_sq_norms(R)))])
-
     def objective_now(norms, gamma, tgt_old):
         return _objective_from_sq_norms(
             *norms, A_pos, A_neg, p_pos, psi, params.lam, D.background_atoms, gamma, tgt_old
         )
 
     norms = sq_norms()
-    stale = np.zeros(T + M, dtype=int)  # stale iterations in a row, per atom
     trace: list[float] = []
     inner_trace: list[np.ndarray] = []
     p_pos = np.zeros(n_pos)
@@ -535,8 +528,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
 
         # --- M-step: sequential closed-form atom updates ------------------
         # Targets first, then backgrounds; each update sees the atoms as
-        # updated so far.  A stale atom is kept, and re-seeded after
-        # _STALE_LIMIT stale iterations in a row.
+        # updated so far.  A stale atom is kept.
         products = update_products(Xp, Xn, A_pos, A_neg, p_pos, psi, work(A_pos.shape))
         for j in range(T + M):
             if j < T:
@@ -545,15 +537,7 @@ def fit(Xp: np.ndarray, Xn: np.ndarray, params: FumiParams, seed: int = 0,
                 raw = background_atom_update(products, D, j - T, gamma, tgt_old)
             new_atom = raw if raw is None else _normalize_or_none(raw)
             if new_atom is not None:
-                stale[j] = 0
-            else:
-                stale[j] += 1
-                if stale[j] < _STALE_LIMIT:
-                    continue
-                Xc, R = (Xp, atoms @ A_pos) if j < T else (Xn, D.background_atoms @ A_neg)
-                new_atom = reseed(Xc, np.subtract(Xc, R, out=R))
-                stale[j] = 0
-            atoms[:, j] = new_atom
+                atoms[:, j] = new_atom
 
         # --- code updates --------------------------------------------------
         G_bg, eta_bg, G, eta = coding_operands(D.background_atoms, atoms)
