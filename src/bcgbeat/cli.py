@@ -7,10 +7,10 @@ parses its settings, reads its inputs, maps errors to exit codes and writes.
 
 Exit codes: 0 success, 2 config or IO problem (a model file that is
 malformed or does not fit the model's other files included), 3 groundtruth
-missing where required, 4 model/data mismatch (`detector.ModelMismatch`:
-dimensions, or codes that fail the warm-start check; or a recording sampled
-at another rate than the model's training recordings), 5 evaluation
-impossible.
+missing where required or, in `train`, matched at no voting grid point, 4
+model/data mismatch (`detector.ModelMismatch`: dimensions, or codes that
+fail the warm-start check; or a recording sampled at another rate than the
+model's training recordings), 5 evaluation impossible.
 Runs are deterministic given the config file and --seed.
 
 `detect` builds its model from `.params` alone (a `--config` may restate a
@@ -38,6 +38,7 @@ from .detector import (
     DetectionParams,
     Model,
     ModelMismatch,
+    NoBeatMatched,
     detect_recording,
     hr_from_beats,
     train_model,
@@ -291,7 +292,8 @@ def cmd_train(args) -> int:
         recs.append(rec)
     pre = Preprocessing(**_kwargs(settings, _PREPROCESS_KEYS))
     keys = ["code_iters", "seed", "per_positive", "min_votes", "refractory_s"]
-    with _fails(EXIT_CONFIG):
+    no_beat = _fails(EXIT_NO_GROUNDTRUTH, f"{', '.join(args.recordings)}: ", NoBeatMatched)
+    with _fails(EXIT_CONFIG), no_beat:
         model, trace = train_model(recs, params, pre, **_kwargs(settings, keys))
     for i, v in enumerate(trace, 1):
         print(f"em_iter={i} objective={v!r}")

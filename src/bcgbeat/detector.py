@@ -50,6 +50,10 @@ class ModelMismatch(ValueError):
     worse than their warm start."""
 
 
+class NoBeatMatched(ValueError):
+    """No point of the voting-parameter grid matches a groundtruth beat."""
+
+
 @dataclass
 class BackgroundModel:
     """Training background covariance Sigma = L L^T, with L^-1 kept."""
@@ -81,8 +85,8 @@ class BackgroundModel:
 class DetectionParams:
     """Voting parameters for turning confidences into beats."""
 
-    threshold: float = 1.32
-    neighborhood: int = 25
+    threshold: float
+    neighborhood: int
     min_votes: int = 2
     refractory_s: float = 0.3
 
@@ -464,10 +468,13 @@ def learn_detection_params_pooled(
     """Grid-search the voting threshold and neighborhood for best F1
     against groundtruth beats, with counts pooled over the given
     recordings (score_grid).  Ties prefer the smaller threshold, then the
-    smaller neighborhood: the first best point in threshold-major order."""
+    smaller neighborhood: the first best point in threshold-major order.
+    Raises NoBeatMatched when every point scores F1 0."""
     series_list, gt_list = list(series_list), [np.asarray(g) for g in gt_list]
     thresholds, neighborhoods = list(thresholds), list(neighborhoods)
     tp, n_est = score_grid(series_list, gt_list, thresholds, neighborhoods, min_votes, refractory_s)
+    if not tp.any():
+        raise NoBeatMatched("no point of the voting-parameter grid matches a groundtruth beat")
     # score_grid requires n_gt >= 1
     n_gt = sum(g.size for _, g in zip(series_list, gt_list))
     row, col = np.unravel_index(np.argmax(beat_f1(tp, n_est, n_gt)), tp.shape)

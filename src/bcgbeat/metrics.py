@@ -136,7 +136,8 @@ def mae(est: HrSeries, gt: HrSeries) -> float:
     rows = per_window_errors(est, gt)
     if not rows:
         raise ValueError("no overlapping non-gap windows to compare")
-    return float(np.mean([r[3] for r in rows]))
+    err, k = _unit_scaled(np.array([r[3] for r in rows]))
+    return float(np.ldexp(np.mean(err), k))
 
 
 def bland_altman(est: np.ndarray, gt: np.ndarray) -> AgreementStats:
@@ -155,11 +156,13 @@ def bland_altman(est: np.ndarray, gt: np.ndarray) -> AgreementStats:
     )
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that brings its largest magnitude into
-    [0.5, 1).  Exact wherever the values stay normal, so a scale-free
-    statistic keeps its bits, and its squares cannot overflow."""
-    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x times 2^-k, where 2^-k brings its largest magnitude into [0.5, 1),
+    and k.  Exact wherever the values stay normal, so a scale-free
+    statistic keeps its bits, its squares and sums cannot overflow, and a
+    mean scaled back by 2^k is the plain mean's."""
+    k = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x, -k), k
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
@@ -168,7 +171,7 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D arrays of size >= 2")
-    x, y = _unit_scaled(x), _unit_scaled(y)
+    (x, _), (y, _) = _unit_scaled(x), _unit_scaled(y)
     xc = x - x.mean()
     yc = y - y.mean()
     den = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
@@ -186,7 +189,7 @@ def paired_t(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length samples of size >= 2")
-    d = _unit_scaled(a - b)
+    d, _ = _unit_scaled(a - b)
     sd = float(np.std(d, ddof=1))
     if sd == 0.0:
         raise ValueError("zero-variance differences")

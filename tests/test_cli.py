@@ -331,6 +331,21 @@ class TestTrain:
         bio.write_recording(p, rec)
         assert main(["train", str(p), "--out", str(tmp_path / "d.csv")]) == 3
 
+    def test_no_grid_point_matching_a_beat_exits_3(self, workdir, tmp_path, capsys):
+        """With zscore off, lambda is an absolute threshold on the codes: at
+        a thousandth of the unit every code is thresholded away, every
+        confidence is about 1, and no point of the grid votes a matched
+        beat.  train names the recording and writes no model."""
+        rec = bio.read_recording(workdir / "rec.csv")
+        small = tmp_path / "small.csv"
+        bio.write_recording(small, dataclasses.replace(rec, channels=[1e-3 * c for c in rec.channels]))
+        capsys.readouterr()
+        assert main(["train", str(small), "--max_em_iters", "2", "--out", str(tmp_path / "m.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {small}: no point of the voting-parameter grid matches a groundtruth beat\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["small.csv"]
+
     def test_truncated_recording_exits_2(self, tmp_path):
         p = tmp_path / "trunc.csv"
         p.write_text("t,ch0,gt\n0.0,1.0,0\n")
@@ -817,6 +832,20 @@ class TestEval:
         assert main(eval_argv + ["--est-hr", est, "--baseline-hr", str(huge)]) == 0
         # one difference near -1e308 among n: mean -1e308 / n, sd 1e308 / sqrt(n)
         assert abs(float(bio.read_keyvalue(tmp_path / "r")["paired_t_stat"]) + 1.0) <= 1e-12
+        assert capsys.readouterr().err == ""
+
+    def test_huge_finite_hr_errors_give_a_finite_mae(self, workdir, tmp_path, capsys):
+        """Errors of 1e308 and 1.5e308 sum past the largest double, yet
+        their mean with the others is finite."""
+        hr = bio.read_hr(str(workdir / "det") + ".hr.csv")
+        hr.bpm[np.flatnonzero(np.isfinite(hr.bpm))[:2]] = [1e308, 1.5e308]
+        huge = tmp_path / "huge.hr.csv"
+        bio.write_hr(huge, hr)
+        out = tmp_path / "r"
+        assert main(["eval", str(workdir / "rec.csv"), "--est-hr", str(huge), "--out", str(out)]) == 0
+        report = bio.read_keyvalue(out)
+        n = int(report["n_windows_compared"])  # the other errors are a few bpm
+        assert float(report["mae_bpm"]) == pytest.approx(1e308 / n + 1.5e308 / n, rel=1e-12)
         assert capsys.readouterr().err == ""
 
     def test_groundtruth_missing_exits_3(self, workdir, tmp_path):

@@ -385,7 +385,7 @@ class TestChunkedCoding:
         assert_series_close(got, want)
         # chunks this narrow may round a few confidences differently; the
         # beats must not move
-        params = DetectionParams(threshold=1.5)
+        params = DetectionParams(threshold=1.5, neighborhood=25)
         got_beats, want_beats = (np.asarray(vote_beats(s, params)) for s in (got, want))
         np.testing.assert_array_equal(got_beats[:, 0], want_beats[:, 0])
         np.testing.assert_allclose(got_beats[:, 1], want_beats[:, 1], rtol=1e-12, atol=0)
@@ -487,7 +487,7 @@ class TestVoteBeats:
         series = ConfidenceSeries(fs=FS, n_samples=4000, peak_indices=idx, confidences=conf)
         prev = None
         for thr in np.arange(0.5, 3.1, 0.1):
-            n = len(vote_beats(series, DetectionParams(threshold=float(thr))))
+            n = len(vote_beats(series, DetectionParams(threshold=float(thr), neighborhood=25)))
             if prev is not None:
                 assert n <= prev
             prev = n

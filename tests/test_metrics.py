@@ -60,6 +60,14 @@ class TestMae:
         est = series([30, 45, 60], [np.nan, 72.0, 73.0])
         assert mae_of(est, gt) == 2.0
 
+    @given(_HR_PAIRS, st.integers(-900, 1015))
+    def test_scaling_by_a_power_of_two_keeps_the_bits(self, pairs, k):
+        """Up to 2^1015, where the errors' plain sum overflows."""
+        est, gt = np.array(pairs).T
+        t = 15.0 * np.arange(est.size)
+        scaled = mae(series(t, np.ldexp(est, k)), series(t, np.ldexp(gt, k)))
+        assert scaled == np.ldexp(mae(series(t, est), series(t, gt)), k)
+
     def test_no_overlap_is_an_error(self):
         a = series([30.0], [np.nan])
         b = series([30.0], [70.0])

@@ -7,6 +7,7 @@ enough voting channels, and matches one-to-one within the tolerance; and
 that detect's voting and eval's matching run through the grid's cores."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from bcgbeat import detector, metrics
 from bcgbeat.detector import (
     ConfidenceSeries,
     DetectionParams,
+    NoBeatMatched,
     learn_detection_params_pooled,
     score_grid,
     vote_beats,
@@ -106,8 +108,12 @@ def test_grid_search_matches_the_loop_reference(recordings, thresholds, neighbor
     )
     series_list = [s for s, _ in recordings]
     gt_list = [np.asarray(g) for _, g in recordings]
-    chosen = learn_detection_params_pooled(series_list, gt_list, **kwargs)
-    assert chosen == ref.learn_detection_params_pooled(series_list, gt_list, **kwargs)
+    want = ref.learn_detection_params_pooled(series_list, gt_list, **kwargs)
+    if want is None:
+        with pytest.raises(NoBeatMatched):
+            learn_detection_params_pooled(series_list, gt_list, **kwargs)
+    else:
+        assert learn_detection_params_pooled(series_list, gt_list, **kwargs) == want
 
 
 # Times on a 0.05-s grid make equal distances, so the tie order is exercised.
@@ -260,7 +266,7 @@ def test_detect_voting_and_eval_matching_run_through_the_grids_cores(monkeypatch
     s = ConfidenceSeries(fs=FS, n_samples=N_SAMPLES, peak_indices=[np.array([100, 300])] * 2,
                          confidences=[np.array([2.0, 2.0])] * 2)
 
-    assert vote_beats(s, DetectionParams()) == [(100, 4.0), (300, 4.0)]
+    assert vote_beats(s, DetectionParams(threshold=1.32, neighborhood=25)) == [(100, 4.0), (300, 4.0)]
     assert calls == ["vote"]
     calls.clear()
     assert greedy_match(np.array([1.0, 3.0]), np.array([1.1])) == [(0, 0)]

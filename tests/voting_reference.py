@@ -128,4 +128,4 @@ def learn_detection_params_pooled(
             if f1 > best_f1:
                 best_f1 = f1
                 best = params
-    return best
+    return best if best_f1 > 0.0 else None  # None: no point matches a beat
