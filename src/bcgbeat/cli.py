@@ -39,6 +39,7 @@ from .detector import (
     Model,
     ModelMismatch,
     NoBeatMatched,
+    check_min_votes,
     detect_recording,
     hr_from_beats,
     train_model,
@@ -323,6 +324,9 @@ def cmd_detect(args) -> int:
     cov_path = _sibling(args.dict, ".cov.csv")
     background = _load(bio.read_covariance, cov_path, f"covariance {cov_path}")
     stored = _read_params(_sibling(args.dict, ".params"))
+    if "min_votes" in given:  # its domain first, as every given setting's
+        with _fails(EXIT_CONFIG):
+            check_min_votes(given["min_votes"], len(rec.channels))
     for key in _STORED_KEYS:  # the model was learned under these; fs is the recording's
         if key != "fs" and key in given and given[key] != stored[key]:
             raise CliError(EXIT_CONFIG, f"{key}={given[key]!r} differs from the model's "

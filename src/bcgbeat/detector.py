@@ -573,7 +573,8 @@ def hr_from_confidence_dft(
     return HrSeries(times=starts + window_s / 2.0, bpm=bpm)
 
 
-def _check_min_votes(min_votes: int, n_channels: int) -> None:
+def check_min_votes(min_votes: int, n_channels: int) -> None:
+    """Raise ValueError unless 1 <= min_votes <= n_channels."""
     if not 1 <= min_votes <= n_channels:
         raise ValueError(f"bad setting min_votes={min_votes!r}: "
                          f"must be from 1 to the {n_channels} channels")
@@ -604,7 +605,7 @@ def train_model(
                              f"but the first at {fs:g} Hz; train on recordings of one sample rate")
         if rec.gt_beat_times is None or rec.gt_beat_times.size == 0:
             raise ValueError("groundtruth beats required to learn detection parameters")
-    _check_min_votes(min_votes, min(len(rec.channels) for rec in recordings))
+    check_min_votes(min_votes, min(len(rec.channels) for rec in recordings))
     # Each recording is filtered and peak-picked once, for its bags and
     # for the voting-parameter grid.
     candidates = [candidate_peaks(rec, pre) for rec in recordings]
@@ -642,7 +643,7 @@ def detect_recording(
     if rec.sample_rate_hz != model.fs:
         raise ModelMismatch(f"the model was trained at {model.fs:g} Hz, "
                             f"the recording is sampled at {rec.sample_rate_hz:g} Hz")
-    _check_min_votes(model.detection.min_votes, len(rec.channels))
+    check_min_votes(model.detection.min_votes, len(rec.channels))
     if dft_band_hz is not None:
         check_dft_band(dft_band_hz, rec.sample_rate_hz)
     candidates = candidate_peaks(rec, model.pre)

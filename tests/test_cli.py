@@ -1310,6 +1310,8 @@ class TestCodingSettingDomains:
             ("lambda=-1", "lambda=-1.0: must be finite and >= 0"),
             ("lambda=inf", "lambda=inf: must be finite and >= 0"),
             ("threshold=nan", "threshold=nan: must be finite"),
+            ("min_votes=0", "min_votes=0: must be from 1 to the 4 channels"),
+            ("min_votes=9", "min_votes=9: must be from 1 to the 4 channels"),
             ("neighborhood=-5", "neighborhood=-5: must be >= 0"),
             ("refractory_s=nan", "refractory_s=nan: must be finite and >= 0"),
             ("refractory_s=-1", "refractory_s=-1.0: must be finite and >= 0"),
